@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 from .errors import DimensionMismatch, IndexOutOfRange, ZeroPolynomial
 from .polynomial import GaussianRational, Polynomial, r_squared
@@ -53,18 +53,6 @@ class PolyVector:
 
     def __getitem__(self, i: int) -> Polynomial:
         return self.components[i]
-
-    def dot(self, other: "PolyVector") -> Polynomial:
-        """Bilinear dot product (no conjugation)."""
-        if self.nvars != other.nvars:
-            raise DimensionMismatch("dot product of vectors over different spaces")
-        total = Polynomial.zero(self.nvars)
-        for a, b in zip(self.components, other.components):
-            total = total + a * b
-        return total
-
-    def evaluate(self, x: Sequence[float]) -> list:
-        return [c.evaluate(x) for c in self.components]
 
 
 @dataclass(frozen=True)
@@ -102,21 +90,6 @@ class PolyMatrix:
         for i in range(len(self.entries)):
             total = total + self.entries[i][i]
         return total
-
-    def apply(self, vec: PolyVector) -> PolyVector:
-        """Matrix-vector product with polynomial entries."""
-        if vec.nvars != self.nvars:
-            raise DimensionMismatch("matrix and vector over different spaces")
-        rows = []
-        for row in self.entries:
-            total = Polynomial.zero(self.nvars)
-            for entry, component in zip(row, vec.components):
-                total = total + entry * component
-            rows.append(total)
-        return PolyVector(tuple(rows))
-
-    def evaluate(self, x: Sequence[float]) -> list:
-        return [[entry.evaluate(x) for entry in row] for row in self.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +150,12 @@ def kappa(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def hess_grad_grad(p: Polynomial) -> Polynomial:
-    """The cubic-in-derivatives invariant Q = Hess p (grad p, grad p)."""
-    grad = gradient(p)
-    hess = hessian(p)
-    total = Polynomial.zero(p.nvars)
-    for i in range(p.nvars):
-        for j in range(p.nvars):
-            total = total + hess[i, j] * grad[i] * grad[j]
-    return total
+    """The cubic-in-derivatives invariant Q = Hess p (grad p, grad p).
+
+    Computed as kappa(p, kappa(p, p)) / 2, which is exact because
+    d_i kappa(p, p) = 2 sum_j (d_j p)(d_ij p).
+    """
+    return kappa(p, kappa(p, p)) * Fraction(1, 2)
 
 
 def euler(p: Polynomial) -> Polynomial:

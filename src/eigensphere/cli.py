@@ -29,14 +29,7 @@ import numpy as np
 
 from . import __version__
 from .eigen import verify_eigenfunction
-from .errors import (
-    EigenSphereError,
-    EmptyFiber,
-    InsufficientYield,
-    NotAnEigenfunction,
-    ParseError,
-    SingularFiber,
-)
+from .errors import EigenSphereError, InsufficientYield
 from .geometry import VarietySpec, add_stereo, export_cloud, sample
 from .minimality import (
     DEFAULT_REJECT,
@@ -91,10 +84,6 @@ def _emit(args, inputs: Dict, verdict: Dict, started: float, human_lines: List[s
             print(line)
 
 
-def _parse_poly(expr: str, nvars: int):
-    return parse(expr, nvars)
-
-
 def _parse_line(text: str) -> Tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -116,7 +105,7 @@ def _check_dims(nvars: int, sphere_dim: int) -> None:
 def _cmd_eigen_check(args) -> int:
     started = time.perf_counter()
     _check_dims(args.vars, args.sphere_dim)
-    P = _parse_poly(args.poly, args.vars)
+    P = parse(args.poly, args.vars)
     report = verify_eigenfunction(P, args.sphere_dim)
     inputs = {"vars": args.vars, "sphere_dim": args.sphere_dim, "poly": args.poly}
     if report.is_eigen:
@@ -137,7 +126,7 @@ def _cmd_eigen_check(args) -> int:
 def _cmd_minimal_line(args) -> int:
     started = time.perf_counter()
     _check_dims(args.vars, args.sphere_dim)
-    F = _parse_poly(args.poly, args.vars)
+    F = parse(args.poly, args.vars)
     a, b = _parse_line(args.line)
     verdict = check_minimal_codim1(
         F, a, b, args.sphere_dim,
@@ -165,7 +154,7 @@ def _cmd_minimal_line(args) -> int:
 def _cmd_minimal_zero(args) -> int:
     started = time.perf_counter()
     _check_dims(args.vars, args.sphere_dim)
-    F = _parse_poly(args.poly, args.vars)
+    F = parse(args.poly, args.vars)
     verdict = check_minimal_codim2(
         F, args.sphere_dim,
         samples=args.samples, tol=args.tol, reject=args.reject, rng_seed=args.seed,
@@ -198,7 +187,7 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     constraints = []
     for expr in args.constraint or []:
-        poly = _parse_poly(expr, args.vars)
+        poly = parse(expr, args.vars)
         if not poly.is_real():
             raise ValueError(
                 f"constraint {expr!r} has complex coefficients; pass its real and "
@@ -366,21 +355,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR if code != 0 else 0
     try:
         return args.func(args)
-    except InsufficientYield as err:
+    except (EigenSphereError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except (NotAnEigenfunction, EmptyFiber, SingularFiber) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except EigenSphereError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_INCONCLUSIVE if isinstance(err, InsufficientYield) else EXIT_ERROR
 
 
 def entrypoint() -> None:

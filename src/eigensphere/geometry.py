@@ -1,10 +1,13 @@
 """Numerical geometry of polynomial varieties intersected with the sphere.
 
 This is the floating-point layer.  Everything symbolic (constraints, their
-gradients and Hessians) is prepared exactly once per VarietySpec; the
-numerics are Newton projection with a rank-revealing least-squares step,
-seeded Gaussian sampling, and the level-set second-fundamental-form trace
-that yields mean-curvature components of the cut-out submanifold.
+gradients and Hessians) is prepared exactly once per VarietySpec and
+compiled into CompiledPolys tables, which are the only way this layer
+evaluates polynomials; Polynomial.evaluate stays as the independent witness
+of the finite-difference oracles and the tests.  The numerics are Newton
+projection with a rank-revealing least-squares step, seeded Gaussian
+sampling, and the level-set second-fundamental-form trace that yields
+mean-curvature components of the cut-out submanifold.
 
 Conventions:
   * the sphere constraint is g0 = (|x|^2 - 1)/2, so grad g0 = x exactly and
@@ -22,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .calculus import PolyMatrix, PolyVector, gradient, hessian, laplacian, hess_grad_grad
+from .calculus import gradient, hess_grad_grad, hessian, laplacian
 from .errors import (
     DegeneratePoint,
     DimensionMismatch,
@@ -46,11 +49,41 @@ def sphere_constraint(nvars: int) -> Polynomial:
     return (r_squared(nvars) - 1) * Fraction(1, 2)
 
 
+class CompiledPolys:
+    """Real polynomials compiled to one shared monomial table.
+
+    Evaluation at a point x is coefficients @ prod(x ** exponents, axis=1),
+    reshaped to `shape` (row-major over the polynomials as listed).
+    """
+
+    def __init__(self, nvars: int, polys: Sequence[Polynomial], shape: Tuple[int, ...]):
+        index: Dict[Tuple[int, ...], int] = {}
+        for p in polys:
+            for exps, _coeff in p.items():
+                index.setdefault(exps, len(index))
+        # reshape with nvars, not -1: an all-zero list has an empty table
+        self.exponents = np.array(list(index), dtype=int).reshape(len(index), nvars)
+        self.coefficients = np.zeros((len(polys), len(index)))
+        for row, p in enumerate(polys):
+            for exps, coeff in p.items():
+                self.coefficients[row, index[exps]] = float(coeff.re)
+        self.shape = shape
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.exponents.shape[1:]:
+            raise DimensionMismatch(
+                f"point has shape {x.shape}, expected ({self.exponents.shape[1]},)")
+        monomials = np.prod(x ** self.exponents, axis=1)
+        return (self.coefficients @ monomials).reshape(self.shape)
+
+
 class VarietySpec:
     """Real polynomial constraints, optionally intersected with the sphere.
 
-    Gradients and Hessians of every constraint are precomputed symbolically
-    at construction and evaluated in floating point afterwards.
+    Gradients and Hessians of every constraint are computed symbolically at
+    construction and compiled into three CompiledPolys tables (values,
+    Jacobian, Hessians), through which all later evaluation goes.
     """
 
     def __init__(self, nvars: int, constraints: Sequence[Polynomial], include_sphere: bool = True):
@@ -74,36 +107,34 @@ class VarietySpec:
         self.constraints = constraints
         self.include_sphere = include_sphere
         full = ([sphere_constraint(nvars)] if include_sphere else []) + list(constraints)
-        self._full: Tuple[Polynomial, ...] = tuple(full)
-        self._grads: Tuple[PolyVector, ...] = tuple(gradient(g) for g in full)
-        self._hessians: Tuple[PolyMatrix, ...] = tuple(hessian(g) for g in full)
+        m = len(full)
+        self._values = CompiledPolys(nvars, full, (m,))
+        self._jacobian = CompiledPolys(
+            nvars, [d for g in full for d in gradient(g)], (m, nvars))
+        self._hessians = CompiledPolys(
+            nvars, [e for g in full for row in hessian(g).entries for e in row], (m, nvars, nvars))
 
     @property
     def num_equations(self) -> int:
-        return len(self._full)
+        return self._values.shape[0]
 
     def codimension(self) -> int:
         """Number of constraints beyond the sphere."""
         return len(self.constraints)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([g.evaluate(x).real for g in self._full])
+        return self._values(x)
 
     def residual(self, x: np.ndarray) -> float:
         values = self.values(x)
         return float(np.max(np.abs(values))) if values.size else 0.0
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        rows = []
-        for grad in self._grads:
-            rows.append([component.evaluate(x).real for component in grad])
-        return np.array(rows)
+        return self._jacobian(x)
 
     def hessian_at(self, index: int, x: np.ndarray) -> np.ndarray:
         """Numeric Hessian of equation `index` (0 = sphere when included)."""
-        return np.array(
-            [[entry.evaluate(x).real for entry in row] for row in self._hessians[index].entries]
-        )
+        return self._hessians(x)[index]
 
 
 def newton_project(
@@ -341,14 +372,12 @@ def cone_mean_curvature(P: Polynomial, x: Sequence[float], eps_reg: float = DEFA
     """
     if not P.is_real():
         raise ValueError("cone mean curvature is defined for real polynomials")
-    x = np.asarray(x, dtype=float)
-    grad = np.array([g.evaluate(x).real for g in gradient(P)])
+    forms = [laplacian(P), hess_grad_grad(P), *gradient(P)]
+    lap, q, *grad = CompiledPolys(P.nvars, forms, (len(forms),))(x)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm <= eps_reg:
         raise DegeneratePoint(f"|grad P| = {grad_norm:.3e} <= {eps_reg:.1e}")
-    lap = laplacian(P).evaluate(x).real
-    q = hess_grad_grad(P).evaluate(x).real
-    return (lap * grad_norm**2 - q) / grad_norm**3
+    return float((lap * grad_norm**2 - q) / grad_norm**3)
 
 
 def stereographic(x: Sequence[float], pole: int, eps: float = 1e-8) -> np.ndarray:

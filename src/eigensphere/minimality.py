@@ -42,7 +42,7 @@ from .errors import (
     ZeroLine,
     ZeroPolynomial,
 )
-from .geometry import VarietySpec, mean_curvature, newton_project, sample
+from .geometry import CompiledPolys, VarietySpec, mean_curvature, newton_project, sample
 from .polynomial import GaussianRational, Polynomial
 
 EXACT_MINIMAL = "ExactMinimal"
@@ -197,8 +197,7 @@ def _attach_numeric(
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
     spec = VarietySpec(P.nvars, [P])
-    grad_p = gradient(P)
-    grad_q = gradient(Q)
+    q_forms = CompiledPolys(P.nvars, [Q, *gradient(Q)], (P.nvars + 1,))
     mass_q = Q.coefficient_l1_float()
     newton_tol = min(1e-13, tol * 1e-5)
 
@@ -221,10 +220,10 @@ def _attach_numeric(
             tallies["singular"] += 1
             continue
         tallies["converged"] += 1
-        gp = np.linalg.norm([g.evaluate(x).real for g in grad_p])
-        gq = np.linalg.norm([g.evaluate(x).real for g in grad_q])
-        p_val = abs(P.evaluate(x).real)
-        q_val = Q.evaluate(x).real
+        p_val = abs(spec.values(x)[1])  # row 0 is the sphere
+        gp = np.linalg.norm(spec.jacobian(x)[1])
+        q_val, *grad_q = q_forms(x)
+        gq = np.linalg.norm(grad_q)
         criterion = q_val / gp**3
         error_bound = (gq * (p_val / gp) + 8e-16 * mass_q) / gp**3
         if error_bound > tol / 10:
@@ -401,13 +400,7 @@ def _flat_section_residuals(F: Polynomial, points: np.ndarray) -> Optional[np.nd
     model = _complex_pair(F.nvars, 1) ** k + _complex_pair(F.nvars, 2) ** k
     if F != model:
         return None
-    roots = np.exp(1j * (pi + 2 * pi * np.arange(k)) / k)
-    residuals = []
-    for x in points:
-        z1 = complex(x[0], x[1])
-        z2 = complex(x[2], x[3])
-        residuals.append(min(abs(z1 - zeta * z2) for zeta in roots))
-    return np.array(residuals)
+    return flat_section_residuals(points, k)
 
 
 def flat_section_residuals(points: np.ndarray, k: int) -> np.ndarray:

@@ -29,8 +29,8 @@ class SuiteResult:
 
 def random_polynomial(
     rng: np.random.Generator,
-    nvars: int,
-    max_degree: int,
+    nvars: int = 3,
+    max_degree: int = 3,
     terms: int = 6,
     complex_coeffs: bool = True,
 ) -> Polynomial:

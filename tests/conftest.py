@@ -4,18 +4,7 @@ import numpy as np
 import pytest
 
 from eigensphere.polynomial import GaussianRational, Polynomial
-
-
-def random_poly(rng, nvars=3, max_degree=3, terms=6, complex_coeffs=True):
-    """Sparse random polynomial with small Gaussian-integer coefficients."""
-    data = {}
-    for _ in range(terms):
-        degree = int(rng.integers(0, max_degree + 1))
-        exps = tuple(int(e) for e in rng.multinomial(degree, np.ones(nvars) / nvars))
-        re = int(rng.integers(-5, 6))
-        im = int(rng.integers(-5, 6)) if complex_coeffs else 0
-        data[exps] = data.get(exps, GaussianRational()) + GaussianRational(re, im)
-    return Polynomial(nvars, data)
+from eigensphere.selftest import random_polynomial as random_poly  # noqa: F401
 
 
 def random_homogeneous(rng, nvars, degree, terms=5, complex_coeffs=True):

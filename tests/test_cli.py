@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from eigensphere import cli
 from eigensphere.cli import main
+from eigensphere.errors import InsufficientYield
 from eigensphere.geometry import read_cloud
 
 
@@ -245,6 +247,31 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert main(["eigen-check", "--vars", "4"]) == 3
+
+
+def _escaping_insufficient_yield(monkeypatch, tmp_path):
+    def give_up(*_args, **_kwargs):
+        raise InsufficientYield("no reliable fiber samples")
+
+    monkeypatch.setattr(cli, "check_minimal_codim1", give_up)
+    return ["minimal-line", "--vars", "4", "--sphere-dim", "3",
+            "--poly", "z1^2+z2^2", "--line", "1,0"]
+
+
+def _missing_out_directory(monkeypatch, tmp_path):
+    return ["sample", "--vars", "4", "--constraint", "x4", "--count", "3",
+            "--out", str(tmp_path / "missing" / "cloud.csv")]
+
+
+@pytest.mark.parametrize("make_argv, code", [
+    (_escaping_insufficient_yield, 2),
+    (_missing_out_directory, 3),
+])
+def test_escaping_errors_map_to_exit_codes(capsys, monkeypatch, tmp_path, make_argv, code):
+    exit_code, out, err = run(capsys, *make_argv(monkeypatch, tmp_path))
+    assert exit_code == code
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 class TestInstalledScript:

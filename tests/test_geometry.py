@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from eigensphere.calculus import gradient, hessian
 from eigensphere.errors import (
     DegeneratePoint,
     DimensionMismatch,
@@ -25,6 +26,7 @@ from eigensphere.geometry import (
     newton_project,
     read_cloud,
     sample,
+    sphere_constraint,
     stereographic,
     _gram_schmidt_tracked,
 )
@@ -32,10 +34,18 @@ from eigensphere.minimality import line_pullback
 from eigensphere.parsing import parse
 from eigensphere.polynomial import Polynomial
 
+from conftest import random_poly
+
 
 def clifford_spec():
     q = line_pullback(parse("z1^2 + z2^2", 4), 1, 0)
     return VarietySpec(4, [q]), q
+
+
+def _per_entry(polys, x):
+    """Reference: Polynomial.evaluate on every entry of a nested sequence."""
+    return np.array([p.evaluate(x).real if isinstance(p, Polynomial) else _per_entry(p, x)
+                     for p in polys])
 
 
 class TestVarietySpec:
@@ -51,6 +61,42 @@ class TestVarietySpec:
     def test_mixed_nvars_rejected(self):
         with pytest.raises(DimensionMismatch):
             VarietySpec(4, [parse("x1", 3)])
+
+    def test_point_shape_checked(self):
+        spec, _q = clifford_spec()
+        for bad in ([0.5], [0.5, 0.5, 0.5]):
+            with pytest.raises(DimensionMismatch):
+                spec.values(bad)
+
+    @pytest.mark.parametrize("nvars", [3, 4, 5, 6])
+    def test_compiled_matches_per_entry(self, nvars):
+        """values/jacobian/hessian_at agree with Polynomial.evaluate entry by entry."""
+        rng = np.random.default_rng(1000 + nvars)
+
+        def real_polys(count, max_degree):
+            return [random_poly(rng, nvars, max_degree, complex_coeffs=False) for _ in range(count)]
+
+        cases = [
+            (real_polys(nvars - 2, 4), True),
+            (real_polys(2, 5), False),
+            (real_polys(2, 1), False),  # all linear: the Hessian table is empty
+        ]
+        for constraints, include_sphere in cases:
+            spec = VarietySpec(nvars, constraints, include_sphere=include_sphere)
+            full = ([sphere_constraint(nvars)] if include_sphere else []) + constraints
+            for _ in range(5):
+                x = rng.standard_normal(nvars)
+                pairs = [
+                    (spec.values(x), _per_entry(full, x)),
+                    (spec.jacobian(x), _per_entry([gradient(g) for g in full], x)),
+                ] + [
+                    (spec.hessian_at(a, x), _per_entry(hessian(g).entries, x))
+                    for a, g in enumerate(full)
+                ]
+                for compiled, expected in pairs:
+                    assert compiled.shape == expected.shape
+                    scale = np.max(np.abs(expected), initial=0.0)
+                    assert_allclose(compiled, expected, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestNewtonProject:
