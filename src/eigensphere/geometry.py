@@ -415,14 +415,12 @@ def add_stereo(cloud: PointCloud, pole: int, eps: float = 1e-8) -> PointCloud:
     )
 
 
-def export_cloud(cloud: PointCloud, path: str, fmt: str = "csv") -> None:
+def export_cloud(cloud: PointCloud, path: str) -> None:
     """Write the cloud as CSV with 17-significant-digit floats.
 
     Header: x1..xN, then s1..s3 when stereo is present, then residual and
     regularity.  Row order is generation order, so output is deterministic.
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported export format {fmt!r}")
     nvars = cloud.points.shape[1]
     header = [f"x{i + 1}" for i in range(nvars)]
     if cloud.stereo is not None:

@@ -43,7 +43,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .geometry import CompiledPolys, VarietySpec, mean_curvature, newton_project, sample
-from .polynomial import GaussianRational, Polynomial
+from .polynomial import Polynomial, complex_variable
 
 EXACT_MINIMAL = "ExactMinimal"
 NUMERIC_MINIMAL = "NumericMinimal"
@@ -204,7 +204,6 @@ def _attach_numeric(
     reliable: List[Tuple[np.ndarray, float, float]] = []
     tallies = {"converged": 0, "no_convergence": 0, "singular": 0, "unreliable": 0}
     max_attempts = 30 * samples
-    attempt = 0
     for attempt in range(max_attempts):
         if len(reliable) >= samples:
             break
@@ -231,7 +230,8 @@ def _attach_numeric(
             continue
         reliable.append((x, criterion, error_bound))
 
-    verdict.diagnostics["sampling"] = dict(tallies, attempts=min(attempt + 1, max_attempts))
+    attempts = tallies["converged"] + tallies["no_convergence"] + tallies["singular"]
+    verdict.diagnostics["sampling"] = dict(tallies, attempts=attempts)
     if not reliable:
         if decide:
             raise InsufficientYield(
@@ -378,13 +378,6 @@ def check_minimal_codim2(
     return verdict
 
 
-def _complex_pair(nvars: int, j: int) -> Polynomial:
-    """z_j = x_{2j-1} + i*x_{2j} as a polynomial."""
-    re = Polynomial.variable(nvars, 2 * j - 1)
-    im = Polynomial.variable(nvars, 2 * j)
-    return re + Polynomial.constant(nvars, GaussianRational(Fraction(0), Fraction(1))) * im
-
-
 def _flat_section_residuals(F: Polynomial, points: np.ndarray) -> Optional[np.ndarray]:
     """For F = z1^k + z2^k: distance of samples to the nearest flat section.
 
@@ -397,7 +390,7 @@ def _flat_section_residuals(F: Polynomial, points: np.ndarray) -> Optional[np.nd
     k = F.degree()
     if k < 1:
         return None
-    model = _complex_pair(F.nvars, 1) ** k + _complex_pair(F.nvars, 2) ** k
+    model = complex_variable(F.nvars, 1) ** k + complex_variable(F.nvars, 2) ** k
     if F != model:
         return None
     return flat_section_residuals(points, k)
@@ -460,10 +453,8 @@ def classify_lawson(n: int, m: int) -> LawsonType:
     return LawsonType.TORUS if (n * m) % 2 == 1 else LawsonType.KLEIN_BOTTLE
 
 
-def lawson_polynomial(n: int, m: int, nvars: int = 4) -> Polynomial:
-    """z1^n * conj(z2)^m expanded over real variables."""
+def lawson_polynomial(n: int, m: int) -> Polynomial:
+    """z1^n * conj(z2)^m expanded over the real variables x1..x4."""
     if n == 0 and m == 0:
         raise BothZero("exponents (0, 0) do not define a surface")
-    z1 = _complex_pair(nvars, 1)
-    z2_bar = _complex_pair(nvars, 2).conjugate()
-    return z1**n * z2_bar**m
+    return complex_variable(4, 1) ** n * complex_variable(4, 2).conjugate() ** m

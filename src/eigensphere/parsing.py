@@ -17,6 +17,10 @@ Multiplication is always explicit; exponents must be non-negative integer
 literals.  `conj` conjugates the coefficients of its argument's expansion,
 which is exactly complex conjugation because the variables are real-valued.
 
+`parse` builds the polynomial in one pass, in source order: each grammar rule
+returns the expansion of the text it reads, and an operator is applied as
+soon as its right operand has been read.
+
 `render` produces a canonical string in the same grammar (x-variables only,
 terms in descending graded-lexicographic order), and `parse(render(p), p.nvars)`
 returns a polynomial equal to `p`.
@@ -27,77 +31,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple
 
 from .errors import NegativeExponent, ParseError, VariableOutOfRange
-from .polynomial import GaussianRational, Polynomial
-
-# ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True)
-class RationalLit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class ImaginaryUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class VariableRef:
-    kind: str  # "x" or "z"
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class Negation:
-    child: "Node"
-
-
-@dataclass(frozen=True)
-class Conjugation:
-    child: "Node"
-
-
-@dataclass(frozen=True)
-class Sum:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Difference:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Product:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Node"
-    exponent: int
-
-
-Node = Union[
-    RationalLit,
-    ImaginaryUnit,
-    VariableRef,
-    Negation,
-    Conjugation,
-    Sum,
-    Difference,
-    Product,
-    Power,
-]
-
+from .polynomial import GaussianRational, I, Polynomial, complex_variable
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -170,47 +107,47 @@ class _Parser:
     def _describe(token: Token) -> str:
         return "end of input" if token.kind == "end" else repr(token.text)
 
-    def parse(self) -> Node:
-        node = self.expression()
+    def parse(self) -> Polynomial:
+        poly = self.expression()
         trailing = self.peek()
         if trailing.kind != "end":
             raise ParseError(f"unexpected {self._describe(trailing)}", trailing.pos)
-        return node
+        return poly
 
-    def expression(self) -> Node:
-        node = self.term()
+    def expression(self) -> Polynomial:
+        poly = self.term()
         while True:
             token = self.peek()
             if token.kind == "op" and token.text in "+-":
                 self.advance()
                 right = self.term()
-                node = Sum(node, right) if token.text == "+" else Difference(node, right)
+                poly = poly + right if token.text == "+" else poly - right
             else:
-                return node
+                return poly
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> Polynomial:
+        poly = self.factor()
         while True:
             token = self.peek()
             if token.kind == "op" and token.text == "*":
                 self.advance()
-                node = Product(node, self.factor())
+                poly = poly * self.factor()
             else:
-                return node
+                return poly
 
-    def factor(self) -> Node:
+    def factor(self) -> Polynomial:
         token = self.peek()
         if token.kind == "op" and token.text == "-":
             self.advance()
-            return Negation(self.factor())
+            return -self.factor()
         return self.power()
 
-    def power(self) -> Node:
+    def power(self) -> Polynomial:
         base = self.primary()
         token = self.peek()
         if token.kind == "op" and token.text == "^":
             self.advance()
-            return Power(base, self.exponent())
+            return base ** self.exponent()
         return base
 
     def exponent(self) -> int:
@@ -231,7 +168,7 @@ class _Parser:
         self.advance()
         return int(token.text)
 
-    def primary(self) -> Node:
+    def primary(self) -> Polynomial:
         token = self.peek()
         if token.kind == "int":
             self.advance()
@@ -249,17 +186,17 @@ class _Parser:
                 if int(denom.text) == 0:
                     raise ParseError("zero denominator in rational literal", denom.pos)
                 value = value / int(denom.text)
-            return RationalLit(value)
+            return Polynomial.constant(self.nvars, value)
         if token.kind == "name":
             if token.text == "i":
                 self.advance()
-                return ImaginaryUnit()
+                return Polynomial.constant(self.nvars, I)
             if token.text == "conj":
                 self.advance()
                 self.expect_op("(")
                 inner = self.expression()
                 self.expect_op(")")
-                return Conjugation(inner)
+                return inner.conjugate()
             var = _VAR_RE.match(token.text)
             if var:
                 kind, index = var.group(1), int(var.group(2))
@@ -275,7 +212,9 @@ class _Parser:
                         f" but only {self.nvars} are declared",
                         token.pos,
                     )
-                return VariableRef(kind, index)
+                if kind == "x":
+                    return Polynomial.variable(self.nvars, index)
+                return complex_variable(self.nvars, index)
             raise ParseError(f"unknown identifier {token.text!r}", token.pos)
         if token.kind == "op" and token.text == "(":
             self.advance()
@@ -285,50 +224,15 @@ class _Parser:
         raise ParseError(f"expected a value, found {self._describe(token)}", token.pos)
 
 
-def _to_polynomial(node: Node, nvars: int) -> Polynomial:
-    if isinstance(node, RationalLit):
-        return Polynomial.constant(nvars, node.value)
-    if isinstance(node, ImaginaryUnit):
-        return Polynomial.constant(nvars, GaussianRational(Fraction(0), Fraction(1)))
-    if isinstance(node, VariableRef):
-        if node.kind == "x":
-            return Polynomial.variable(nvars, node.index)
-        re_part = Polynomial.variable(nvars, 2 * node.index - 1)
-        im_part = Polynomial.variable(nvars, 2 * node.index)
-        return re_part + Polynomial.constant(nvars, GaussianRational(Fraction(0), Fraction(1))) * im_part
-    if isinstance(node, Negation):
-        return -_to_polynomial(node.child, nvars)
-    if isinstance(node, Conjugation):
-        return _to_polynomial(node.child, nvars).conjugate()
-    if isinstance(node, Sum):
-        return _to_polynomial(node.left, nvars) + _to_polynomial(node.right, nvars)
-    if isinstance(node, Difference):
-        return _to_polynomial(node.left, nvars) - _to_polynomial(node.right, nvars)
-    if isinstance(node, Product):
-        return _to_polynomial(node.left, nvars) * _to_polynomial(node.right, nvars)
-    if isinstance(node, Power):
-        return _to_polynomial(node.base, nvars) ** node.exponent
-    raise TypeError(f"unknown AST node {node!r}")
-
-
-def parse_ast(text: str, nvars: int) -> Node:
-    """Parse to the expression AST without expanding to a polynomial."""
+def parse(text: str, nvars: int) -> Polynomial:
+    """Parse an expression into a canonical Polynomial in x1..x<nvars>."""
     if nvars < 1:
         raise ValueError(f"nvars must be positive, got {nvars}")
     return _Parser(text, nvars).parse()
 
 
-def parse(text: str, nvars: int) -> Polynomial:
-    """Parse an expression into a canonical Polynomial in x1..x<nvars>."""
-    return _to_polynomial(parse_ast(text, nvars), nvars)
-
-
 # ---------------------------------------------------------------------------
 # Renderer
-
-
-def _render_fraction(q: Fraction) -> str:
-    return str(q)  # Fraction renders as "p/q" or "p", already reduced
 
 
 def _render_term(exps, coeff: GaussianRational) -> Tuple[str, str]:
@@ -347,20 +251,20 @@ def _render_term(exps, coeff: GaussianRational) -> Tuple[str, str]:
 
     if coeff.re != 0 and coeff.im != 0:
         im_sign = "+" if coeff.im > 0 else "-"
-        body = f"({_render_fraction(coeff.re)}{im_sign}{_render_fraction(abs(coeff.im))}*i)"
+        body = f"({coeff.re!s}{im_sign}{abs(coeff.im)!s}*i)"
         return "+", f"{body}*{mono}" if mono else body
     if coeff.im != 0:
         sign = "+" if coeff.im > 0 else "-"
         magnitude = abs(coeff.im)
-        scale = "i" if magnitude == 1 else f"{_render_fraction(magnitude)}*i"
+        scale = "i" if magnitude == 1 else f"{magnitude!s}*i"
         return sign, f"{scale}*{mono}" if mono else scale
     sign = "+" if coeff.re > 0 else "-"
     magnitude = abs(coeff.re)
     if not mono:
-        return sign, _render_fraction(magnitude)
+        return sign, str(magnitude)
     if magnitude == 1:
         return sign, mono
-    return sign, f"{_render_fraction(magnitude)}*{mono}"
+    return sign, f"{magnitude!s}*{mono}"
 
 
 def render(p: Polynomial) -> str:

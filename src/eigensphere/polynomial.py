@@ -442,3 +442,8 @@ def r_squared(nvars: int) -> Polynomial:
         exps[i] = 2
         terms[tuple(exps)] = ONE
     return Polynomial(nvars, terms)
+
+
+def complex_variable(nvars: int, j: int) -> Polynomial:
+    """z_j = x_{2j-1} + i*x_{2j}, with 1-based j as in the z1..zK naming."""
+    return Polynomial.variable(nvars, 2 * j - 1) + I * Polynomial.variable(nvars, 2 * j)

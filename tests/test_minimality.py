@@ -94,6 +94,7 @@ class TestCheckMinimalCodim1:
         assert verdict.status == EXACT_MINIMAL
         assert verdict.samples == 100
         assert verdict.max_residual < 1e-8
+        assert verdict.diagnostics["sampling"]["attempts"] == 100
 
     def test_real_polynomial_rejected(self):
         with pytest.raises(NotAnEigenfunction):

@@ -81,46 +81,47 @@ class TestComplexShorthand:
             assert got == 2 * Polynomial.variable(n, 2 * j - 1)
 
 
+# One row per raise site of the parser: test id, input, error class, offset,
+# and a fragment of the message.  Every message ends with the offset it reports.
+ERROR_TABLE = [
+    ("zero_denominator", "1/0", ParseError, 2, "zero denominator"),
+    ("denominator_not_integer", "1/x1", ParseError, 2, "integer denominator"),
+    ("exponent_not_integer", "x1^x2", ParseError, 3, "non-negative integer exponent"),
+    ("exponent_dangling_minus", "x1^-", ParseError, 3, "integer exponent, found '-'"),
+    ("negative_exponent", "x1^-2", NegativeExponent, 3, "exponent -2 is negative"),
+    ("conj_unclosed", "conj(z1", ParseError, 7, "expected ')', found end of input"),
+    ("paren_unclosed", "(x1+x2", ParseError, 6, "expected ')', found end of input"),
+    ("conj_without_paren", "conj z1", ParseError, 5, "expected '(', found 'z1'"),
+    ("unexpected_character", "x1 @ x2", ParseError, 3, "unexpected character '@'"),
+    ("decimal_rejected_with_hint", "0.3 * x1", ParseError, 1, "exact rational"),
+    ("variable_out_of_range", "x5", VariableOutOfRange, 0, "outside the declared"),
+    ("variable_out_of_range_later", "x1 + x5", VariableOutOfRange, 5, "outside the declared"),
+    ("z_out_of_range", "z3", VariableOutOfRange, 0, "only 4 are declared"),
+    ("x0_out_of_range", "x0", VariableOutOfRange, 0, "outside the declared"),
+    ("unknown_token", "sin(x1)", ParseError, 0, "unknown identifier 'sin'"),
+    ("implicit_multiplication_rejected", "2 x1", ParseError, 2, "unexpected 'x1'"),
+    ("trailing_garbage", "x1 + x2)", ParseError, 7, "unexpected ')'"),
+    ("syntax_error_has_position", "x1 + + x2", ParseError, 5, "expected a value, found '+'"),
+    ("empty_input", "", ParseError, 0, "expected a value, found end of input"),
+]
+
+
 class TestErrors:
-    def test_variable_out_of_range(self):
-        with pytest.raises(VariableOutOfRange):
-            parse("x1 + x5", 4)
-        with pytest.raises(VariableOutOfRange):
-            parse("z3", 4)
-        with pytest.raises(VariableOutOfRange):
-            parse("x0", 4)
-
-    def test_negative_exponent(self):
-        with pytest.raises(NegativeExponent):
-            parse("x1^-2", 2)
-
-    def test_syntax_error_has_position(self):
+    @pytest.mark.parametrize(
+        "text, cls, pos, fragment", [pytest.param(*row, id=name) for name, *row in ERROR_TABLE]
+    )
+    def test_error_table(self, text, cls, pos, fragment):
         with pytest.raises(ParseError) as exc:
-            parse("x1 + + x2", 2)
-        assert exc.value.pos == 5
-        assert "position" in str(exc.value)
+            parse(text, 4)
+        assert type(exc.value) is cls
         assert isinstance(exc.value, SyntaxError)
+        assert exc.value.pos == pos
+        assert fragment in str(exc.value)
+        assert str(exc.value).endswith(f"(at position {pos})")
 
-    def test_decimal_rejected_with_hint(self):
-        with pytest.raises(ParseError) as exc:
-            parse("0.3 * x1", 2)
-        assert "rational" in str(exc.value)
-
-    def test_implicit_multiplication_rejected(self):
-        with pytest.raises(ParseError):
-            parse("2 x1", 2)
-
-    def test_trailing_garbage(self):
-        with pytest.raises(ParseError):
-            parse("x1 + x2)", 2)
-
-    def test_empty_input(self):
-        with pytest.raises(ParseError):
-            parse("", 2)
-
-    def test_unknown_token(self):
-        with pytest.raises(ParseError):
-            parse("sin(x1)", 2)
+    def test_nonpositive_nvars(self):
+        with pytest.raises(ValueError):
+            parse("1", 0)
 
 
 class TestRender:

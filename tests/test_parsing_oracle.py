@@ -1,0 +1,107 @@
+"""Differential test of the parser against sympy's expansion.
+
+Each generated expression is written twice: as text in the parser's grammar,
+and as a sympy expression built directly from the same tree, with z_j mapped
+to x_{2j-1} + I*x_{2j}, `i` to I and `conj` to `conjugate` over real symbols.
+`parse` must return, term by term, the coefficients of `sympy.expand`.
+"""
+
+from fractions import Fraction
+from typing import Any, NamedTuple
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from eigensphere.parsing import parse  # noqa: E402
+
+NVARS = 4
+X = sympy.symbols(f"x1:{NVARS + 1}", real=True)
+MAX_DEGREE = 6
+
+# Binding strength of each form; an operand weaker than its slot needs
+# parentheses.  A rational literal p/q is a primary, so it binds like a name.
+SUM, PRODUCT, NEGATION, POWER, ATOM = range(5)
+
+
+class Generated(NamedTuple):
+    text: str
+    strength: int
+    expr: Any  # the sympy expression
+    degree: int  # an upper bound on the total degree
+
+
+@st.composite
+def leaves(draw, budget):
+    choices = (["x", "z"] if budget >= 1 else []) + ["i", "int", "ratio"]
+    kind = draw(st.sampled_from(choices))
+    if kind == "x":
+        k = draw(st.integers(1, NVARS))
+        return f"x{k}", X[k - 1], 1
+    if kind == "z":
+        j = draw(st.integers(1, NVARS // 2))
+        return f"z{j}", X[2 * j - 2] + sympy.I * X[2 * j - 1], 1
+    if kind == "i":
+        return "i", sympy.I, 0
+    p = draw(st.integers(0, 9))
+    if kind == "int":
+        return str(p), sympy.Integer(p), 0
+    q = draw(st.integers(1, 9))
+    return f"{p}/{q}", sympy.Rational(p, q), 0
+
+
+def _wrap(node: Generated, slot: int) -> str:
+    """Text of an operand that must bind at least as tightly as `slot`."""
+    return node.text if node.strength >= slot else f"({node.text})"
+
+
+@st.composite
+def expressions(draw, depth=4, budget=MAX_DEGREE):
+    """An expression nested at most `depth` deep, of total degree at most `budget`."""
+    kind = draw(st.sampled_from(["leaf", "sum", "product", "neg", "conj", "pow"]))
+    if depth == 0 or kind == "leaf":
+        text, expr, degree = draw(leaves(budget))
+        return Generated(text, ATOM, expr, degree)
+    space = draw(st.sampled_from(["", " "]))
+    if kind == "sum":
+        left = draw(expressions(depth - 1, budget))
+        right = draw(expressions(depth - 1, budget))
+        op = draw(st.sampled_from("+-"))
+        text = f"{_wrap(left, SUM)}{space}{op}{space}{_wrap(right, PRODUCT)}"
+        expr = left.expr + right.expr if op == "+" else left.expr - right.expr
+        return Generated(text, SUM, expr, max(left.degree, right.degree))
+    if kind == "product":
+        left = draw(expressions(depth - 1, budget))
+        right = draw(expressions(depth - 1, budget - left.degree))
+        text = f"{_wrap(left, PRODUCT)}{space}*{space}{_wrap(right, NEGATION)}"
+        return Generated(text, PRODUCT, left.expr * right.expr, left.degree + right.degree)
+    inner = draw(expressions(depth - 1, budget))
+    if kind == "neg":
+        return Generated(f"-{_wrap(inner, NEGATION)}", NEGATION, -inner.expr, inner.degree)
+    if kind == "conj":
+        return Generated(f"conj({inner.text})", ATOM, sympy.conjugate(inner.expr), inner.degree)
+    top = 3 if inner.degree == 0 else min(3, budget // inner.degree)
+    k = draw(st.integers(0, top))
+    return Generated(f"{_wrap(inner, ATOM)}^{k}", POWER, inner.expr**k, inner.degree * k)
+
+
+def _fraction(value) -> Fraction:
+    return Fraction(int(value.p), int(value.q))
+
+
+def sympy_terms(expr) -> dict:
+    poly = sympy.Poly(sympy.expand(expr), *X)
+    return {
+        tuple(monom): (_fraction(sympy.re(c)), _fraction(sympy.im(c)))
+        for monom, c in poly.terms()
+        if c != 0
+    }
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@hypothesis.given(expressions())
+def test_parse_matches_sympy_expand(generated):
+    got = {exps: (c.re, c.im) for exps, c in parse(generated.text, NVARS).items()}
+    assert got == sympy_terms(generated.expr), generated.text
