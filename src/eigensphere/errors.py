@@ -103,3 +103,7 @@ class EmptyFiber(EigenSphereError, RuntimeError):
 
 class SingularFiber(EigenSphereError, RuntimeError):
     """Every located fiber point failed the regularity threshold."""
+
+
+class BudgetExceeded(EigenSphereError, MemoryError):
+    """The work or memory an input needs is over a fixed budget."""

@@ -209,7 +209,11 @@ def _attach_numeric(
             break
         rng = np.random.default_rng([rng_seed, attempt])
         seed = rng.standard_normal(P.nvars)
-        seed /= np.linalg.norm(seed)
+        norm = np.linalg.norm(seed)
+        if norm < 1e-12:
+            tallies["no_convergence"] += 1
+            continue
+        seed /= norm
         try:
             x = newton_project(spec, seed, tol=newton_tol, maxiter=60)
         except NonConvergence:

@@ -16,6 +16,7 @@ unknowns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -24,7 +25,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .eigen import verify_eigenfunction
+from .errors import BudgetExceeded
 from .polynomial import GaussianRational, Polynomial
+
+
+# Largest search_memory_bytes that ResidualSystem accepts.
+MEMORY_BUDGET = 1 << 30
 
 
 def monomial_basis(nvars: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
@@ -38,6 +44,49 @@ def monomial_basis(nvars: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
             e[slot] += 1
         exps.add(tuple(e))
     return tuple(sorted(exps, reverse=True))
+
+
+def _basis_size(nvars: int, degree: int) -> int:
+    """len(monomial_basis(nvars, degree)), and 0 for a negative degree."""
+    return math.comb(nvars + degree - 1, degree) if degree >= 0 else 0
+
+
+def _basis_positions(exps: np.ndarray, degree: int) -> np.ndarray:
+    """Positions in monomial_basis(nvars, degree) of the rows of `exps`.
+
+    The position of e counts the basis monomials lexicographically above it:
+    for each j, those that agree with e before j and exceed it at j.  If e
+    has r degrees left from j on, such a monomial gives fewer than
+    r - e_j degrees to the m = nvars-1-j variables after j, and there are
+    comb(r - e_j - 1 + m, m) of those.  Unlike a fixed-base integer code,
+    the result never exceeds the basis size, so int64 holds it at any nvars.
+    """
+    nvars = exps.shape[1]
+    position = np.zeros(len(exps), dtype=np.int64)
+    left = np.full(len(exps), degree, dtype=np.int64)
+    for j in range(nvars - 1):
+        m = nvars - 1 - j
+        above = np.array([0] + [math.comb(s - 1 + m, m) for s in range(1, degree + 1)],
+                         dtype=np.int64)
+        left = left - exps[:, j]
+        position += above[left]
+    return position
+
+
+def search_memory_bytes(nvars: int, degree: int) -> int:
+    """Estimated peak bytes of one search at (nvars, degree).
+
+    Counts 8-byte words for the Jacobian (rows x 2M), the LM normal matrix
+    and its damped copy (2 (2M)^2), B@u and B@v (2 T M) and the kappa
+    table (4 E), from the basis sizes alone: M degree-d monomials,
+    T degree-(2d-2) kappa targets, E = N * mid^2 table rows over the mid
+    degree-(d-1) monomials.
+    """
+    size = _basis_size(nvars, degree)
+    targets = _basis_size(nvars, 2 * degree - 2)
+    entries = nvars * _basis_size(nvars, degree - 1) ** 2
+    rows = 2 * _basis_size(nvars, degree - 2) + 2 * targets + 1
+    return 8 * (rows * 2 * size + 2 * (2 * size) ** 2 + 2 * targets * size + 4 * entries)
 
 
 def coefficients_of(P: Polynomial, basis: Sequence[Tuple[int, ...]]) -> np.ndarray:
@@ -54,52 +103,60 @@ class ResidualSystem:
       * gauge |t|^2 - 1.
     L is real and B is a real symmetric form per target monomial, so the
     Jacobian is exact, not differenced.
+
+    B is kept as the int64 table `kappa_forms` of shape (E, 4), one row
+    (target, a, b, weight) per nonzero B[target][a, b].  The partial d/dx_i
+    maps the degree-(d-1) monomial mu + e_i to mu with weight mu_i + 1, so
+    kappa = sum_i (d_i P)^2 puts weight (mu_i + 1)(nu_i + 1) at
+    B[mu + nu][mu + e_i, nu + e_i], one row per (i, mu, nu): E = N * mid^2.
+    No two rows share (target, a, b), since a + b - target = 2 e_i fixes i,
+    and swapping mu and nu gives the row (target, b, a, weight), so B is
+    symmetric as listed and every weight is an integer.
+
+    Construction raises BudgetExceeded before building any basis when
+    `search_memory_bytes` exceeds MEMORY_BUDGET.
     """
 
     def __init__(self, nvars: int, degree: int):
         if nvars < 3 or degree < 1:
             raise ValueError("search needs nvars >= 3 and degree >= 1")
+        needed = search_memory_bytes(nvars, degree)
+        if needed > MEMORY_BUDGET:
+            raise BudgetExceeded(
+                f"search at nvars={nvars}, degree={degree} needs about "
+                f"{needed / 2**20:.0f} MiB, over the {MEMORY_BUDGET / 2**20:.0f} MiB budget"
+            )
         self.nvars = nvars
         self.degree = degree
         self.basis = monomial_basis(nvars, degree)
         self.size = len(self.basis)
-        index = {e: i for i, e in enumerate(self.basis)}
+        basis = np.array(self.basis, dtype=np.int64)
+        eye = np.eye(nvars, dtype=np.int64)
 
         # linear block: coefficients of the Laplacian in the degree-(d-2) basis
-        lap_basis = monomial_basis(nvars, degree - 2) if degree >= 2 else ()
-        lap_index = {e: i for i, e in enumerate(lap_basis)}
-        lap = np.zeros((len(lap_basis), self.size))
-        for alpha, col in index.items():
-            for i in range(nvars):
-                if alpha[i] >= 2:
-                    target = list(alpha)
-                    target[i] -= 2
-                    lap[lap_index[tuple(target)], col] += alpha[i] * (alpha[i] - 1)
-        self.lap_matrix = lap
+        cols, axis = np.nonzero(basis >= 2)
+        rows = _basis_positions(basis[cols] - 2 * eye[axis], degree - 2)
+        exps = basis[cols, axis]
+        self.lap_matrix = np.zeros((_basis_size(nvars, degree - 2), self.size))
+        self.lap_matrix[rows, cols] = exps * (exps - 1)
 
-        # quadratic block: kappa coefficients in the degree-(2d-2) basis,
-        # as one symmetric form B[t] per target monomial
-        mid_basis = monomial_basis(nvars, degree - 1)
-        mid_index = {e: i for i, e in enumerate(mid_basis)}
-        partials = []
-        for i in range(nvars):
-            d_i = np.zeros((len(mid_basis), self.size))
-            for alpha, col in index.items():
-                if alpha[i] >= 1:
-                    target = list(alpha)
-                    target[i] -= 1
-                    d_i[mid_index[tuple(target)], col] += alpha[i]
-            partials.append(d_i)
-        kap_basis = monomial_basis(nvars, 2 * degree - 2)
-        kap_index = {e: i for i, e in enumerate(kap_basis)}
-        forms = np.zeros((len(kap_basis), self.size, self.size))
-        for d_i in partials:
-            for mu_row, mu in enumerate(mid_basis):
-                for nu_row, nu in enumerate(mid_basis):
-                    gamma = tuple(a + b for a, b in zip(mu, nu))
-                    forms[kap_index[gamma]] += np.outer(d_i[mu_row], d_i[nu_row])
-        self.kappa_forms = (forms + np.transpose(forms, (0, 2, 1))) / 2
-        self.num_residuals = 2 * lap.shape[0] + 2 * forms.shape[0] + 1
+        # quadratic block: the rows (target, a, b, weight) of B, in (i, mu, nu) order
+        mid = np.array(monomial_basis(nvars, degree - 1), dtype=np.int64).reshape(-1, nvars)
+        k = len(mid)
+        # up[i, r]: position of mid[r] + e_i in the degree-d basis
+        up = _basis_positions((mid[None] + eye[:, None]).reshape(-1, nvars), degree)
+        up = up.reshape(nvars, k)
+        target = _basis_positions((mid[:, None] + mid[None]).reshape(-1, nvars), 2 * degree - 2)
+        factor = mid.T + 1
+        table = np.empty((4, nvars, k, k), dtype=np.int64)
+        table[0] = target.reshape(k, k)
+        table[1] = up[:, :, None]
+        table[2] = up[:, None, :]
+        table[3] = factor[:, :, None] * factor[:, None, :]
+        # the (E, 4) transpose of a (4, E) array keeps each column contiguous
+        self.kappa_forms = table.reshape(4, -1).T
+        self.num_targets = _basis_size(nvars, 2 * degree - 2)
+        self.num_residuals = 2 * self.lap_matrix.shape[0] + 2 * self.num_targets + 1
 
     def split(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return t[: self.size], t[self.size:]
@@ -108,12 +165,19 @@ class ResidualSystem:
         u, v = self.split(t)
         lap_u = self.lap_matrix @ u
         lap_v = self.lap_matrix @ v
-        bu = self.kappa_forms @ u  # (T, M)
-        bv = self.kappa_forms @ v
-        kap_re = bu @ u - bv @ v
-        kap_im = 2 * (bu @ v)
+        target, a, b, weight = self.kappa_forms.T
+        kap_re = np.bincount(target, weight * (u[a] * u[b] - v[a] * v[b]), self.num_targets)
+        kap_im = 2 * np.bincount(target, weight * (u[a] * v[b]), self.num_targets)
         gauge = u @ u + v @ v - 1.0
         return np.concatenate([lap_u, lap_v, kap_re, kap_im, [gauge]])
+
+    def _form_times(self, w: np.ndarray) -> np.ndarray:
+        """The (T, M) matrix whose row t is B[t] @ w."""
+        target, a, b, weight = self.kappa_forms.T
+        size = self.num_targets * self.size
+        return np.bincount(target * self.size + a, weight * w[b], size).reshape(
+            self.num_targets, self.size
+        )
 
     def jacobian(self, t: np.ndarray) -> np.ndarray:
         u, v = self.split(t)
@@ -123,9 +187,9 @@ class ResidualSystem:
         r = self.lap_matrix.shape[0]
         jac[:r, :m] = self.lap_matrix
         jac[r:2 * r, m:] = self.lap_matrix
-        bu = self.kappa_forms @ u
-        bv = self.kappa_forms @ v
-        q = self.kappa_forms.shape[0]
+        bu = self._form_times(u)
+        bv = self._form_times(v)
+        q = self.num_targets
         jac[2 * r:2 * r + q, :m] = 2 * bu
         jac[2 * r:2 * r + q, m:] = -2 * bv
         jac[2 * r + q:2 * r + 2 * q, :m] = 2 * bv
@@ -163,6 +227,7 @@ def _levenberg_marquardt(
         if np.max(np.abs(grad)) < 1e-16:
             break
         gauss = jac.T @ jac
+        del jac  # free it before the next iteration builds another
         damping_scale = np.maximum(np.diag(gauss), 1e-12)
         accepted = False
         for _retry in range(40):
@@ -282,6 +347,10 @@ def search_eigen(
     attempt index).  Results whose residual is small get a rationalization
     pass; `exact` is filled only when the rounded polynomial verifies exactly.
     """
+    if attempts < 0:
+        raise ValueError(f"attempts must be >= 0, got {attempts}")
+    if denominator_bound < 1:
+        raise ValueError(f"denominator bound must be >= 1, got {denominator_bound}")
     system = ResidualSystem(nvars, degree)
     results: List[SearchResult] = []
     for attempt in range(attempts):

@@ -231,6 +231,25 @@ class TestSearch:
         assert results[0]["residual"] < 1e-10
         assert any(r["exact"] for r in results)
 
+    @pytest.mark.parametrize("extra, message", [
+        (("--attempts", "-2"), "attempts"),
+        (("--attempts", "0", "--denominator-bound", "0"), "denominator bound"),
+        (("--attempts", "1", "--denominator-bound", "-1"), "denominator bound"),
+    ])
+    def test_invalid_arguments(self, capsys, extra, message):
+        code, out, err = run(capsys, "search", "--vars", "4", "--degree", "1", *extra)
+        assert code == 3
+        assert out == ""
+        assert message in err
+
+    def test_over_memory_budget(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--vars", "8", "--degree", "6", "--attempts", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+
 
 class TestSelftest:
     def test_passes(self, capsys):

@@ -96,6 +96,27 @@ class TestCheckMinimalCodim1:
         assert verdict.max_residual < 1e-8
         assert verdict.diagnostics["sampling"]["attempts"] == 100
 
+    def test_zero_norm_seed_skipped(self, monkeypatch):
+        # a draw of all zeros cannot be normalized: it is tallied, not divided
+        default_rng = np.random.default_rng
+
+        class ZeroDraw:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+        def zero_first_draw(seed):
+            return ZeroDraw() if seed[1] == 0 else default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", zero_first_draw)
+        verdict = check_minimal_codim1(
+            quadric(), 1, 0, 3, samples=20, cross_check=True
+        )
+        sampling = verdict.diagnostics["sampling"]
+        assert sampling["no_convergence"] == 1
+        assert sampling["attempts"] == 21
+        assert verdict.samples == 20
+        assert verdict.max_residual < 1e-8
+
     def test_real_polynomial_rejected(self):
         with pytest.raises(NotAnEigenfunction):
             check_minimal_codim1(parse("x1 + x2", 4), 1, 0, 3)

@@ -1,19 +1,53 @@
 """Least-squares discovery of eigenfunction candidates and exact recovery."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from eigensphere.calculus import kappa, laplacian
 from eigensphere.eigen import verify_eigenfunction
+from eigensphere.errors import BudgetExceeded
 from eigensphere.parsing import parse
 from eigensphere.search import (
+    MEMORY_BUDGET,
     ResidualSystem,
     coefficients_of,
     monomial_basis,
     rationalize_and_verify,
+    _levenberg_marquardt,
     search_eigen,
+    search_memory_bytes,
 )
+
+
+def dense_kappa_forms(nvars, degree):
+    """The (T, M, M) tensor of symmetric kappa forms, built one outer product
+    per (i, mu, nu) as the search did before it kept a table of entries."""
+    basis = monomial_basis(nvars, degree)
+    index = {e: i for i, e in enumerate(basis)}
+    mid_basis = monomial_basis(nvars, degree - 1)
+    mid_index = {e: i for i, e in enumerate(mid_basis)}
+    partials = []
+    for i in range(nvars):
+        d_i = np.zeros((len(mid_basis), len(basis)))
+        for alpha, col in index.items():
+            if alpha[i] >= 1:
+                target = list(alpha)
+                target[i] -= 1
+                d_i[mid_index[tuple(target)], col] += alpha[i]
+        partials.append(d_i)
+    kap_basis = monomial_basis(nvars, 2 * degree - 2)
+    kap_index = {e: i for i, e in enumerate(kap_basis)}
+    forms = np.zeros((len(kap_basis), len(basis), len(basis)))
+    for d_i in partials:
+        for mu_row, mu in enumerate(mid_basis):
+            for nu_row, nu in enumerate(mid_basis):
+                gamma = tuple(a + b for a, b in zip(mu, nu))
+                forms[kap_index[gamma]] += np.outer(d_i[mu_row], d_i[nu_row])
+    return (forms + np.transpose(forms, (0, 2, 1))) / 2
 
 
 class TestMonomialBasis:
@@ -68,7 +102,7 @@ class TestResidualSystem:
         assert_allclose(res[lap_rows:2 * lap_rows], lap_vec.imag, atol=1e-12)
         kap = kappa(p, p)
         kap_vec = coefficients_of(kap, monomial_basis(4, 2))
-        q = system.kappa_forms.shape[0]
+        q = len(kap_vec)
         assert_allclose(res[2 * lap_rows:2 * lap_rows + q], kap_vec.real, atol=1e-10)
         assert_allclose(res[2 * lap_rows + q:2 * lap_rows + 2 * q], kap_vec.imag, atol=1e-10)
 
@@ -88,6 +122,86 @@ class TestResidualSystem:
             ResidualSystem(2, 1)
         with pytest.raises(ValueError):
             ResidualSystem(4, 0)
+
+    @pytest.mark.parametrize("nvars, degree", [(4, 2), (5, 3), (6, 3)])
+    def test_matches_dense_reference(self, nvars, degree):
+        system = ResidualSystem(nvars, degree)
+        forms = dense_kappa_forms(nvars, degree)
+        rng = np.random.default_rng([nvars, degree])
+        for _ in range(3):
+            t = rng.standard_normal(2 * system.size)
+            u, v = system.split(t)
+            bu, bv = forms @ u, forms @ v
+            lap_u, lap_v = system.lap_matrix @ u, system.lap_matrix @ v
+            gauge = u @ u + v @ v - 1.0
+            expected = np.concatenate([lap_u, lap_v, bu @ u - bv @ v, 2 * (bu @ v), [gauge]])
+            assert_allclose(system.residual(t), expected, rtol=1e-12)
+            jac = system.jacobian(t)
+            r, q, m = len(lap_u), len(forms), system.size
+            assert_allclose(jac[2 * r:2 * r + q, :m], 2 * bu, rtol=1e-12)
+            assert_allclose(jac[2 * r:2 * r + q, m:], -2 * bv, rtol=1e-12)
+            assert_allclose(jac[2 * r + q:2 * r + 2 * q, :m], 2 * bv, rtol=1e-12)
+            assert_allclose(jac[2 * r + q:2 * r + 2 * q, m:], 2 * bu, rtol=1e-12)
+
+    @pytest.mark.parametrize("nvars, degree", [(3, 1), (4, 2), (5, 3), (6, 4)])
+    def test_kappa_table(self, nvars, degree):
+        table = ResidualSystem(nvars, degree).kappa_forms
+        mid = len(monomial_basis(nvars, degree - 1))
+        assert table.shape == (nvars * mid ** 2, 4)
+        assert table.dtype == np.int64
+        assert (table[:, 3] > 0).all()
+        rows = {tuple(row) for row in table.tolist()}
+        assert len({row[:3] for row in rows}) == len(table)  # no (t, a, b) twice
+        assert rows == {(t, b, a, w) for t, a, b, w in rows}
+
+    def test_kappa_table_is_small(self):
+        assert ResidualSystem(6, 4).kappa_forms.nbytes < 1_000_000
+
+    @pytest.mark.parametrize("nvars, degree", [(70, 1), (45, 2)])
+    def test_many_variables(self, nvars, degree):
+        # a positional code of these exponents in a base above the largest
+        # exponent overflows int64 (2^69, 2 * 3^44 > 2^63), so exponent
+        # lookup must not rely on one
+        system = ResidualSystem(nvars, degree)
+        root = coefficients_of(parse(f"z1^{degree}", nvars), system.basis)
+        assert system.residual_norm_of(root / np.linalg.norm(root)) < 1e-13
+        real = coefficients_of(parse(f"x1^{degree}", nvars), system.basis)
+        assert system.residual_norm_of(real) > 0.5
+
+
+class TestMemoryBudget:
+    def test_refused_before_allocating(self):
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as err:
+            ResidualSystem(8, 6)
+        assert time.perf_counter() - started < 0.5
+        assert isinstance(err.value, MemoryError)
+        assert search_memory_bytes(8, 6) > MEMORY_BUDGET
+
+    def test_within_budget_builds(self):
+        assert search_memory_bytes(8, 5) < MEMORY_BUDGET
+        system = ResidualSystem(8, 5)
+        assert system.kappa_forms.shape == (8 * 330 ** 2, 4)
+
+    @pytest.mark.parametrize("nvars, degree", [(5, 3), (6, 4)])
+    def test_estimate_covers_allocation(self, nvars, degree):
+        system = ResidualSystem(nvars, degree)
+        jac = system.jacobian(np.ones(2 * system.size))
+        assert search_memory_bytes(nvars, degree) >= system.kappa_forms.nbytes + jac.nbytes
+
+    def test_estimate_covers_lm_peak(self):
+        # at (12, 3) the Jacobian is 16 MB, about half the estimate, so the
+        # estimate holds only if one iteration's Jacobian is freed before the
+        # next one is built
+        system = ResidualSystem(12, 3)
+        t0 = np.random.default_rng(0).standard_normal(2 * system.size)
+        tracemalloc.start()
+        try:
+            _levenberg_marquardt(system, t0 / np.linalg.norm(t0), max_iters=2)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= search_memory_bytes(12, 3)
 
 
 class TestRationalize:
