@@ -8,8 +8,6 @@ without an explicit rationalize-and-reverify step.
 """
 
 from .calculus import (
-    PolyMatrix,
-    PolyVector,
     euler,
     gradient,
     hess_grad_grad,
@@ -72,8 +70,6 @@ __all__ = [
     "LawsonType",
     "MinimalityVerdict",
     "PointCloud",
-    "PolyMatrix",
-    "PolyVector",
     "Polynomial",
     "SearchResult",
     "VarietySpec",

@@ -15,81 +15,19 @@ gradient, and conjugating would make every nontrivial example fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
+from operator import add
 from typing import Tuple
 
 from .errors import DimensionMismatch, IndexOutOfRange, ZeroPolynomial
-from .polynomial import GaussianRational, Polynomial, r_squared
-
-
-@dataclass(frozen=True)
-class PolyVector:
-    """Vector of N polynomials in N variables (a polynomial vector field)."""
-
-    components: Tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise DimensionMismatch("empty polynomial vector")
-        n = self.components[0].nvars
-        if any(c.nvars != n for c in self.components):
-            raise DimensionMismatch("vector components disagree on nvars")
-        if len(self.components) != n:
-            raise DimensionMismatch(
-                f"vector has {len(self.components)} components for {n} variables"
-            )
-        object.__setattr__(self, "components", tuple(self.components))
-
-    @property
-    def nvars(self) -> int:
-        return self.components[0].nvars
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __getitem__(self, i: int) -> Polynomial:
-        return self.components[i]
-
-
-@dataclass(frozen=True)
-class PolyMatrix:
-    """N x N matrix of polynomials; Hessians are exactly symmetric."""
-
-    entries: Tuple[Tuple[Polynomial, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
-        if not rows:
-            raise DimensionMismatch("empty polynomial matrix")
-        n = rows[0][0].nvars
-        for row in rows:
-            if len(row) != len(rows):
-                raise DimensionMismatch("polynomial matrix must be square")
-            for entry in row:
-                if entry.nvars != n:
-                    raise DimensionMismatch("matrix entries disagree on nvars")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def nvars(self) -> int:
-        return self.entries[0][0].nvars
-
-    def __getitem__(self, ij) -> Polynomial:
-        i, j = ij
-        return self.entries[i][j]
-
-    def size(self) -> int:
-        return len(self.entries)
-
-    def trace(self) -> Polynomial:
-        total = Polynomial.zero(self.nvars)
-        for i in range(len(self.entries)):
-            total = total + self.entries[i][i]
-        return total
+from .polynomial import (
+    GaussianRational,
+    Polynomial,
+    _from_gaussian_integers,
+    _to_gaussian_integers,
+    r_squared,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +50,9 @@ def partial(p: Polynomial, i: int) -> Polynomial:
     return Polynomial(p.nvars, terms)
 
 
-def gradient(p: Polynomial) -> PolyVector:
-    return PolyVector(tuple(partial(p, i) for i in range(1, p.nvars + 1)))
+def gradient(p: Polynomial) -> Tuple[Polynomial, ...]:
+    """(d_1 p, ..., d_N p)."""
+    return tuple(partial(p, i) for i in range(1, p.nvars + 1))
 
 
 def laplacian(p: Polynomial) -> Polynomial:
@@ -123,7 +62,8 @@ def laplacian(p: Polynomial) -> Polynomial:
     return total
 
 
-def hessian(p: Polynomial) -> PolyMatrix:
+def hessian(p: Polynomial) -> Tuple[Tuple[Polynomial, ...], ...]:
+    """Rows of second partials; entry [i][j] is d_{i+1} d_{j+1} p, exactly symmetric."""
     firsts = [partial(p, i) for i in range(1, p.nvars + 1)]
     rows = []
     for i in range(p.nvars):
@@ -134,19 +74,55 @@ def hessian(p: Polynomial) -> PolyMatrix:
             else:
                 row.append(partial(firsts[i], j + 1))
         rows.append(row)
-    return PolyMatrix(tuple(tuple(row) for row in rows))
+    return tuple(tuple(row) for row in rows)
 
 
 def kappa(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Complex-bilinear gradient product sum_i (d_i p)(d_i q); no conjugation."""
+    """Complex-bilinear gradient product sum_i (d_i p)(d_i q); no conjugation.
+
+    One pass over term pairs, with no partial derivatives or products built:
+    a term c_a x^a of p and a term c_b x^b of q contribute a_i*b_i*c_a*c_b
+    at the exponent a + b - 2e_i for every i with a_i and b_i both nonzero.
+    Coefficients are summed as Gaussian integers over the product of the
+    operands' common denominators, as in `Polynomial.__mul__`.  When q is p,
+    each unordered pair of terms is visited once and counted twice.
+    """
     if p.nvars != q.nvars:
         raise DimensionMismatch(
             f"kappa operands live in different spaces: {p.nvars} vs {q.nvars}"
         )
-    total = Polynomial.zero(p.nvars)
-    for i in range(1, p.nvars + 1):
-        total = total + partial(p, i) * partial(q, i)
-    return total
+    left, left_den = _to_gaussian_integers(p._terms)
+    if q is p:
+        right_den = left_den
+        doubled = [(eb, 2 * rb, 2 * ib) for eb, rb, ib in left]
+    else:
+        right, right_den = _to_gaussian_integers(q._terms)
+    sums: dict = {}
+    for index, (ea, ra, ia) in enumerate(left):
+        support = [(i, a) for i, a in enumerate(ea) if a]
+        # for q is p: the term itself once, then every later term twice
+        partners = (
+            chain((left[index],), islice(doubled, index + 1, None)) if q is p else right)
+        for eb, rb, ib in partners:
+            exps = None
+            for i, a in support:
+                b = eb[i]
+                if not b:
+                    continue
+                if exps is None:
+                    exps = list(map(add, ea, eb))
+                    re, im = ra * rb - ia * ib, ra * ib + ia * rb
+                exps[i] -= 2
+                key = tuple(exps)
+                exps[i] += 2
+                weight = a * b
+                acc = sums.get(key)
+                if acc is None:
+                    sums[key] = [weight * re, weight * im]
+                else:
+                    acc[0] += weight * re
+                    acc[1] += weight * im
+    return Polynomial._raw(p.nvars, _from_gaussian_integers(sums, left_den * right_den))
 
 
 def hess_grad_grad(p: Polynomial) -> Polynomial:

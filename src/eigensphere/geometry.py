@@ -112,7 +112,7 @@ class VarietySpec:
         self._jacobian = CompiledPolys(
             nvars, [d for g in full for d in gradient(g)], (m, nvars))
         self._hessians = CompiledPolys(
-            nvars, [e for g in full for row in hessian(g).entries for e in row], (m, nvars, nvars))
+            nvars, [e for g in full for row in hessian(g) for e in row], (m, nvars, nvars))
 
     @property
     def num_equations(self) -> int:

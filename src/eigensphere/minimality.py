@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, pi
+from math import gcd, isfinite, pi
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -112,6 +112,15 @@ def line_pullback(F: Polynomial, a, b) -> Polynomial:
     return ai * u + bi * v
 
 
+def _check_thresholds(tol: float, reject: float) -> None:
+    """Refuse thresholds that cannot separate the verdicts: need 0 < tol < reject."""
+    if not (isfinite(tol) and isfinite(reject) and 0 < tol < reject):
+        raise ValueError(
+            f"thresholds must be finite with 0 < tol < reject, got tol {tol!r} "
+            f"and reject {reject!r}"
+        )
+
+
 def _require_isotropic_eigen(F: Polynomial, n: int) -> int:
     """Flat eigenfunction precondition for codim-1: returns the degree.
 
@@ -145,6 +154,7 @@ def check_minimal_codim1(
     criterion.  cross_check=True additionally runs the numeric stage even
     when an exact certificate was found, recording the sampled maximum.
     """
+    _check_thresholds(tol, reject)
     degree = _require_isotropic_eigen(F, n)
     P = line_pullback(F, a, b)
     if P.is_zero():
@@ -296,6 +306,7 @@ def check_minimal_codim2(
     Transversality failures surface as SingularFiber, an empty intersection
     as EmptyFiber.
     """
+    _check_thresholds(tol, reject)
     if F.is_zero():
         raise ZeroPolynomial("the zero polynomial is excluded")
     from .errors import DimensionMismatch, SphereDimensionTooSmall

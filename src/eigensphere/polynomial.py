@@ -11,6 +11,13 @@ maps.  All arithmetic is exact (arbitrary-precision rationals), which is what
 makes divisibility and harmonicity certificates trustworthy.  Values are
 immutable after construction and safe to share between threads.
 
+Products are accumulated over Gaussian integers, not term by term in
+GaussianRational: each operand's coefficients are put over one common
+denominator D (the lcm of every real and imaginary denominator), the loop
+adds plain (re, im) integer pairs per exponent tuple, and each sum becomes a
+GaussianRational once, at the end, over D_p*D_q.  `_to_gaussian_integers` and
+`_from_gaussian_integers` are that conversion; `calculus.kappa` uses them too.
+
 The only floating-point operation is `evaluate`, which sums the terms in the
 canonical graded-lexicographic order so results are reproducible run to run.
 """
@@ -19,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from math import lcm
+from operator import add
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DimensionMismatch,
@@ -145,6 +154,33 @@ I = GaussianRational(Fraction(0), Fraction(1))
 def _grlex_key(exps: Exponents):
     """Sort key for the graded-lexicographic order (degree, then lex)."""
     return (sum(exps), exps)
+
+
+def _to_gaussian_integers(terms: Mapping) -> Tuple[List[Tuple[Exponents, int, int]], int]:
+    """A term map over one common denominator: ([(exps, re, im)], D).
+
+    Each coefficient equals (re + i*im) / D, with D the lcm of every real and
+    imaginary denominator in the map (1 for an empty map).
+    """
+    denominator = lcm(*(d for c in terms.values() for d in (c.re.denominator, c.im.denominator)))
+    return [
+        (exps,
+         c.re.numerator * (denominator // c.re.denominator),
+         c.im.numerator * (denominator // c.im.denominator))
+        for exps, c in terms.items()
+    ], denominator
+
+
+def _from_gaussian_integers(sums: Mapping, denominator: int) -> dict:
+    """Canonical term map from an accumulator exps -> [re, im] over `denominator`.
+
+    Sums that cancelled to zero are dropped here, once, not inside the loop.
+    """
+    return {
+        exps: GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+        for exps, (re, im) in sums.items()
+        if re or im
+    }
 
 
 class Polynomial:
@@ -295,18 +331,20 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         self._check_same_space(other)
-        terms: dict = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exps = tuple(a + b for a, b in zip(ea, eb))
-                prod = ca * cb
-                acc = terms.get(exps)
-                total = prod if acc is None else acc + prod
-                if total:
-                    terms[exps] = total
-                elif exps in terms:
-                    del terms[exps]
-        return self._raw(self.nvars, terms)
+        left, left_den = _to_gaussian_integers(self._terms)
+        right, right_den = (
+            (left, left_den) if other is self else _to_gaussian_integers(other._terms))
+        sums: dict = {}
+        for ea, ra, ia in left:
+            for eb, rb, ib in right:
+                exps = tuple(map(add, ea, eb))
+                acc = sums.get(exps)
+                if acc is None:
+                    sums[exps] = [ra * rb - ia * ib, ra * ib + ia * rb]
+                else:
+                    acc[0] += ra * rb - ia * ib
+                    acc[1] += ra * ib + ia * rb
+        return self._raw(self.nvars, _from_gaussian_integers(sums, left_den * right_den))
 
     __rmul__ = __mul__
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eigensphere.calculus import (
@@ -26,6 +27,43 @@ I = GaussianRational(0, 1)
 
 def x(i, nvars=4):
     return Polynomial.variable(nvars, i)
+
+
+def random_rational_poly(rng, nvars, max_degree=4, terms=8):
+    """Random polynomial with Gaussian-rational coefficients, denominators up to 12."""
+    data = {}
+    for _ in range(terms):
+        exps = tuple(int(e) for e in rng.multinomial(rng.integers(0, max_degree + 1),
+                                                     np.ones(nvars) / nvars))
+        re = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
+        im = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
+        data[exps] = data.get(exps, GaussianRational()) + GaussianRational(re, im)
+    return Polynomial(nvars, data)
+
+
+def mul_reference(p, q):
+    """Product term by term in GaussianRational arithmetic, no common denominator."""
+    terms = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            exps = tuple(a + b for a, b in zip(ea, eb))
+            terms[exps] = terms.get(exps, GaussianRational()) + ca * cb
+    return Polynomial(p.nvars, terms)
+
+
+def kappa_reference(p, q):
+    """kappa by its definition: sum_i (d_i p)(d_i q), products as in mul_reference."""
+    total = Polynomial.zero(p.nvars)
+    for i in range(1, p.nvars + 1):
+        total = total + mul_reference(partial(p, i), partial(q, i))
+    return total
+
+
+def assert_canonical(r):
+    assert all(isinstance(c, GaussianRational) and c for c in r._terms.values())
+    assert all(isinstance(c.re, Fraction) and isinstance(c.im, Fraction)
+               for c in r._terms.values())
+    assert Polynomial(r.nvars, dict(r._terms)) == r
 
 
 class TestPartial:
@@ -93,7 +131,8 @@ class TestLaplacian:
     def test_trace_of_hessian(self, rng):
         for _ in range(15):
             p = random_poly(rng, nvars=3, max_degree=4)
-            assert laplacian(p) == hessian(p).trace()
+            h = hessian(p)
+            assert laplacian(p) == sum((h[i][i] for i in range(3)), Polynomial.zero(3))
 
 
 class TestHessian:
@@ -103,14 +142,14 @@ class TestHessian:
         for i in range(4):
             for j in range(4):
                 expected = signs[i] if i == j else 0
-                assert h[i, j] == Polynomial.constant(4, expected)
+                assert h[i][j] == Polynomial.constant(4, expected)
 
     def test_off_diagonal(self):
         h = hessian(2 * x(1) * x(2) + 2 * x(3) * x(4))
-        assert h[0, 1] == Polynomial.constant(4, 2)
-        assert h[2, 3] == Polynomial.constant(4, 2)
-        assert h[0, 2].is_zero()
-        assert h[0, 0].is_zero()
+        assert h[0][1] == Polynomial.constant(4, 2)
+        assert h[2][3] == Polynomial.constant(4, 2)
+        assert h[0][2].is_zero()
+        assert h[0][0].is_zero()
 
     def test_exact_symmetry(self, rng):
         for _ in range(10):
@@ -118,7 +157,7 @@ class TestHessian:
             h = hessian(p)
             for i in range(3):
                 for j in range(3):
-                    assert h[i, j] == h[j, i]
+                    assert h[i][j] == h[j][i]
 
 
 class TestKappa:
@@ -152,6 +191,55 @@ class TestKappa:
         with pytest.raises(DimensionMismatch):
             kappa(x(1, 2), x(1, 3))
 
+    @pytest.mark.parametrize("nvars", range(1, 7))
+    def test_matches_reference(self, nvars):
+        rng = np.random.default_rng([nvars, 0xCAFE])
+        for _ in range(8):
+            p = random_rational_poly(rng, nvars)
+            copy = Polynomial(nvars, dict(p._terms))
+            q = random_rational_poly(rng, nvars)
+            expected_square = kappa_reference(p, p)
+            for left, right, expected in (
+                (p, p, expected_square),
+                (p, copy, expected_square),
+                (p, q, kappa_reference(p, q)),
+            ):
+                got = kappa(left, right)
+                assert got == expected
+                assert_canonical(got)
+
+    def test_cancellation_is_canonical(self):
+        # kappa(z1, z1) cancels every coefficient; kappa(u, v) of z1^2 too
+        z1 = parse("z1", 2)
+        assert kappa(z1, z1)._terms == {}
+        u, v = parse("z1^2", 2).real_imag_parts()
+        assert kappa(u, v)._terms == {}
+
+
+class TestProduct:
+    @pytest.mark.parametrize("nvars", range(1, 7))
+    def test_matches_reference(self, nvars):
+        rng = np.random.default_rng([nvars, 0xBEEF])
+        for _ in range(8):
+            p = random_rational_poly(rng, nvars)
+            copy = Polynomial(nvars, dict(p._terms))
+            q = random_rational_poly(rng, nvars)
+            expected_square = mul_reference(p, p)
+            for left, right, expected in (
+                (p, p, expected_square),
+                (p, copy, expected_square),
+                (p, q, mul_reference(p, q)),
+            ):
+                got = left * right
+                assert got == expected
+                assert_canonical(got)
+
+    def test_cancellation_is_canonical(self):
+        # the two x1*x2 products cancel inside the loop and must not be stored
+        product = parse("x1 + i*x2", 2) * parse("x1 - i*x2", 2)
+        assert product._terms.keys() == {(2, 0), (0, 2)}
+        assert_canonical(product)
+
 
 class TestHessGradGrad:
     def test_golden_quadric(self):
@@ -175,7 +263,7 @@ class TestHessGradGrad:
             total = Polynomial.zero(3)
             for i in range(3):
                 for j in range(3):
-                    total = total + h[i, j] * g[i] * g[j]
+                    total = total + h[i][j] * g[i] * g[j]
             assert hess_grad_grad(p) == total
 
 

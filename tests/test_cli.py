@@ -149,6 +149,27 @@ class TestMinimalZero:
         assert "regularity" in err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("minimal-line", ("--line", "1,0")),
+    ("minimal-zero", ()),
+])
+@pytest.mark.parametrize("thresholds, named", [
+    (("--tol", "-1"), "tol -1.0"),
+    (("--tol", "0"), "tol 0.0"),
+    (("--tol", "nan"), "tol nan"),
+    (("--reject", "1e-9"), "reject 1e-09"),
+    (("--tol", "1e-3", "--reject", "1e-3"), "reject 0.001"),
+])
+def test_bad_thresholds_exit_3(capsys, command, extra, thresholds, named):
+    code, out, err = run(
+        capsys, command, "--vars", "4", "--sphere-dim", "3", "--poly", "z1^2+z2^2",
+        *extra, *thresholds,
+    )
+    assert code == 3
+    assert out == ""
+    assert named in err
+
+
 class TestSample:
     def test_clifford_with_stereo(self, capsys, tmp_path):
         out_file = tmp_path / "torus.csv"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from eigensphere import eigen
 from eigensphere.calculus import kappa, laplacian, r2_coprime
 from eigensphere.eigen import (
     laplace_beltrami_fd,
@@ -80,6 +81,16 @@ class TestVerifyEigenfunction:
         report = verify_eigenfunction(Polynomial.constant(3, 5), 2)
         assert report.is_eigen
         assert (report.k, report.lam, report.mu) == (0, 0, 0)
+
+    @pytest.mark.parametrize("poly, nvars", [("z1^2 + z2^2", 4), ("x1", 3)])
+    def test_product_rule_self_check_fires(self, monkeypatch, poly, nvars):
+        # kappa(P, P) and laplacian(P*P)/2 are computed along independent
+        # paths; on harmonic P a kappa that disagrees must stop the verdict
+        true_kappa = eigen.kappa
+        monkeypatch.setattr(
+            eigen, "kappa", lambda p, q: true_kappa(p, q) + Polynomial.variable(p.nvars, 1))
+        with pytest.raises(AssertionError, match="product-rule"):
+            verify_eigenfunction(parse(poly, nvars), nvars - 1)
 
     def test_json_shape(self):
         payload = verify_eigenfunction(parse("z1^2+z2^2", 4), 3).to_json()

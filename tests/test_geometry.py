@@ -90,7 +90,7 @@ class TestVarietySpec:
                     (spec.values(x), _per_entry(full, x)),
                     (spec.jacobian(x), _per_entry([gradient(g) for g in full], x)),
                 ] + [
-                    (spec.hessian_at(a, x), _per_entry(hessian(g).entries, x))
+                    (spec.hessian_at(a, x), _per_entry(hessian(g), x))
                     for a, g in enumerate(full)
                 ]
                 for compiled, expected in pairs:

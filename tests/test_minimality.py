@@ -36,6 +36,19 @@ def quadric():
     return parse("z1^2 + z2^2", 4)
 
 
+# (tol, reject) pairs that cannot separate the verdicts, and the text that
+# must name the offending value
+BAD_THRESHOLDS = [
+    pytest.param(-1.0, 1e-3, "tol -1.0", id="negative-tol"),
+    pytest.param(0.0, 1e-3, "tol 0.0", id="zero-tol"),
+    pytest.param(float("nan"), 1e-3, "tol nan", id="nan-tol"),
+    pytest.param(1e-8, float("nan"), "reject nan", id="nan-reject"),
+    pytest.param(1e-8, float("inf"), "reject inf", id="infinite-reject"),
+    pytest.param(1e-3, 1e-3, "reject 0.001", id="reject-equals-tol"),
+    pytest.param(1e-3, 1e-8, "reject 1e-08", id="reject-below-tol"),
+]
+
+
 class TestLinePullback:
     def test_first_line(self):
         assert line_pullback(quadric(), 1, 0) == parse(
@@ -142,6 +155,11 @@ class TestCheckMinimalCodim1:
         with pytest.raises(ValueError):
             check_minimal_codim1(quadric(), 1, 0, 3, samples=0, cross_check=True)
 
+    @pytest.mark.parametrize("tol, reject, named", BAD_THRESHOLDS)
+    def test_bad_thresholds_rejected(self, tol, reject, named):
+        with pytest.raises(ValueError, match=named):
+            check_minimal_codim1(quadric(), 1, 0, 3, tol=tol, reject=reject)
+
     def test_json_shape(self):
         verdict = check_minimal_codim1(quadric(), 1, 0, 3)
         payload = verdict.to_json()
@@ -199,6 +217,11 @@ class TestCheckMinimalCodim2:
             check_minimal_codim2(parse("z1", 2), 1)
         with pytest.raises(DimensionMismatch):
             check_minimal_codim2(parse("z1", 4), 4)
+
+    @pytest.mark.parametrize("tol, reject, named", BAD_THRESHOLDS)
+    def test_bad_thresholds_rejected(self, tol, reject, named):
+        with pytest.raises(ValueError, match=named):
+            check_minimal_codim2(quadric(), 3, tol=tol, reject=reject)
 
     def test_json_shape(self):
         verdict = check_minimal_codim2(quadric(), 3, samples=30, rng_seed=5)

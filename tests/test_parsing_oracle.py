@@ -1,9 +1,12 @@
-"""Differential test of the parser against sympy's expansion.
+"""Differential test of the parser and the exact kernel against sympy.
 
 Each generated expression is written twice: as text in the parser's grammar,
 and as a sympy expression built directly from the same tree, with z_j mapped
 to x_{2j-1} + I*x_{2j}, `i` to I and `conj` to `conjugate` over real symbols.
-`parse` must return, term by term, the coefficients of `sympy.expand`.
+`parse` must return, term by term, the coefficients of `sympy.expand`; the
+product `*` and the bilinear gradient product `kappa` of two parsed
+expressions must return those of the same operation done by sympy, with
+`sympy.diff` for the partial derivatives.
 """
 
 from fractions import Fraction
@@ -15,6 +18,7 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from eigensphere.calculus import kappa  # noqa: E402
 from eigensphere.parsing import parse  # noqa: E402
 
 NVARS = 4
@@ -91,6 +95,10 @@ def _fraction(value) -> Fraction:
     return Fraction(int(value.p), int(value.q))
 
 
+def _terms(poly) -> dict:
+    return {exps: (c.re, c.im) for exps, c in poly.items()}
+
+
 def sympy_terms(expr) -> dict:
     poly = sympy.Poly(sympy.expand(expr), *X)
     return {
@@ -103,5 +111,30 @@ def sympy_terms(expr) -> dict:
 @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @hypothesis.given(expressions())
 def test_parse_matches_sympy_expand(generated):
-    got = {exps: (c.re, c.im) for exps, c in parse(generated.text, NVARS).items()}
-    assert got == sympy_terms(generated.expr), generated.text
+    assert _terms(parse(generated.text, NVARS)) == sympy_terms(generated.expr), generated.text
+
+
+def sympy_kappa(f, g):
+    f, g = sympy.expand(f), sympy.expand(g)
+    return sum(sympy.diff(f, x) * sympy.diff(g, x) for x in X)
+
+
+# Operands of degree at most 3, so products stay within MAX_DEGREE.
+operands = expressions(depth=3, budget=3)
+
+
+@hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@hypothesis.given(operands, operands)
+def test_product_matches_sympy(left, right):
+    p, q = parse(left.text, NVARS), parse(right.text, NVARS)
+    assert _terms(p * q) == sympy_terms(left.expr * right.expr), (left.text, right.text)
+    assert _terms(p * p) == sympy_terms(left.expr * left.expr), left.text
+
+
+@hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@hypothesis.given(operands, operands)
+def test_kappa_matches_sympy(left, right):
+    p, q = parse(left.text, NVARS), parse(right.text, NVARS)
+    assert _terms(kappa(p, q)) == sympy_terms(sympy_kappa(left.expr, right.expr)), (
+        left.text, right.text)
+    assert _terms(kappa(p, p)) == sympy_terms(sympy_kappa(left.expr, left.expr)), left.text
