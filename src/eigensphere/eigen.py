@@ -101,24 +101,39 @@ def _flat_conditions(P: Polynomial) -> Tuple[Optional[int], Optional[ConditionFa
     return k, None
 
 
-def verify_eigenfunction(P: Polynomial, n: int) -> EigenReport:
-    """Full exact check that P restricts to an eigenfunction of S^n.
-
-    Requires P in n+1 variables, n >= 2.  On success lambda = -k(k+n-1)
-    and mu = -k^2 exactly.
-    """
+def check_sphere_dimension(P: Polynomial, n: int) -> None:
+    """Require S^n with n >= 2 and P in its n+1 ambient variables."""
     if n < 2:
         raise SphereDimensionTooSmall(f"sphere dimension must be >= 2, got {n}")
     if P.nvars != n + 1:
         raise DimensionMismatch(
             f"polynomial has {P.nvars} variables; the sphere S^{n} needs {n + 1}"
         )
+
+
+def verify_eigenfunction(P: Polynomial, n: int) -> EigenReport:
+    """Full exact check that P restricts to an eigenfunction of S^n.
+
+    Requires P in n+1 variables, n >= 2.  On success lambda = -k(k+n-1)
+    and mu = -k^2 exactly.
+    """
+    check_sphere_dimension(P, n)
     k, failure = _flat_conditions(P)
     if failure is not None:
         return EigenReport(False, k, n, None, None, failure)
     lam = Fraction(-k * (k + n - 1))
     mu = Fraction(-k * k)
     return EigenReport(True, k, n, lam, mu, None)
+
+
+def require_eigenfunction(P: Polynomial, n: int) -> EigenReport:
+    """verify_eigenfunction, raising NotAnEigenfunction (carrying the report) on failure."""
+    report = verify_eigenfunction(P, n)
+    if not report.is_eigen:
+        raise NotAnEigenfunction(
+            f"input fails the {report.failure.condition} condition", report=report
+        )
+    return report
 
 
 @dataclass(frozen=True)
@@ -211,11 +226,7 @@ def mu_relation_check(
     lambda_2/2 - lambda_1 = -k^2 = mu must hold, and the finite-difference
     spherical Laplacian of P^2 must match lambda_2 * P^2 at random points.
     """
-    report = verify_eigenfunction(P, n)
-    if not report.is_eigen:
-        raise NotAnEigenfunction(
-            f"input fails the {report.failure.condition} condition", report=report
-        )
+    report = require_eigenfunction(P, n)
     k = report.k
     lam1 = Fraction(-k * (k + n - 1))
     lam2 = Fraction(-2 * k * (2 * k + n - 1))

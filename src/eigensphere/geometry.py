@@ -6,14 +6,19 @@ compiled into CompiledPolys tables, which are the only way this layer
 evaluates polynomials; Polynomial.evaluate stays as the independent witness
 of the finite-difference oracles and the tests.  The numerics are Newton
 projection with a rank-revealing least-squares step, seeded Gaussian
-sampling, and the level-set second-fundamental-form trace that yields
-mean-curvature components of the cut-out submanifold.
+sampling (one attempt loop, shared by every sampler), and the level-set
+second-fundamental-form trace that yields mean-curvature components of the
+cut-out submanifold.
 
 Conventions:
-  * the sphere constraint is g0 = (|x|^2 - 1)/2, so grad g0 = x exactly and
-    the first Gram-Schmidt normal is the position vector;
-  * <H, nu_b> = -sum_i (sum_a C_ba Hess g_a)(e_i, e_i) over a tangent
-    orthonormal basis {e_i}, where nu_b = sum_a C_ba grad g_a; the radial
+  * the sphere constraint is g0 = (|x|^2 - 1)/2, so grad g0 = x exactly;
+  * the normal frame comes from one complete QR factorization
+    J^T = Q R of the constraint Jacobian: the first m columns of Q, signed
+    by diag(R), are the Gram-Schmidt normals nu_b of the gradient rows, so
+    nu_0 is the position vector, and the remaining columns are an
+    orthonormal tangent basis {e_i};
+  * <H, nu_b> = -sum_i (sum_a C_ba Hess g_a)(e_i, e_i), where
+    nu_b = sum_a C_ba grad g_a, i.e. C = sign(diag R) R^-T; the radial
     component (b = 0) always equals -dim M on the sphere.
 """
 
@@ -21,7 +26,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import isfinite
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,9 +138,9 @@ class VarietySpec:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self._jacobian(x)
 
-    def hessian_at(self, index: int, x: np.ndarray) -> np.ndarray:
-        """Numeric Hessian of equation `index` (0 = sphere when included)."""
-        return self._hessians(x)[index]
+    def hessian_at(self, x: np.ndarray) -> np.ndarray:
+        """Numeric Hessians of every equation, shape (m, N, N); 0 = sphere when included."""
+        return self._hessians(x)
 
 
 def newton_project(
@@ -152,8 +158,8 @@ def newton_project(
     for regularity and SingularJacobian is raised if it fails) or stall into
     NonConvergence.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     x = np.asarray(seed, dtype=float).copy()
     if x.shape != (spec.nvars,):
         raise DimensionMismatch(f"seed has shape {x.shape}, expected ({spec.nvars},)")
@@ -201,6 +207,35 @@ class PointCloud:
         return self.points.shape[0]
 
 
+def _projections(
+    spec: VarietySpec, rng_seed: int, max_attempts: int, tallies: Dict[str, int], **newton_kwargs
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Seeded Newton attempts; yields (attempt, point) for each converged one.
+
+    Attempt i projects the normalized draw of default_rng([rng_seed, i]), so
+    results do not depend on execution order.  Every attempt is counted in
+    tallies as converged, no_convergence (a draw of norm below 1e-12
+    included) or singular.  Attempts run lazily: a caller whose quota is
+    full leaves the loop and no further attempt is made.
+    """
+    for attempt in range(max_attempts):
+        seed = np.random.default_rng([rng_seed, attempt]).standard_normal(spec.nvars)
+        norm = np.linalg.norm(seed)
+        if norm < 1e-12:
+            tallies["no_convergence"] += 1
+            continue
+        try:
+            point = newton_project(spec, seed / norm, **newton_kwargs)
+        except NonConvergence:
+            tallies["no_convergence"] += 1
+            continue
+        except SingularJacobian:
+            tallies["singular"] += 1
+            continue
+        tallies["converged"] += 1
+        yield attempt, point
+
+
 def sample(
     spec: VarietySpec,
     count: int,
@@ -225,32 +260,15 @@ def sample(
     seed_indices: List[int] = []
     tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
     max_attempts = 10 * count
-    attempts_made = 0
-
-    for attempt in range(max_attempts):
-        if len(kept_points) >= count:
-            break
-        attempts_made = attempt + 1
-        rng = np.random.default_rng([rng_seed, attempt])
-        seed = rng.standard_normal(spec.nvars)
-        norm = np.linalg.norm(seed)
-        if norm < 1e-12:
-            tallies["no_convergence"] += 1
-            continue
-        seed /= norm
-        try:
-            point = newton_project(spec, seed, tol=tol, maxiter=maxiter, eps_reg=eps_reg)
-        except NonConvergence:
-            tallies["no_convergence"] += 1
-            continue
-        except SingularJacobian:
-            tallies["singular"] += 1
-            continue
-        tallies["converged"] += 1
+    projections = _projections(
+        spec, rng_seed, max_attempts, tallies, tol=tol, maxiter=maxiter, eps_reg=eps_reg)
+    for attempt, point in projections:
         kept_points.append(point)
         kept_residuals.append(spec.residual(point))
         kept_regularity.append(float(np.linalg.svd(spec.jacobian(point), compute_uv=False)[-1]))
         seed_indices.append(attempt)
+        if len(kept_points) == count:
+            break
 
     metadata = {
         "rng_seed": rng_seed,
@@ -258,7 +276,7 @@ def sample(
         "eps_reg": eps_reg,
         "maxiter": maxiter,
         "requested": count,
-        "attempts": attempts_made,
+        "attempts": sum(tallies.values()),
         "outcomes": tallies,
         "seed_indices": seed_indices,
     }
@@ -290,32 +308,6 @@ class CurvatureSample:
     frame_condition: float  # smallest singular value of the constraint Jacobian
 
 
-def _gram_schmidt_tracked(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Orthonormalize rows, tracking nu_b = sum_a C[b,a] * rows[a].
-
-    Modified Gram-Schmidt with one re-orthogonalization pass keeps the frame
-    orthonormal to ~1e-14 even for moderately ill-conditioned inputs.
-    """
-    m, n = rows.shape
-    frame = np.zeros((m, n))
-    coeffs = np.zeros((m, m))
-    for b in range(m):
-        v = rows[b].copy()
-        c = np.zeros(m)
-        c[b] = 1.0
-        for _pass in range(2):
-            for a in range(b):
-                overlap = frame[a] @ v
-                v -= overlap * frame[a]
-                c -= overlap * coeffs[a]
-        norm = np.linalg.norm(v)
-        if norm < 1e-14:
-            raise SingularJacobian("constraint gradients are numerically dependent")
-        frame[b] = v / norm
-        coeffs[b] = c / norm
-    return frame, coeffs
-
-
 def mean_curvature(
     spec: VarietySpec,
     x: Sequence[float],
@@ -325,7 +317,8 @@ def mean_curvature(
     """Mean-curvature components at an on-variety point.
 
     The frame is nu_0 = x (sphere normal, exactly the gradient of g0),
-    followed by Gram-Schmidt of the remaining constraint gradients; the
+    followed by the Gram-Schmidt normals of the remaining constraint
+    gradients, all read off one QR factorization of the Jacobian; the
     tangent space is the orthogonal complement.  Minimality of the cut-out
     submanifold inside the sphere is the vanishing of all components for
     b >= 1; the radial component is the dimension check -dim M.
@@ -343,17 +336,14 @@ def mean_curvature(
         raise SingularJacobian(
             f"smallest singular value {sigma[-1]:.3e} below {eps_reg:.1e}"
         )
-    frame, coeffs = _gram_schmidt_tracked(jac)
-
-    # tangent space: orthogonal complement of the normal frame
-    _u, _s, vt = np.linalg.svd(frame, full_matrices=True)
-    tangent = vt[frame.shape[0]:]
-
-    hessians = [spec.hessian_at(a, x) for a in range(spec.num_equations)]
-    components = np.zeros(spec.num_equations)
-    for b in range(spec.num_equations):
-        combined = sum(coeffs[b, a] * hessians[a] for a in range(spec.num_equations))
-        components[b] = -float(np.einsum("in,nm,im->", tangent, combined, tangent))
+    m = spec.num_equations
+    q, r = np.linalg.qr(jac.T, mode="complete")
+    pivots = np.diag(r)
+    if np.min(np.abs(pivots)) < 1e-14:
+        raise SingularJacobian("constraint gradients are numerically dependent")
+    tangent = q[:, m:]
+    traces = np.einsum("ni,anm,mi->a", tangent, spec.hessian_at(x), tangent)
+    components = -np.sign(pivots) * np.linalg.solve(r[:m].T, traces)
 
     return CurvatureSample(
         point=x,

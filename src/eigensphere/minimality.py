@@ -30,19 +30,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .calculus import gradient, hess_grad_grad, kappa, laplacian
-from .eigen import verify_eigenfunction
+from .eigen import check_sphere_dimension, require_eigenfunction
 from .errors import (
     BothZero,
     EmptyFiber,
     InsufficientYield,
-    NonConvergence,
     NotAnEigenfunction,
     SingularFiber,
-    SingularJacobian,
     ZeroLine,
     ZeroPolynomial,
 )
-from .geometry import CompiledPolys, VarietySpec, mean_curvature, newton_project, sample
+from .geometry import CompiledPolys, VarietySpec, _projections, mean_curvature, sample
+
+# not called here: the name stays importable because the benchmark tracer's
+# alias test patches and restores it in this module
+from .geometry import newton_project  # noqa: F401
 from .polynomial import Polynomial, complex_variable
 
 EXACT_MINIMAL = "ExactMinimal"
@@ -121,21 +123,6 @@ def _check_thresholds(tol: float, reject: float) -> None:
         )
 
 
-def _require_isotropic_eigen(F: Polynomial, n: int) -> int:
-    """Flat eigenfunction precondition for codim-1: returns the degree.
-
-    F must be homogeneous, harmonic, and have an isotropic gradient
-    (kappa(F,F) = 0); these are exactly the conditions under which every
-    line preimage of F is a minimal cone candidate.
-    """
-    report = verify_eigenfunction(F, n)
-    if not report.is_eigen:
-        raise NotAnEigenfunction(
-            f"input fails the {report.failure.condition} condition", report=report
-        )
-    return report.k
-
-
 def check_minimal_codim1(
     F: Polynomial,
     a,
@@ -155,7 +142,9 @@ def check_minimal_codim1(
     when an exact certificate was found, recording the sampled maximum.
     """
     _check_thresholds(tol, reject)
-    degree = _require_isotropic_eigen(F, n)
+    # homogeneous, harmonic and kappa(F,F) = 0: exactly the conditions under
+    # which every line preimage of F is a minimal cone candidate
+    degree = require_eigenfunction(F, n).k
     P = line_pullback(F, a, b)
     if P.is_zero():
         raise ZeroPolynomial(
@@ -214,25 +203,8 @@ def _attach_numeric(
     reliable: List[Tuple[np.ndarray, float, float]] = []
     tallies = {"converged": 0, "no_convergence": 0, "singular": 0, "unreliable": 0}
     max_attempts = 30 * samples
-    for attempt in range(max_attempts):
-        if len(reliable) >= samples:
-            break
-        rng = np.random.default_rng([rng_seed, attempt])
-        seed = rng.standard_normal(P.nvars)
-        norm = np.linalg.norm(seed)
-        if norm < 1e-12:
-            tallies["no_convergence"] += 1
-            continue
-        seed /= norm
-        try:
-            x = newton_project(spec, seed, tol=newton_tol, maxiter=60)
-        except NonConvergence:
-            tallies["no_convergence"] += 1
-            continue
-        except SingularJacobian:
-            tallies["singular"] += 1
-            continue
-        tallies["converged"] += 1
+    projections = _projections(spec, rng_seed, max_attempts, tallies, tol=newton_tol, maxiter=60)
+    for _attempt, x in projections:
         p_val = abs(spec.values(x)[1])  # row 0 is the sphere
         gp = np.linalg.norm(spec.jacobian(x)[1])
         q_val, *grad_q = q_forms(x)
@@ -243,6 +215,8 @@ def _attach_numeric(
             tallies["unreliable"] += 1
             continue
         reliable.append((x, criterion, error_bound))
+        if len(reliable) == samples:
+            break
 
     attempts = tallies["converged"] + tallies["no_convergence"] + tallies["singular"]
     verdict.diagnostics["sampling"] = dict(tallies, attempts=attempts)
@@ -309,14 +283,7 @@ def check_minimal_codim2(
     _check_thresholds(tol, reject)
     if F.is_zero():
         raise ZeroPolynomial("the zero polynomial is excluded")
-    from .errors import DimensionMismatch, SphereDimensionTooSmall
-
-    if n < 2:
-        raise SphereDimensionTooSmall(f"sphere dimension must be >= 2, got {n}")
-    if F.nvars != n + 1:
-        raise DimensionMismatch(
-            f"polynomial has {F.nvars} variables; the sphere S^{n} needs {n + 1}"
-        )
+    check_sphere_dimension(F, n)
     k = F.homogeneity()
     if k is None:
         raise NotAnEigenfunction("input fails the homogeneity condition")

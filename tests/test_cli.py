@@ -216,6 +216,18 @@ class TestSample:
         assert out_file.exists()
         assert len(read_cloud(str(out_file))) == 0
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_bad_tol_exit_3(self, capsys, tmp_path, tol):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(
+            capsys, "sample", "--vars", "4", "--constraint", "x1^2+x3^2-1/2",
+            "--count", "5", "--tol", tol, "--out", str(out_file),
+        )
+        assert code == 3
+        assert out == ""
+        assert f"got {float(tol)!r}" in err
+        assert not out_file.exists()
+
     def test_complex_constraint_rejected(self, capsys, tmp_path):
         code, _out, err = run(
             capsys, "sample", "--vars", "4", "--constraint", "z1",

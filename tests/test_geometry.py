@@ -28,7 +28,6 @@ from eigensphere.geometry import (
     sample,
     sphere_constraint,
     stereographic,
-    _gram_schmidt_tracked,
 )
 from eigensphere.minimality import line_pullback
 from eigensphere.parsing import parse
@@ -90,7 +89,7 @@ class TestVarietySpec:
                     (spec.values(x), _per_entry(full, x)),
                     (spec.jacobian(x), _per_entry([gradient(g) for g in full], x)),
                 ] + [
-                    (spec.hessian_at(a, x), _per_entry(hessian(g), x))
+                    (spec.hessian_at(x)[a], _per_entry(hessian(g), x))
                     for a, g in enumerate(full)
                 ]
                 for compiled, expected in pairs:
@@ -134,10 +133,11 @@ class TestNewtonProject:
         with pytest.raises(SingularJacobian):
             newton_project(spec, np.array([0.01, 0.7, 0.7]))
 
-    def test_tolerance_guard(self):
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
+    def test_tolerance_guard(self, tol):
         spec = VarietySpec(3, [])
-        with pytest.raises(ValueError):
-            newton_project(spec, [1.0, 0.0, 0.0], tol=0.0)
+        with pytest.raises(ValueError, match=f"got {tol!r}"):
+            newton_project(spec, [1.0, 0.0, 0.0], tol=tol)
 
     def test_seed_shape_guard(self):
         spec = VarietySpec(3, [])
@@ -180,6 +180,32 @@ class TestSample:
         assert np.all(cloud.regularity >= cloud.metadata["eps_reg"])
         assert cloud.metadata["outcomes"]["converged"] == 30
 
+    # seeded cases with failed attempts: (constraint in 3 variables, count,
+    # seed, maxiter, attempts, outcomes, seed indices); the first fills its
+    # quota, the other two run out of attempts (partial cloud, empty cloud)
+    ATTEMPT_BOOKKEEPING = [
+        pytest.param("x1^2*x2 - x3^3", 6, 0, 5, 21, (6, 15, 0), [7, 10, 12, 15, 17, 20],
+                     id="quota-fills"),
+        pytest.param("x1^2*x2 - x3^3", 6, 2, 4, 60, (5, 55, 0), [3, 7, 13, 31, 47],
+                     id="runs-out-partial"),
+        pytest.param("x1^4", 3, 0, 50, 30, (0, 8, 22), [], id="runs-out-empty"),
+    ]
+
+    @pytest.mark.parametrize(
+        "constraint, count, seed, maxiter, attempts, outcomes, indices", ATTEMPT_BOOKKEEPING)
+    def test_attempt_bookkeeping(self, constraint, count, seed, maxiter, attempts, outcomes,
+                                 indices):
+        spec = VarietySpec(3, [parse(constraint, 3)])
+        try:
+            cloud = sample(spec, count, rng_seed=seed, maxiter=maxiter)
+        except InsufficientYield as err:
+            cloud = err.cloud
+        tallies = dict(zip(("converged", "no_convergence", "singular"), outcomes))
+        assert cloud.metadata["attempts"] == attempts
+        assert cloud.metadata["outcomes"] == tallies
+        assert cloud.metadata["seed_indices"] == indices
+        assert len(cloud) == len(indices)
+
     def test_insufficient_yield_carries_partial(self):
         spec = VarietySpec(
             4, [parse("x1", 4), parse("x1 - 1", 4)], include_sphere=False
@@ -189,18 +215,93 @@ class TestSample:
         assert len(exc.value.cloud) == 0
 
 
-class TestGramSchmidt:
-    def test_orthonormal_and_tracked(self, rng):
-        for _ in range(10):
-            rows = rng.standard_normal((3, 6))
-            frame, coeffs = _gram_schmidt_tracked(rows)
-            assert_allclose(frame @ frame.T, np.eye(3), atol=1e-12)
-            assert_allclose(coeffs @ rows, frame, atol=1e-12)
+def _gram_schmidt_tracked(rows):
+    """Orthonormalize rows, tracking nu_b = sum_a C[b,a] * rows[a].
 
-    def test_dependent_rows_rejected(self):
-        rows = np.array([[1.0, 0.0], [2.0, 0.0]])
+    Modified Gram-Schmidt with one re-orthogonalization pass keeps the frame
+    orthonormal to ~1e-14 even for moderately ill-conditioned inputs.
+    """
+    m, n = rows.shape
+    frame = np.zeros((m, n))
+    coeffs = np.zeros((m, m))
+    for b in range(m):
+        v = rows[b].copy()
+        c = np.zeros(m)
+        c[b] = 1.0
+        for _pass in range(2):
+            for a in range(b):
+                overlap = frame[a] @ v
+                v -= overlap * frame[a]
+                c -= overlap * coeffs[a]
+        norm = np.linalg.norm(v)
+        if norm < 1e-14:
+            raise SingularJacobian("constraint gradients are numerically dependent")
+        frame[b] = v / norm
+        coeffs[b] = c / norm
+    return frame, coeffs
+
+
+def mean_curvature_reference(spec, x):
+    """Reference: all components <H, nu_b>, b = 0..c, from a tracked Gram-Schmidt frame.
+
+    Gram-Schmidt of the Jacobian rows gives the normals and the coefficients
+    C, the SVD of the frame gives the tangent basis, and each component sums
+    the Hessians one equation at a time.
+    """
+    jac = spec.jacobian(x)
+    frame, coeffs = _gram_schmidt_tracked(jac)
+    _u, _s, vt = np.linalg.svd(frame, full_matrices=True)
+    tangent = vt[frame.shape[0]:]
+    hessians = spec.hessian_at(x)
+    components = np.zeros(spec.num_equations)
+    for b in range(spec.num_equations):
+        combined = sum(coeffs[b, a] * hessians[a] for a in range(spec.num_equations))
+        components[b] = -float(np.einsum("in,nm,im->", tangent, combined, tangent))
+    return components
+
+
+def _real_parts(text, nvars):
+    return list(parse(text, nvars).real_imag_parts())
+
+
+# (nvars, real constraints, seed, minimal): codimension 1, 2 and 3 beyond the
+# sphere; the non-minimal cases have O(1) normal components
+FRAME_CASES = [
+    pytest.param(4, [line_pullback(parse("z1^2 + z2^2", 4), 1, 0)], 1, True,
+                 id="codim1-clifford"),
+    pytest.param(4, [parse("x1^2 + 2*x2^2 - x3^2 - 3*x4^2", 4)], 2, False,
+                 id="codim1-anisotropic"),
+    pytest.param(6, _real_parts("z1^3 + z2^3 - z3^3", 6), 3, True, id="codim2-fermat"),
+    pytest.param(6, _real_parts("z1*z2 + x5^2 - x6^2", 6), 4, False, id="codim2-mixed"),
+    pytest.param(5, _real_parts("z1^2 + 2*z2^2 - x5^2 + x1*x5", 5), 5, False,
+                 id="codim2-anisotropic"),
+    pytest.param(6, _real_parts("z1^2 + z2^2 + z3^2", 6) + [parse("x1^2 + x3*x6 - 2*x5^2", 6)],
+                 6, False, id="codim3"),
+]
+
+
+class TestFrameMatchesReference:
+    @pytest.mark.parametrize("nvars, constraints, seed, minimal", FRAME_CASES)
+    def test_components_match(self, nvars, constraints, seed, minimal):
+        spec = VarietySpec(nvars, constraints)
+        cloud = sample(spec, 20, rng_seed=seed)
+        assert len(cloud) == 20
+        largest_normal = 0.0
+        for x in cloud.points:
+            cs = mean_curvature(spec, x)
+            expected = mean_curvature_reference(spec, x)
+            actual = np.concatenate([[cs.radial_component], cs.normal_components])
+            atol = 1e-13 * np.maximum(1.0, np.abs(expected))
+            assert np.all(np.abs(actual - expected) <= atol), (actual, expected)
+            assert cs.frame_condition == np.linalg.svd(spec.jacobian(x), compute_uv=False)[-1]
+            largest_normal = max(largest_normal, float(np.max(np.abs(expected[1:]))))
+        assert (largest_normal < 1e-10) if minimal else (largest_normal > 0.1)
+
+    @pytest.mark.parametrize("eps_reg", [1e-8, 0.0])
+    def test_dependent_constraints_rejected(self, eps_reg):
+        spec = VarietySpec(5, [parse("x4", 5), parse("2*x4", 5)])
         with pytest.raises(SingularJacobian):
-            _gram_schmidt_tracked(rows)
+            mean_curvature(spec, np.array([1.0, 0.0, 0.0, 0.0, 0.0]), eps_reg=eps_reg)
 
 
 class TestMeanCurvature:

@@ -130,6 +130,21 @@ class TestCheckMinimalCodim1:
         assert verdict.samples == 20
         assert verdict.max_residual < 1e-8
 
+    @pytest.mark.parametrize("F, line, samples, tol, sampling, reliable", [
+        # quota fills after failed and unreliable attempts
+        pytest.param("z1^2*z2", (1, 0), 8, 1e-12, (15, 39, 0, 7, 54), 8, id="quota-fills"),
+        # attempts run out with every converged sample unreliable
+        pytest.param("z1^3*conj(z2)^2", (0, 1), 4, 1e-12, (39, 81, 0, 39, 120), None,
+                     id="runs-out"),
+    ])
+    def test_cross_check_attempt_bookkeeping(self, F, line, samples, tol, sampling, reliable):
+        verdict = check_minimal_codim1(
+            parse(F, 4), *line, 3, samples=samples, tol=tol, rng_seed=3, cross_check=True
+        )
+        keys = ("converged", "no_convergence", "singular", "unreliable", "attempts")
+        assert verdict.diagnostics["sampling"] == dict(zip(keys, sampling))
+        assert verdict.samples == reliable
+
     def test_real_polynomial_rejected(self):
         with pytest.raises(NotAnEigenfunction):
             check_minimal_codim1(parse("x1 + x2", 4), 1, 0, 3)
