@@ -36,6 +36,7 @@ from .minimality import (
     DEFAULT_REJECT,
     DEFAULT_SAMPLES,
     DEFAULT_TOL,
+    NOT_MINIMAL,
     check_minimal_codim1,
     check_minimal_codim2,
     classify_lawson,
@@ -69,8 +70,9 @@ def _jsonable(value):
     return value
 
 
-def _emit(args, inputs: Dict, verdict: Dict, started: float, human_lines: List[str]) -> None:
-    if getattr(args, "json", False):
+def _emit(args, verdict: Dict, started: float, human_lines: List[str]) -> None:
+    if args.json:
+        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func", "json")}
         report = {
             "command": args.command,
             "inputs": _jsonable(inputs),
@@ -89,7 +91,10 @@ def _parse_line(text: str) -> Tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"--line expects 'a,b', got {text!r}")
-    return Fraction(parts[0].strip()), Fraction(parts[1].strip())
+    try:
+        return Fraction(parts[0].strip()), Fraction(parts[1].strip())
+    except ZeroDivisionError:
+        raise ValueError(f"--line {text!r} has a zero denominator") from None
 
 
 def _check_dims(nvars: int, sphere_dim: int) -> None:
@@ -100,15 +105,12 @@ def _check_dims(nvars: int, sphere_dim: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each returns (verdict, human lines, exit code)
 
 
-def _cmd_eigen_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_eigen_check(args):
     _check_dims(args.vars, args.sphere_dim)
-    P = parse(args.poly, args.vars)
-    report = verify_eigenfunction(P, args.sphere_dim)
-    inputs = {"vars": args.vars, "sphere_dim": args.sphere_dim, "poly": args.poly}
+    report = verify_eigenfunction(parse(args.poly, args.vars), args.sphere_dim)
     if report.is_eigen:
         lines = [
             f"eigenfunction: yes (degree k={report.k})",
@@ -120,74 +122,44 @@ def _cmd_eigen_check(args) -> int:
             f"failed condition: {report.failure.condition}",
             f"residual: {report.failure.residual}",
         ]
-    _emit(args, inputs, report.to_json(), started, lines)
-    return EXIT_POSITIVE if report.is_eigen else EXIT_NEGATIVE
+    return report.to_json(), lines, EXIT_POSITIVE if report.is_eigen else EXIT_NEGATIVE
 
 
-def _cmd_minimal_line(args) -> int:
-    started = time.perf_counter()
+def _cmd_minimal(args):
+    """minimal-line (codimension 1) and minimal-zero (codimension 2)."""
     _check_dims(args.vars, args.sphere_dim)
     F = parse(args.poly, args.vars)
-    a, b = _parse_line(args.line)
-    verdict = check_minimal_codim1(
-        F, a, b, args.sphere_dim,
-        samples=args.samples, tol=args.tol, reject=args.reject,
-        rng_seed=args.seed, cross_check=args.cross_check,
-    )
-    inputs = {
-        "vars": args.vars, "sphere_dim": args.sphere_dim, "poly": args.poly,
-        "line": args.line, "samples": args.samples, "tol": args.tol,
-        "reject": args.reject, "seed": args.seed, "cross_check": args.cross_check,
-    }
+    common = dict(samples=args.samples, tol=args.tol, reject=args.reject, rng_seed=args.seed)
+    if args.command == "minimal-line":
+        a, b = _parse_line(args.line)
+        verdict = check_minimal_codim1(
+            F, a, b, args.sphere_dim, cross_check=args.cross_check, **common)
+        quantity = "max |criterion|"
+    else:
+        verdict = check_minimal_codim2(F, args.sphere_dim, **common)
+        quantity = "max sphere-intrinsic component"
     lines = [f"status: {verdict.status}"]
     if verdict.certificate is not None:
         lines.append(f"certificate: {verdict.certificate}")
     if verdict.max_residual is not None:
-        lines.append(f"max |criterion| over {verdict.samples} samples: {verdict.max_residual:.3e}")
-    if verdict.reason:
-        lines.append(f"reason: {verdict.reason}")
-    _emit(args, inputs, verdict.to_json(), started, lines)
-    if verdict.is_minimal():
-        return EXIT_POSITIVE
-    return EXIT_NEGATIVE if verdict.status == "NotMinimal" else EXIT_INCONCLUSIVE
-
-
-def _cmd_minimal_zero(args) -> int:
-    started = time.perf_counter()
-    _check_dims(args.vars, args.sphere_dim)
-    F = parse(args.poly, args.vars)
-    verdict = check_minimal_codim2(
-        F, args.sphere_dim,
-        samples=args.samples, tol=args.tol, reject=args.reject, rng_seed=args.seed,
-    )
-    inputs = {
-        "vars": args.vars, "sphere_dim": args.sphere_dim, "poly": args.poly,
-        "samples": args.samples, "tol": args.tol, "reject": args.reject,
-        "seed": args.seed,
-    }
-    lines = [f"status: {verdict.status}"]
-    if verdict.max_residual is not None:
-        lines.append(
-            f"max sphere-intrinsic component over {verdict.samples} samples: "
-            f"{verdict.max_residual:.3e}"
-        )
+        lines.append(f"{quantity} over {verdict.samples} samples: {verdict.max_residual:.3e}")
     flat = verdict.diagnostics.get("flat_section_max_residual")
     if flat is not None:
         lines.append(f"flat-section max residual: {flat:.3e}")
     if verdict.reason:
         lines.append(f"reason: {verdict.reason}")
-    _emit(args, inputs, verdict.to_json(), started, lines)
-    if verdict.is_minimal():
-        return EXIT_POSITIVE
-    return EXIT_NEGATIVE if verdict.status == "NotMinimal" else EXIT_INCONCLUSIVE
+    code = (EXIT_POSITIVE if verdict.is_minimal()
+            else EXIT_NEGATIVE if verdict.status == NOT_MINIMAL else EXIT_INCONCLUSIVE)
+    return verdict.to_json(), lines, code
 
 
-def _cmd_sample(args) -> int:
-    started = time.perf_counter()
+def _cmd_sample(args):
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    if args.stereo is not None and not 1 <= args.stereo <= args.vars:
+        raise ValueError(f"--stereo {args.stereo} is outside 1..{args.vars}")
     constraints = []
-    for expr in args.constraint or []:
+    for expr in args.constraints:
         poly = parse(expr, args.vars)
         if not poly.is_real():
             raise ValueError(
@@ -206,10 +178,6 @@ def _cmd_sample(args) -> int:
     if args.stereo is not None:
         cloud = add_stereo(cloud, args.stereo)
     export_cloud(cloud, args.out)
-    inputs = {
-        "vars": args.vars, "constraints": args.constraint or [], "count": args.count,
-        "seed": args.seed, "tol": args.tol, "out": args.out, "stereo": args.stereo,
-    }
     verdict = {
         "points_written": len(cloud),
         "requested": args.count,
@@ -218,41 +186,27 @@ def _cmd_sample(args) -> int:
         "partial": partial,
     }
     lines = [f"wrote {len(cloud)} of {args.count} requested points to {args.out}"]
-    _emit(args, inputs, verdict, started, lines)
-    return EXIT_INCONCLUSIVE if partial else EXIT_POSITIVE
+    return verdict, lines, EXIT_INCONCLUSIVE if partial else EXIT_POSITIVE
 
 
-def _cmd_lawson(args) -> int:
-    started = time.perf_counter()
+def _cmd_lawson(args):
     surface_type = classify_lawson(args.n, args.m)
-    inputs = {"n": args.n, "m": args.m}
-    _emit(args, inputs, {"type": surface_type.value}, started, [surface_type.value])
-    return EXIT_POSITIVE
+    return {"type": surface_type.value}, [surface_type.value], EXIT_POSITIVE
 
 
-def _cmd_search(args) -> int:
-    started = time.perf_counter()
+def _cmd_search(args):
     results = search_eigen(
         args.vars, args.degree, args.attempts,
         rng_seed=args.seed, denominator_bound=args.denominator_bound,
     )
-    inputs = {
-        "vars": args.vars, "degree": args.degree, "attempts": args.attempts,
-        "seed": args.seed, "denominator_bound": args.denominator_bound,
-    }
-    verdict = {"results": [r.to_json() for r in results]}
     lines = []
     for r in results[: min(5, len(results))]:
         exact = f"   exact: {r.to_json()['exact']}" if r.exact is not None else ""
         lines.append(f"attempt {r.attempt}: residual {r.residual:.3e}{exact}")
-    if not lines:
-        lines = ["no candidates"]
-    _emit(args, inputs, verdict, started, lines)
-    return EXIT_POSITIVE
+    return {"results": [r.to_json() for r in results]}, lines or ["no candidates"], EXIT_POSITIVE
 
 
-def _cmd_selftest(args) -> int:
-    started = time.perf_counter()
+def _cmd_selftest(args):
     results = run_selftest()
     all_ok = all(r.passed for r in results)
     lines = [
@@ -262,8 +216,7 @@ def _cmd_selftest(args) -> int:
         "passed": all_ok,
         "suites": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
     }
-    _emit(args, {}, verdict, started, lines)
-    return EXIT_POSITIVE if all_ok else EXIT_ERROR
+    return verdict, lines, EXIT_POSITIVE if all_ok else EXIT_ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cross-check", action="store_true",
                    help="run the numeric ladder even when an exact certificate exists")
-    p.set_defaults(func=_cmd_minimal_line)
+    p.set_defaults(func=_cmd_minimal)
 
     p = sub.add_parser("minimal-zero", help="minimality of the zero fiber (codimension 2)")
     add_common(p)
@@ -313,11 +266,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--reject", type=float, default=DEFAULT_REJECT)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_minimal_zero)
+    p.set_defaults(func=_cmd_minimal)
 
     p = sub.add_parser("sample", help="sample a constraint variety on the sphere, export CSV")
     p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--constraint", action="append",
+    p.add_argument("--constraint", action="append", dest="constraints", default=[],
                    help="real polynomial constraint (repeatable); sphere always included")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -358,11 +311,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage errors; fold into the operational-error band
         code = err.code if isinstance(err.code, int) else 0
         return EXIT_ERROR if code != 0 else 0
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        verdict, lines, code = args.func(args)
     except (EigenSphereError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INCONCLUSIVE if isinstance(err, InsufficientYield) else EXIT_ERROR
+    _emit(args, verdict, started, lines)
+    return code
 
 
 def entrypoint() -> None:

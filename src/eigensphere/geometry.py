@@ -6,9 +6,10 @@ compiled into CompiledPolys tables, which are the only way this layer
 evaluates polynomials; Polynomial.evaluate stays as the independent witness
 of the finite-difference oracles and the tests.  The numerics are Newton
 projection with a rank-revealing least-squares step, seeded Gaussian
-sampling (one attempt loop, shared by every sampler), and the level-set
-second-fundamental-form trace that yields mean-curvature components of the
-cut-out submanifold.
+sampling, and the level-set second-fundamental-form trace that yields
+mean-curvature components of the cut-out submanifold.  The seeded attempt
+loop exists once, as the generator _projections: `sample` and both
+minimality checks stop it at their own quota.
 
 Conventions:
   * the sphere constraint is g0 = (|x|^2 - 1)/2, so grad g0 = x exactly;

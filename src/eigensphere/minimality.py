@@ -13,10 +13,13 @@ Two geometric situations are covered:
   * codimension 2: the full zero fiber {Re F = Im F = 0} on the sphere,
     verified by the mean-curvature components of the geometry layer.
 
-Verdicts are graded: ExactMinimal needs a symbolic certificate; NumericMinimal
-needs the full sample quota below tol; NotMinimal needs a reliable witness
-above the reject threshold; everything else is Inconclusive.  The gap between
-tol (1e-8) and reject (1e-3) keeps borderline noise from flapping verdicts.
+Both checks draw their samples from the one seeded attempt loop of the
+geometry layer (geometry._projections), and one function grades the sampled
+criterion values for both.  Verdicts are graded: ExactMinimal needs a
+symbolic certificate; NumericMinimal needs the full sample quota below tol;
+NotMinimal needs a reliable witness above the reject threshold; everything
+else is Inconclusive.  The gap between tol (1e-8) and reject (1e-3) keeps
+borderline noise from flapping verdicts.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isfinite, pi
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from .errors import (
     ZeroLine,
     ZeroPolynomial,
 )
-from .geometry import CompiledPolys, VarietySpec, _projections, mean_curvature, sample
+from .geometry import CompiledPolys, VarietySpec, _projections, mean_curvature
 
 # not called here: the name stays importable because the benchmark tracer's
 # alias test patches and restores it in this module
@@ -155,7 +159,7 @@ def check_minimal_codim1(
     if Q.is_zero():
         verdict = MinimalityVerdict(EXACT_MINIMAL, certificate="Q ≡ 0")
         if cross_check and degree >= 1:
-            _attach_numeric(verdict, P, Q, n, samples, tol, reject, rng_seed)
+            _attach_numeric(verdict, P, Q, samples, tol, reject, rng_seed)
         return verdict
 
     quotient = Q.exact_divide(P)
@@ -164,11 +168,11 @@ def check_minimal_codim1(
 
         verdict = MinimalityVerdict(EXACT_MINIMAL, certificate=render(quotient))
         if cross_check:
-            _attach_numeric(verdict, P, Q, n, samples, tol, reject, rng_seed)
+            _attach_numeric(verdict, P, Q, samples, tol, reject, rng_seed)
         return verdict
 
     verdict = MinimalityVerdict(INCONCLUSIVE)
-    _attach_numeric(verdict, P, Q, n, samples, tol, reject, rng_seed, decide=True)
+    _attach_numeric(verdict, P, Q, samples, tol, reject, rng_seed, decide=True)
     return verdict
 
 
@@ -176,7 +180,6 @@ def _attach_numeric(
     verdict: MinimalityVerdict,
     P: Polynomial,
     Q: Polynomial,
-    n: int,
     samples: int,
     tol: float,
     reject: float,
@@ -188,19 +191,24 @@ def _attach_numeric(
     Each sample carries a first-order reliability bound: the Newton residual
     |P(x)| displaces the point from the exact fiber by about |P|/|grad P|,
     which perturbs Q by |grad Q| times that, and evaluation roundoff adds
-    about machine epsilon times the coefficient mass of Q.  Samples whose
+    at most gamma * sum_a |c_a| |x^a| for Q = sum_a c_a x^a, the dot-product
+    bound with gamma = (deg Q + number of terms) * 2^-53.  Samples whose
     bound exceeds tol/10 cannot attest |q| < tol and are discarded; this is
     also what enforces the submersion hypothesis, since the bound blows up
-    exactly where |grad P| degenerates.
+    exactly where |grad P| degenerates.  decide=True grades the samples into
+    the verdict; otherwise only the sampled maximum is recorded.
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
     spec = VarietySpec(P.nvars, [P])
     q_forms = CompiledPolys(P.nvars, [Q, *gradient(Q)], (P.nvars + 1,))
-    mass_q = Q.coefficient_l1_float()
+    q_magnitude = CompiledPolys(
+        P.nvars, [Polynomial(P.nvars, {e: abs(c.re) for e, c in Q.items()})], ())
+    gamma = (Q.degree() + Q.num_terms()) * 2.0**-53
     newton_tol = min(1e-13, tol * 1e-5)
 
-    reliable: List[Tuple[np.ndarray, float, float]] = []
+    points: List[np.ndarray] = []
+    values: List[float] = []
     tallies = {"converged": 0, "no_convergence": 0, "singular": 0, "unreliable": 0}
     max_attempts = 30 * samples
     projections = _projections(spec, rng_seed, max_attempts, tallies, tol=newton_tol, maxiter=60)
@@ -209,56 +217,69 @@ def _attach_numeric(
         gp = np.linalg.norm(spec.jacobian(x)[1])
         q_val, *grad_q = q_forms(x)
         gq = np.linalg.norm(grad_q)
-        criterion = q_val / gp**3
-        error_bound = (gq * (p_val / gp) + 8e-16 * mass_q) / gp**3
+        error_bound = (gq * (p_val / gp) + gamma * q_magnitude(np.abs(x))) / gp**3
         if error_bound > tol / 10:
             tallies["unreliable"] += 1
             continue
-        reliable.append((x, criterion, error_bound))
-        if len(reliable) == samples:
+        points.append(x)
+        values.append(q_val / gp**3)
+        if len(points) == samples:
             break
 
     attempts = tallies["converged"] + tallies["no_convergence"] + tallies["singular"]
     verdict.diagnostics["sampling"] = dict(tallies, attempts=attempts)
-    if not reliable:
-        if decide:
-            raise InsufficientYield(
-                f"no reliable fiber samples in {max_attempts} attempts "
-                f"(outcomes: {tallies})"
-            )
+    if not points and decide:
+        raise InsufficientYield(
+            f"no reliable fiber samples in {max_attempts} attempts (outcomes: {tallies})")
+    if not points:
         verdict.diagnostics["numeric_cross_check"] = "no reliable samples"
-        return
-
-    criterion_values = np.array([c for _x, c, _e in reliable])
-    max_abs = float(np.max(np.abs(criterion_values)))
-    verdict.samples = len(reliable)
-    verdict.max_residual = max_abs
-
-    if not decide:
-        return
-
-    worst = int(np.argmax(np.abs(criterion_values)))
-    if max_abs > reject:
-        x, criterion, _err = reliable[worst]
-        verdict.status = NOT_MINIMAL
-        verdict.witness = {
-            "point": [float(v) for v in x],
-            "residual": float(spec.residual(x)),
-            "criterion": float(criterion),
-        }
-    elif max_abs < tol and len(reliable) >= samples:
-        verdict.status = NUMERIC_MINIMAL
-    elif max_abs < tol:
-        verdict.status = INCONCLUSIVE
-        verdict.reason = (
-            f"criterion below tolerance, but only {len(reliable)} of {samples} "
-            f"requested reliable samples were collected"
+    elif decide:
+        _decide(
+            verdict, spec, points, values, samples, tol, reject, "max |criterion| =",
+            f"criterion below tolerance, but only {len(points)} of {samples} "
+            f"requested reliable samples were collected",
         )
     else:
+        verdict.samples = len(points)
+        verdict.max_residual = float(np.max(np.abs(values)))
+
+
+def _decide(
+    verdict: MinimalityVerdict,
+    spec: VarietySpec,
+    points: Sequence[np.ndarray],
+    values: Sequence[float],
+    quota: int,
+    tol: float,
+    reject: float,
+    quantity: str,
+    shortfall: str,
+) -> None:
+    """Grade sampled criterion values; sets samples, max_residual, status, witness, reason.
+
+    NotMinimal needs one value above reject, whose point becomes the witness;
+    NumericMinimal needs the full quota below tol; anything else is
+    Inconclusive, with the shortfall reason when every value is below tol
+    and the quota is not full.  points must not be empty.
+    """
+    magnitudes = np.abs(values)
+    worst = int(np.argmax(magnitudes))
+    max_abs = float(magnitudes[worst])
+    verdict.samples = len(points)
+    verdict.max_residual = max_abs
+    if max_abs > reject:
+        verdict.status = NOT_MINIMAL
+        verdict.witness = {
+            "point": [float(c) for c in points[worst]],
+            "residual": float(spec.residual(points[worst])),
+            "criterion": float(values[worst]),
+        }
+    elif max_abs < tol and len(points) >= quota:
+        verdict.status = NUMERIC_MINIMAL
+    else:
         verdict.status = INCONCLUSIVE
-        verdict.reason = (
-            f"max |criterion| = {max_abs:.3e} lies between tol {tol:.1e} "
-            f"and reject {reject:.1e}"
+        verdict.reason = shortfall if max_abs < tol else (
+            f"{quantity} {max_abs:.3e} lies between tol {tol:.1e} and reject {reject:.1e}"
         )
 
 
@@ -278,7 +299,8 @@ def check_minimal_codim2(
     minimality is expected exactly in that isotropic case, so running the
     check on other harmonic F is a genuine test, not a tautology.
     Transversality failures surface as SingularFiber, an empty intersection
-    as EmptyFiber.
+    as EmptyFiber.  Sampling makes at most 10*samples attempts with the
+    Newton settings of geometry.sample.
     """
     _check_thresholds(tol, reject)
     if F.is_zero():
@@ -294,69 +316,43 @@ def check_minimal_codim2(
 
     u, v = F.real_imag_parts()
     spec = VarietySpec(F.nvars, [u, v])
-    try:
-        cloud = sample(spec, samples, rng_seed)
-        shortfall_note = None
-    except InsufficientYield as err:
-        cloud = err.cloud
-        outcomes = cloud.metadata["outcomes"]
-        if len(cloud) == 0:
-            if outcomes["singular"] > 0:
-                raise SingularFiber(
-                    "every located fiber point fails the regularity threshold "
-                    f"(outcomes: {outcomes})"
-                ) from err
-            raise EmptyFiber(
-                f"no point of the fiber was found on the sphere (outcomes: {outcomes})"
-            ) from err
-        shortfall_note = str(err)
+    if samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {samples}")
+    tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
+    max_attempts = 10 * samples
+    projections = _projections(spec, rng_seed, max_attempts, tallies)
+    points = [x for _attempt, x in islice(projections, samples)]
+    if not points:
+        if tallies["singular"] > 0:
+            raise SingularFiber(
+                "every located fiber point fails the regularity threshold "
+                f"(outcomes: {tallies})"
+            )
+        raise EmptyFiber(f"no point of the fiber was found on the sphere (outcomes: {tallies})")
 
-    worst_normal = 0.0
-    worst_point: Optional[np.ndarray] = None
-    radial_errors = []
-    expected_radial = -(F.nvars - 1 - 2)
-    for x in cloud.points:
-        curvature = mean_curvature(spec, x)
-        local = float(np.max(np.abs(curvature.normal_components)))
-        radial_errors.append(abs(curvature.radial_component - expected_radial))
-        if local > worst_normal:
-            worst_normal = local
-            worst_point = x
-
+    curvatures = [mean_curvature(spec, x) for x in points]
+    normal = [float(np.max(np.abs(c.normal_components))) for c in curvatures]
+    dimension = F.nvars - 1 - 2
     verdict = MinimalityVerdict(
         INCONCLUSIVE,
-        samples=len(cloud),
-        max_residual=worst_normal,
         diagnostics={
             "kappa_zero": kappa_zero,
             "degree": k,
-            "fiber_dimension": F.nvars - 1 - 2,
-            "max_radial_error": float(max(radial_errors)) if radial_errors else None,
-            "sampling": cloud.metadata["outcomes"],
+            "fiber_dimension": dimension,
+            # the radial component is -dim M on the sphere
+            "max_radial_error": float(max(abs(c.radial_component + dimension) for c in curvatures)),
+            "sampling": tallies,
         },
     )
-    flat = _flat_section_residuals(F, cloud.points)
+    flat = _flat_section_residuals(F, points)
     if flat is not None:
-        verdict.diagnostics["flat_section_max_residual"] = float(np.max(flat)) if flat.size else 0.0
-
-    if worst_normal > reject:
-        verdict.status = NOT_MINIMAL
-        verdict.witness = {
-            "point": [float(c) for c in worst_point],
-            "residual": float(spec.residual(worst_point)),
-            "criterion": worst_normal,
-        }
-    elif worst_normal < tol and len(cloud) >= samples:
-        verdict.status = NUMERIC_MINIMAL
-    elif worst_normal < tol:
-        verdict.reason = shortfall_note or (
-            f"only {len(cloud)} of {samples} requested samples converged"
-        )
-    else:
-        verdict.reason = (
-            f"max normal component {worst_normal:.3e} lies between tol {tol:.1e} "
-            f"and reject {reject:.1e}"
-        )
+        verdict.diagnostics["flat_section_max_residual"] = float(np.max(flat))
+    _decide(
+        verdict, spec, points, normal, samples, tol, reject, "max normal component",
+        f"only {len(points)} of {samples} requested points converged in {max_attempts} "
+        f"attempts (no_convergence={tallies['no_convergence']}, "
+        f"singular={tallies['singular']})",
+    )
     return verdict
 
 

@@ -282,10 +282,6 @@ class Polynomial:
         exps = max(self._terms, key=_grlex_key)
         return exps, self._terms[exps]
 
-    def coefficient_l1_float(self) -> float:
-        """Sum of coefficient magnitudes (float); bounds evaluation roundoff."""
-        return float(sum(abs(Fraction(c.re)) + abs(Fraction(c.im)) for c in self._terms.values()))
-
     # ----- ring operations ----------------------------------------------
 
     def _check_same_space(self, other: "Polynomial"):

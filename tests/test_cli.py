@@ -317,15 +317,69 @@ def _missing_out_directory(monkeypatch, tmp_path):
             "--out", str(tmp_path / "missing" / "cloud.csv")]
 
 
+def _line_zero_denominator(monkeypatch, tmp_path):
+    return ["minimal-line", "--vars", "4", "--sphere-dim", "3",
+            "--poly", "z1^2+z2^2", "--line", "1/0,1"]
+
+
+def _stereo_pole(pole):
+    def make_argv(monkeypatch, tmp_path):
+        return ["sample", "--vars", "4", "--constraint", "x4", "--count", "3",
+                "--stereo", pole, "--out", str(tmp_path / "cloud.csv")]
+    return make_argv
+
+
 @pytest.mark.parametrize("make_argv, code", [
     (_escaping_insufficient_yield, 2),
     (_missing_out_directory, 3),
+    pytest.param(_line_zero_denominator, 3, id="line-zero-denominator"),
+    pytest.param(_stereo_pole("9"), 3, id="stereo-beyond-vars"),
+    pytest.param(_stereo_pole("0"), 3, id="stereo-zero"),
 ])
 def test_escaping_errors_map_to_exit_codes(capsys, monkeypatch, tmp_path, make_argv, code):
     exit_code, out, err = run(capsys, *make_argv(monkeypatch, tmp_path))
     assert exit_code == code
     assert out == ""
     assert err.startswith("error: ")
+    assert not (tmp_path / "cloud.csv").exists()
+
+
+# one command line per subcommand and the key order of its "inputs" block
+INPUT_KEYS = [
+    (["eigen-check", "--vars", "4", "--sphere-dim", "3", "--poly", "z1"],
+     ["vars", "sphere_dim", "poly"]),
+    (["minimal-line", "--vars", "4", "--sphere-dim", "3", "--poly", "z1^2+z2^2", "--line", "1,0"],
+     ["vars", "sphere_dim", "poly", "line", "samples", "tol", "reject", "seed", "cross_check"]),
+    (["minimal-zero", "--vars", "4", "--sphere-dim", "3", "--poly", "z1", "--samples", "3"],
+     ["vars", "sphere_dim", "poly", "samples", "tol", "reject", "seed"]),
+    (["sample", "--vars", "4", "--constraint", "x4", "--count", "2", "--out", "{out}"],
+     ["vars", "constraints", "count", "seed", "tol", "out", "stereo"]),
+    (["lawson", "--n", "1", "--m", "1"], ["n", "m"]),
+    (["search", "--vars", "4", "--degree", "1", "--attempts", "0"],
+     ["vars", "degree", "attempts", "seed", "denominator_bound"]),
+    (["selftest"], []),
+]
+
+
+@pytest.mark.parametrize("argv, keys", [pytest.param(*row, id=row[0][0]) for row in INPUT_KEYS])
+def test_inputs_key_order(capsys, tmp_path, argv, keys):
+    argv = [a.format(out=tmp_path / "cloud.csv") for a in argv]
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert report["command"] == argv[0]
+    assert list(report["inputs"]) == keys
+
+
+def test_constraints_do_not_accumulate(capsys, tmp_path):
+    # the parser is built once per process: a repeatable option must not
+    # carry one run's values into the next
+    for _ in range(2):
+        code, report, _ = run_json(
+            capsys, "sample", "--vars", "4", "--constraint", "x4", "--constraint", "x3",
+            "--count", "2", "--out", str(tmp_path / "cloud.csv"),
+        )
+        assert code == 0
+        assert report["inputs"]["constraints"] == ["x4", "x3"]
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -49,6 +49,19 @@ BAD_THRESHOLDS = [
 ]
 
 
+def zero_draws(monkeypatch, is_zero):
+    """Make the seed draw of every attempt i with is_zero(i) all zeros."""
+    default_rng = np.random.default_rng
+
+    class ZeroDraw:
+        def standard_normal(self, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr(
+        np.random, "default_rng",
+        lambda seed: ZeroDraw() if is_zero(seed[1]) else default_rng(seed))
+
+
 class TestLinePullback:
     def test_first_line(self):
         assert line_pullback(quadric(), 1, 0) == parse(
@@ -111,16 +124,7 @@ class TestCheckMinimalCodim1:
 
     def test_zero_norm_seed_skipped(self, monkeypatch):
         # a draw of all zeros cannot be normalized: it is tallied, not divided
-        default_rng = np.random.default_rng
-
-        class ZeroDraw:
-            def standard_normal(self, size):
-                return np.zeros(size)
-
-        def zero_first_draw(seed):
-            return ZeroDraw() if seed[1] == 0 else default_rng(seed)
-
-        monkeypatch.setattr(np.random, "default_rng", zero_first_draw)
+        zero_draws(monkeypatch, lambda attempt: attempt == 0)
         verdict = check_minimal_codim1(
             quadric(), 1, 0, 3, samples=20, cross_check=True
         )
@@ -132,9 +136,9 @@ class TestCheckMinimalCodim1:
 
     @pytest.mark.parametrize("F, line, samples, tol, sampling, reliable", [
         # quota fills after failed and unreliable attempts
-        pytest.param("z1^2*z2", (1, 0), 8, 1e-12, (15, 39, 0, 7, 54), 8, id="quota-fills"),
+        pytest.param("z1^2*z2", (1, 0), 8, 1e-14, (45, 125, 0, 37, 170), 8, id="quota-fills"),
         # attempts run out with every converged sample unreliable
-        pytest.param("z1^3*conj(z2)^2", (0, 1), 4, 1e-12, (39, 81, 0, 39, 120), None,
+        pytest.param("z1^4*conj(z2)^3", (1, 1), 4, 1e-16, (4, 116, 0, 4, 120), None,
                      id="runs-out"),
     ])
     def test_cross_check_attempt_bookkeeping(self, F, line, samples, tol, sampling, reliable):
@@ -144,6 +148,15 @@ class TestCheckMinimalCodim1:
         keys = ("converged", "no_convergence", "singular", "unreliable", "attempts")
         assert verdict.diagnostics["sampling"] == dict(zip(keys, sampling))
         assert verdict.samples == reliable
+
+    @pytest.mark.parametrize("n, m", [(4, 3), (6, 5)])
+    def test_high_degree_lawson_samples_are_reliable(self, n, m):
+        # the roundoff term of the reliability bound must not grow with the
+        # coefficient mass of Q: every monomial is at most 1 on the sphere
+        verdict = check_minimal_codim1(lawson_polynomial(n, m), 1, 0, 3, cross_check=True)
+        assert verdict.status == EXACT_MINIMAL
+        assert verdict.samples == 200
+        assert verdict.max_residual < 1e-8
 
     def test_real_polynomial_rejected(self):
         with pytest.raises(NotAnEigenfunction):
@@ -218,6 +231,30 @@ class TestCheckMinimalCodim2:
     def test_real_polynomial_singular(self):
         with pytest.raises(SingularFiber):
             check_minimal_codim2(parse("x1", 4), 3, samples=20)
+
+    def test_attempt_bookkeeping_quota_fills(self):
+        # the quota fills after attempts that converge to singular points
+        verdict = check_minimal_codim2(parse("z1^3*conj(z2)^2", 4), 3, samples=4, rng_seed=0)
+        assert verdict.diagnostics["sampling"] == {
+            "converged": 4, "no_convergence": 0, "singular": 14}
+        assert verdict.samples == 4
+        assert verdict.witness is None
+
+    @pytest.mark.parametrize("kept", [(5,), (3, 17)], ids=["below-half", "half"])
+    def test_attempt_bookkeeping_shortfall(self, monkeypatch, kept):
+        # every draw but those of the kept attempts is zero, so the other
+        # attempts fail and the 10*samples attempts run out
+        zero_draws(monkeypatch, lambda attempt: attempt not in kept)
+        verdict = check_minimal_codim2(quadric(), 3, samples=4, rng_seed=1)
+        failed = 40 - len(kept)
+        assert verdict.diagnostics["sampling"] == {
+            "converged": len(kept), "no_convergence": failed, "singular": 0}
+        assert verdict.samples == len(kept)
+        assert verdict.status == "Inconclusive"
+        assert verdict.reason == (
+            f"only {len(kept)} of 4 requested points converged in 40 attempts "
+            f"(no_convergence={failed}, singular=0)"
+        )
 
     def test_non_harmonic_rejected(self):
         with pytest.raises(NotAnEigenfunction):
