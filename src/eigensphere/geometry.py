@@ -8,8 +8,10 @@ of the finite-difference oracles and the tests.  The numerics are Newton
 projection with a rank-revealing least-squares step, seeded Gaussian
 sampling, and the level-set second-fundamental-form trace that yields
 mean-curvature components of the cut-out submanifold.  The seeded attempt
-loop exists once, as the generator _projections: `sample` and both
-minimality checks stop it at their own quota.
+loop exists once, as the generator _projections.  `sample` and the
+codimension-2 minimality check take their points through _quota (the first
+count converged of 10*count attempts, one shortfall message); the
+codimension-1 check stops the loop at its own quota of reliable samples.
 
 Conventions:
   * the sphere constraint is g0 = (|x|^2 - 1)/2, so grad g0 = x exactly;
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import islice
 from math import isfinite
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -237,6 +240,30 @@ def _projections(
         yield attempt, point
 
 
+def _quota(
+    spec: VarietySpec, count: int, rng_seed: int, **newton_kwargs
+) -> Tuple[List[Tuple[int, np.ndarray]], Dict[str, int], Optional[str]]:
+    """The first count converged attempts of at most 10*count, as sample draws them.
+
+    Returns the (attempt, point) pairs, the attempt tallies and, when the
+    quota is not full, the shortfall message naming both (else None).
+    """
+    if count < 1:
+        raise ValueError(f"sample count must be >= 1, got {count}")
+    tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
+    max_attempts = 10 * count
+    projections = _projections(spec, rng_seed, max_attempts, tallies, **newton_kwargs)
+    kept = list(islice(projections, count))
+    shortfall = None
+    if len(kept) < count:
+        shortfall = (
+            f"only {len(kept)} of {count} requested points converged "
+            f"in {max_attempts} attempts "
+            f"(no_convergence={tallies['no_convergence']}, singular={tallies['singular']})"
+        )
+    return kept, tallies, shortfall
+
+
 def sample(
     spec: VarietySpec,
     count: int,
@@ -253,24 +280,9 @@ def sample(
     count/2 attempts converge within 10*count attempts; a yield between
     count/2 and count returns the partial cloud with a shortfall note.
     """
-    if count < 1:
-        raise ValueError(f"sample count must be >= 1, got {count}")
-    kept_points: List[np.ndarray] = []
-    kept_residuals: List[float] = []
-    kept_regularity: List[float] = []
-    seed_indices: List[int] = []
-    tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
-    max_attempts = 10 * count
-    projections = _projections(
-        spec, rng_seed, max_attempts, tallies, tol=tol, maxiter=maxiter, eps_reg=eps_reg)
-    for attempt, point in projections:
-        kept_points.append(point)
-        kept_residuals.append(spec.residual(point))
-        kept_regularity.append(float(np.linalg.svd(spec.jacobian(point), compute_uv=False)[-1]))
-        seed_indices.append(attempt)
-        if len(kept_points) == count:
-            break
-
+    kept, tallies, shortfall = _quota(
+        spec, count, rng_seed, tol=tol, maxiter=maxiter, eps_reg=eps_reg)
+    points = [point for _attempt, point in kept]
     metadata = {
         "rng_seed": rng_seed,
         "tol": tol,
@@ -279,23 +291,19 @@ def sample(
         "requested": count,
         "attempts": sum(tallies.values()),
         "outcomes": tallies,
-        "seed_indices": seed_indices,
+        "seed_indices": [attempt for attempt, _point in kept],
     }
     cloud = PointCloud(
-        points=np.array(kept_points) if kept_points else np.zeros((0, spec.nvars)),
-        residuals=np.array(kept_residuals),
-        regularity=np.array(kept_regularity),
+        points=np.array(points) if points else np.zeros((0, spec.nvars)),
+        residuals=np.array([spec.residual(x) for x in points]),
+        regularity=np.array(
+            [float(np.linalg.svd(spec.jacobian(x), compute_uv=False)[-1]) for x in points]),
         metadata=metadata,
     )
-    if len(cloud) < count:
+    if shortfall is not None:
         metadata["shortfall"] = count - len(cloud)
         if len(cloud) < count / 2:
-            raise InsufficientYield(
-                f"only {len(cloud)} of {count} requested points converged "
-                f"in {max_attempts} attempts "
-                f"(no_convergence={tallies['no_convergence']}, singular={tallies['singular']})",
-                cloud=cloud,
-            )
+            raise InsufficientYield(shortfall, cloud=cloud)
     return cloud
 
 

@@ -14,7 +14,8 @@ Two geometric situations are covered:
     verified by the mean-curvature components of the geometry layer.
 
 Both checks draw their samples from the one seeded attempt loop of the
-geometry layer (geometry._projections), and one function grades the sampled
+geometry layer (geometry._projections; codimension 2 through geometry._quota,
+which also serves geometry.sample), and one function grades the sampled
 criterion values for both.  Verdicts are graded: ExactMinimal needs a
 symbolic certificate; NumericMinimal needs the full sample quota below tol;
 NotMinimal needs a reliable witness above the reject threshold; everything
@@ -27,7 +28,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from math import gcd, isfinite, pi
 from typing import Dict, List, Optional, Sequence
 
@@ -44,7 +44,7 @@ from .errors import (
     ZeroLine,
     ZeroPolynomial,
 )
-from .geometry import CompiledPolys, VarietySpec, _projections, mean_curvature
+from .geometry import CompiledPolys, VarietySpec, _projections, _quota, mean_curvature
 
 # not called here: the name stays importable because the benchmark tracer's
 # alias test patches and restores it in this module
@@ -204,7 +204,8 @@ def _attach_numeric(
     q_forms = CompiledPolys(P.nvars, [Q, *gradient(Q)], (P.nvars + 1,))
     q_magnitude = CompiledPolys(
         P.nvars, [Polynomial(P.nvars, {e: abs(c.re) for e, c in Q.items()})], ())
-    gamma = (Q.degree() + Q.num_terms()) * 2.0**-53
+    # Q = 0 (a linear P) evaluates exactly: no roundoff term, and no degree
+    gamma = 0.0 if Q.is_zero() else (Q.degree() + Q.num_terms()) * 2.0**-53
     newton_tol = min(1e-13, tol * 1e-5)
 
     points: List[np.ndarray] = []
@@ -253,7 +254,7 @@ def _decide(
     tol: float,
     reject: float,
     quantity: str,
-    shortfall: str,
+    shortfall: Optional[str],
 ) -> None:
     """Grade sampled criterion values; sets samples, max_residual, status, witness, reason.
 
@@ -299,8 +300,9 @@ def check_minimal_codim2(
     minimality is expected exactly in that isotropic case, so running the
     check on other harmonic F is a genuine test, not a tautology.
     Transversality failures surface as SingularFiber, an empty intersection
-    as EmptyFiber.  Sampling makes at most 10*samples attempts with the
-    Newton settings of geometry.sample.
+    as EmptyFiber.  The points come from geometry._quota exactly as
+    geometry.sample draws them: at most 10*samples attempts, the default
+    Newton settings and the same shortfall message.
     """
     _check_thresholds(tol, reject)
     if F.is_zero():
@@ -316,12 +318,8 @@ def check_minimal_codim2(
 
     u, v = F.real_imag_parts()
     spec = VarietySpec(F.nvars, [u, v])
-    if samples < 1:
-        raise ValueError(f"sample count must be >= 1, got {samples}")
-    tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
-    max_attempts = 10 * samples
-    projections = _projections(spec, rng_seed, max_attempts, tallies)
-    points = [x for _attempt, x in islice(projections, samples)]
+    kept, tallies, shortfall = _quota(spec, samples, rng_seed)
+    points = [x for _attempt, x in kept]
     if not points:
         if tallies["singular"] > 0:
             raise SingularFiber(
@@ -348,11 +346,7 @@ def check_minimal_codim2(
     if flat is not None:
         verdict.diagnostics["flat_section_max_residual"] = float(np.max(flat))
     _decide(
-        verdict, spec, points, normal, samples, tol, reject, "max normal component",
-        f"only {len(points)} of {samples} requested points converged in {max_attempts} "
-        f"attempts (no_convergence={tallies['no_convergence']}, "
-        f"singular={tallies['singular']})",
-    )
+        verdict, spec, points, normal, samples, tol, reject, "max normal component", shortfall)
     return verdict
 
 

@@ -107,6 +107,16 @@ class TestMinimalLine:
         assert report["verdict"]["samples"] == 50
         assert report["verdict"]["max_residual"] < 1e-8
 
+    def test_cross_check_of_linear_pullback(self, capsys):
+        # z1 pulls back to a linear P, whose criterion Q is identically zero
+        code, report, _ = run_json(
+            capsys, "minimal-line", "--vars", "4", "--sphere-dim", "3",
+            "--poly", "z1", "--line", "1,0", "--samples", "50", "--cross-check",
+        )
+        assert code == 0
+        assert report["verdict"]["certificate"] == "Q ≡ 0"
+        assert report["verdict"]["samples"] == 50
+
     def test_not_eigen(self, capsys):
         code, _out, err = run(
             capsys, "minimal-line", "--vars", "4", "--sphere-dim", "3",

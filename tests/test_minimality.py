@@ -49,17 +49,33 @@ BAD_THRESHOLDS = [
 ]
 
 
-def zero_draws(monkeypatch, is_zero):
-    """Make the seed draw of every attempt i with is_zero(i) all zeros."""
+def plant_draws(monkeypatch, draw):
+    """Make attempt i draw the vector draw(i) wherever that is not None."""
     default_rng = np.random.default_rng
 
-    class ZeroDraw:
-        def standard_normal(self, size):
-            return np.zeros(size)
+    class Planted:
+        def __init__(self, vector):
+            self.vector = vector
 
-    monkeypatch.setattr(
-        np.random, "default_rng",
-        lambda seed: ZeroDraw() if is_zero(seed[1]) else default_rng(seed))
+        def standard_normal(self, size):
+            return np.zeros(size) + self.vector
+
+    def rng(seed):
+        vector = draw(seed[1])
+        return default_rng(seed) if vector is None else Planted(vector)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+
+
+def zero_draws(monkeypatch, is_zero):
+    """Make the seed draw of every attempt i with is_zero(i) all zeros."""
+    plant_draws(monkeypatch, lambda attempt: 0.0 if is_zero(attempt) else None)
+
+
+# a draw beside the circle {z1 = 0} of the fiber of Re(z1^2*z2), where
+# grad P vanishes: Newton creeps onto it, reaching |P| < 1e-13 with
+# |grad P| about 4e-7, far too close to bound the criterion
+BESIDE_SINGULAR_CIRCLE = (0.1, 0.0, 1.0, 0.0)
 
 
 class TestLinePullback:
@@ -134,20 +150,34 @@ class TestCheckMinimalCodim1:
         assert verdict.samples == 20
         assert verdict.max_residual < 1e-8
 
-    @pytest.mark.parametrize("F, line, samples, tol, sampling, reliable", [
-        # quota fills after failed and unreliable attempts
-        pytest.param("z1^2*z2", (1, 0), 8, 1e-14, (45, 125, 0, 37, 170), 8, id="quota-fills"),
+    @pytest.mark.parametrize("samples, draw, sampling, reliable", [
+        # quota fills after a failed and two unreliable attempts
+        pytest.param(8, {1: 0.0, 0: BESIDE_SINGULAR_CIRCLE, 3: BESIDE_SINGULAR_CIRCLE}.get,
+                     (10, 1, 0, 2, 11), 8, id="quota-fills"),
         # attempts run out with every converged sample unreliable
-        pytest.param("z1^4*conj(z2)^3", (1, 1), 4, 1e-16, (4, 116, 0, 4, 120), None,
-                     id="runs-out"),
+        pytest.param(4, lambda attempt: BESIDE_SINGULAR_CIRCLE if attempt % 2 else 0.0,
+                     (60, 60, 0, 60, 120), None, id="runs-out"),
     ])
-    def test_cross_check_attempt_bookkeeping(self, F, line, samples, tol, sampling, reliable):
+    def test_cross_check_attempt_bookkeeping(self, monkeypatch, samples, draw, sampling,
+                                             reliable):
+        # the natural draws of seed 3 all converge with bounds below tol/1000
+        plant_draws(monkeypatch, draw)
         verdict = check_minimal_codim1(
-            parse(F, 4), *line, 3, samples=samples, tol=tol, rng_seed=3, cross_check=True
+            parse("z1^2*z2", 4), 1, 0, 3, samples=samples, rng_seed=3, cross_check=True
         )
         keys = ("converged", "no_convergence", "singular", "unreliable", "attempts")
         assert verdict.diagnostics["sampling"] == dict(zip(keys, sampling))
         assert verdict.samples == reliable
+
+    @pytest.mark.parametrize("F", [parse("z1", 4), lawson_polynomial(1, 0)],
+                             ids=["z1", "lawson-1-0"])
+    def test_cross_check_of_linear_pullback(self, F):
+        # Q = 0 has no degree; the cross-check must still sample the fiber
+        verdict = check_minimal_codim1(F, 1, 0, 3, cross_check=True)
+        assert verdict.status == EXACT_MINIMAL
+        assert verdict.certificate == "Q ≡ 0"
+        assert verdict.samples == 200
+        assert verdict.max_residual == 0.0
 
     @pytest.mark.parametrize("n, m", [(4, 3), (6, 5)])
     def test_high_degree_lawson_samples_are_reliable(self, n, m):
