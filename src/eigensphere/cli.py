@@ -250,7 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimal-line", help="minimality of a line preimage (codimension 1)")
     add_common(p)
     p.add_argument("--poly", required=True)
-    p.add_argument("--line", required=True, help="line direction a,b (rationals)")
+    p.add_argument("--line", required=True,
+                   help="line direction a,b (rationals, e.g. 1,0 or -1/2,3)")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--reject", type=float, default=DEFAULT_REJECT)
@@ -303,10 +304,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_line_values(argv: Sequence[str]) -> List[str]:
+    """Spell `--line -1,2` as `--line=-1,2`.
+
+    argparse takes a separate value that starts with '-' and is not a plain
+    negative number for an option, so it would refuse `--line -1,2`.
+    """
+    args = list(argv)
+    for i in range(len(args) - 1, 0, -1):
+        value = args[i]
+        if args[i - 1] == "--line" and value[:1] == "-" and value[1:2] in tuple("0123456789."):
+            args[i - 1:i + 1] = [f"--line={value}"]
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_line_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as err:
         # argparse exits 2 on usage errors; fold into the operational-error band
         code = err.code if isinstance(err.code, int) else 0

@@ -3,15 +3,20 @@
 This is the floating-point layer.  Everything symbolic (constraints, their
 gradients and Hessians) is prepared exactly once per VarietySpec and
 compiled into CompiledPolys tables, which are the only way this layer
-evaluates polynomials; Polynomial.evaluate stays as the independent witness
-of the finite-difference oracles and the tests.  The numerics are Newton
+evaluates polynomials, at one point or at a batch of points;
+Polynomial.evaluate stays as the independent witness of the
+finite-difference oracles and the tests.  The numerics are Newton
 projection with a rank-revealing least-squares step, seeded Gaussian
 sampling, and the level-set second-fundamental-form trace that yields
 mean-curvature components of the cut-out submanifold.  The seeded attempt
-loop exists once, as the generator _projections.  `sample` and the
-codimension-2 minimality check take their points through _quota (the first
-count converged of 10*count attempts, one shortfall message); the
-codimension-1 check stops the loop at its own quota of reliable samples.
+loop exists once, as the generator _projections, which runs Newton on a
+chunk of attempts at once (_newton_batch, of which newton_project is the
+batch of one) but yields and tallies them one by one in attempt order.
+`sample` and the codimension-2 minimality check take their points through
+_quota (the first count converged of 10*count attempts, one shortfall
+message); the codimension-1 check stops the loop at its own quota of
+reliable samples.  Curvature and the per-sample diagnostics are evaluated
+one point at a time.
 
 Conventions:
   * the sphere constraint is g0 = (|x|^2 - 1)/2, so grad g0 = x exactly;
@@ -30,7 +35,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from itertools import islice
-from math import isfinite
+from math import ceil, isfinite
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +55,8 @@ from .polynomial import Polynomial, r_squared
 DEFAULT_TOL = 1e-12
 DEFAULT_EPS_REG = 1e-8
 DEFAULT_MAXITER = 50
+# floats in about 256 KB: the cap on any temporary of a batched Newton chunk
+CHUNK_FLOATS = 2**15
 
 
 def sphere_constraint(nvars: int) -> Polynomial:
@@ -62,8 +69,10 @@ def sphere_constraint(nvars: int) -> Polynomial:
 class CompiledPolys:
     """Real polynomials compiled to one shared monomial table.
 
-    Evaluation at a point x is coefficients @ prod(x ** exponents, axis=1),
-    reshaped to `shape` (row-major over the polynomials as listed).
+    Evaluation at a point x of shape (N,) is coefficients @ monomials(x),
+    reshaped to `shape` (row-major over the polynomials as listed); a batch
+    of shape (B, N) gives (B, *shape), one row per point.  Each monomial is
+    a product of entries of the per-variable power table x_v^0 .. x_v^D.
     """
 
     def __init__(self, nvars: int, polys: Sequence[Polynomial], shape: Tuple[int, ...]):
@@ -78,14 +87,23 @@ class CompiledPolys:
             for exps, coeff in p.items():
                 self.coefficients[row, index[exps]] = float(coeff.re)
         self.shape = shape
+        top = int(self.exponents.max(initial=0))
+        self._degrees = np.arange(top + 1)
+        # position of x_v^e in the flattened (N, D + 1) power table
+        self._power_index = np.arange(nvars) * (top + 1) + self.exponents
+        # floats in the largest temporary that evaluating one point allocates
+        self.point_floats = max(self.exponents.size, len(polys), nvars * (top + 1))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != self.exponents.shape[1:]:
+        nvars = self.exponents.shape[1]
+        if x.ndim not in (1, 2) or x.shape[-1] != nvars:
             raise DimensionMismatch(
-                f"point has shape {x.shape}, expected ({self.exponents.shape[1]},)")
-        monomials = np.prod(x ** self.exponents, axis=1)
-        return (self.coefficients @ monomials).reshape(self.shape)
+                f"point has shape {x.shape}, expected ({nvars},) or (B, {nvars})")
+        powers = x[..., None] ** self._degrees
+        powers = powers.reshape(x.shape[:-1] + (powers.shape[-2] * powers.shape[-1],))
+        monomials = np.multiply.reduce(powers.take(self._power_index, axis=-1), axis=-1)
+        return (monomials @ self.coefficients.T).reshape(x.shape[:-1] + self.shape)
 
 
 class VarietySpec:
@@ -93,7 +111,8 @@ class VarietySpec:
 
     Gradients and Hessians of every constraint are computed symbolically at
     construction and compiled into three CompiledPolys tables (values,
-    Jacobian, Hessians), through which all later evaluation goes.
+    Jacobian, Hessians), through which all later evaluation goes; values
+    and jacobian take one point (N,) or a batch (B, N).
     """
 
     def __init__(self, nvars: int, constraints: Sequence[Polynomial], include_sphere: bool = True):
@@ -160,41 +179,72 @@ def newton_project(
     singular-value cutoff, so rank-deficient Jacobians do not blow up the
     step; they either still converge (then the converged point is checked
     for regularity and SingularJacobian is raised if it fails) or stall into
-    NonConvergence.
+    NonConvergence.  This is _newton_batch on a batch of one seed.
+    """
+    x = np.asarray(seed, dtype=float)
+    if x.shape != (spec.nvars,):
+        raise DimensionMismatch(f"seed has shape {x.shape}, expected ({spec.nvars},)")
+    points, outcomes, sigma_min = _newton_batch(spec, x[None], tol, maxiter, eps_reg)
+    if outcomes[0] == "singular":
+        raise SingularJacobian(
+            f"converged to a point with smallest singular value "
+            f"{sigma_min[0]:.3e} < {eps_reg:.1e}"
+        )
+    if outcomes[0] == "no_convergence":
+        raise NonConvergence(f"no convergence to {tol:.1e} within {maxiter} iterations")
+    return points[0]
+
+
+def _newton_batch(
+    spec: VarietySpec, seeds: np.ndarray, tol: float, maxiter: int, eps_reg: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton projection of every row of seeds (B, N) at once.
+
+    Row by row this is the iteration newton_project documents: a row stops
+    once its residual is below tol, and is then "singular" when the smallest
+    singular value of its Jacobian is below eps_reg and "converged"
+    otherwise; a row that never stops within maxiter steps is
+    "no_convergence".  Returns the final points, the outcome of each row and
+    its smallest singular value at convergence (nan when it did not stop).
     """
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-    x = np.asarray(seed, dtype=float).copy()
-    if x.shape != (spec.nvars,):
-        raise DimensionMismatch(f"seed has shape {x.shape}, expected ({spec.nvars},)")
-
+    x = np.array(seeds, dtype=float)
+    outcomes = np.full(len(x), "no_convergence", dtype=object)
+    sigma_min = np.full(len(x), np.nan)
+    live = np.arange(len(x))
     for _ in range(maxiter):
-        values = spec.values(x)
-        if np.max(np.abs(values)) < tol:
-            sigma_min = np.linalg.svd(spec.jacobian(x), compute_uv=False)[-1]
-            if sigma_min < eps_reg:
-                raise SingularJacobian(
-                    f"converged to a point with smallest singular value "
-                    f"{sigma_min:.3e} < {eps_reg:.1e}"
-                )
-            return x
-        jac = spec.jacobian(x)
-        u, s, vt = np.linalg.svd(jac, full_matrices=False)
-        cutoff = max(eps_reg * 1e-4, s[0] * 1e-14) if s.size else 0.0
+        x_live = x[live]
+        values = spec.values(x_live)
+        base = np.max(np.abs(values), axis=1)
+        done = base < tol
+        if done.any():
+            sigma = np.linalg.svd(spec.jacobian(x_live[done]), compute_uv=False)[:, -1]
+            sigma_min[live[done]] = sigma
+            outcomes[live[done]] = np.where(sigma < eps_reg, "singular", "converged")
+            live, x_live, values, base = live[~done], x_live[~done], values[~done], base[~done]
+        if not live.size:
+            break
+        u, s, vt = np.linalg.svd(spec.jacobian(x_live), full_matrices=False)
+        cutoff = np.maximum(eps_reg * 1e-4, s[:, :1] * 1e-14)
         inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-        step = vt.T @ (inv * (u.T @ values))
-        # backtracking: accept the first damped step that reduces the residual
-        base = np.max(np.abs(values))
+        coords = inv * np.einsum("bmk,bm->bk", u, values)
+        step = np.einsum("bkn,bk->bn", vt, coords)
+        # backtracking: each row accepts its first damped step that reduces its residual
+        pending = np.arange(len(live))
         scale = 1.0
         for _halving in range(25):
-            candidate = x - scale * step
-            if np.max(np.abs(spec.values(candidate))) < base:
-                x = candidate
+            candidate = x_live[pending] - scale * step[pending]
+            better = np.max(np.abs(spec.values(candidate)), axis=1) < base[pending]
+            x_live[pending[better]] = candidate[better]
+            pending = pending[~better]
+            if not pending.size:
                 break
             scale *= 0.5
-        else:
-            x = x - step  # no improvement found; let the iteration budget decide
-    raise NonConvergence(f"no convergence to {tol:.1e} within {maxiter} iterations")
+        # no improvement found; let the iteration budget decide
+        x_live[pending] -= step[pending]
+        x[live] = x_live
+    return x, outcomes, sigma_min
 
 
 @dataclass
@@ -212,32 +262,48 @@ class PointCloud:
 
 
 def _projections(
-    spec: VarietySpec, rng_seed: int, max_attempts: int, tallies: Dict[str, int], **newton_kwargs
+    spec: VarietySpec,
+    rng_seed: int,
+    max_attempts: int,
+    quota: int,
+    tallies: Dict[str, int],
+    tol: float = DEFAULT_TOL,
+    maxiter: int = DEFAULT_MAXITER,
+    eps_reg: float = DEFAULT_EPS_REG,
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """Seeded Newton attempts; yields (attempt, point) for each converged one.
 
     Attempt i projects the normalized draw of default_rng([rng_seed, i]), so
-    results do not depend on execution order.  Every attempt is counted in
-    tallies as converged, no_convergence (a draw of norm below 1e-12
-    included) or singular.  Attempts run lazily: a caller whose quota is
-    full leaves the loop and no further attempt is made.
+    results do not depend on execution order.  Attempts run in chunks
+    through _newton_batch: each chunk is the number of attempts that, at the
+    yield so far, should bring the yield to quota (the caller's wanted
+    count), capped so that no temporary exceeds about 256 KB.  Points are
+    yielded in attempt order, and an attempt is counted in tallies as
+    converged, no_convergence (a draw of norm below 1e-12 included) or
+    singular only when the caller reaches it: a caller whose quota is full
+    leaves the loop, and the rest of the chunk is dropped untallied.
     """
-    for attempt in range(max_attempts):
-        seed = np.random.default_rng([rng_seed, attempt]).standard_normal(spec.nvars)
-        norm = np.linalg.norm(seed)
-        if norm < 1e-12:
-            tallies["no_convergence"] += 1
-            continue
-        try:
-            point = newton_project(spec, seed / norm, **newton_kwargs)
-        except NonConvergence:
-            tallies["no_convergence"] += 1
-            continue
-        except SingularJacobian:
-            tallies["singular"] += 1
-            continue
-        tallies["converged"] += 1
-        yield attempt, point
+    cap = max(1, CHUNK_FLOATS // max(spec._values.point_floats, spec._jacobian.point_floats))
+    attempt = yielded = 0
+    while attempt < max_attempts:
+        # the attempts that fill the rest of the quota at the yield so far, and
+        # one point's worth for a caller that filters points past its quota
+        rate = (yielded + 1) / (attempt + 1)
+        wanted = ceil(max(quota - yielded, 1) / rate)
+        chunk = range(attempt, min(attempt + min(wanted, cap), max_attempts))
+        draws = [np.random.default_rng([rng_seed, i]).standard_normal(spec.nvars) for i in chunk]
+        norms = np.array([np.linalg.norm(draw) for draw in draws])
+        drawn = norms >= 1e-12
+        outcomes = np.full(len(chunk), "no_convergence", dtype=object)
+        points = np.zeros((len(chunk), spec.nvars))
+        seeds = np.array(draws)[drawn] / norms[drawn, None]
+        points[drawn], outcomes[drawn], _ = _newton_batch(spec, seeds, tol, maxiter, eps_reg)
+        for i, outcome, point in zip(chunk, outcomes, points):
+            tallies[outcome] += 1
+            if outcome == "converged":
+                yielded += 1
+                yield i, point
+        attempt = chunk.stop
 
 
 def _quota(
@@ -252,7 +318,7 @@ def _quota(
         raise ValueError(f"sample count must be >= 1, got {count}")
     tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
     max_attempts = 10 * count
-    projections = _projections(spec, rng_seed, max_attempts, tallies, **newton_kwargs)
+    projections = _projections(spec, rng_seed, max_attempts, count, tallies, **newton_kwargs)
     kept = list(islice(projections, count))
     shortfall = None
     if len(kept) < count:

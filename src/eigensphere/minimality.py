@@ -206,13 +206,18 @@ def _attach_numeric(
         P.nvars, [Polynomial(P.nvars, {e: abs(c.re) for e, c in Q.items()})], ())
     # Q = 0 (a linear P) evaluates exactly: no roundoff term, and no degree
     gamma = 0.0 if Q.is_zero() else (Q.degree() + Q.num_terms()) * 2.0**-53
-    newton_tol = min(1e-13, tol * 1e-5)
+    # Newton cannot push |P| below P's own roundoff, at most gamma_P * sum_a |c_a|
+    # on the sphere (every |x^a| <= 1), so that floors its tolerance for tol < 1e-8
+    p_mass = float(sum(abs(c.re) for _exps, c in P.items()))
+    p_roundoff = (P.degree() + P.num_terms()) * 2.0**-53 * p_mass
+    newton_tol = min(1e-13, max(tol * 1e-5, 4 * p_roundoff))
 
     points: List[np.ndarray] = []
     values: List[float] = []
     tallies = {"converged": 0, "no_convergence": 0, "singular": 0, "unreliable": 0}
     max_attempts = 30 * samples
-    projections = _projections(spec, rng_seed, max_attempts, tallies, tol=newton_tol, maxiter=60)
+    projections = _projections(
+        spec, rng_seed, max_attempts, samples, tallies, tol=newton_tol, maxiter=60)
     for _attempt, x in projections:
         p_val = abs(spec.values(x)[1])  # row 0 is the sphere
         gp = np.linalg.norm(spec.jacobian(x)[1])

@@ -117,6 +117,18 @@ class TestMinimalLine:
         assert report["verdict"]["certificate"] == "Q ≡ 0"
         assert report["verdict"]["samples"] == 50
 
+    @pytest.mark.parametrize("line", [["--line", "-1,2"], ["--line=-1,2"]],
+                             ids=["separate", "joined"])
+    def test_negative_first_entry(self, capsys, line):
+        # argparse alone reads a separate "-1,2" as an option, not as the value
+        code, report, _ = run_json(
+            capsys, "minimal-line", "--vars", "4", "--sphere-dim", "3",
+            "--poly", "z1^2+z2^2", *line,
+        )
+        assert code == 0
+        assert report["inputs"]["line"] == "-1,2"
+        assert report["verdict"] == {"status": "ExactMinimal", "certificate": "40"}
+
     def test_not_eigen(self, capsys):
         code, _out, err = run(
             capsys, "minimal-line", "--vars", "4", "--sphere-dim", "3",

@@ -78,8 +78,7 @@ def command_lines(draw, out_path):
     if command == "eigen-check":
         argv = [command, *_sphere(draw), "--poly", draw(POLYS)]
     elif command == "minimal-line":
-        # "--line=" form: argparse reads a separate value such as "-1,2" as an option
-        argv = [command, *_sphere(draw), "--poly", draw(POLYS), f"--line={draw(LINES)}",
+        argv = [command, *_sphere(draw), "--poly", draw(POLYS), "--line", draw(LINES),
                 *_numeric(draw)]
         if draw(st.booleans()):
             argv.append("--cross-check")

@@ -18,6 +18,7 @@ from eigensphere.errors import (
 )
 from eigensphere.geometry import (
     PointCloud,
+    _projections,
     VarietySpec,
     add_stereo,
     cone_mean_curvature,
@@ -145,6 +146,10 @@ class TestNewtonProject:
             newton_project(spec, [1.0, 0.0])
 
 
+def _real_parts(text, nvars):
+    return list(parse(text, nvars).real_imag_parts())
+
+
 class TestSample:
     def test_clifford_identity(self):
         spec, _ = clifford_spec()
@@ -215,6 +220,82 @@ class TestSample:
         assert len(exc.value.cloud) == 0
 
 
+class RecordedTallies(dict):
+    """Attempt tallies that also keep the order in which attempts were counted."""
+
+    def __init__(self):
+        super().__init__(converged=0, no_convergence=0, singular=0)
+        self.order = []
+
+    def __setitem__(self, key, value):
+        self.order.append(key)
+        super().__setitem__(key, value)
+
+
+def one_at_a_time(spec, rng_seed, attempts, **newton_kwargs):
+    """Reference: (outcome, point) of every attempt, each projected alone."""
+    results = []
+    for attempt in range(attempts):
+        draw = np.random.default_rng([rng_seed, attempt]).standard_normal(spec.nvars)
+        norm = np.linalg.norm(draw)
+        if norm < 1e-12:
+            results.append(("no_convergence", None))
+            continue
+        try:
+            results.append(("converged", newton_project(spec, draw / norm, **newton_kwargs)))
+        except NonConvergence:
+            results.append(("no_convergence", None))
+        except SingularJacobian:
+            results.append(("singular", None))
+    return results
+
+
+# (nvars, constraints, include_sphere, seed, attempts, quota, Newton settings,
+# attempts whose draw is planted as zero)
+BATCH_CASES = [
+    pytest.param(4, [line_pullback(parse("z1^2 + z2^2", 4), 1, 0)], True, 11, 60, 25, {}, (),
+                 id="clifford"),
+    pytest.param(4, _real_parts("z1^3*conj(z2)^2", 4), True, 0, 40, 4, {}, (),
+                 id="codim2-singular-attempts"),
+    pytest.param(6, _real_parts("z1^2*z2 + z3^3", 6), True, 2, 30, 10, {}, (),
+                 id="codim2"),
+    pytest.param(3, [parse("x1^2*x2 - x3^3", 3)], True, 2, 60, 6, {"maxiter": 4}, (),
+                 id="short-maxiter"),
+    pytest.param(3, [parse("x1^4", 3)], True, 0, 30, 3, {}, (), id="singular-x1^4"),
+    pytest.param(4, [parse("x1", 4), parse("x1 - 1", 4)], False, 0, 20, 10, {"maxiter": 8},
+                 (), id="inconsistent"),
+    pytest.param(4, [line_pullback(parse("z1^2*z2", 4), 1, 0)], True, 3, 40, 8,
+                 {"tol": 1e-13, "maxiter": 60}, (0, 1, 5, 6, 7, 20), id="zero-draws"),
+]
+
+
+class TestBatchMatchesOneAtATime:
+    @pytest.mark.parametrize(
+        "nvars, constraints, include_sphere, seed, attempts, quota, newton_kwargs, zeros",
+        BATCH_CASES)
+    def test_same_outcomes_and_points(self, monkeypatch, nvars, constraints, include_sphere,
+                                      seed, attempts, quota, newton_kwargs, zeros):
+        default_rng = np.random.default_rng
+
+        class ZeroDraw:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(
+            np.random, "default_rng",
+            lambda key: ZeroDraw() if key[1] in zeros else default_rng(key))
+        spec = VarietySpec(nvars, constraints, include_sphere=include_sphere)
+        expected = one_at_a_time(spec, seed, attempts, **newton_kwargs)
+        tallies = RecordedTallies()
+        # consumed to the end, past the quota the chunks are sized for
+        points = dict(_projections(spec, seed, attempts, quota, tallies, **newton_kwargs))
+        assert tallies.order == [outcome for outcome, _point in expected]
+        assert sorted(points) == [i for i, (outcome, _p) in enumerate(expected)
+                                  if outcome == "converged"]
+        for attempt, point in points.items():
+            assert np.max(np.abs(point - expected[attempt][1])) <= 1e-12
+
+
 def _gram_schmidt_tracked(rows):
     """Orthonormalize rows, tracking nu_b = sum_a C[b,a] * rows[a].
 
@@ -258,10 +339,6 @@ def mean_curvature_reference(spec, x):
         combined = sum(coeffs[b, a] * hessians[a] for a in range(spec.num_equations))
         components[b] = -float(np.einsum("in,nm,im->", tangent, combined, tangent))
     return components
-
-
-def _real_parts(text, nvars):
-    return list(parse(text, nvars).real_imag_parts())
 
 
 # (nvars, real constraints, seed, minimal): codimension 1, 2 and 3 beyond the

@@ -188,6 +188,19 @@ class TestCheckMinimalCodim1:
         assert verdict.samples == 200
         assert verdict.max_residual < 1e-8
 
+    def test_newton_tolerance_floor(self):
+        # tol*1e-5 = 1e-17 is out of double precision's reach; without the floor
+        # at P's roundoff bound, 152 of 240 attempts ended in no_convergence
+        verdict = check_minimal_codim1(
+            parse("z1^4*conj(z2)^3", 4), 1, 0, 3, samples=8, tol=1e-12, rng_seed=3,
+            cross_check=True,
+        )
+        sampling = verdict.diagnostics["sampling"]
+        assert sampling["no_convergence"] <= 8
+        assert sampling["attempts"] < 240
+        assert verdict.samples == 8
+        assert verdict.max_residual < 1e-12
+
     def test_real_polynomial_rejected(self):
         with pytest.raises(NotAnEigenfunction):
             check_minimal_codim1(parse("x1 + x2", 4), 1, 0, 3)

@@ -4,9 +4,10 @@ Each generated expression is written twice: as text in the parser's grammar,
 and as a sympy expression built directly from the same tree, with z_j mapped
 to x_{2j-1} + I*x_{2j}, `i` to I and `conj` to `conjugate` over real symbols.
 `parse` must return, term by term, the coefficients of `sympy.expand`; the
-product `*` and the bilinear gradient product `kappa` of two parsed
-expressions must return those of the same operation done by sympy, with
-`sympy.diff` for the partial derivatives.
+product `*`, the partial derivatives `partial`, the `laplacian`, the
+bilinear gradient product `kappa` and `exact_divide` of parsed expressions
+must return those of the same operation done by sympy, with `sympy.diff`
+for the derivatives and `sympy.div` for the division.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from eigensphere.calculus import kappa  # noqa: E402
+from eigensphere.calculus import kappa, laplacian, partial  # noqa: E402
 from eigensphere.parsing import parse  # noqa: E402
 
 NVARS = 4
@@ -138,3 +139,29 @@ def test_kappa_matches_sympy(left, right):
     assert _terms(kappa(p, q)) == sympy_terms(sympy_kappa(left.expr, right.expr)), (
         left.text, right.text)
     assert _terms(kappa(p, p)) == sympy_terms(sympy_kappa(left.expr, left.expr)), left.text
+
+
+@hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@hypothesis.given(expressions())
+def test_partial_and_laplacian_match_sympy(generated):
+    p, expr = parse(generated.text, NVARS), sympy.expand(generated.expr)
+    for i, x in enumerate(X, start=1):
+        assert _terms(partial(p, i)) == sympy_terms(sympy.diff(expr, x)), (generated.text, i)
+    assert _terms(laplacian(p)) == sympy_terms(sum(sympy.diff(expr, x, 2) for x in X)), (
+        generated.text)
+
+
+@hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@hypothesis.given(operands, operands)
+def test_exact_divide_matches_sympy(left, right):
+    p, q = parse(left.text, NVARS), parse(right.text, NVARS)
+    hypothesis.assume(not q.is_zero())
+    # a product divides by either factor, with the other as its quotient
+    assert _terms((p * q).exact_divide(q)) == sympy_terms(left.expr), (left.text, right.text)
+    # one divisor is a Groebner basis of its ideal: a zero remainder means q divides p
+    quotient, remainder = sympy.div(sympy.expand(left.expr), sympy.expand(right.expr), *X)
+    result = p.exact_divide(q)
+    if remainder == 0:
+        assert _terms(result) == sympy_terms(quotient), (left.text, right.text)
+    else:
+        assert result is None, (left.text, right.text)
