@@ -18,8 +18,8 @@ from eigensphere.errors import (
 )
 from eigensphere.geometry import (
     PointCloud,
-    _projections,
     VarietySpec,
+    _projections,
     add_stereo,
     cone_mean_curvature,
     export_cloud,
@@ -232,8 +232,34 @@ class RecordedTallies(dict):
         super().__setitem__(key, value)
 
 
-def one_at_a_time(spec, rng_seed, attempts, **newton_kwargs):
-    """Reference: (outcome, point) of every attempt, each projected alone."""
+def newton_reference(spec, seed, tol=1e-12, maxiter=50, eps_reg=1e-8):
+    """Reference: Newton projection of one point, one step at a time."""
+    x = np.asarray(seed, dtype=float).copy()
+    for _ in range(maxiter):
+        values = spec.values(x)
+        if np.max(np.abs(values)) < tol:
+            if np.linalg.svd(spec.jacobian(x), compute_uv=False)[-1] < eps_reg:
+                raise SingularJacobian("converged to a singular point")
+            return x
+        u, s, vt = np.linalg.svd(spec.jacobian(x), full_matrices=False)
+        cutoff = max(eps_reg * 1e-4, s[0] * 1e-14)
+        inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+        step = vt.T @ (inv * (u.T @ values))
+        base = np.max(np.abs(values))
+        scale = 1.0
+        for _halving in range(25):
+            candidate = x - scale * step
+            if np.max(np.abs(spec.values(candidate))) < base:
+                x = candidate
+                break
+            scale *= 0.5
+        else:
+            x = x - step
+    raise NonConvergence("no convergence")
+
+
+def one_at_a_time(project, spec, rng_seed, attempts, **newton_kwargs):
+    """(outcome, point) of every attempt, each projected alone by project."""
     results = []
     for attempt in range(attempts):
         draw = np.random.default_rng([rng_seed, attempt]).standard_normal(spec.nvars)
@@ -242,7 +268,7 @@ def one_at_a_time(spec, rng_seed, attempts, **newton_kwargs):
             results.append(("no_convergence", None))
             continue
         try:
-            results.append(("converged", newton_project(spec, draw / norm, **newton_kwargs)))
+            results.append(("converged", project(spec, draw / norm, **newton_kwargs)))
         except NonConvergence:
             results.append(("no_convergence", None))
         except SingularJacobian:
@@ -270,11 +296,13 @@ BATCH_CASES = [
 
 
 class TestBatchMatchesOneAtATime:
+    @pytest.mark.parametrize("project", [newton_project, newton_reference],
+                             ids=["newton_project", "reference"])
     @pytest.mark.parametrize(
         "nvars, constraints, include_sphere, seed, attempts, quota, newton_kwargs, zeros",
         BATCH_CASES)
     def test_same_outcomes_and_points(self, monkeypatch, nvars, constraints, include_sphere,
-                                      seed, attempts, quota, newton_kwargs, zeros):
+                                      seed, attempts, quota, newton_kwargs, zeros, project):
         default_rng = np.random.default_rng
 
         class ZeroDraw:
@@ -285,7 +313,7 @@ class TestBatchMatchesOneAtATime:
             np.random, "default_rng",
             lambda key: ZeroDraw() if key[1] in zeros else default_rng(key))
         spec = VarietySpec(nvars, constraints, include_sphere=include_sphere)
-        expected = one_at_a_time(spec, seed, attempts, **newton_kwargs)
+        expected = one_at_a_time(project, spec, seed, attempts, **newton_kwargs)
         tallies = RecordedTallies()
         # consumed to the end, past the quota the chunks are sized for
         points = dict(_projections(spec, seed, attempts, quota, tallies, **newton_kwargs))
