@@ -207,7 +207,7 @@ def _attach_numeric(
     # Q = 0 (a linear P) evaluates exactly: no roundoff term, and no degree
     gamma = 0.0 if Q.is_zero() else (Q.degree() + Q.num_terms()) * 2.0**-53
     # Newton cannot push |P| below P's own roundoff, at most gamma_P * sum_a |c_a|
-    # on the sphere (every |x^a| <= 1), so that floors its tolerance for tol < 1e-8
+    # on the sphere (every |x^a| <= 1); the floor can bind only for tol < 1e-8
     p_mass = float(sum(abs(c.re) for _exps, c in P.items()))
     p_roundoff = (P.degree() + P.num_terms()) * 2.0**-53 * p_mass
     newton_tol = min(1e-13, max(tol * 1e-5, 4 * p_roundoff))
