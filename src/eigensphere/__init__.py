@@ -22,8 +22,6 @@ from .eigen import (
     EigenReport,
     FamilyReport,
     laplace_beltrami_fd,
-    mu_relation_check,
-    power_harmonicity_check,
     tangential_square_fd,
     verify_eigenfamily,
     verify_eigenfunction,
@@ -92,11 +90,9 @@ __all__ = [
     "lawson_polynomial",
     "line_pullback",
     "mean_curvature",
-    "mu_relation_check",
     "newton_project",
     "parse",
     "partial",
-    "power_harmonicity_check",
     "r2_coprime",
     "r_squared",
     "rationalize_and_verify",

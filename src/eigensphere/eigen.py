@@ -8,9 +8,11 @@ the unit sphere S^n satisfying
 
 (complex-bilinear products throughout) if and only if P is harmonic and the
 flat bilinear square kappa(P, P) vanishes identically; the latter is
-equivalent to harmonicity of P^2.  This module checks those exact symbolic
-conditions, fills in lambda and mu, and cross-validates them against
-finite-difference oracles that touch only floating-point point evaluation.
+equivalent to harmonicity of P^2.  This module alone states those exact
+conditions and lambda, mu (other modules call verify_eigenfunction or its
+raising forms, require_harmonic checking the harmonic half only), and
+cross-validates them against finite-difference oracles that touch only
+floating-point point evaluation.
 
 Sign convention: Delta = div(grad), so sphere eigenvalues are non-positive.
 The exact conditions (Delta P = 0, Delta P^2 = 0, kappa(P,P) = 0) do not
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,11 +76,11 @@ class EigenReport:
         }
 
 
-def _flat_conditions(P: Polynomial) -> Tuple[Optional[int], Optional[ConditionFailure]]:
-    """Exact flat checks: homogeneous, harmonic, harmonic square.
+def _harmonic_conditions(P: Polynomial) -> Tuple[Optional[int], Optional[ConditionFailure]]:
+    """The harmonic half of the gate: P nonzero, homogeneous and harmonic.
 
     Returns (degree, None) on success and (degree or None, failure) otherwise.
-    These conditions are independent of the sphere dimension.
+    Independent of the sphere dimension.
     """
     if P.is_zero():
         raise ZeroPolynomial("the zero polynomial is excluded")
@@ -90,6 +92,11 @@ def _flat_conditions(P: Polynomial) -> Tuple[Optional[int], Optional[ConditionFa
     lap = laplacian(P)
     if not lap.is_zero():
         return k, ConditionFailure("laplacian_P", lap)
+    return k, None
+
+
+def _square_condition(P: Polynomial) -> Optional[ConditionFailure]:
+    """The square step for harmonic P: laplacian(P^2) vanishes, or its failure."""
     lap_sq = laplacian(P * P)
     kap = kappa(P, P)
     # With laplacian(P) = 0 the product rule forces laplacian(P^2) = 2*kappa(P,P);
@@ -97,8 +104,8 @@ def _flat_conditions(P: Polynomial) -> Tuple[Optional[int], Optional[ConditionFa
     if lap_sq != 2 * kap:
         raise AssertionError("product-rule cross-check failed; calculus layer is broken")
     if not lap_sq.is_zero():
-        return k, ConditionFailure("laplacian_P2", lap_sq)
-    return k, None
+        return ConditionFailure("laplacian_P2", lap_sq)
+    return None
 
 
 def check_sphere_dimension(P: Polynomial, n: int) -> None:
@@ -118,22 +125,38 @@ def verify_eigenfunction(P: Polynomial, n: int) -> EigenReport:
     and mu = -k^2 exactly.
     """
     check_sphere_dimension(P, n)
-    k, failure = _flat_conditions(P)
+    k, failure = _harmonic_conditions(P)
+    if failure is None:
+        failure = _square_condition(P)
     if failure is not None:
         return EigenReport(False, k, n, None, None, failure)
-    lam = Fraction(-k * (k + n - 1))
-    mu = Fraction(-k * k)
-    return EigenReport(True, k, n, lam, mu, None)
+    return EigenReport(True, k, n, Fraction(-k * (k + n - 1)), Fraction(-k * k), None)
+
+
+def _refuse(report: EigenReport) -> None:
+    raise NotAnEigenfunction(
+        f"input fails the {report.failure.condition} condition", report=report)
 
 
 def require_eigenfunction(P: Polynomial, n: int) -> EigenReport:
     """verify_eigenfunction, raising NotAnEigenfunction (carrying the report) on failure."""
     report = verify_eigenfunction(P, n)
     if not report.is_eigen:
-        raise NotAnEigenfunction(
-            f"input fails the {report.failure.condition} condition", report=report
-        )
+        _refuse(report)
     return report
+
+
+def require_harmonic(P: Polynomial, n: int) -> int:
+    """The degree of P if it is homogeneous and harmonic on S^n.
+
+    The harmonic half of verify_eigenfunction, without the square step;
+    raises NotAnEigenfunction, carrying the report, on failure.
+    """
+    check_sphere_dimension(P, n)
+    k, failure = _harmonic_conditions(P)
+    if failure is not None:
+        _refuse(EigenReport(False, k, n, None, None, failure))
+    return k
 
 
 @dataclass(frozen=True)
@@ -190,57 +213,7 @@ def verify_eigenfamily(Ps: Sequence[Polynomial], n: int) -> FamilyReport:
             residual = kappa(Ps[i], Ps[j])
             if not residual.is_zero():
                 return FamilyReport(False, k, n, None, None, reports, (i, j), residual)
-    return FamilyReport(
-        True, k, n, Fraction(-k * (k + n - 1)), Fraction(-k * k), reports, None, None
-    )
-
-
-def power_harmonicity_check(P: Polynomial, mmax: int) -> bool:
-    """All powers P^m, 2 <= m <= mmax, are harmonic.
-
-    Requires P to pass the flat eigen conditions first; this is the
-    inductive consequence of the product rule, checked symbolically.
-    """
-    k, failure = _flat_conditions(P)
-    if failure is not None:
-        report = EigenReport(False, k, max(P.nvars - 1, 1), None, None, failure)
-        raise NotAnEigenfunction(
-            f"input fails the {failure.condition} condition", report=report
-        )
-    power = P * P
-    for m in range(2, mmax + 1):
-        if not laplacian(power).is_zero():
-            return False
-        if m < mmax:
-            power = power * P
-    return True
-
-
-def mu_relation_check(
-    P: Polynomial, n: int, rng_seed: int = 0, npoints: int = 20, tol: float = 1e-5
-) -> bool:
-    """Consistency of mu with the eigenvalue of the squared restriction.
-
-    With lambda_1 = -k(k+n-1) for P and lambda_2 = -2k(2k+n-1) for the
-    degree-2k restriction of P^2, the exact arithmetic identity
-    lambda_2/2 - lambda_1 = -k^2 = mu must hold, and the finite-difference
-    spherical Laplacian of P^2 must match lambda_2 * P^2 at random points.
-    """
-    report = require_eigenfunction(P, n)
-    k = report.k
-    lam1 = Fraction(-k * (k + n - 1))
-    lam2 = Fraction(-2 * k * (2 * k + n - 1))
-    if lam2 / 2 - lam1 != report.mu or lam1 != report.lam:
-        return False
-    square = P * P
-    rng = np.random.default_rng([rng_seed, 0x5EED])
-    for x in unit_sphere_points(P.nvars, npoints, rng):
-        fd = laplace_beltrami_fd(square, x)
-        expected = float(lam2) * square.evaluate(x)
-        scale = max(abs(expected), abs(square.evaluate(x)), 1e-3)
-        if abs(fd - expected) > tol * scale:
-            return False
-    return True
+    return FamilyReport(True, k, n, reports[0].lam, reports[0].mu, reports, None, None)
 
 
 # ---------------------------------------------------------------------------

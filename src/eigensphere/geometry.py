@@ -15,8 +15,9 @@ batch of one) but yields and tallies them one by one in attempt order.
 `sample` and the codimension-2 minimality check take their points through
 _quota (the first count converged of 10*count attempts, one shortfall
 message); the codimension-1 check stops the loop at its own quota of
-reliable samples.  Curvature and the per-sample diagnostics are evaluated
-one point at a time.
+reliable samples.  Curvature and the codimension-1 criterion are evaluated
+one point at a time; the residual and regularity of a sampled point are
+those of the Newton step at which it converged.
 
 Conventions:
   * the sphere constraint is g0 = (|x|^2 - 1)/2, so grad g0 = x exactly;
@@ -184,7 +185,7 @@ def newton_project(
     x = np.asarray(seed, dtype=float)
     if x.shape != (spec.nvars,):
         raise DimensionMismatch(f"seed has shape {x.shape}, expected ({spec.nvars},)")
-    points, outcomes, sigma_min = _newton_batch(spec, x[None], tol, maxiter, eps_reg)
+    points, outcomes, _residual, sigma_min = _newton_batch(spec, x[None], tol, maxiter, eps_reg)
     if outcomes[0] == "singular":
         raise SingularJacobian(
             f"converged to a point with smallest singular value "
@@ -197,20 +198,22 @@ def newton_project(
 
 def _newton_batch(
     spec: VarietySpec, seeds: np.ndarray, tol: float, maxiter: int, eps_reg: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Newton projection of every row of seeds (B, N) at once.
 
     Row by row this is the iteration newton_project documents: a row stops
     once its residual is below tol, and is then "singular" when the smallest
     singular value of its Jacobian is below eps_reg and "converged"
     otherwise; a row that never stops within maxiter steps is
-    "no_convergence".  Returns the final points, the outcome of each row and
-    its smallest singular value at convergence (nan when it did not stop).
+    "no_convergence".  Returns the final points, the outcome of each row, and
+    its residual max |g_a| and smallest singular value at the stop (both nan
+    when it did not stop).
     """
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     x = np.array(seeds, dtype=float)
     outcomes = np.full(len(x), "no_convergence", dtype=object)
+    residual = np.full(len(x), np.nan)
     sigma_min = np.full(len(x), np.nan)
     live = np.arange(len(x))
     for _ in range(maxiter):
@@ -220,6 +223,7 @@ def _newton_batch(
         done = base < tol
         if done.any():
             sigma = np.linalg.svd(spec.jacobian(x_live[done]), compute_uv=False)[:, -1]
+            residual[live[done]] = base[done]
             sigma_min[live[done]] = sigma
             outcomes[live[done]] = np.where(sigma < eps_reg, "singular", "converged")
             live, x_live, values, base = live[~done], x_live[~done], values[~done], base[~done]
@@ -244,7 +248,7 @@ def _newton_batch(
         # no improvement found; let the iteration budget decide
         x_live[pending] -= step[pending]
         x[live] = x_live
-    return x, outcomes, sigma_min
+    return x, outcomes, residual, sigma_min
 
 
 @dataclass
@@ -270,8 +274,10 @@ def _projections(
     tol: float = DEFAULT_TOL,
     maxiter: int = DEFAULT_MAXITER,
     eps_reg: float = DEFAULT_EPS_REG,
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Seeded Newton attempts; yields (attempt, point) for each converged one.
+) -> Iterator[Tuple[int, np.ndarray, float, float]]:
+    """Seeded Newton attempts; yields (attempt, point, residual, regularity)
+    for each converged one, the last two from the Newton step that stopped:
+    max |g_a| and the smallest singular value of the Jacobian.
 
     Attempt i projects the normalized draw of default_rng([rng_seed, i]), so
     results do not depend on execution order.  Attempts run in chunks
@@ -296,23 +302,26 @@ def _projections(
         drawn = norms >= 1e-12
         outcomes = np.full(len(chunk), "no_convergence", dtype=object)
         points = np.zeros((len(chunk), spec.nvars))
+        residuals, regularity = np.full((2, len(chunk)), np.nan)
         seeds = np.array(draws)[drawn] / norms[drawn, None]
-        points[drawn], outcomes[drawn], _ = _newton_batch(spec, seeds, tol, maxiter, eps_reg)
-        for i, outcome, point in zip(chunk, outcomes, points):
+        points[drawn], outcomes[drawn], residuals[drawn], regularity[drawn] = _newton_batch(
+            spec, seeds, tol, maxiter, eps_reg)
+        for i, outcome, point, res, reg in zip(chunk, outcomes, points, residuals, regularity):
             tallies[outcome] += 1
             if outcome == "converged":
                 yielded += 1
-                yield i, point
+                yield i, point, res, reg
         attempt = chunk.stop
 
 
 def _quota(
     spec: VarietySpec, count: int, rng_seed: int, **newton_kwargs
-) -> Tuple[List[Tuple[int, np.ndarray]], Dict[str, int], Optional[str]]:
+) -> Tuple[List[Tuple[int, np.ndarray, float, float]], Dict[str, int], Optional[str]]:
     """The first count converged attempts of at most 10*count, as sample draws them.
 
-    Returns the (attempt, point) pairs, the attempt tallies and, when the
-    quota is not full, the shortfall message naming both (else None).
+    Returns the (attempt, point, residual, regularity) tuples of _projections,
+    the attempt tallies and, when the quota is not full, the shortfall
+    message naming both (else None).
     """
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
@@ -342,13 +351,14 @@ def sample(
 
     Deterministic in rng_seed: attempt i uses its own substream
     default_rng([rng_seed, i]), so results do not depend on execution order.
+    Residual and regularity are Newton's own, from the step that converged.
     Raises InsufficientYield (carrying the partial cloud) when fewer than
     count/2 attempts converge within 10*count attempts; a yield between
     count/2 and count returns the partial cloud with a shortfall note.
     """
     kept, tallies, shortfall = _quota(
         spec, count, rng_seed, tol=tol, maxiter=maxiter, eps_reg=eps_reg)
-    points = [point for _attempt, point in kept]
+    seed_indices, points, residuals, regularity = list(zip(*kept)) or [()] * 4
     metadata = {
         "rng_seed": rng_seed,
         "tol": tol,
@@ -357,13 +367,12 @@ def sample(
         "requested": count,
         "attempts": sum(tallies.values()),
         "outcomes": tallies,
-        "seed_indices": [attempt for attempt, _point in kept],
+        "seed_indices": list(seed_indices),
     }
     cloud = PointCloud(
-        points=np.array(points) if points else np.zeros((0, spec.nvars)),
-        residuals=np.array([spec.residual(x) for x in points]),
-        regularity=np.array(
-            [float(np.linalg.svd(spec.jacobian(x), compute_uv=False)[-1]) for x in points]),
+        points=np.array(points).reshape(-1, spec.nvars),
+        residuals=np.array(residuals, dtype=float),
+        regularity=np.array(regularity, dtype=float),
         metadata=metadata,
     )
     if shortfall is not None:

@@ -33,13 +33,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .calculus import gradient, hess_grad_grad, kappa, laplacian
-from .eigen import check_sphere_dimension, require_eigenfunction
+from .calculus import gradient, hess_grad_grad, kappa
+from .eigen import require_eigenfunction, require_harmonic
 from .errors import (
     BothZero,
     EmptyFiber,
     InsufficientYield,
-    NotAnEigenfunction,
     SingularFiber,
     ZeroLine,
     ZeroPolynomial,
@@ -118,8 +117,11 @@ def line_pullback(F: Polynomial, a, b) -> Polynomial:
     return ai * u + bi * v
 
 
-def _check_thresholds(tol: float, reject: float) -> None:
-    """Refuse thresholds that cannot separate the verdicts: need 0 < tol < reject."""
+def _check_thresholds(samples: int, tol: float, reject: float) -> None:
+    """Refuse a sample count below 1 and thresholds that cannot separate the
+    verdicts: need 0 < tol < reject, both finite."""
+    if samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {samples}")
     if not (isfinite(tol) and isfinite(reject) and 0 < tol < reject):
         raise ValueError(
             f"thresholds must be finite with 0 < tol < reject, got tol {tol!r} "
@@ -144,8 +146,9 @@ def check_minimal_codim1(
     divisibility by the pullback), then numeric sampling of the normalized
     criterion.  cross_check=True additionally runs the numeric stage even
     when an exact certificate was found, recording the sampled maximum.
+    A constant F with a nonzero pullback has no fiber and raises EmptyFiber.
     """
-    _check_thresholds(tol, reject)
+    _check_thresholds(samples, tol, reject)
     # homogeneous, harmonic and kappa(F,F) = 0: exactly the conditions under
     # which every line preimage of F is a minimal cone candidate
     degree = require_eigenfunction(F, n).k
@@ -154,11 +157,13 @@ def check_minimal_codim1(
         raise ZeroPolynomial(
             "the line pullback vanishes identically; the fiber is not a hypersurface"
         )
+    if degree == 0:
+        raise EmptyFiber("the line pullback is a nonzero constant; its fiber is empty")
     Q = hess_grad_grad(P)
 
     if Q.is_zero():
         verdict = MinimalityVerdict(EXACT_MINIMAL, certificate="Q ≡ 0")
-        if cross_check and degree >= 1:
+        if cross_check:
             _attach_numeric(verdict, P, Q, samples, tol, reject, rng_seed)
         return verdict
 
@@ -198,8 +203,6 @@ def _attach_numeric(
     exactly where |grad P| degenerates.  decide=True grades the samples into
     the verdict; otherwise only the sampled maximum is recorded.
     """
-    if samples < 1:
-        raise ValueError(f"sample count must be >= 1, got {samples}")
     spec = VarietySpec(P.nvars, [P])
     q_forms = CompiledPolys(P.nvars, [Q, *gradient(Q)], (P.nvars + 1,))
     q_magnitude = CompiledPolys(
@@ -218,7 +221,7 @@ def _attach_numeric(
     max_attempts = 30 * samples
     projections = _projections(
         spec, rng_seed, max_attempts, samples, tallies, tol=newton_tol, maxiter=60)
-    for _attempt, x in projections:
+    for _attempt, x, _residual, _regularity in projections:
         p_val = abs(spec.values(x)[1])  # row 0 is the sphere
         gp = np.linalg.norm(spec.jacobian(x)[1])
         q_val, *grad_q = q_forms(x)
@@ -299,32 +302,28 @@ def check_minimal_codim2(
 ) -> MinimalityVerdict:
     """Verify minimality of the full zero fiber {F = 0} in S^n.
 
-    Preconditions are structural: F homogeneous and harmonic (this is what
-    makes both real constraints restrict to sphere eigenfunctions).  Whether
+    Preconditions are structural: F homogeneous and harmonic, the harmonic
+    half of the eigen gate (this is what makes both real constraints
+    restrict to sphere eigenfunctions).  Whether
     the bilinear square kappa(F,F) also vanishes is echoed in diagnostics;
     minimality is expected exactly in that isotropic case, so running the
     check on other harmonic F is a genuine test, not a tautology.
     Transversality failures surface as SingularFiber, an empty intersection
-    as EmptyFiber.  The points come from geometry._quota exactly as
-    geometry.sample draws them: at most 10*samples attempts, the default
-    Newton settings and the same shortfall message.
+    as EmptyFiber (for a nonzero constant F before any attempt).  The points
+    come from geometry._quota exactly as geometry.sample draws them: at most
+    10*samples attempts, the default Newton settings and the same shortfall
+    message.
     """
-    _check_thresholds(tol, reject)
-    if F.is_zero():
-        raise ZeroPolynomial("the zero polynomial is excluded")
-    check_sphere_dimension(F, n)
-    k = F.homogeneity()
-    if k is None:
-        raise NotAnEigenfunction("input fails the homogeneity condition")
-    lap = laplacian(F)
-    if not lap.is_zero():
-        raise NotAnEigenfunction("input fails the laplacian_P condition")
+    _check_thresholds(samples, tol, reject)
+    k = require_harmonic(F, n)
+    if k == 0:
+        raise EmptyFiber("a nonzero constant has no zero on the sphere")
     kappa_zero = kappa(F, F).is_zero()
 
     u, v = F.real_imag_parts()
     spec = VarietySpec(F.nvars, [u, v])
     kept, tallies, shortfall = _quota(spec, samples, rng_seed)
-    points = [x for _attempt, x in kept]
+    points = [x for _attempt, x, _residual, _regularity in kept]
     if not points:
         if tallies["singular"] > 0:
             raise SingularFiber(
@@ -347,7 +346,7 @@ def check_minimal_codim2(
             "sampling": tallies,
         },
     )
-    flat = _flat_section_residuals(F, points)
+    flat = _flat_section_residuals(F, k, points)
     if flat is not None:
         verdict.diagnostics["flat_section_max_residual"] = float(np.max(flat))
     _decide(
@@ -355,17 +354,14 @@ def check_minimal_codim2(
     return verdict
 
 
-def _flat_section_residuals(F: Polynomial, points: np.ndarray) -> Optional[np.ndarray]:
-    """For F = z1^k + z2^k: distance of samples to the nearest flat section.
+def _flat_section_residuals(F: Polynomial, k: int, points: np.ndarray) -> Optional[np.ndarray]:
+    """For F = z1^k + z2^k, k >= 1: distance of samples to the nearest flat section.
 
     The fiber of z1^k + z2^k lies on the union of complex planes
     {z1 = zeta*z2} over k-th roots zeta of -1; returns per-point
     min_zeta |z1 - zeta*z2|, or None when F is not of this shape.
     """
-    if F.nvars < 4 or F.is_zero():
-        return None
-    k = F.degree()
-    if k < 1:
+    if F.nvars < 4:
         return None
     model = complex_variable(F.nvars, 1) ** k + complex_variable(F.nvars, 2) ** k
     if F != model:
@@ -411,8 +407,9 @@ class ConformalityReport:
 
 
 def conformality_diagnostics(F: Polynomial) -> ConformalityReport:
-    u, v = F.real_imag_parts()
-    return ConformalityReport(difference=kappa(u, u) - kappa(v, v), cross=kappa(u, v))
+    # kappa(F,F) = kappa(u,u) - kappa(v,v) + 2i*kappa(u,v) for real u, v
+    difference, twice_cross = kappa(F, F).real_imag_parts()
+    return ConformalityReport(difference=difference, cross=twice_cross * Fraction(1, 2))
 
 
 def classify_lawson(n: int, m: int) -> LawsonType:

@@ -6,7 +6,8 @@ and "bilinear gradient square of P vanishes" (quadratic in theta) become a
 polynomial residual map; together with the gauge residual |theta|^2 - 1 it
 is minimized by Levenberg-Marquardt with the analytic Jacobian.  Multistart
 over seeded Gaussian initializations makes runs reproducible, and the best
-candidates are rounded to Gaussian rationals and re-verified exactly.
+candidates are rounded to Gaussian rationals and re-verified exactly, by
+one helper for plain rounding and for the degree-1 isotropic repair.
 
 The solver is hand-rolled on numpy: the system is small (tens of unknowns),
 needs an analytic Jacobian, and is underdetermined at low degree, where
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -208,9 +209,6 @@ class ResidualSystem:
             terms[exps] = GaussianRational(Fraction(value.real), Fraction(value.imag))
         return Polynomial(self.nvars, terms)
 
-    def polynomial_of_exact(self, coefficients: Sequence[GaussianRational]) -> Polynomial:
-        return Polynomial(self.nvars, dict(zip(self.basis, coefficients)))
-
 
 def _levenberg_marquardt(
     system: ResidualSystem, t0: np.ndarray, max_iters: int = 300
@@ -270,33 +268,41 @@ class SearchResult:
         }
 
 
+def _rounded(value: complex, denominator_bound: int) -> GaussianRational:
+    """The Gaussian rational nearest value with both denominators <= denominator_bound."""
+    return GaussianRational(
+        Fraction(value.real).limit_denominator(denominator_bound),
+        Fraction(value.imag).limit_denominator(denominator_bound),
+    )
+
+
+def _exact_witness(
+    basis: Sequence[Tuple[int, ...]], coefficients: Sequence[GaussianRational]
+) -> Optional[Polynomial]:
+    """The polynomial with these exact coefficients over basis, kept only if
+    it is nonzero and an eigenfunction on the sphere of its variables."""
+    nvars = len(basis[0])
+    candidate = Polynomial(nvars, dict(zip(basis, coefficients)))
+    if candidate.is_zero() or not verify_eigenfunction(candidate, nvars - 1).is_eigen:
+        return None
+    return candidate
+
+
 def rationalize_and_verify(
     coefficients: Sequence[complex],
     nvars: int,
     degree: int,
     denominator_bound: int = 64,
-    sphere_dim: Optional[int] = None,
 ) -> Optional[Polynomial]:
     """Round to Gaussian rationals and keep the result only if exactly eigen."""
-    basis = monomial_basis(nvars, degree)
-    terms = {}
-    for exps, value in zip(basis, coefficients):
-        value = complex(value)
-        re = Fraction(value.real).limit_denominator(denominator_bound)
-        im = Fraction(value.imag).limit_denominator(denominator_bound)
-        terms[exps] = GaussianRational(re, im)
-    candidate = Polynomial(nvars, terms)
-    if candidate.is_zero():
-        return None
-    n = sphere_dim if sphere_dim is not None else nvars - 1
-    report = verify_eigenfunction(candidate, n)
-    return candidate if report.is_eigen else None
+    rounded = [_rounded(complex(value), denominator_bound) for value in coefficients]
+    return _exact_witness(monomial_basis(nvars, degree), rounded)
 
 
 def _isotropic_completion(
-    coefficients: np.ndarray, denominator_bound: int
-) -> Optional[Tuple[np.ndarray, List[GaussianRational]]]:
-    """Exact rounding repair for linear candidates.
+    coefficients: np.ndarray, basis: Sequence[Tuple[int, ...]], denominator_bound: int
+) -> Optional[Polynomial]:
+    """Exact rounding repair for linear candidates, kept if it verifies exactly.
 
     Rounds every coefficient except the two of largest modulus, then solves
     for those two exactly so that the isotropy condition sum theta_j^2 = 0
@@ -312,18 +318,11 @@ def _isotropic_completion(
         if idx in (j, k):
             rounded.append(GaussianRational(Fraction(0)))
             continue
-        g = GaussianRational(
-            Fraction(value.real).limit_denominator(denominator_bound),
-            Fraction(value.imag).limit_denominator(denominator_bound),
-        )
+        g = _rounded(value, denominator_bound)
         rounded.append(g)
         remainder = remainder + g * g
     target = -remainder  # need theta_j^2 + theta_k^2 = target
-    s_float = complex(coefficients[j]) + 1j * complex(coefficients[k])
-    s = GaussianRational(
-        Fraction(s_float.real).limit_denominator(denominator_bound),
-        Fraction(s_float.imag).limit_denominator(denominator_bound),
-    )
+    s = _rounded(complex(coefficients[j]) + 1j * complex(coefficients[k]), denominator_bound)
     if s.is_zero():
         return None
     t = target / s
@@ -331,7 +330,7 @@ def _isotropic_completion(
     minus_half_i = GaussianRational(Fraction(0), Fraction(-1, 2))
     rounded[j] = (s + t) * half
     rounded[k] = (s - t) * minus_half_i
-    return np.array([complex(g) for g in rounded]), rounded
+    return _exact_witness(basis, rounded)
 
 
 def search_eigen(
@@ -362,19 +361,9 @@ def search_eigen(
         coefficients = u + 1j * v
         exact: Optional[Polynomial] = None
         if residual < 1e-6:
-            exact = rationalize_and_verify(
-                coefficients, nvars, degree, denominator_bound,
-                sphere_dim=max(nvars - 1, 2),
-            )
+            exact = rationalize_and_verify(coefficients, nvars, degree, denominator_bound)
             if exact is None and degree == 1:
-                completion = _isotropic_completion(coefficients, denominator_bound)
-                if completion is not None:
-                    repaired, gaussians = completion
-                    candidate = system.polynomial_of_exact(gaussians)
-                    if not candidate.is_zero():
-                        report = verify_eigenfunction(candidate, max(nvars - 1, 2))
-                        if report.is_eigen:
-                            exact = candidate
+                exact = _isotropic_completion(coefficients, system.basis, denominator_bound)
         results.append(SearchResult(coefficients, residual, exact, attempt))
     results.sort(key=lambda res: (res.residual, res.attempt))
     return results

@@ -192,6 +192,30 @@ def test_bad_thresholds_exit_3(capsys, command, extra, thresholds, named):
     assert named in err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("minimal-line", ("--line", "1,0")),
+    ("minimal-zero", ()),
+])
+def test_constant_has_empty_fiber(capsys, command, extra):
+    code, out, err = run(
+        capsys, command, "--vars", "4", "--sphere-dim", "3", "--poly", "1", *extra)
+    assert code == 3
+    assert out == ""
+    assert "constant" in err
+
+
+@pytest.mark.parametrize("dims, poly", [
+    (("--vars", "4", "--sphere-dim", "3"), "z1^3*conj(z2)^2"),  # exact certificate
+    (("--vars", "6", "--sphere-dim", "5"), "z1^2*z2+z3^3"),  # sampled
+])
+def test_minimal_line_zero_samples_exit_3(capsys, dims, poly):
+    code, out, err = run(
+        capsys, "minimal-line", *dims, "--poly", poly, "--line", "1,0", "--samples", "0")
+    assert code == 3
+    assert out == ""
+    assert "sample count must be >= 1, got 0" in err
+
+
 class TestSample:
     def test_clifford_with_stereo(self, capsys, tmp_path):
         out_file = tmp_path / "torus.csv"

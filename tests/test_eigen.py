@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,8 +12,6 @@ from eigensphere import eigen
 from eigensphere.calculus import kappa, laplacian, r2_coprime
 from eigensphere.eigen import (
     laplace_beltrami_fd,
-    mu_relation_check,
-    power_harmonicity_check,
     tangential_square_fd,
     unit_sphere_points,
     verify_eigenfamily,
@@ -23,8 +23,9 @@ from eigensphere.errors import (
     NotAnEigenfunction,
     SphereDimensionTooSmall,
 )
+from eigensphere.minimality import lawson_polynomial
 from eigensphere.parsing import parse, render
-from eigensphere.polynomial import Polynomial, r_squared
+from eigensphere.polynomial import GaussianRational, Polynomial, complex_variable, r_squared
 
 from conftest import random_homogeneous
 
@@ -188,31 +189,45 @@ class TestEigenfamily:
         assert report.failing_pair is None
 
 
-class TestPowerHarmonicity:
-    def test_linear_powers(self):
-        assert power_harmonicity_check(parse("z1", 3), 4)
+@st.composite
+def eigen_inputs(draw):
+    """(P, n): a Lawson polynomial on S^3, or a holomorphic one in z1..z_p on S^(2p-1)."""
+    if draw(st.booleans()):
+        n, m = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda e: sum(e)))
+        return lawson_polynomial(n, m), 3
+    pairs = draw(st.integers(2, 3))
+    degree = draw(st.integers(1, 2))
+    monomials = st.lists(st.integers(1, pairs), min_size=degree, max_size=degree)
+    coefficients = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+    P = Polynomial.zero(2 * pairs)
+    for slots, c in draw(st.lists(st.tuples(monomials, coefficients), min_size=1, max_size=3)):
+        term = Polynomial.constant(2 * pairs, c)
+        for j in slots:
+            term = term * complex_variable(2 * pairs, j)
+        P = P + term
+    hypothesis.assume(not P.is_zero())
+    return P, 2 * pairs - 1
 
-    def test_quadric_powers(self):
-        assert power_harmonicity_check(parse("z1^2 + z2^2", 4), 4)
 
-    def test_real_coordinate_rejected(self):
-        with pytest.raises(NotAnEigenfunction) as exc:
-            power_harmonicity_check(Polynomial.variable(3, 1), 3)
-        assert exc.value.report.failure.condition == "laplacian_P2"
-
-
-class TestMuRelation:
-    def test_arithmetic_cases(self):
-        # k=1, n=2: lam2 = -6, -3 - (-2) = -1;  k=2, n=3: lam2 = -24, -12 + 8 = -4
-        assert mu_relation_check(parse("z1", 3), 2)
-        assert mu_relation_check(parse("z1^2 + z2^2", 4), 3)
-
-    def test_constant(self):
-        assert mu_relation_check(Polynomial.constant(3, 2), 2)
-
-    def test_requires_eigen(self):
-        with pytest.raises(NotAnEigenfunction):
-            mu_relation_check(r_squared(3), 2)
+@hypothesis.settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@hypothesis.given(eigen_inputs(), st.integers(0, 2**32 - 1))
+def test_powers_and_square_eigenvalue(case, seed):
+    # P^m is an eigenfunction of degree m*k, mu = lambda(P^2)/2 - lambda(P),
+    # and the oracle sees lambda(P^2) on P^2
+    P, n = case
+    P2 = P**2
+    report = verify_eigenfunction(P, n)
+    square = verify_eigenfunction(P2, n)
+    assert report.is_eigen
+    for m, power in ((2, square), (3, verify_eigenfunction(P2 * P, n))):
+        assert power.is_eigen and power.k == m * report.k
+    assert report.mu == square.lam / 2 - report.lam
+    points = unit_sphere_points(n + 1, 5, np.random.default_rng(seed))
+    expected = [float(square.lam) * P2.evaluate(x) for x in points]
+    # the stencil's truncation error scales with the size of P^2 on the sphere
+    scale = max(np.abs(expected))
+    for x, value in zip(points, expected):
+        assert abs(laplace_beltrami_fd(P2, x) - value) <= 1e-5 * scale
 
 
 class TestRadialCoprimality:

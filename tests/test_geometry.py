@@ -184,6 +184,12 @@ class TestSample:
         assert np.all(cloud.residuals <= cloud.metadata["tol"])
         assert np.all(cloud.regularity >= cloud.metadata["eps_reg"])
         assert cloud.metadata["outcomes"]["converged"] == 30
+        # both come from the Newton step that converged: the same SVD of the
+        # same point, and a batch evaluation that may differ in the last bits
+        assert np.array_equal(cloud.regularity, [
+            np.linalg.svd(spec.jacobian(x), compute_uv=False)[-1] for x in cloud.points])
+        assert_allclose(cloud.residuals, [spec.residual(x) for x in cloud.points],
+                        rtol=0, atol=1e-15)
 
     # seeded cases with failed attempts: (constraint in 3 variables, count,
     # seed, maxiter, attempts, outcomes, seed indices); the first fills its
@@ -316,7 +322,8 @@ class TestBatchMatchesOneAtATime:
         expected = one_at_a_time(project, spec, seed, attempts, **newton_kwargs)
         tallies = RecordedTallies()
         # consumed to the end, past the quota the chunks are sized for
-        points = dict(_projections(spec, seed, attempts, quota, tallies, **newton_kwargs))
+        points = {attempt: point for attempt, point, _residual, _regularity
+                  in _projections(spec, seed, attempts, quota, tallies, **newton_kwargs)}
         assert tallies.order == [outcome for outcome, _point in expected]
         assert sorted(points) == [i for i, (outcome, _p) in enumerate(expected)
                                   if outcome == "converged"]

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from eigensphere.calculus import hess_grad_grad, kappa, laplacian
+from eigensphere import minimality
 from eigensphere.errors import (
     BothZero,
     DimensionMismatch,
+    EmptyFiber,
     NotAnEigenfunction,
     SingularFiber,
     SphereDimensionTooSmall,
@@ -226,6 +228,23 @@ class TestCheckMinimalCodim1:
         with pytest.raises(ValueError):
             check_minimal_codim1(quadric(), 1, 0, 3, samples=0, cross_check=True)
 
+    @pytest.mark.parametrize("check", [
+        lambda F, **kw: check_minimal_codim1(F, 1, 0, 3, **kw),
+        lambda F, **kw: check_minimal_codim2(F, 3, **kw),
+    ], ids=["codim1", "codim2"])
+    @pytest.mark.parametrize("F", [lawson_polynomial(3, 2), r_squared(4)],
+                             ids=["exact-certificate", "not-eigen"])
+    def test_sample_count_checked_first(self, check, F):
+        # refused before the eigen gate, a certificate or any attempt
+        with pytest.raises(ValueError, match="sample count must be >= 1, got 0"):
+            check(F, samples=0)
+
+    @pytest.mark.parametrize("cross_check", [False, True])
+    def test_constant_has_empty_fiber(self, monkeypatch, cross_check):
+        monkeypatch.setattr(minimality, "_projections", None)  # no attempt may run
+        with pytest.raises(EmptyFiber):
+            check_minimal_codim1(Polynomial.constant(4, 1), 1, 0, 3, cross_check=cross_check)
+
     @pytest.mark.parametrize("tol, reject, named", BAD_THRESHOLDS)
     def test_bad_thresholds_rejected(self, tol, reject, named):
         with pytest.raises(ValueError, match=named):
@@ -300,12 +319,20 @@ class TestCheckMinimalCodim2:
         )
 
     def test_non_harmonic_rejected(self):
-        with pytest.raises(NotAnEigenfunction):
+        with pytest.raises(NotAnEigenfunction) as exc:
             check_minimal_codim2(r_squared(4), 3)
+        assert exc.value.report.failure.condition == "laplacian_P"
+        assert exc.value.report.failure.residual == Polynomial.constant(4, 8)
+
+    def test_constant_has_empty_fiber(self, monkeypatch):
+        monkeypatch.setattr(minimality, "_quota", None)  # no attempt may run
+        with pytest.raises(EmptyFiber):
+            check_minimal_codim2(Polynomial.constant(4, GaussianRational(2, 1)), 3)
 
     def test_inhomogeneous_rejected(self):
-        with pytest.raises(NotAnEigenfunction):
+        with pytest.raises(NotAnEigenfunction) as exc:
             check_minimal_codim2(parse("z1 + z2^2", 4), 3)
+        assert exc.value.report.failure.condition == "homogeneity"
 
     def test_dimension_guards(self):
         with pytest.raises(SphereDimensionTooSmall):
@@ -326,7 +353,20 @@ class TestCheckMinimalCodim2:
         assert payload["max_residual"] < 1e-8
 
 
+def conformality_reference(F):
+    """(difference, cross) from the three real kappa products of F = u + i*v."""
+    u, v = F.real_imag_parts()
+    return kappa(u, u) - kappa(v, v), kappa(u, v)
+
+
 class TestConformality:
+    def test_matches_three_kappa_reference(self, rng):
+        lawson = [lawson_polynomial(n, m) for n in range(6) for m in range(6) if n or m]
+        drawn = [random_poly(rng) for _ in range(40)]
+        for f in lawson + drawn:
+            report = conformality_diagnostics(f)
+            assert (report.difference, report.cross) == conformality_reference(f)
+
     def test_lawson_examples(self):
         for n, m in ((1, 1), (2, 1), (2, 2)):
             report = conformality_diagnostics(lawson_polynomial(n, m))
