@@ -167,7 +167,7 @@ def _cmd_sample(args):
                 f"imaginary parts separately"
             )
         constraints.append(poly)
-    spec = VarietySpec(args.vars, constraints, include_sphere=True)
+    spec = VarietySpec(args.vars, constraints)
     partial = False
     try:
         cloud = sample(spec, args.count, args.seed, tol=args.tol)

@@ -25,7 +25,7 @@ class DivisionByZeroPolynomial(EigenSphereError, ZeroDivisionError):
 
 
 class IndexOutOfRange(EigenSphereError, IndexError):
-    """A 1-based variable index lies outside 1..nvars."""
+    """A 1-based variable or pole index lies outside 1..nvars."""
 
 
 class ParseError(EigenSphereError, SyntaxError):

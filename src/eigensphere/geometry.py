@@ -1,4 +1,4 @@
-"""Numerical geometry of polynomial varieties intersected with the sphere.
+"""Numerical geometry of polynomial varieties intersected with the unit sphere.
 
 This is the floating-point layer.  Everything symbolic (constraints, their
 gradients and Hessians) is prepared exactly once per VarietySpec and
@@ -18,6 +18,16 @@ message); the codimension-1 check stops the loop at its own quota of
 reliable samples.  Curvature and the codimension-1 criterion are evaluated
 one point at a time; the residual and regularity of a sampled point are
 those of the Newton step at which it converged.
+
+Every caller uses the same thresholds, so they are module constants:
+  * EPS_REG = 1e-8: a point is regular when the smallest singular value of
+    its constraint Jacobian is at least EPS_REG (Newton's "singular" outcome,
+    sample's regularity, mean_curvature), and cone_mean_curvature needs
+    |grad P| > EPS_REG;
+  * OFF_VARIETY_TOL = 10 * DEFAULT_TOL: the largest residual max |g_a| that
+    mean_curvature accepts;
+  * POLE_EPS = 1e-8: stereographic refuses points this close to its pole.
+Newton's tol and maxiter stay parameters (DEFAULT_TOL, DEFAULT_MAXITER).
 
 Conventions:
   * the sphere constraint is g0 = (|x|^2 - 1)/2, so grad g0 = x exactly;
@@ -45,6 +55,7 @@ from .calculus import gradient, hess_grad_grad, hessian, laplacian
 from .errors import (
     DegeneratePoint,
     DimensionMismatch,
+    IndexOutOfRange,
     InsufficientYield,
     NonConvergence,
     OffVariety,
@@ -54,8 +65,10 @@ from .errors import (
 from .polynomial import Polynomial, r_squared
 
 DEFAULT_TOL = 1e-12
-DEFAULT_EPS_REG = 1e-8
 DEFAULT_MAXITER = 50
+EPS_REG = 1e-8
+OFF_VARIETY_TOL = 10 * DEFAULT_TOL
+POLE_EPS = 1e-8
 # floats in about 256 KB: the cap on any temporary of a batched Newton chunk
 CHUNK_FLOATS = 2**15
 
@@ -108,7 +121,7 @@ class CompiledPolys:
 
 
 class VarietySpec:
-    """Real polynomial constraints, optionally intersected with the sphere.
+    """Real polynomial constraints intersected with the unit sphere.
 
     Gradients and Hessians of every constraint are computed symbolically at
     construction and compiled into three CompiledPolys tables (values,
@@ -116,7 +129,7 @@ class VarietySpec:
     and jacobian take one point (N,) or a batch (B, N).
     """
 
-    def __init__(self, nvars: int, constraints: Sequence[Polynomial], include_sphere: bool = True):
+    def __init__(self, nvars: int, constraints: Sequence[Polynomial]):
         constraints = tuple(constraints)
         for g in constraints:
             if g.nvars != nvars:
@@ -128,15 +141,14 @@ class VarietySpec:
                     "variety constraints must be real polynomials; "
                     "split complex conditions into real and imaginary parts"
                 )
-        if include_sphere and len(constraints) + 1 > nvars - 1:
+        if len(constraints) + 1 > nvars - 1:
             raise DimensionMismatch(
                 f"{len(constraints)} constraints plus the sphere leave no positive "
                 f"dimension in {nvars} variables"
             )
         self.nvars = nvars
         self.constraints = constraints
-        self.include_sphere = include_sphere
-        full = ([sphere_constraint(nvars)] if include_sphere else []) + list(constraints)
+        full = [sphere_constraint(nvars), *constraints]
         m = len(full)
         self._values = CompiledPolys(nvars, full, (m,))
         self._jacobian = CompiledPolys(
@@ -163,7 +175,7 @@ class VarietySpec:
         return self._jacobian(x)
 
     def hessian_at(self, x: np.ndarray) -> np.ndarray:
-        """Numeric Hessians of every equation, shape (m, N, N); 0 = sphere when included."""
+        """Numeric Hessians of every equation, shape (m, N, N); row 0 is the sphere."""
         return self._hessians(x)
 
 
@@ -172,24 +184,23 @@ def newton_project(
     seed: Sequence[float],
     tol: float = DEFAULT_TOL,
     maxiter: int = DEFAULT_MAXITER,
-    eps_reg: float = DEFAULT_EPS_REG,
 ) -> np.ndarray:
     """Project a seed onto the variety by least-squares Newton iteration.
 
     Each step solves the local linearization in the minimum-norm sense via a
     singular-value cutoff, so rank-deficient Jacobians do not blow up the
-    step; they either still converge (then the converged point is checked
-    for regularity and SingularJacobian is raised if it fails) or stall into
-    NonConvergence.  This is _newton_batch on a batch of one seed.
+    step; they either still converge (then SingularJacobian is raised when
+    the smallest singular value of the Jacobian there is below EPS_REG) or
+    stall into NonConvergence.  This is _newton_batch on a batch of one seed.
     """
     x = np.asarray(seed, dtype=float)
     if x.shape != (spec.nvars,):
         raise DimensionMismatch(f"seed has shape {x.shape}, expected ({spec.nvars},)")
-    points, outcomes, _residual, sigma_min = _newton_batch(spec, x[None], tol, maxiter, eps_reg)
+    points, outcomes, _residual, sigma_min = _newton_batch(spec, x[None], tol, maxiter)
     if outcomes[0] == "singular":
         raise SingularJacobian(
             f"converged to a point with smallest singular value "
-            f"{sigma_min[0]:.3e} < {eps_reg:.1e}"
+            f"{sigma_min[0]:.3e} < {EPS_REG:.1e}"
         )
     if outcomes[0] == "no_convergence":
         raise NonConvergence(f"no convergence to {tol:.1e} within {maxiter} iterations")
@@ -197,13 +208,13 @@ def newton_project(
 
 
 def _newton_batch(
-    spec: VarietySpec, seeds: np.ndarray, tol: float, maxiter: int, eps_reg: float
+    spec: VarietySpec, seeds: np.ndarray, tol: float, maxiter: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Newton projection of every row of seeds (B, N) at once.
 
     Row by row this is the iteration newton_project documents: a row stops
     once its residual is below tol, and is then "singular" when the smallest
-    singular value of its Jacobian is below eps_reg and "converged"
+    singular value of its Jacobian is below EPS_REG and "converged"
     otherwise; a row that never stops within maxiter steps is
     "no_convergence".  Returns the final points, the outcome of each row, and
     its residual max |g_a| and smallest singular value at the stop (both nan
@@ -225,12 +236,12 @@ def _newton_batch(
             sigma = np.linalg.svd(spec.jacobian(x_live[done]), compute_uv=False)[:, -1]
             residual[live[done]] = base[done]
             sigma_min[live[done]] = sigma
-            outcomes[live[done]] = np.where(sigma < eps_reg, "singular", "converged")
+            outcomes[live[done]] = np.where(sigma < EPS_REG, "singular", "converged")
             live, x_live, values, base = live[~done], x_live[~done], values[~done], base[~done]
         if not live.size:
             break
         u, s, vt = np.linalg.svd(spec.jacobian(x_live), full_matrices=False)
-        cutoff = np.maximum(eps_reg * 1e-4, s[:, :1] * 1e-14)
+        cutoff = np.maximum(EPS_REG * 1e-4, s[:, :1] * 1e-14)
         inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
         coords = inv * np.einsum("bmk,bm->bk", u, values)
         step = np.einsum("bkn,bk->bn", vt, coords)
@@ -273,7 +284,6 @@ def _projections(
     tallies: Dict[str, int],
     tol: float = DEFAULT_TOL,
     maxiter: int = DEFAULT_MAXITER,
-    eps_reg: float = DEFAULT_EPS_REG,
 ) -> Iterator[Tuple[int, np.ndarray, float, float]]:
     """Seeded Newton attempts; yields (attempt, point, residual, regularity)
     for each converged one, the last two from the Newton step that stopped:
@@ -305,7 +315,7 @@ def _projections(
         residuals, regularity = np.full((2, len(chunk)), np.nan)
         seeds = np.array(draws)[drawn] / norms[drawn, None]
         points[drawn], outcomes[drawn], residuals[drawn], regularity[drawn] = _newton_batch(
-            spec, seeds, tol, maxiter, eps_reg)
+            spec, seeds, tol, maxiter)
         for i, outcome, point, res, reg in zip(chunk, outcomes, points, residuals, regularity):
             tallies[outcome] += 1
             if outcome == "converged":
@@ -345,24 +355,24 @@ def sample(
     rng_seed: int,
     tol: float = DEFAULT_TOL,
     maxiter: int = DEFAULT_MAXITER,
-    eps_reg: float = DEFAULT_EPS_REG,
 ) -> PointCloud:
     """Draw Gaussian seeds, project, and keep converged regular points.
 
     Deterministic in rng_seed: attempt i uses its own substream
     default_rng([rng_seed, i]), so results do not depend on execution order.
-    Residual and regularity are Newton's own, from the step that converged.
+    Residual and regularity are Newton's own, from the step that converged;
+    a point is kept only when its regularity is at least EPS_REG, which
+    metadata["eps_reg"] records.
     Raises InsufficientYield (carrying the partial cloud) when fewer than
     count/2 attempts converge within 10*count attempts; a yield between
     count/2 and count returns the partial cloud with a shortfall note.
     """
-    kept, tallies, shortfall = _quota(
-        spec, count, rng_seed, tol=tol, maxiter=maxiter, eps_reg=eps_reg)
+    kept, tallies, shortfall = _quota(spec, count, rng_seed, tol=tol, maxiter=maxiter)
     seed_indices, points, residuals, regularity = list(zip(*kept)) or [()] * 4
     metadata = {
         "rng_seed": rng_seed,
         "tol": tol,
-        "eps_reg": eps_reg,
+        "eps_reg": EPS_REG,
         "maxiter": maxiter,
         "requested": count,
         "attempts": sum(tallies.values()),
@@ -392,12 +402,7 @@ class CurvatureSample:
     frame_condition: float  # smallest singular value of the constraint Jacobian
 
 
-def mean_curvature(
-    spec: VarietySpec,
-    x: Sequence[float],
-    tol: float = DEFAULT_TOL,
-    eps_reg: float = DEFAULT_EPS_REG,
-) -> CurvatureSample:
+def mean_curvature(spec: VarietySpec, x: Sequence[float]) -> CurvatureSample:
     """Mean-curvature components at an on-variety point.
 
     The frame is nu_0 = x (sphere normal, exactly the gradient of g0),
@@ -405,26 +410,25 @@ def mean_curvature(
     gradients, all read off one QR factorization of the Jacobian; the
     tangent space is the orthogonal complement.  Minimality of the cut-out
     submanifold inside the sphere is the vanishing of all components for
-    b >= 1; the radial component is the dimension check -dim M.
+    b >= 1; the radial component is the dimension check -dim M.  Raises
+    OffVariety when the residual exceeds OFF_VARIETY_TOL and SingularJacobian
+    when the smallest singular value of the Jacobian is below EPS_REG; every
+    pivot of the QR factorization is then at least EPS_REG in magnitude.
     """
-    if not spec.include_sphere:
-        raise ValueError("mean_curvature is defined for sphere-intersected varieties")
     x = np.asarray(x, dtype=float)
     residual = spec.residual(x)
-    if residual > 10 * tol:
-        raise OffVariety(f"point residual {residual:.3e} exceeds {10 * tol:.1e}")
+    if residual > OFF_VARIETY_TOL:
+        raise OffVariety(f"point residual {residual:.3e} exceeds {OFF_VARIETY_TOL:.1e}")
 
     jac = spec.jacobian(x)  # rows: grad g0 = x, grad g1, ..., grad gc
     sigma = np.linalg.svd(jac, compute_uv=False)
-    if sigma[-1] < eps_reg:
+    if sigma[-1] < EPS_REG:
         raise SingularJacobian(
-            f"smallest singular value {sigma[-1]:.3e} below {eps_reg:.1e}"
+            f"smallest singular value {sigma[-1]:.3e} below {EPS_REG:.1e}"
         )
     m = spec.num_equations
     q, r = np.linalg.qr(jac.T, mode="complete")
     pivots = np.diag(r)
-    if np.min(np.abs(pivots)) < 1e-14:
-        raise SingularJacobian("constraint gradients are numerically dependent")
     tangent = q[:, m:]
     traces = np.einsum("ni,anm,mi->a", tangent, spec.hessian_at(x), tangent)
     components = -np.sign(pivots) * np.linalg.solve(r[:m].T, traces)
@@ -437,54 +441,50 @@ def mean_curvature(
     )
 
 
-def cone_mean_curvature(P: Polynomial, x: Sequence[float], eps_reg: float = DEFAULT_EPS_REG) -> float:
+def cone_mean_curvature(P: Polynomial, x: Sequence[float]) -> float:
     """Euclidean level-set mean curvature div(grad P / |grad P|) at x.
 
     Equals (lap(P)|grad P|^2 - HessP(gradP,gradP)) / |grad P|^3.  For a
     harmonic P on its own zero set this is -HessP(gradP,gradP)/|grad P|^3,
     whose vanishing is exactly the minimality criterion for the cone.
+    Raises DegeneratePoint when |grad P| <= EPS_REG.
     """
     if not P.is_real():
         raise ValueError("cone mean curvature is defined for real polynomials")
     forms = [laplacian(P), hess_grad_grad(P), *gradient(P)]
     lap, q, *grad = CompiledPolys(P.nvars, forms, (len(forms),))(x)
     grad_norm = float(np.linalg.norm(grad))
-    if grad_norm <= eps_reg:
-        raise DegeneratePoint(f"|grad P| = {grad_norm:.3e} <= {eps_reg:.1e}")
+    if grad_norm <= EPS_REG:
+        raise DegeneratePoint(f"|grad P| = {grad_norm:.3e} <= {EPS_REG:.1e}")
     return float((lap * grad_norm**2 - q) / grad_norm**3)
 
 
-def stereographic(x: Sequence[float], pole: int, eps: float = 1e-8) -> np.ndarray:
-    """Stereographic projection of a sphere point from the pole e_pole.
+def stereographic(x: np.ndarray, pole: int) -> np.ndarray:
+    """Stereographic projection of sphere points from the pole e_pole.
 
-    pole is a 1-based coordinate index; the image keeps the remaining
-    coordinates in order, y_i = x_i / (1 - x_pole).
+    x is one point (N,) or a batch (B, N); pole is a 1-based coordinate
+    index, and each image keeps the remaining coordinates in order,
+    y_i = x_i / (1 - x_pole).  Raises PoleSingularity when a point lies
+    within POLE_EPS of the pole.
     """
     x = np.asarray(x, dtype=float)
-    if not 1 <= pole <= x.size:
-        raise IndexError(f"pole index {pole} outside 1..{x.size}")
-    denom = 1.0 - x[pole - 1]
-    if abs(denom) <= eps**2 / 2 or np.linalg.norm(x - _pole_vector(x.size, pole)) <= eps:
-        raise PoleSingularity(f"point is within {eps:.1e} of the projection pole")
-    return np.delete(x, pole - 1) / denom
+    nvars = x.shape[-1]
+    if not 1 <= pole <= nvars:
+        raise IndexOutOfRange(f"pole index {pole} outside 1..{nvars}")
+    denom = 1.0 - x[..., pole - 1]
+    near = np.linalg.norm(x - np.eye(nvars)[pole - 1], axis=-1) <= POLE_EPS
+    if np.any((np.abs(denom) <= POLE_EPS**2 / 2) | near):
+        raise PoleSingularity(f"point is within {POLE_EPS:.1e} of the projection pole")
+    return np.delete(x, pole - 1, axis=-1) / denom[..., None]
 
 
-def _pole_vector(nvars: int, pole: int) -> np.ndarray:
-    v = np.zeros(nvars)
-    v[pole - 1] = 1.0
-    return v
-
-
-def add_stereo(cloud: PointCloud, pole: int, eps: float = 1e-8) -> PointCloud:
+def add_stereo(cloud: PointCloud, pole: int) -> PointCloud:
     """Return a copy of the cloud with stereographic coordinates attached."""
-    stereo = np.array([stereographic(p, pole, eps) for p in cloud.points]) if len(cloud) else (
-        np.zeros((0, max(cloud.points.shape[1] - 1, 0)))
-    )
     return PointCloud(
         points=cloud.points,
         residuals=cloud.residuals,
         regularity=cloud.regularity,
-        stereo=stereo,
+        stereo=stereographic(cloud.points, pole),
         metadata=dict(cloud.metadata, stereo_pole=pole),
     )
 
@@ -500,16 +500,11 @@ def export_cloud(cloud: PointCloud, path: str) -> None:
     if cloud.stereo is not None:
         header += [f"s{i + 1}" for i in range(cloud.stereo.shape[1])]
     header += ["residual", "regularity"]
+    stereo = [] if cloud.stereo is None else [cloud.stereo]
+    table = np.hstack([cloud.points, *stereo, cloud.residuals[:, None], cloud.regularity[:, None]])
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row_index in range(len(cloud)):
-            row = [_fmt17(v) for v in cloud.points[row_index]]
-            if cloud.stereo is not None:
-                row += [_fmt17(v) for v in cloud.stereo[row_index]]
-            row.append(_fmt17(cloud.residuals[row_index]))
-            row.append(_fmt17(cloud.regularity[row_index]))
-            writer.writerow(row)
+        np.savetxt(handle, table, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
 
 
 def read_cloud(path: str) -> PointCloud:
@@ -529,7 +524,3 @@ def read_cloud(path: str) -> PointCloud:
         stereo=stereo,
         metadata={"source": path},
     )
-
-
-def _fmt17(value: float) -> str:
-    return "%.17g" % value

@@ -309,7 +309,9 @@ def check_minimal_codim2(
     minimality is expected exactly in that isotropic case, so running the
     check on other harmonic F is a genuine test, not a tautology.
     Transversality failures surface as SingularFiber, an empty intersection
-    as EmptyFiber (for a nonzero constant F before any attempt).  The points
+    as EmptyFiber.  Both are raised before any attempt when F alone decides
+    them: SingularFiber for a real or purely imaginary F (one constraint has
+    a zero gradient everywhere), EmptyFiber for a nonzero constant F.  The points
     come from geometry._quota exactly as geometry.sample draws them: at most
     10*samples attempts, the default Newton settings and the same shortfall
     message.
@@ -318,9 +320,14 @@ def check_minimal_codim2(
     k = require_harmonic(F, n)
     if k == 0:
         raise EmptyFiber("a nonzero constant has no zero on the sphere")
+    u, v = F.real_imag_parts()
+    for part, name in ((u, "real"), (v, "imaginary")):
+        if part.is_zero():
+            raise SingularFiber(
+                f"the {name} part of F vanishes identically; its gradient is zero "
+                "everywhere, so no fiber point meets the regularity threshold")
     kappa_zero = kappa(F, F).is_zero()
 
-    u, v = F.real_imag_parts()
     spec = VarietySpec(F.nvars, [u, v])
     kept, tallies, shortfall = _quota(spec, samples, rng_seed)
     points = [x for _attempt, x, _residual, _regularity in kept]

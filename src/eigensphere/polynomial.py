@@ -40,8 +40,6 @@ from .errors import (
 #: Exponent tuple: entry i is the power of x_{i+1} in the monomial.
 Exponents = tuple
 
-RationalLike = Union[int, Fraction]
-
 
 @dataclass(frozen=True)
 class GaussianRational:
@@ -256,9 +254,6 @@ class Polynomial:
 
     def is_real(self) -> bool:
         return all(c.im == 0 for c in self._terms.values())
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._terms)
 
     def degree(self) -> int:
         """Maximal total degree.  Undefined (error) for the zero polynomial."""

@@ -10,6 +10,7 @@ from eigensphere.calculus import gradient, hessian
 from eigensphere.errors import (
     DegeneratePoint,
     DimensionMismatch,
+    IndexOutOfRange,
     InsufficientYield,
     NonConvergence,
     OffVariety,
@@ -17,6 +18,7 @@ from eigensphere.errors import (
     SingularJacobian,
 )
 from eigensphere.geometry import (
+    CompiledPolys,
     PointCloud,
     VarietySpec,
     _projections,
@@ -76,14 +78,9 @@ class TestVarietySpec:
         def real_polys(count, max_degree):
             return [random_poly(rng, nvars, max_degree, complex_coeffs=False) for _ in range(count)]
 
-        cases = [
-            (real_polys(nvars - 2, 4), True),
-            (real_polys(2, 5), False),
-            (real_polys(2, 1), False),  # all linear: the Hessian table is empty
-        ]
-        for constraints, include_sphere in cases:
-            spec = VarietySpec(nvars, constraints, include_sphere=include_sphere)
-            full = ([sphere_constraint(nvars)] if include_sphere else []) + constraints
+        for constraints in (real_polys(nvars - 2, 4), real_polys(1, 5)):
+            spec = VarietySpec(nvars, constraints)
+            full = [sphere_constraint(nvars), *constraints]
             for _ in range(5):
                 x = rng.standard_normal(nvars)
                 pairs = [
@@ -97,6 +94,15 @@ class TestVarietySpec:
                     assert compiled.shape == expected.shape
                     scale = np.max(np.abs(expected), initial=0.0)
                     assert_allclose(compiled, expected, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_empty_table(self):
+        # the Hessians of linear constraints are all zero: no monomial at all
+        linear = [parse("x1 - 2*x3", 4), parse("3*x2 + x4", 4)]
+        compiled = CompiledPolys(4, [e for g in linear for row in hessian(g) for e in row],
+                                 (2, 4, 4))
+        assert compiled.exponents.shape == (0, 4)
+        assert np.array_equal(compiled(np.ones(4)), np.zeros((2, 4, 4)))
+        assert np.array_equal(compiled(np.ones((3, 4))), np.zeros((3, 2, 4, 4)))
 
 
 class TestNewtonProject:
@@ -114,9 +120,7 @@ class TestNewtonProject:
         assert abs(np.dot(x, x) - 1.0) < 1e-12
 
     def test_inconsistent_constraints(self):
-        spec = VarietySpec(
-            4, [parse("x1", 4), parse("x1 - 1", 4)], include_sphere=False
-        )
+        spec = VarietySpec(4, [parse("x1", 4), parse("x1 - 1", 4)])
         with pytest.raises(NonConvergence):
             newton_project(spec, [0.5, 0.0, 0.0, 0.0])
 
@@ -218,9 +222,7 @@ class TestSample:
         assert len(cloud) == len(indices)
 
     def test_insufficient_yield_carries_partial(self):
-        spec = VarietySpec(
-            4, [parse("x1", 4), parse("x1 - 1", 4)], include_sphere=False
-        )
+        spec = VarietySpec(4, [parse("x1", 4), parse("x1 - 1", 4)])
         with pytest.raises(InsufficientYield) as exc:
             sample(spec, 10, rng_seed=0, maxiter=8)
         assert len(exc.value.cloud) == 0
@@ -282,21 +284,20 @@ def one_at_a_time(project, spec, rng_seed, attempts, **newton_kwargs):
     return results
 
 
-# (nvars, constraints, include_sphere, seed, attempts, quota, Newton settings,
-# attempts whose draw is planted as zero)
+# (nvars, constraints, seed, attempts, quota, Newton settings, attempts whose
+# draw is planted as zero)
 BATCH_CASES = [
-    pytest.param(4, [line_pullback(parse("z1^2 + z2^2", 4), 1, 0)], True, 11, 60, 25, {}, (),
+    pytest.param(4, [line_pullback(parse("z1^2 + z2^2", 4), 1, 0)], 11, 60, 25, {}, (),
                  id="clifford"),
-    pytest.param(4, _real_parts("z1^3*conj(z2)^2", 4), True, 0, 40, 4, {}, (),
+    pytest.param(4, _real_parts("z1^3*conj(z2)^2", 4), 0, 40, 4, {}, (),
                  id="codim2-singular-attempts"),
-    pytest.param(6, _real_parts("z1^2*z2 + z3^3", 6), True, 2, 30, 10, {}, (),
-                 id="codim2"),
-    pytest.param(3, [parse("x1^2*x2 - x3^3", 3)], True, 2, 60, 6, {"maxiter": 4}, (),
+    pytest.param(6, _real_parts("z1^2*z2 + z3^3", 6), 2, 30, 10, {}, (), id="codim2"),
+    pytest.param(3, [parse("x1^2*x2 - x3^3", 3)], 2, 60, 6, {"maxiter": 4}, (),
                  id="short-maxiter"),
-    pytest.param(3, [parse("x1^4", 3)], True, 0, 30, 3, {}, (), id="singular-x1^4"),
-    pytest.param(4, [parse("x1", 4), parse("x1 - 1", 4)], False, 0, 20, 10, {"maxiter": 8},
-                 (), id="inconsistent"),
-    pytest.param(4, [line_pullback(parse("z1^2*z2", 4), 1, 0)], True, 3, 40, 8,
+    pytest.param(3, [parse("x1^4", 3)], 0, 30, 3, {}, (), id="singular-x1^4"),
+    pytest.param(4, [parse("x1", 4), parse("x1 - 1", 4)], 0, 20, 10, {"maxiter": 8}, (),
+                 id="inconsistent"),
+    pytest.param(4, [line_pullback(parse("z1^2*z2", 4), 1, 0)], 3, 40, 8,
                  {"tol": 1e-13, "maxiter": 60}, (0, 1, 5, 6, 7, 20), id="zero-draws"),
 ]
 
@@ -305,10 +306,9 @@ class TestBatchMatchesOneAtATime:
     @pytest.mark.parametrize("project", [newton_project, newton_reference],
                              ids=["newton_project", "reference"])
     @pytest.mark.parametrize(
-        "nvars, constraints, include_sphere, seed, attempts, quota, newton_kwargs, zeros",
-        BATCH_CASES)
-    def test_same_outcomes_and_points(self, monkeypatch, nvars, constraints, include_sphere,
-                                      seed, attempts, quota, newton_kwargs, zeros, project):
+        "nvars, constraints, seed, attempts, quota, newton_kwargs, zeros", BATCH_CASES)
+    def test_same_outcomes_and_points(self, monkeypatch, nvars, constraints, seed, attempts,
+                                      quota, newton_kwargs, zeros, project):
         default_rng = np.random.default_rng
 
         class ZeroDraw:
@@ -318,7 +318,7 @@ class TestBatchMatchesOneAtATime:
         monkeypatch.setattr(
             np.random, "default_rng",
             lambda key: ZeroDraw() if key[1] in zeros else default_rng(key))
-        spec = VarietySpec(nvars, constraints, include_sphere=include_sphere)
+        spec = VarietySpec(nvars, constraints)
         expected = one_at_a_time(project, spec, seed, attempts, **newton_kwargs)
         tallies = RecordedTallies()
         # consumed to the end, past the quota the chunks are sized for
@@ -409,11 +409,10 @@ class TestFrameMatchesReference:
             largest_normal = max(largest_normal, float(np.max(np.abs(expected[1:]))))
         assert (largest_normal < 1e-10) if minimal else (largest_normal > 0.1)
 
-    @pytest.mark.parametrize("eps_reg", [1e-8, 0.0])
-    def test_dependent_constraints_rejected(self, eps_reg):
+    def test_dependent_constraints_rejected(self):
         spec = VarietySpec(5, [parse("x4", 5), parse("2*x4", 5)])
         with pytest.raises(SingularJacobian):
-            mean_curvature(spec, np.array([1.0, 0.0, 0.0, 0.0, 0.0]), eps_reg=eps_reg)
+            mean_curvature(spec, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
 
 
 class TestMeanCurvature:
@@ -545,6 +544,22 @@ class TestStereographic:
         y = stereographic([0.6, 0.8, 0.0, 0.0], 1)
         assert_allclose(y, [0.8 / 0.4, 0.0, 0.0])
 
+    def test_batch_matches_rows(self):
+        spec, _ = clifford_spec()
+        points = sample(spec, 20, rng_seed=3).points
+        expected = [np.delete(x, 1) / (1.0 - x[1]) for x in points]
+        assert np.array_equal(stereographic(points, 2), expected)
+        assert stereographic(points[:0], 2).shape == (0, 3)
+
+    def test_pole_in_batch_rejected(self):
+        with pytest.raises(PoleSingularity):
+            stereographic([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], 4)
+
+    @pytest.mark.parametrize("pole", [0, 5])
+    def test_pole_index_out_of_range(self, pole):
+        with pytest.raises(IndexOutOfRange):
+            stereographic([0.6, 0.8, 0.0, 0.0], pole)
+
 
 class TestExport:
     def test_empty_cloud_header_only(self, tmp_path):
@@ -555,8 +570,25 @@ class TestExport:
         )
         path = tmp_path / "empty.csv"
         export_cloud(cloud, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines == ["x1,x2,x3,x4,residual,regularity"]
+        assert path.read_bytes() == b"x1,x2,x3,x4,residual,regularity\r\n"
+
+    def test_bytes(self, tmp_path):
+        # CRLF line ends and 17 significant digits, every column in header order
+        cloud = PointCloud(
+            points=np.array([[1 / 3, -2 / 3, 0.1, 1.0], [0.0, -0.0, 1e-300, 2.0**-52]]),
+            residuals=np.array([1e-13, 0.0]),
+            regularity=np.array([0.5, math.pi]),
+            stereo=np.array([[0.25, -1.5, 7.0], [0.0, 1e20, -3.0]]),
+        )
+        path = tmp_path / "cloud.csv"
+        export_cloud(cloud, str(path))
+        assert path.read_bytes() == (
+            b"x1,x2,x3,x4,s1,s2,s3,residual,regularity\r\n"
+            b"0.33333333333333331,-0.66666666666666663,0.10000000000000001,1,"
+            b"0.25,-1.5,7,1e-13,0.5\r\n"
+            b"0,-0,1e-300,2.2204460492503131e-16,"
+            b"0,1e+20,-3,0,3.1415926535897931\r\n"
+        )
 
     def test_roundtrip_bit_identical(self, tmp_path):
         spec, _ = clifford_spec()

@@ -329,6 +329,12 @@ class TestCheckMinimalCodim2:
         with pytest.raises(EmptyFiber):
             check_minimal_codim2(Polynomial.constant(4, GaussianRational(2, 1)), 3)
 
+    @pytest.mark.parametrize("poly, part", [("x1", "imaginary"), ("i*x1", "real")])
+    def test_one_part_zero_is_singular(self, monkeypatch, poly, part):
+        monkeypatch.setattr(minimality, "_quota", None)  # no attempt may run
+        with pytest.raises(SingularFiber, match=f"the {part} part of F vanishes"):
+            check_minimal_codim2(parse(poly, 4), 3)
+
     def test_inhomogeneous_rejected(self):
         with pytest.raises(NotAnEigenfunction) as exc:
             check_minimal_codim2(parse("z1 + z2^2", 4), 3)
