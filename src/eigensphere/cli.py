@@ -18,7 +18,6 @@ downstream depends on that relation.
 from __future__ import annotations
 
 import argparse
-import enum
 import functools
 import json
 import sys
@@ -26,9 +25,7 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import __version__
+from . import __version__, geometry
 from .eigen import verify_eigenfunction
 from .errors import EigenSphereError, InsufficientYield
 from .geometry import VarietySpec, add_stereo, export_cloud, sample
@@ -51,32 +48,13 @@ EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
 
-def _jsonable(value):
-    """Coerce numpy scalars/arrays, Fractions, and enums for json.dumps."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else str(value)
-    if isinstance(value, enum.Enum):
-        return value.value
-    return value
-
-
 def _emit(args, verdict: Dict, started: float, human_lines: List[str]) -> None:
     if args.json:
         inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func", "json")}
         report = {
             "command": args.command,
-            "inputs": _jsonable(inputs),
-            "verdict": _jsonable(verdict),
+            "inputs": inputs,
+            "verdict": verdict,
             "timing_seconds": round(time.perf_counter() - started, 6),
             "version": __version__,
             "rng_seed": inputs.get("seed"),
@@ -235,11 +213,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, sphere=True):
+    def add_common(p):
         p.add_argument("--vars", type=int, required=True, help="number of ambient variables N")
-        if sphere:
-            p.add_argument("--sphere-dim", type=int, required=True,
-                           help="sphere dimension n (must satisfy N = n+1)")
+        p.add_argument("--sphere-dim", type=int, required=True,
+                       help="sphere dimension n (must satisfy N = n+1)")
         p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
 
     p = sub.add_parser("eigen-check", help="verify the exact eigenfunction conditions")
@@ -275,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="real polynomial constraint (repeatable); sphere always included")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=geometry.DEFAULT_TOL)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--stereo", type=int, default=None,
                    help="add stereographic coordinates from this pole index (1-based)")

@@ -35,6 +35,7 @@ from .errors import (
     SphereDimensionTooSmall,
     ZeroPolynomial,
 )
+from .parsing import render
 from .polynomial import Polynomial
 
 
@@ -46,8 +47,6 @@ class ConditionFailure:
     residual: Polynomial
 
     def to_json(self) -> dict:
-        from .parsing import render
-
         return {"condition": self.condition, "residual": render(self.residual)}
 
 
@@ -61,17 +60,12 @@ class EigenReport:
     failure: Optional[ConditionFailure]
 
     def to_json(self) -> dict:
-        def number(q: Optional[Fraction]):
-            if q is None:
-                return None
-            return int(q) if q.denominator == 1 else str(q)
-
         return {
             "is_eigen": self.is_eigen,
             "k": self.k,
             "n": self.n,
-            "lambda": number(self.lam),
-            "mu": number(self.mu),
+            "lambda": None if self.lam is None else int(self.lam),
+            "mu": None if self.mu is None else int(self.mu),
             "failure": self.failure.to_json() if self.failure else None,
         }
 
@@ -171,8 +165,6 @@ class FamilyReport:
     pair_residual: Optional[Polynomial]
 
     def to_json(self) -> dict:
-        from .parsing import render
-
         payload = {
             "is_family": self.is_family,
             "k": self.k,

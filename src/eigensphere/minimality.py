@@ -26,7 +26,7 @@ borderline noise from flapping verdicts.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd, isfinite, pi
 from typing import Dict, List, Optional, Sequence
@@ -48,6 +48,7 @@ from .geometry import CompiledPolys, VarietySpec, _projections, _quota, mean_cur
 # not called here: the name stays importable because the benchmark tracer's
 # alias test patches and restores it in this module
 from .geometry import newton_project  # noqa: F401
+from .parsing import render
 from .polynomial import Polynomial, complex_variable
 
 EXACT_MINIMAL = "ExactMinimal"
@@ -74,20 +75,10 @@ class MinimalityVerdict:
         return self.status in (EXACT_MINIMAL, NUMERIC_MINIMAL)
 
     def to_json(self) -> dict:
-        payload: Dict = {"status": self.status}
-        if self.certificate is not None:
-            payload["certificate"] = self.certificate
-        if self.samples is not None:
-            payload["samples"] = self.samples
-        if self.max_residual is not None:
-            payload["max_residual"] = self.max_residual
-        if self.witness is not None:
-            payload["witness"] = self.witness
-        if self.reason is not None:
-            payload["reason"] = self.reason
-        if self.diagnostics:
-            payload["diagnostics"] = self.diagnostics
-        return payload
+        """The fields in declaration order, leaving out unset ones (None) and
+        empty diagnostics; set falsy values such as max_residual 0.0 stay."""
+        return {f.name: value for f in fields(self)
+                if (value := getattr(self, f.name)) is not None and value != {}}
 
 
 class LawsonType(enum.Enum):
@@ -162,22 +153,15 @@ def check_minimal_codim1(
     Q = hess_grad_grad(P)
 
     if Q.is_zero():
-        verdict = MinimalityVerdict(EXACT_MINIMAL, certificate="Q ≡ 0")
-        if cross_check:
-            _attach_numeric(verdict, P, Q, samples, tol, reject, rng_seed)
-        return verdict
-
-    quotient = Q.exact_divide(P)
-    if quotient is not None:
-        from .parsing import render
-
-        verdict = MinimalityVerdict(EXACT_MINIMAL, certificate=render(quotient))
-        if cross_check:
-            _attach_numeric(verdict, P, Q, samples, tol, reject, rng_seed)
-        return verdict
-
-    verdict = MinimalityVerdict(INCONCLUSIVE)
-    _attach_numeric(verdict, P, Q, samples, tol, reject, rng_seed, decide=True)
+        certificate = "Q ≡ 0"
+    elif (quotient := Q.exact_divide(P)) is not None:
+        certificate = render(quotient)
+    else:
+        certificate = None
+    verdict = MinimalityVerdict(
+        INCONCLUSIVE if certificate is None else EXACT_MINIMAL, certificate=certificate)
+    if certificate is None or cross_check:
+        _attach_numeric(verdict, P, Q, samples, tol, reject, rng_seed)
     return verdict
 
 
@@ -189,7 +173,6 @@ def _attach_numeric(
     tol: float,
     reject: float,
     rng_seed: int,
-    decide: bool = False,
 ) -> None:
     """Sample the fiber and evaluate the normalized criterion q = Q/|grad P|^3.
 
@@ -200,8 +183,8 @@ def _attach_numeric(
     bound with gamma = (deg Q + number of terms) * 2^-53.  Samples whose
     bound exceeds tol/10 cannot attest |q| < tol and are discarded; this is
     also what enforces the submersion hypothesis, since the bound blows up
-    exactly where |grad P| degenerates.  decide=True grades the samples into
-    the verdict; otherwise only the sampled maximum is recorded.
+    exactly where |grad P| degenerates.  A verdict without a certificate is
+    graded from the samples; a certified one only records the sampled maximum.
     """
     spec = VarietySpec(P.nvars, [P])
     q_forms = CompiledPolys(P.nvars, [Q, *gradient(Q)], (P.nvars + 1,))
@@ -237,20 +220,20 @@ def _attach_numeric(
 
     attempts = tallies["converged"] + tallies["no_convergence"] + tallies["singular"]
     verdict.diagnostics["sampling"] = dict(tallies, attempts=attempts)
-    if not points and decide:
-        raise InsufficientYield(
-            f"no reliable fiber samples in {max_attempts} attempts (outcomes: {tallies})")
-    if not points:
-        verdict.diagnostics["numeric_cross_check"] = "no reliable samples"
-    elif decide:
+    if verdict.certificate is None:
+        if not points:
+            raise InsufficientYield(
+                f"no reliable fiber samples in {max_attempts} attempts (outcomes: {tallies})")
         _decide(
             verdict, spec, points, values, samples, tol, reject, "max |criterion| =",
             f"criterion below tolerance, but only {len(points)} of {samples} "
             f"requested reliable samples were collected",
         )
-    else:
+    elif points:
         verdict.samples = len(points)
         verdict.max_residual = float(np.max(np.abs(values)))
+    else:
+        verdict.diagnostics["numeric_cross_check"] = "no reliable samples"
 
 
 def _decide(
@@ -310,8 +293,9 @@ def check_minimal_codim2(
     check on other harmonic F is a genuine test, not a tautology.
     Transversality failures surface as SingularFiber, an empty intersection
     as EmptyFiber.  Both are raised before any attempt when F alone decides
-    them: SingularFiber for a real or purely imaginary F (one constraint has
-    a zero gradient everywhere), EmptyFiber for a nonzero constant F.  The points
+    them: SingularFiber for a complex multiple of a real polynomial (the two
+    constraints are proportional, or one of them is zero, so their gradients
+    are parallel everywhere), EmptyFiber for a nonzero constant F.  The points
     come from geometry._quota exactly as geometry.sample draws them: at most
     10*samples attempts, the default Newton settings and the same shortfall
     message.
@@ -321,11 +305,16 @@ def check_minimal_codim2(
     if k == 0:
         raise EmptyFiber("a nonzero constant has no zero on the sphere")
     u, v = F.real_imag_parts()
-    for part, name in ((u, "real"), (v, "imaginary")):
-        if part.is_zero():
-            raise SingularFiber(
-                f"the {name} part of F vanishes identically; its gradient is zero "
-                "everywhere, so no fiber point meets the regularity threshold")
+    # Re F and Im F are linearly dependent exactly when F times the conjugate
+    # of its leading coefficient is real
+    if (F * F.leading_term()[1].conjugate()).is_real():
+        if u.is_zero() or v.is_zero():
+            detail = (f"the {'real' if u.is_zero() else 'imaginary'} part of F vanishes "
+                      "identically; its gradient is zero")
+        else:
+            detail = "Re F and Im F are proportional; their gradients are parallel"
+        raise SingularFiber(
+            f"{detail} everywhere, so no fiber point meets the regularity threshold")
     kappa_zero = kappa(F, F).is_zero()
 
     spec = VarietySpec(F.nvars, [u, v])
@@ -368,8 +357,6 @@ def _flat_section_residuals(F: Polynomial, k: int, points: np.ndarray) -> Option
     {z1 = zeta*z2} over k-th roots zeta of -1; returns per-point
     min_zeta |z1 - zeta*z2|, or None when F is not of this shape.
     """
-    if F.nvars < 4:
-        return None
     model = complex_variable(F.nvars, 1) ** k + complex_variable(F.nvars, 2) ** k
     if F != model:
         return None
@@ -404,8 +391,6 @@ class ConformalityReport:
         return self.difference.is_zero() and self.cross.is_zero()
 
     def to_json(self) -> dict:
-        from .parsing import render
-
         return {
             "difference": render(self.difference),
             "cross": render(self.cross),

@@ -27,6 +27,7 @@ import numpy as np
 
 from .eigen import verify_eigenfunction
 from .errors import BudgetExceeded
+from .parsing import render
 from .polynomial import GaussianRational, Polynomial
 
 
@@ -258,8 +259,6 @@ class SearchResult:
     attempt: int
 
     def to_json(self) -> dict:
-        from .parsing import render
-
         return {
             "coefficients": [[z.real, z.imag] for z in self.coefficients],
             "residual": self.residual,

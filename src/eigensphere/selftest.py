@@ -10,7 +10,6 @@ the algebra layer itself is broken, not that an input was bad.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Tuple
 
 import numpy as np

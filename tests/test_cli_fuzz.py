@@ -3,12 +3,15 @@
 `cli.main` is driven with cheap, often malformed argument lists for
 `eigen-check`, `minimal-line`, `minimal-zero`, `sample` and `lawson`.
 Whatever the input, no exception may escape `main` and the exit code must
-be one of the four documented bands 0-3.  Integers and exponents stay at one
+be one of the four documented bands 0-3.  With `--json`, standard output is
+empty or exactly one strict JSON document (no NaN or Infinity), and a
+verdict (exit 0 or 1) always prints one.  Integers and exponents stay at one
 digit and sample counts at 3 or fewer, so each example runs in milliseconds.
 """
 
 import contextlib
 import io
+import json
 
 import pytest
 
@@ -107,12 +110,19 @@ def out_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz") / "cloud.csv")
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_every_command_line_ends_in_an_exit_code(out_path):
     @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @hypothesis.given(command_lines(out_path))
     def check(argv):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (0, 1, 2, 3), (argv, code)
+        if "--json" in argv and (stdout.getvalue() or code in (0, 1)):
+            json.loads(stdout.getvalue(), parse_constant=_refuse_constant)
 
     check()

@@ -19,8 +19,10 @@ from eigensphere.errors import (
 )
 from eigensphere.minimality import (
     EXACT_MINIMAL,
+    INCONCLUSIVE,
     NUMERIC_MINIMAL,
     LawsonType,
+    MinimalityVerdict,
     check_minimal_codim1,
     check_minimal_codim2,
     classify_lawson,
@@ -257,6 +259,18 @@ class TestCheckMinimalCodim1:
         assert payload["certificate"] == "8"
         assert "witness" not in payload
 
+    def test_json_keeps_set_fields_in_declaration_order(self):
+        # the cross-check of a linear pullback samples Q = 0: max_residual 0.0
+        # is a set value and must not be dropped like an unset one
+        verdict = check_minimal_codim1(parse("z1", 4), 1, 0, 3, samples=5, cross_check=True)
+        assert list(verdict.to_json().items()) == [
+            ("status", EXACT_MINIMAL), ("certificate", "Q ≡ 0"), ("samples", 5),
+            ("max_residual", 0.0), ("diagnostics", verdict.diagnostics),
+        ]
+        bare = MinimalityVerdict(INCONCLUSIVE, samples=0, reason="")
+        assert list(bare.to_json().items()) == [
+            ("status", INCONCLUSIVE), ("samples", 0), ("reason", "")]
+
 
 class TestCheckMinimalCodim2:
     def test_quadric_fiber(self):
@@ -333,6 +347,12 @@ class TestCheckMinimalCodim2:
     def test_one_part_zero_is_singular(self, monkeypatch, poly, part):
         monkeypatch.setattr(minimality, "_quota", None)  # no attempt may run
         with pytest.raises(SingularFiber, match=f"the {part} part of F vanishes"):
+            check_minimal_codim2(parse(poly, 4), 3)
+
+    @pytest.mark.parametrize("poly", ["(1+i)*x1", "(2-i)*(x1^2-x2^2)"])
+    def test_proportional_parts_are_singular(self, monkeypatch, poly):
+        monkeypatch.setattr(minimality, "_quota", None)  # no attempt may run
+        with pytest.raises(SingularFiber, match="Re F and Im F are proportional"):
             check_minimal_codim2(parse(poly, 4), 3)
 
     def test_inhomogeneous_rejected(self):
