@@ -22,7 +22,6 @@ from typing import Tuple
 
 from .errors import DimensionMismatch, IndexOutOfRange, ZeroPolynomial
 from .polynomial import (
-    GaussianRational,
     Polynomial,
     _from_gaussian_integers,
     _to_gaussian_integers,
@@ -35,19 +34,22 @@ from .polynomial import (
 
 
 def partial(p: Polynomial, i: int) -> Polynomial:
-    """Formal partial derivative with respect to x_i (1-based)."""
+    """Formal partial derivative with respect to x_i (1-based).
+
+    One pass over Gaussian integers, as in `kappa`: a term (re + i*im)/D x^a
+    with a_i > 0 becomes (a_i*re + i*a_i*im)/D x^(a - e_i).  Distinct terms
+    land on distinct exponents, so nothing is summed and nothing cancels.
+    """
     if not 1 <= i <= p.nvars:
         raise IndexOutOfRange(f"variable index {i} outside 1..{p.nvars}")
     slot = i - 1
-    terms = {}
-    for exps, coeff in p._terms.items():
+    terms, denominator = _to_gaussian_integers(p._terms)
+    sums = {}
+    for exps, re, im in terms:
         e = exps[slot]
-        if e == 0:
-            continue
-        dropped = list(exps)
-        dropped[slot] = e - 1
-        terms[tuple(dropped)] = coeff * GaussianRational(Fraction(e))
-    return Polynomial(p.nvars, terms)
+        if e:
+            sums[exps[:slot] + (e - 1,) + exps[i:]] = (e * re, e * im)
+    return Polynomial._raw(p.nvars, _from_gaussian_integers(sums, denominator))
 
 
 def gradient(p: Polynomial) -> Tuple[Polynomial, ...]:

@@ -16,7 +16,8 @@ GaussianRational: each operand's coefficients are put over one common
 denominator D (the lcm of every real and imaginary denominator), the loop
 adds plain (re, im) integer pairs per exponent tuple, and each sum becomes a
 GaussianRational once, at the end, over D_p*D_q.  `_to_gaussian_integers` and
-`_from_gaussian_integers` are that conversion; `calculus.kappa` uses them too.
+`_from_gaussian_integers` are that conversion; `calculus.kappa` and
+`calculus.partial` use them too.
 
 The only floating-point operation is `evaluate`, which sums the terms in the
 canonical graded-lexicographic order so results are reproducible run to run.
@@ -170,7 +171,7 @@ def _to_gaussian_integers(terms: Mapping) -> Tuple[List[Tuple[Exponents, int, in
 
 
 def _from_gaussian_integers(sums: Mapping, denominator: int) -> dict:
-    """Canonical term map from an accumulator exps -> [re, im] over `denominator`.
+    """Canonical term map from integer sums exps -> (re, im) over `denominator`.
 
     Sums that cancelled to zero are dropped here, once, not inside the loop.
     """

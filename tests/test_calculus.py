@@ -51,11 +51,23 @@ def mul_reference(p, q):
     return Polynomial(p.nvars, terms)
 
 
+def partial_reference(p, i):
+    """d_i p term by term in GaussianRational arithmetic, no common denominator."""
+    terms = {}
+    for exps, coeff in p._terms.items():
+        e = exps[i - 1]
+        if e:
+            dropped = list(exps)
+            dropped[i - 1] = e - 1
+            terms[tuple(dropped)] = coeff * GaussianRational(Fraction(e))
+    return Polynomial(p.nvars, terms)
+
+
 def kappa_reference(p, q):
-    """kappa by its definition: sum_i (d_i p)(d_i q), products as in mul_reference."""
+    """kappa by its definition: sum_i (d_i p)(d_i q), as in the two references above."""
     total = Polynomial.zero(p.nvars)
     for i in range(1, p.nvars + 1):
-        total = total + mul_reference(partial(p, i), partial(q, i))
+        total = total + mul_reference(partial_reference(p, i), partial_reference(q, i))
     return total
 
 
@@ -95,6 +107,19 @@ class TestPartial:
             p = random_poly(rng, max_degree=2)
             q = random_poly(rng, max_degree=2)
             assert partial(p * q, 1) == partial(p, 1) * q + p * partial(q, 1)
+
+    @pytest.mark.parametrize("nvars", range(1, 7))
+    def test_matches_reference(self, nvars):
+        rng = np.random.default_rng([nvars, 0xD1FF])
+        for _ in range(8):
+            p = random_rational_poly(rng, nvars)
+            for i in range(1, nvars + 1):
+                got = partial(p, i)
+                assert got == partial_reference(p, i)
+                assert_canonical(got)
+        # a variable p lacks: every term drops, and the result is stored empty
+        lacking = Polynomial(nvars + 1, {exps + (0,): c for exps, c in p._terms.items()})
+        assert partial(lacking, nvars + 1)._terms == {}
 
 
 class TestGradient:
