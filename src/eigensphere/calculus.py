@@ -21,12 +21,7 @@ from operator import add
 from typing import Tuple
 
 from .errors import DimensionMismatch, IndexOutOfRange, ZeroPolynomial
-from .polynomial import (
-    Polynomial,
-    _from_gaussian_integers,
-    _to_gaussian_integers,
-    r_squared,
-)
+from .polynomial import Polynomial, r_squared
 
 
 # ---------------------------------------------------------------------------
@@ -36,20 +31,21 @@ from .polynomial import (
 def partial(p: Polynomial, i: int) -> Polynomial:
     """Formal partial derivative with respect to x_i (1-based).
 
-    One pass over Gaussian integers, as in `kappa`: a term (re + i*im)/D x^a
-    with a_i > 0 becomes (a_i*re + i*a_i*im)/D x^(a - e_i).  Distinct terms
-    land on distinct exponents, so nothing is summed and nothing cancels.
+    One pass over p's Gaussian-integer pairs, which share p's denominator D:
+    a term (re + i*im)/D x^a with a_i > 0 becomes (a_i*re + i*a_i*im)/D
+    x^(a - e_i).  Distinct terms land on distinct exponents, so nothing is
+    summed and nothing cancels; only a common factor of D and the new
+    numerators is divided out, and none exists when D == 1.
     """
     if not 1 <= i <= p.nvars:
         raise IndexOutOfRange(f"variable index {i} outside 1..{p.nvars}")
     slot = i - 1
-    terms, denominator = _to_gaussian_integers(p._terms)
-    sums = {}
-    for exps, re, im in terms:
+    pairs = {}
+    for exps, (re, im) in p._pairs.items():
         e = exps[slot]
         if e:
-            sums[exps[:slot] + (e - 1,) + exps[i:]] = (e * re, e * im)
-    return Polynomial._raw(p.nvars, _from_gaussian_integers(sums, denominator))
+            pairs[exps[:slot] + (e - 1,) + exps[i:]] = (e * re, e * im)
+    return Polynomial._reduced(p.nvars, pairs, p._den)
 
 
 def gradient(p: Polynomial) -> Tuple[Polynomial, ...]:
@@ -85,27 +81,27 @@ def kappa(p: Polynomial, q: Polynomial) -> Polynomial:
     One pass over term pairs, with no partial derivatives or products built:
     a term c_a x^a of p and a term c_b x^b of q contribute a_i*b_i*c_a*c_b
     at the exponent a + b - 2e_i for every i with a_i and b_i both nonzero.
-    Coefficients are summed as Gaussian integers over the product of the
-    operands' common denominators, as in `Polynomial.__mul__`.  When q is p,
-    each unordered pair of terms is visited once and counted twice.
+    The operands' Gaussian-integer pairs are multiplied and summed as they
+    are stored, over the product of the two denominators, as in
+    `Polynomial.__mul__`.  When q is p, each unordered pair of terms is
+    visited once and counted twice.
     """
     if p.nvars != q.nvars:
         raise DimensionMismatch(
             f"kappa operands live in different spaces: {p.nvars} vs {q.nvars}"
         )
-    left, left_den = _to_gaussian_integers(p._terms)
+    left = list(p._pairs.items())
     if q is p:
-        right_den = left_den
-        doubled = [(eb, 2 * rb, 2 * ib) for eb, rb, ib in left]
+        doubled = [(eb, (2 * rb, 2 * ib)) for eb, (rb, ib) in left]
     else:
-        right, right_den = _to_gaussian_integers(q._terms)
+        right = list(q._pairs.items())
     sums: dict = {}
-    for index, (ea, ra, ia) in enumerate(left):
+    for index, (ea, (ra, ia)) in enumerate(left):
         support = [(i, a) for i, a in enumerate(ea) if a]
         # for q is p: the term itself once, then every later term twice
         partners = (
             chain((left[index],), islice(doubled, index + 1, None)) if q is p else right)
-        for eb, rb, ib in partners:
+        for eb, (rb, ib) in partners:
             exps = None
             for i, a in support:
                 b = eb[i]
@@ -124,7 +120,7 @@ def kappa(p: Polynomial, q: Polynomial) -> Polynomial:
                 else:
                     acc[0] += weight * re
                     acc[1] += weight * im
-    return Polynomial._raw(p.nvars, _from_gaussian_integers(sums, left_den * right_den))
+    return Polynomial._summed(p.nvars, sums, p._den * q._den)
 
 
 def hess_grad_grad(p: Polynomial) -> Polynomial:

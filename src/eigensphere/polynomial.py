@@ -1,23 +1,25 @@
 """Exact sparse multivariate polynomial arithmetic over Gaussian rationals.
 
-A polynomial in N real variables x1..xN is stored as a map from exponent
-tuples to GaussianRational coefficients:
+A polynomial in N real variables x1..xN is stored as Gaussian integers over
+one shared positive denominator D: a map from exponent tuples to integer
+pairs (re, im), each standing for the coefficient (re + i*im) / D.
 
-    x1^2*x3 - i/2       ->    {(2, 0, 1): 1, (0, 0, 0): -i/2}
+    x1^2*x3 - i/2       ->    {(2, 0, 1): (2, 0), (0, 0, 0): (0, -1)} over D = 2
 
-The representation is canonical: zero coefficients are never stored, every
-exponent tuple has length N, and two equal polynomials have identical term
-maps.  All arithmetic is exact (arbitrary-precision rationals), which is what
+The representation is canonical: no (0, 0) pair is stored, every exponent
+tuple has length N, gcd(D, every re, every im) == 1, and the zero polynomial
+has D == 1.  So two equal polynomials have the same D and identical pair
+maps.  All arithmetic is exact (arbitrary-precision integers), which is what
 makes divisibility and harmonicity certificates trustworthy.  Values are
 immutable after construction and safe to share between threads.
 
-Products are accumulated over Gaussian integers, not term by term in
-GaussianRational: each operand's coefficients are put over one common
-denominator D (the lcm of every real and imaginary denominator), the loop
-adds plain (re, im) integer pairs per exponent tuple, and each sum becomes a
-GaussianRational once, at the end, over D_p*D_q.  `_to_gaussian_integers` and
-`_from_gaussian_integers` are that conversion; `calculus.kappa` and
-`calculus.partial` use them too.
+Sums, products, conjugation and division are passes over the integer pairs;
+the common factor of D and the numerators is divided out once per result,
+and not at all when D == 1, as it is for every Gaussian-integer polynomial.
+`calculus.partial` and `calculus.kappa` read the pairs directly; no other
+module does.  `items`, `coefficient` and `leading_term` build
+GaussianRational coefficients on demand, and the constructor takes a map of
+them.
 
 The only floating-point operation is `evaluate`, which sums the terms in the
 canonical graded-lexicographic order so results are reproducible run to run.
@@ -27,9 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from heapq import heapify, heappop, heappush
+from itertools import chain
+from math import gcd, lcm
+from operator import add, neg, sub
+from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DimensionMismatch,
@@ -155,37 +159,15 @@ def _grlex_key(exps: Exponents):
     return (sum(exps), exps)
 
 
-def _to_gaussian_integers(terms: Mapping) -> Tuple[List[Tuple[Exponents, int, int]], int]:
-    """A term map over one common denominator: ([(exps, re, im)], D).
-
-    Each coefficient equals (re + i*im) / D, with D the lcm of every real and
-    imaginary denominator in the map (1 for an empty map).
-    """
-    denominator = lcm(*(d for c in terms.values() for d in (c.re.denominator, c.im.denominator)))
-    return [
-        (exps,
-         c.re.numerator * (denominator // c.re.denominator),
-         c.im.numerator * (denominator // c.im.denominator))
-        for exps, c in terms.items()
-    ], denominator
-
-
-def _from_gaussian_integers(sums: Mapping, denominator: int) -> dict:
-    """Canonical term map from integer sums exps -> (re, im) over `denominator`.
-
-    Sums that cancelled to zero are dropped here, once, not inside the loop.
-    """
-    return {
-        exps: GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
-        for exps, (re, im) in sums.items()
-        if re or im
-    }
+def _heap_entry(exps: Exponents):
+    """Min-heap entry that comes out in descending graded-lexicographic order."""
+    return (-sum(exps), tuple(map(neg, exps)), exps)
 
 
 class Polynomial:
     """Immutable sparse polynomial over Gaussian rationals in N variables."""
 
-    __slots__ = ("nvars", "_terms", "_eval_terms")
+    __slots__ = ("nvars", "_pairs", "_den", "_eval_terms")
 
     def __init__(self, nvars: int, terms: Optional[Mapping[Exponents, ScalarLike]] = None):
         if nvars < 1:
@@ -208,8 +190,19 @@ class Polynomial:
                         clean[exps] = value
                     elif exps in clean:
                         del clean[exps]
+        # the lcm of reduced denominators shares no factor with every numerator
+        den = lcm(*(d for c in clean.values() for d in (c.re.denominator, c.im.denominator)))
+        pairs = {
+            exps: (c.re.numerator * (den // c.re.denominator),
+                   c.im.numerator * (den // c.im.denominator))
+            for exps, c in clean.items()
+        }
+        self._set(nvars, pairs, den)
+
+    def _set(self, nvars: int, pairs: dict, den: int) -> None:
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_eval_terms", None)
 
     def __setattr__(self, name, value):
@@ -238,45 +231,81 @@ class Polynomial:
     def monomial(cls, nvars: int, exps: Sequence[int], coeff: ScalarLike = 1) -> "Polynomial":
         return cls(nvars, {tuple(exps): GaussianRational.of(coeff)})
 
+    @classmethod
+    def _raw(cls, nvars: int, pairs: dict, den: int) -> "Polynomial":
+        """Internal constructor for integer pairs over `den` already in canonical form."""
+        poly = cls.__new__(cls)
+        poly._set(nvars, pairs, den)
+        return poly
+
+    @classmethod
+    def _reduced(cls, nvars: int, pairs: dict, den: int) -> "Polynomial":
+        """Internal constructor for nonzero (re, im) tuples over a positive `den`.
+
+        Divides out the common factor of `den` and every numerator, which is
+        all that canonical form still asks; with den == 1 there is none.
+        """
+        if den != 1:
+            common = gcd(den, *chain.from_iterable(pairs.values()))
+            if common != 1:
+                den //= common
+                pairs = {e: (re // common, im // common) for e, (re, im) in pairs.items()}
+        return cls._raw(nvars, pairs, den)
+
+    @classmethod
+    def _summed(cls, nvars: int, sums: dict, den: int) -> "Polynomial":
+        """Internal constructor for accumulated [re, im] sums over `den`.
+
+        Sums that cancelled to zero are dropped here, once, not inside the
+        accumulating loop.
+        """
+        pairs = {e: (re, im) for e, (re, im) in sums.items() if re or im}
+        return cls._reduced(nvars, pairs, den)
+
     # ----- inspection ---------------------------------------------------
 
+    def _coefficient(self, pair: Tuple[int, int]) -> GaussianRational:
+        return GaussianRational(Fraction(pair[0], self._den), Fraction(pair[1], self._den))
+
     def items(self) -> Iterator:
-        """Terms in descending graded-lexicographic order."""
-        return iter(sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True))
+        """Terms in descending graded-lexicographic order, as (exps, GaussianRational)."""
+        ordered = sorted(self._pairs.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        return ((exps, self._coefficient(pair)) for exps, pair in ordered)
 
     def coefficient(self, exps: Sequence[int]) -> GaussianRational:
-        return self._terms.get(tuple(exps), GaussianRational())
+        pair = self._pairs.get(tuple(exps))
+        return GaussianRational() if pair is None else self._coefficient(pair)
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._pairs)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._pairs
 
     def is_real(self) -> bool:
-        return all(c.im == 0 for c in self._terms.values())
+        return all(not im for _re, im in self._pairs.values())
 
     def degree(self) -> int:
         """Maximal total degree.  Undefined (error) for the zero polynomial."""
-        if not self._terms:
+        if not self._pairs:
             raise ZeroPolynomial("the zero polynomial has no degree")
-        return max(sum(e) for e in self._terms)
+        return max(sum(e) for e in self._pairs)
 
     def homogeneity(self) -> Optional[int]:
         """The common total degree of all terms, or None if degrees are mixed."""
-        if not self._terms:
+        if not self._pairs:
             raise ZeroPolynomial("the zero polynomial has no homogeneity degree")
-        degrees = {sum(e) for e in self._terms}
+        degrees = {sum(e) for e in self._pairs}
         if len(degrees) == 1:
             return degrees.pop()
         return None
 
     def leading_term(self):
         """(exponents, coefficient) maximal in graded-lexicographic order."""
-        if not self._terms:
+        if not self._pairs:
             raise ZeroPolynomial("the zero polynomial has no leading term")
-        exps = max(self._terms, key=_grlex_key)
-        return exps, self._terms[exps]
+        exps = max(self._pairs, key=_grlex_key)
+        return exps, self._coefficient(self._pairs[exps])
 
     # ----- ring operations ----------------------------------------------
 
@@ -291,15 +320,21 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         self._check_same_space(other)
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
+        den = lcm(self._den, other._den)
+        scale = den // self._den
+        terms = (dict(self._pairs) if scale == 1 else
+                 {e: (re * scale, im * scale) for e, (re, im) in self._pairs.items()})
+        scale = den // other._den
+        for exps, (re, im) in other._pairs.items():
+            re, im = re * scale, im * scale
             acc = terms.get(exps)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                terms[exps] = total
-            elif exps in terms:
-                del terms[exps]
-        return self._raw(self.nvars, terms)
+            if acc is not None:
+                re, im = acc[0] + re, acc[1] + im
+                if not (re or im):
+                    del terms[exps]
+                    continue
+            terms[exps] = (re, im)
+        return self._reduced(self.nvars, terms, den)
 
     __radd__ = __add__
 
@@ -316,19 +351,18 @@ class Polynomial:
         return other + (-self)
 
     def __neg__(self) -> "Polynomial":
-        return self._raw(self.nvars, {e: -c for e, c in self._terms.items()})
+        return self._raw(
+            self.nvars, {e: (-re, -im) for e, (re, im) in self._pairs.items()}, self._den)
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         self._check_same_space(other)
-        left, left_den = _to_gaussian_integers(self._terms)
-        right, right_den = (
-            (left, left_den) if other is self else _to_gaussian_integers(other._terms))
+        right = list(other._pairs.items())
         sums: dict = {}
-        for ea, ra, ia in left:
-            for eb, rb, ib in right:
+        for ea, (ra, ia) in self._pairs.items():
+            for eb, (rb, ib) in right:
                 exps = tuple(map(add, ea, eb))
                 acc = sums.get(exps)
                 if acc is None:
@@ -336,7 +370,7 @@ class Polynomial:
                 else:
                     acc[0] += ra * rb - ia * ib
                     acc[1] += ra * ib + ia * rb
-        return self._raw(self.nvars, _from_gaussian_integers(sums, left_den * right_den))
+        return self._summed(self.nvars, sums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -360,26 +394,19 @@ class Polynomial:
             return Polynomial.constant(self.nvars, other)
         return NotImplemented
 
-    @classmethod
-    def _raw(cls, nvars: int, terms: dict) -> "Polynomial":
-        """Internal constructor for term maps already in canonical form."""
-        poly = cls.__new__(cls)
-        object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "_terms", terms)
-        object.__setattr__(poly, "_eval_terms", None)
-        return poly
-
     # ----- structure ----------------------------------------------------
 
     def conjugate(self) -> "Polynomial":
         """Coefficient-wise complex conjugation (variables are real)."""
-        return self._raw(self.nvars, {e: c.conjugate() for e, c in self._terms.items()})
+        return self._raw(
+            self.nvars, {e: (re, -im) for e, (re, im) in self._pairs.items()}, self._den)
 
     def real_imag_parts(self):
         """Split p = u + i*v into real-coefficient polynomials (u, v)."""
-        re_terms = {e: GaussianRational(c.re) for e, c in self._terms.items() if c.re}
-        im_terms = {e: GaussianRational(c.im) for e, c in self._terms.items() if c.im}
-        return self._raw(self.nvars, re_terms), self._raw(self.nvars, im_terms)
+        pairs = self._pairs.items()
+        u = {e: (re, 0) for e, (re, _im) in pairs if re}
+        v = {e: (im, 0) for e, (_re, im) in pairs if im}
+        return self._reduced(self.nvars, u, self._den), self._reduced(self.nvars, v, self._den)
 
     def exact_divide(self, divisor: "Polynomial") -> Optional["Polynomial"]:
         """Quotient q with self = divisor * q exactly, or None.
@@ -388,31 +415,70 @@ class Polynomial:
         order.  A term whose leading monomial is not divisible by the
         divisor's leading monomial would end up in the remainder and can
         never cancel, so the search stops there.
+
+        The remainder and the quotient stay integer pairs over one shared
+        denominator D, which starts as the dividend's.  With the divisor's
+        leading coefficient (a + i*b)/D_d, the remainder's leading
+        coefficient (x + i*y)/D divides to
+
+            (x + i*y)(a - i*b) * D_d / ((a^2 + b^2) * D),
+
+        and the factor of a^2 + b^2 left after one gcd with the numerator
+        is the only one the remainder can lack: D_d cancels from the
+        quotient term times the divisor.  So remainder and quotient are
+        rescaled only when that factor is not 1, which never happens for a
+        divisor led by 1, -1, i or -i.  The remainder's leading term comes
+        off a heap of its exponents, not from a scan of the whole remainder
+        per step.
         """
         if divisor.is_zero():
             raise DivisionByZeroPolynomial("exact division by the zero polynomial")
         self._check_same_space(divisor)
         if self.is_zero():
             return Polynomial.zero(self.nvars)
-        lead_d, coeff_d = divisor.leading_term()
-        remainder = dict(self._terms)
+        lead_d = max(divisor._pairs, key=_grlex_key)
+        a, b = divisor._pairs[lead_d]
+        norm = a * a + b * b
+        terms = list(divisor._pairs.items())
+        scale = divisor._den
+        remainder = dict(self._pairs)
+        # a max-heap of the remainder's exponents in grlex order; an entry
+        # whose term has cancelled is skipped when it comes up
+        heap = [_heap_entry(exps) for exps in remainder]
+        heapify(heap)
+        den = self._den
         quotient: dict = {}
         while remainder:
-            lead_r = max(remainder, key=_grlex_key)
-            step = tuple(a - b for a, b in zip(lead_r, lead_d))
-            if any(e < 0 for e in step):
+            lead_r = heappop(heap)[2]
+            if lead_r not in remainder:
+                continue
+            step = tuple(map(sub, lead_r, lead_d))
+            if min(step) < 0:
                 return None
-            factor = remainder[lead_r] / coeff_d
-            quotient[step] = factor
-            for exps, coeff in divisor._terms.items():
-                target = tuple(a + b for a, b in zip(step, exps))
+            x, y = remainder[lead_r]
+            re, im = x * a + y * b, y * a - x * b
+            common = gcd(re, im, norm)
+            grow = norm // common
+            re, im = re // common, im // common
+            if grow != 1:
+                den *= grow
+                remainder = {e: (r * grow, i * grow) for e, (r, i) in remainder.items()}
+                quotient = {e: (r * grow, i * grow) for e, (r, i) in quotient.items()}
+            quotient[step] = (re * scale, im * scale)
+            for exps, (u, v) in terms:
+                target = tuple(map(add, step, exps))
+                r, i = -(re * u - im * v), -(re * v + im * u)
                 acc = remainder.get(target)
-                total = -(factor * coeff) if acc is None else acc - factor * coeff
-                if total:
-                    remainder[target] = total
-                elif target in remainder:
+                if acc is None:
+                    remainder[target] = (r, i)
+                    heappush(heap, _heap_entry(target))
+                    continue
+                r, i = acc[0] + r, acc[1] + i
+                if r or i:
+                    remainder[target] = (r, i)
+                else:
                     del remainder[target]
-        return self._raw(self.nvars, quotient)
+        return self._reduced(self.nvars, quotient, den)
 
     def evaluate(self, x: Sequence[float]) -> complex:
         """Evaluate at a real point, term by term in canonical order.
@@ -447,13 +513,14 @@ class Polynomial:
             other = Polynomial.constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        return (self.nvars == other.nvars and self._den == other._den
+                and self._pairs == other._pairs)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self._terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._pairs.items())))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._pairs)
 
     def __str__(self) -> str:
         from .parsing import render

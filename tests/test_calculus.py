@@ -1,6 +1,7 @@
 """Differential operators: partials, Laplacian, Hessian, bilinear gradient product."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -20,25 +21,13 @@ from eigensphere.errors import DimensionMismatch, IndexOutOfRange, ZeroPolynomia
 from eigensphere.parsing import parse
 from eigensphere.polynomial import GaussianRational, Polynomial, r_squared
 
-from conftest import random_homogeneous, random_poly
+from conftest import random_homogeneous, random_poly, random_rational_poly
 
 I = GaussianRational(0, 1)
 
 
 def x(i, nvars=4):
     return Polynomial.variable(nvars, i)
-
-
-def random_rational_poly(rng, nvars, max_degree=4, terms=8):
-    """Random polynomial with Gaussian-rational coefficients, denominators up to 12."""
-    data = {}
-    for _ in range(terms):
-        exps = tuple(int(e) for e in rng.multinomial(rng.integers(0, max_degree + 1),
-                                                     np.ones(nvars) / nvars))
-        re = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
-        im = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
-        data[exps] = data.get(exps, GaussianRational()) + GaussianRational(re, im)
-    return Polynomial(nvars, data)
 
 
 def mul_reference(p, q):
@@ -54,7 +43,7 @@ def mul_reference(p, q):
 def partial_reference(p, i):
     """d_i p term by term in GaussianRational arithmetic, no common denominator."""
     terms = {}
-    for exps, coeff in p._terms.items():
+    for exps, coeff in p.items():
         e = exps[i - 1]
         if e:
             dropped = list(exps)
@@ -72,10 +61,17 @@ def kappa_reference(p, q):
 
 
 def assert_canonical(r):
-    assert all(isinstance(c, GaussianRational) and c for c in r._terms.values())
+    """The storage invariant: Gaussian-integer pairs over one positive denominator D,
+    no (0, 0) pair, gcd(D, every re, every im) == 1, and D == 1 for the zero polynomial."""
+    pairs, den = r._pairs, r._den
+    assert isinstance(den, int) and den >= 1
+    assert all(isinstance(v, int) for pair in pairs.values() for v in pair)
+    assert all(pair != (0, 0) for pair in pairs.values())
+    assert gcd(den, *(v for pair in pairs.values() for v in pair)) == 1
+    assert all(isinstance(c, GaussianRational) and c for _exps, c in r.items())
     assert all(isinstance(c.re, Fraction) and isinstance(c.im, Fraction)
-               for c in r._terms.values())
-    assert Polynomial(r.nvars, dict(r._terms)) == r
+               for _exps, c in r.items())
+    assert Polynomial(r.nvars, dict(r.items())) == r
 
 
 class TestPartial:
@@ -118,8 +114,10 @@ class TestPartial:
                 assert got == partial_reference(p, i)
                 assert_canonical(got)
         # a variable p lacks: every term drops, and the result is stored empty
-        lacking = Polynomial(nvars + 1, {exps + (0,): c for exps, c in p._terms.items()})
-        assert partial(lacking, nvars + 1)._terms == {}
+        lacking = Polynomial(nvars + 1, {exps + (0,): c for exps, c in p.items()})
+        dropped = partial(lacking, nvars + 1)
+        assert dict(dropped.items()) == {}
+        assert_canonical(dropped)
 
 
 class TestGradient:
@@ -221,7 +219,7 @@ class TestKappa:
         rng = np.random.default_rng([nvars, 0xCAFE])
         for _ in range(8):
             p = random_rational_poly(rng, nvars)
-            copy = Polynomial(nvars, dict(p._terms))
+            copy = Polynomial(nvars, dict(p.items()))
             q = random_rational_poly(rng, nvars)
             expected_square = kappa_reference(p, p)
             for left, right, expected in (
@@ -236,9 +234,11 @@ class TestKappa:
     def test_cancellation_is_canonical(self):
         # kappa(z1, z1) cancels every coefficient; kappa(u, v) of z1^2 too
         z1 = parse("z1", 2)
-        assert kappa(z1, z1)._terms == {}
+        assert dict(kappa(z1, z1).items()) == {}
+        assert_canonical(kappa(z1, z1))
         u, v = parse("z1^2", 2).real_imag_parts()
-        assert kappa(u, v)._terms == {}
+        assert dict(kappa(u, v).items()) == {}
+        assert_canonical(kappa(u, v))
 
 
 class TestProduct:
@@ -247,7 +247,7 @@ class TestProduct:
         rng = np.random.default_rng([nvars, 0xBEEF])
         for _ in range(8):
             p = random_rational_poly(rng, nvars)
-            copy = Polynomial(nvars, dict(p._terms))
+            copy = Polynomial(nvars, dict(p.items()))
             q = random_rational_poly(rng, nvars)
             expected_square = mul_reference(p, p)
             for left, right, expected in (
@@ -262,7 +262,7 @@ class TestProduct:
     def test_cancellation_is_canonical(self):
         # the two x1*x2 products cancel inside the loop and must not be stored
         product = parse("x1 + i*x2", 2) * parse("x1 - i*x2", 2)
-        assert product._terms.keys() == {(2, 0), (0, 2)}
+        assert dict(product.items()).keys() == {(2, 0), (0, 2)}
         assert_canonical(product)
 
 

@@ -151,8 +151,36 @@ def test_partial_and_laplacian_match_sympy(generated):
         generated.text)
 
 
+def _kappa_example():
+    """(kappa(F, kappa(F, conj F)), F) for F = z1^3*conj(z2)^2.
+
+    The dividend's text is rendered from the package's own kappa, but its
+    sympy expression is built from sympy's derivatives, so the assertions
+    below compare the package against the oracle end to end."""
+    f_text = "z1^3*conj(z2)^2"
+    z1, z2 = X[0] + sympy.I * X[1], X[2] + sympy.I * X[3]
+    f_expr = z1**3 * sympy.conjugate(z2) ** 2
+    F = parse(f_text, NVARS)
+    K = kappa(F, kappa(F, F.conjugate()))
+    k_expr = sympy_kappa(f_expr, sympy_kappa(f_expr, sympy.conjugate(f_expr)))
+    return (Generated(str(K), SUM, k_expr, K.degree()),
+            Generated(f_text, PRODUCT, f_expr, F.degree()))
+
+
+# a divisor led by a complex rational of norm other than 1, so the integer
+# remainder is rescaled, dividing a rational polynomial
+_NON_UNIT_LEAD = (
+    Generated("1/2*x1^2 - 3/7*x2*x4 + 5/3", SUM,
+              X[0] ** 2 / 2 - sympy.Rational(3, 7) * X[1] * X[3] + sympy.Rational(5, 3), 2),
+    Generated("(2/5+3/5*i)*x1 + 1/3*x2", SUM,
+              (sympy.Rational(2, 5) + sympy.Rational(3, 5) * sympy.I) * X[0] + X[1] / 3, 1),
+)
+
+
 @hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @hypothesis.given(operands, operands)
+@hypothesis.example(*_NON_UNIT_LEAD)
+@hypothesis.example(*_kappa_example())
 def test_exact_divide_matches_sympy(left, right):
     p, q = parse(left.text, NVARS), parse(right.text, NVARS)
     hypothesis.assume(not q.is_zero())

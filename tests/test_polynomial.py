@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from eigensphere.calculus import kappa
 from eigensphere.errors import (
     DimensionMismatch,
     DivisionByZeroPolynomial,
     IndexOutOfRange,
     ZeroPolynomial,
 )
+from eigensphere.parsing import parse
 from eigensphere.polynomial import GaussianRational, Polynomial, r_squared
 
-from conftest import random_poly
+from conftest import random_poly, random_rational_poly
 
 
 def x(i, nvars=3):
@@ -62,6 +64,67 @@ class TestConstruction:
         p = x(1)
         with pytest.raises(AttributeError):
             p.nvars = 5
+
+
+class TestCanonicalForm:
+    """Equal polynomials reached by different routes are == and hash alike.
+
+    Storage is Gaussian-integer pairs over one denominator, reduced to
+    lowest terms, so equality and hashing compare the stored form as is.
+    """
+
+    @staticmethod
+    def assert_same(p, q):
+        assert p == q
+        assert hash(p) == hash(q)
+
+    def test_parsed(self):
+        half, sixth = Fraction(1, 2), Fraction(1, 6)
+        built = Polynomial(3, {
+            (1, 0, 0): GaussianRational(half),
+            (0, 2, 0): GaussianRational(Fraction(2, 6), Fraction(3, 6)),
+            (0, 0, 0): GaussianRational(0, -sixth),
+        })
+        self.assert_same(parse("1/2*x1 + (2/6+3/6*i)*x2^2 - 1/6*i", 3), built)
+
+    def test_exact_divide_roundtrip(self, rng):
+        for nvars in (2, 3):
+            for _ in range(10):
+                p = random_rational_poly(rng, nvars, max_degree=3, terms=5)
+                q = random_rational_poly(rng, nvars, max_degree=2, terms=3)
+                if q.is_zero():
+                    continue
+                self.assert_same((p * q).exact_divide(q), p)
+
+    def test_sum_cancelling_to_zero(self, rng):
+        p = random_rational_poly(rng, 3)
+        zero = p + (-p)
+        self.assert_same(zero, Polynomial.zero(3))
+        self.assert_same(p - p, Polynomial.zero(3))
+        self.assert_same(Fraction(1, 2) * p + Fraction(1, 2) * p, p)
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 35])
+    def test_scalar_roundtrip(self, rng, k):
+        p = random_rational_poly(rng, 3)
+        self.assert_same(p * Fraction(1, k) * k, p)
+
+    def test_double_conjugate(self, rng):
+        p = random_rational_poly(rng, 4)
+        self.assert_same(p.conjugate().conjugate(), p)
+
+    def test_zero_has_denominator_one(self, rng):
+        p = random_rational_poly(rng, 2)
+        z1 = parse("z1", 2)
+        for zero in (Polynomial.zero(2), p - p, p * 0, p * Fraction(1, 3) - p * Fraction(1, 3),
+                     Polynomial(2, {(1, 0): Fraction(0, 7)}), kappa(z1, z1)):
+            assert zero.is_zero()
+            assert zero._den == 1
+            self.assert_same(zero, Polynomial.zero(2))
+
+    def test_items_roundtrip(self, rng):
+        for nvars in (1, 3, 5):
+            p = random_rational_poly(rng, nvars)
+            self.assert_same(Polynomial(nvars, dict(p.items())), p)
 
 
 class TestRingOperations:
