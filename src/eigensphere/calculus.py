@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, islice
-from operator import add
 from typing import Tuple
 
 from .errors import DimensionMismatch, IndexOutOfRange, ZeroPolynomial
-from .polynomial import Polynomial, r_squared
+from .polynomial import MAX_DEGREE, Polynomial, _check_degree, _shift, _unit, _unpack, r_squared
 
 
 # ---------------------------------------------------------------------------
@@ -33,18 +32,20 @@ def partial(p: Polynomial, i: int) -> Polynomial:
 
     One pass over p's Gaussian-integer pairs, which share p's denominator D:
     a term (re + i*im)/D x^a with a_i > 0 becomes (a_i*re + i*a_i*im)/D
-    x^(a - e_i).  Distinct terms land on distinct exponents, so nothing is
-    summed and nothing cancels; only a common factor of D and the new
-    numerators is divided out, and none exists when D == 1.
+    x^(a - e_i).  a_i is read from x_i's field of the packed key, and the
+    new key is the old one minus the key of x_i.  Distinct terms land on
+    distinct exponents, so nothing is summed and nothing cancels; only a
+    common factor of D and the new numerators is divided out, and none
+    exists when D == 1.
     """
     if not 1 <= i <= p.nvars:
         raise IndexOutOfRange(f"variable index {i} outside 1..{p.nvars}")
-    slot = i - 1
+    shift, unit = _shift(p.nvars, i), _unit(p.nvars, i)
     pairs = {}
-    for exps, (re, im) in p._pairs.items():
-        e = exps[slot]
+    for key, (re, im) in p._pairs.items():
+        e = (key >> shift) & MAX_DEGREE
         if e:
-            pairs[exps[:slot] + (e - 1,) + exps[i:]] = (e * re, e * im)
+            pairs[key - unit] = (e * re, e * im)
     return Polynomial._reduced(p.nvars, pairs, p._den)
 
 
@@ -80,39 +81,42 @@ def kappa(p: Polynomial, q: Polynomial) -> Polynomial:
 
     One pass over term pairs, with no partial derivatives or products built:
     a term c_a x^a of p and a term c_b x^b of q contribute a_i*b_i*c_a*c_b
-    at the exponent a + b - 2e_i for every i with a_i and b_i both nonzero.
-    The operands' Gaussian-integer pairs are multiplied and summed as they
-    are stored, over the product of the two denominators, as in
-    `Polynomial.__mul__`.  When q is p, each unordered pair of terms is
-    visited once and counted twice.
+    at the exponent a + b - 2e_i for every i with a_i and b_i both nonzero,
+    whose packed key is key(a) + key(b) - 2*key(x_i).  The operands'
+    Gaussian-integer pairs are multiplied and summed as they are stored,
+    over the product of the two denominators, as in `Polynomial.__mul__`.
+    When q is p, each unordered pair of terms is visited once and counted
+    twice.  Raises BudgetExceeded when deg p + deg q - 2 is over MAX_DEGREE.
     """
     if p.nvars != q.nvars:
         raise DimensionMismatch(
             f"kappa operands live in different spaces: {p.nvars} vs {q.nvars}"
         )
-    left = list(p._pairs.items())
+    nvars = p.nvars
+    if p and q:
+        _check_degree(p.degree() + q.degree() - 2)
+    twice = [2 * _unit(nvars, i) for i in range(1, nvars + 1)]
+    left = [(ka, _unpack(ka, nvars), ra, ia) for ka, (ra, ia) in p._pairs.items()]
     if q is p:
-        doubled = [(eb, (2 * rb, 2 * ib)) for eb, (rb, ib) in left]
+        doubled = [(kb, eb, 2 * rb, 2 * ib) for kb, eb, rb, ib in left]
     else:
-        right = list(q._pairs.items())
+        right = [(kb, _unpack(kb, nvars), rb, ib) for kb, (rb, ib) in q._pairs.items()]
     sums: dict = {}
-    for index, (ea, (ra, ia)) in enumerate(left):
-        support = [(i, a) for i, a in enumerate(ea) if a]
+    for index, (ka, ea, ra, ia) in enumerate(left):
+        support = [(i, a, twice[i]) for i, a in enumerate(ea) if a]
         # for q is p: the term itself once, then every later term twice
         partners = (
             chain((left[index],), islice(doubled, index + 1, None)) if q is p else right)
-        for eb, (rb, ib) in partners:
-            exps = None
-            for i, a in support:
+        for kb, eb, rb, ib in partners:
+            both = None
+            for i, a, unit2 in support:
                 b = eb[i]
                 if not b:
                     continue
-                if exps is None:
-                    exps = list(map(add, ea, eb))
+                if both is None:
+                    both = ka + kb
                     re, im = ra * rb - ia * ib, ra * ib + ia * rb
-                exps[i] -= 2
-                key = tuple(exps)
-                exps[i] += 2
+                key = both - unit2
                 weight = a * b
                 acc = sums.get(key)
                 if acc is None:

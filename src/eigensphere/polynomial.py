@@ -1,25 +1,38 @@
 """Exact sparse multivariate polynomial arithmetic over Gaussian rationals.
 
 A polynomial in N real variables x1..xN is stored as Gaussian integers over
-one shared positive denominator D: a map from exponent tuples to integer
-pairs (re, im), each standing for the coefficient (re + i*im) / D.
+one shared positive denominator D: a map from monomial keys to integer pairs
+(re, im), each standing for the coefficient (re + i*im) / D.  A monomial's
+key packs its exponent vector into one int of N + 1 fields of FIELD_BITS
+bits: the total degree in the top field, then the exponents of x1 .. xN,
+x1 most significant.
 
-    x1^2*x3 - i/2       ->    {(2, 0, 1): (2, 0), (0, 0, 0): (0, -1)} over D = 2
+    x1^2*x3 - i/2   ->   {3<<96 | 2<<64 | 0<<32 | 1: (2, 0), 0: (0, -1)} over D = 2
 
-The representation is canonical: no (0, 0) pair is stored, every exponent
-tuple has length N, gcd(D, every re, every im) == 1, and the zero polynomial
-has D == 1.  So two equal polynomials have the same D and identical pair
-maps.  All arithmetic is exact (arbitrary-precision integers), which is what
-makes divisibility and harmonicity certificates trustworthy.  Values are
-immutable after construction and safe to share between threads.
+With the degree on top, the integer order of keys is the graded
+lexicographic order, and since every field stays below 2**FIELD_BITS the
+key of a product of monomials is the sum of their keys.  So a monomial
+product is one add, a quotient one subtract, and a degree one shift.  The
+total degree is capped at MAX_DEGREE = 2**FIELD_BITS - 1: the constructor,
+products and `calculus.kappa` raise BudgetExceeded before a result could
+pass it, so no field ever carries into the next.
+
+The representation is canonical: no (0, 0) pair is stored, every key packs
+an exponent vector of length N, gcd(D, every re, every im) == 1, and the
+zero polynomial has D == 1.  So two equal polynomials have the same D and
+identical pair maps.  All arithmetic is exact (arbitrary-precision
+integers), which is what makes divisibility and harmonicity certificates
+trustworthy.  Values are immutable after construction and safe to share
+between threads.
 
 Sums, products, conjugation and division are passes over the integer pairs;
 the common factor of D and the numerators is divided out once per result,
 and not at all when D == 1, as it is for every Gaussian-integer polynomial.
-`calculus.partial` and `calculus.kappa` read the pairs directly; no other
-module does.  `items`, `coefficient` and `leading_term` build
-GaussianRational coefficients on demand, and the constructor takes a map of
-them.
+`calculus.partial` and `calculus.kappa` read the keys and pairs directly; no
+other module does.  Exponent tuples appear only at the boundary: the
+constructor takes a map from them to coefficients, and `items`,
+`coefficient` and `leading_term` unpack keys and build GaussianRational
+coefficients on demand.
 
 The only floating-point operation is `evaluate`, which sums the terms in the
 canonical graded-lexicographic order so results are reproducible run to run.
@@ -32,10 +45,10 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
-from operator import add, neg, sub
 from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
     DivisionByZeroPolynomial,
     IndexOutOfRange,
@@ -44,6 +57,11 @@ from .errors import (
 
 #: Exponent tuple: entry i is the power of x_{i+1} in the monomial.
 Exponents = tuple
+
+#: Bits in each field of a packed monomial key.
+FIELD_BITS = 32
+#: The largest total degree a polynomial may have; it bounds every field.
+MAX_DEGREE = (1 << FIELD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -150,18 +168,52 @@ class GaussianRational:
 
 ScalarLike = Union[int, Fraction, GaussianRational]
 
-ONE = GaussianRational(Fraction(1))
 I = GaussianRational(Fraction(0), Fraction(1))
 
 
-def _grlex_key(exps: Exponents):
-    """Sort key for the graded-lexicographic order (degree, then lex)."""
-    return (sum(exps), exps)
+def _shift(nvars: int, i: int) -> int:
+    """Bit offset of x_i's field in a key (1-based i); i == 0 gives the degree field."""
+    return FIELD_BITS * (nvars - i)
 
 
-def _heap_entry(exps: Exponents):
-    """Min-heap entry that comes out in descending graded-lexicographic order."""
-    return (-sum(exps), tuple(map(neg, exps)), exps)
+def _unit(nvars: int, i: int) -> int:
+    """Key of the monomial x_i (1-based i)."""
+    return (1 << _shift(nvars, 0)) | (1 << _shift(nvars, i))
+
+
+def _pack(exps: Exponents) -> int:
+    """Key of an exponent tuple whose total degree is at most MAX_DEGREE."""
+    key = sum(exps)
+    for e in exps:
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def _unpack(key: int, nvars: int) -> Exponents:
+    """Exponent tuple of a key, the inverse of `_pack`."""
+    return tuple([(key >> shift) & MAX_DEGREE
+                  for shift in range(_shift(nvars, 1), -1, -FIELD_BITS)])
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise BudgetExceeded(
+            f"total degree {degree} is over the limit of {MAX_DEGREE}")
+
+
+def _scalar(value) -> Optional[Tuple[int, int, int]]:
+    """An int, Fraction or GaussianRational as (re, im, den) in lowest terms, else None."""
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    if isinstance(value, GaussianRational):
+        re, im = value.re, value.im
+        # the lcm of reduced denominators shares no factor with both numerators
+        den = lcm(re.denominator, im.denominator)
+        return (re.numerator * (den // re.denominator),
+                im.numerator * (den // im.denominator), den)
+    return None
 
 
 class Polynomial:
@@ -184,18 +236,20 @@ class Polynomial:
                     raise ValueError(f"exponents must be non-negative integers, got {exps}")
                 value = GaussianRational.of(coeff)
                 if value:
-                    acc = clean.get(exps)
+                    _check_degree(sum(exps))
+                    key = _pack(exps)
+                    acc = clean.get(key)
                     value = value if acc is None else acc + value
                     if value:
-                        clean[exps] = value
-                    elif exps in clean:
-                        del clean[exps]
+                        clean[key] = value
+                    elif key in clean:
+                        del clean[key]
         # the lcm of reduced denominators shares no factor with every numerator
         den = lcm(*(d for c in clean.values() for d in (c.re.denominator, c.im.denominator)))
         pairs = {
-            exps: (c.re.numerator * (den // c.re.denominator),
-                   c.im.numerator * (den // c.im.denominator))
-            for exps, c in clean.items()
+            key: (c.re.numerator * (den // c.re.denominator),
+                  c.im.numerator * (den // c.im.denominator))
+            for key, c in clean.items()
         }
         self._set(nvars, pairs, den)
 
@@ -216,16 +270,21 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value: ScalarLike) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: GaussianRational.of(value)})
+        if nvars < 1:
+            raise DimensionMismatch(f"nvars must be positive, got {nvars}")
+        scalar = _scalar(value)
+        if scalar is None:
+            raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        re, im, den = scalar
+        # the monomial 1 has key 0
+        return cls._raw(nvars, {0: (re, im)}, den) if re or im else cls._raw(nvars, {}, 1)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         """x_index, with 1-based index as in the x1..xN naming."""
         if not 1 <= index <= nvars:
             raise IndexOutOfRange(f"variable index {index} outside 1..{nvars}")
-        exps = [0] * nvars
-        exps[index - 1] = 1
-        return cls(nvars, {tuple(exps): ONE})
+        return cls._raw(nvars, {_unit(nvars, index): (1, 0)}, 1)
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff: ScalarLike = 1) -> "Polynomial":
@@ -269,11 +328,16 @@ class Polynomial:
 
     def items(self) -> Iterator:
         """Terms in descending graded-lexicographic order, as (exps, GaussianRational)."""
-        ordered = sorted(self._pairs.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-        return ((exps, self._coefficient(pair)) for exps, pair in ordered)
+        nvars = self.nvars
+        return ((_unpack(key, nvars), self._coefficient(self._pairs[key]))
+                for key in sorted(self._pairs, reverse=True))
 
     def coefficient(self, exps: Sequence[int]) -> GaussianRational:
-        pair = self._pairs.get(tuple(exps))
+        exps = tuple(exps)
+        pair = None
+        # a tuple that packs no key of this space has coefficient 0
+        if len(exps) == self.nvars and min(exps) >= 0 and sum(exps) <= MAX_DEGREE:
+            pair = self._pairs.get(_pack(exps))
         return GaussianRational() if pair is None else self._coefficient(pair)
 
     def num_terms(self) -> int:
@@ -289,13 +353,14 @@ class Polynomial:
         """Maximal total degree.  Undefined (error) for the zero polynomial."""
         if not self._pairs:
             raise ZeroPolynomial("the zero polynomial has no degree")
-        return max(sum(e) for e in self._pairs)
+        return max(self._pairs) >> _shift(self.nvars, 0)
 
     def homogeneity(self) -> Optional[int]:
         """The common total degree of all terms, or None if degrees are mixed."""
         if not self._pairs:
             raise ZeroPolynomial("the zero polynomial has no homogeneity degree")
-        degrees = {sum(e) for e in self._pairs}
+        shift = _shift(self.nvars, 0)
+        degrees = {key >> shift for key in self._pairs}
         if len(degrees) == 1:
             return degrees.pop()
         return None
@@ -304,8 +369,8 @@ class Polynomial:
         """(exponents, coefficient) maximal in graded-lexicographic order."""
         if not self._pairs:
             raise ZeroPolynomial("the zero polynomial has no leading term")
-        exps = max(self._pairs, key=_grlex_key)
-        return exps, self._coefficient(self._pairs[exps])
+        key = max(self._pairs)
+        return _unpack(key, self.nvars), self._coefficient(self._pairs[key])
 
     # ----- ring operations ----------------------------------------------
 
@@ -355,18 +420,28 @@ class Polynomial:
             self.nvars, {e: (-re, -im) for e, (re, im) in self._pairs.items()}, self._den)
 
     def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Polynomial):
+            scalar = _scalar(other)
+            if scalar is None:
+                return NotImplemented
+            # a nonzero Gaussian integer times a nonzero pair is never (0, 0)
+            a, b, den = scalar
+            if not (a or b):
+                return Polynomial._raw(self.nvars, {}, 1)
+            pairs = {key: (re * a - im * b, re * b + im * a)
+                     for key, (re, im) in self._pairs.items()}
+            return self._reduced(self.nvars, pairs, self._den * den)
         self._check_same_space(other)
+        if self._pairs and other._pairs:
+            _check_degree(self.degree() + other.degree())
         right = list(other._pairs.items())
         sums: dict = {}
-        for ea, (ra, ia) in self._pairs.items():
-            for eb, (rb, ib) in right:
-                exps = tuple(map(add, ea, eb))
-                acc = sums.get(exps)
+        for ka, (ra, ia) in self._pairs.items():
+            for kb, (rb, ib) in right:
+                key = ka + kb
+                acc = sums.get(key)
                 if acc is None:
-                    sums[exps] = [ra * rb - ia * ib, ra * ib + ia * rb]
+                    sums[key] = [ra * rb - ia * ib, ra * ib + ia * rb]
                 else:
                     acc[0] += ra * rb - ia * ib
                     acc[1] += ra * ib + ia * rb
@@ -427,34 +502,42 @@ class Polynomial:
         is the only one the remainder can lack: D_d cancels from the
         quotient term times the divisor.  So remainder and quotient are
         rescaled only when that factor is not 1, which never happens for a
-        divisor led by 1, -1, i or -i.  The remainder's leading term comes
-        off a heap of its exponents, not from a scan of the whole remainder
-        per step.
+        divisor led by 1, -1, i or -i.
+
+        Monomials are packed keys, so the quotient monomial of a step is the
+        remainder's leading key minus the divisor's, and each product
+        monomial a key sum; the divisor's leading monomial divides when no
+        field of the remainder's leading key is below its field.  The
+        remainder's leading term comes off a min-heap of negated keys, not
+        from a scan of the whole remainder per step.
         """
         if divisor.is_zero():
             raise DivisionByZeroPolynomial("exact division by the zero polynomial")
         self._check_same_space(divisor)
         if self.is_zero():
             return Polynomial.zero(self.nvars)
-        lead_d = max(divisor._pairs, key=_grlex_key)
+        nvars = self.nvars
+        lead_d = max(divisor._pairs)
+        needs = [(_shift(nvars, i), e)
+                 for i, e in enumerate(_unpack(lead_d, nvars), start=1) if e]
         a, b = divisor._pairs[lead_d]
         norm = a * a + b * b
         terms = list(divisor._pairs.items())
         scale = divisor._den
         remainder = dict(self._pairs)
-        # a max-heap of the remainder's exponents in grlex order; an entry
-        # whose term has cancelled is skipped when it comes up
-        heap = [_heap_entry(exps) for exps in remainder]
+        # a max-heap of the remainder's keys, stored negated; an entry whose
+        # term has cancelled is skipped when it comes up
+        heap = [-key for key in remainder]
         heapify(heap)
         den = self._den
         quotient: dict = {}
         while remainder:
-            lead_r = heappop(heap)[2]
+            lead_r = -heappop(heap)
             if lead_r not in remainder:
                 continue
-            step = tuple(map(sub, lead_r, lead_d))
-            if min(step) < 0:
+            if any((lead_r >> shift) & MAX_DEGREE < e for shift, e in needs):
                 return None
+            step = lead_r - lead_d
             x, y = remainder[lead_r]
             re, im = x * a + y * b, y * a - x * b
             common = gcd(re, im, norm)
@@ -465,13 +548,13 @@ class Polynomial:
                 remainder = {e: (r * grow, i * grow) for e, (r, i) in remainder.items()}
                 quotient = {e: (r * grow, i * grow) for e, (r, i) in quotient.items()}
             quotient[step] = (re * scale, im * scale)
-            for exps, (u, v) in terms:
-                target = tuple(map(add, step, exps))
+            for key, (u, v) in terms:
+                target = step + key
                 r, i = -(re * u - im * v), -(re * v + im * u)
                 acc = remainder.get(target)
                 if acc is None:
                     remainder[target] = (r, i)
-                    heappush(heap, _heap_entry(target))
+                    heappush(heap, -target)
                     continue
                 r, i = acc[0] + r, acc[1] + i
                 if r or i:
@@ -533,12 +616,7 @@ class Polynomial:
 
 def r_squared(nvars: int) -> Polynomial:
     """The squared radius x1^2 + ... + xN^2."""
-    terms = {}
-    for i in range(nvars):
-        exps = [0] * nvars
-        exps[i] = 2
-        terms[tuple(exps)] = ONE
-    return Polynomial(nvars, terms)
+    return Polynomial._raw(nvars, {2 * _unit(nvars, i): (1, 0) for i in range(1, nvars + 1)}, 1)
 
 
 def complex_variable(nvars: int, j: int) -> Polynomial:

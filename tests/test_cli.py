@@ -62,6 +62,25 @@ class TestEigenCheck:
         assert code == 3
         assert "error" in err
 
+    def test_degree_over_the_limit(self, capsys):
+        code, out, err = run(
+            capsys, "eigen-check", "--vars", "3", "--sphere-dim", "2",
+            "--poly", "x1^4294967296",
+        )
+        assert code == 3
+        assert out == ""
+        assert "total degree 4294967296 is over the limit" in err
+
+    def test_high_degree_residual(self, capsys):
+        code, report, _ = run_json(
+            capsys, "eigen-check", "--vars", "3", "--sphere-dim", "2",
+            "--poly", "x1^70000",
+        )
+        assert code == 1
+        assert report["verdict"]["failure"] == {
+            "condition": "laplacian_P", "residual": "4899930000*x1^69998",
+        }
+
     def test_human_output(self, capsys):
         code, out, _ = run(
             capsys, "eigen-check", "--vars", "4", "--sphere-dim", "3",

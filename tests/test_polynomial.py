@@ -2,19 +2,22 @@
 
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigensphere.calculus import kappa
+from eigensphere.calculus import kappa, partial
 from eigensphere.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     DivisionByZeroPolynomial,
     IndexOutOfRange,
     ZeroPolynomial,
 )
 from eigensphere.parsing import parse
-from eigensphere.polynomial import GaussianRational, Polynomial, r_squared
+from eigensphere.polynomial import MAX_DEGREE, GaussianRational, Polynomial, r_squared
 
 from conftest import random_poly, random_rational_poly
 
@@ -125,6 +128,76 @@ class TestCanonicalForm:
         for nvars in (1, 3, 5):
             p = random_rational_poly(rng, nvars)
             self.assert_same(Polynomial(nvars, dict(p.items())), p)
+
+
+class TestPackedKeys:
+    """Monomials are stored under packed int keys: their order, the round trip
+    through exponent tuples, and the total-degree limit MAX_DEGREE."""
+
+    @hypothesis.settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.integers(1, 6), st.integers(0, 2**32 - 1),
+                      st.sampled_from([1, 2**20, MAX_DEGREE // 4]))
+    def test_order_and_roundtrip(self, nvars, seed, stride):
+        # stride spreads exponents over the fields; degrees stay <= 4 * stride <= MAX_DEGREE
+        small = random_rational_poly(np.random.default_rng(seed), nvars)
+        p = Polynomial(nvars, {tuple(stride * e for e in exps): c for exps, c in small.items()})
+        terms = list(p.items())
+        grlex = [(sum(exps), exps) for exps, _c in terms]
+        assert grlex == sorted(set(grlex), reverse=True)
+        assert Polynomial(nvars, dict(terms)) == p
+        assert all(p.coefficient(exps) == c for exps, c in terms)
+        if not terms:
+            return
+        assert p.leading_term() == terms[0]
+        degrees = {degree for degree, _exps in grlex}
+        assert p.degree() == max(degrees)
+        assert p.homogeneity() == (min(degrees) if len(degrees) == 1 else None)
+
+    def test_fields_at_their_top_value(self):
+        top = MAX_DEGREE
+        middle = Polynomial.monomial(3, (0, top, 0), 5)
+        assert middle.degree() == middle.homogeneity() == top
+        assert middle.leading_term() == ((0, top, 0), GaussianRational(5))
+        assert partial(middle, 2) == Polynomial.monomial(3, (0, top - 1, 0), 5 * top)
+        assert partial(middle, 1).is_zero() and partial(middle, 3).is_zero()
+        assert partial(Polynomial.monomial(3, (1, 0, top - 1), 1), 3) == \
+            Polynomial.monomial(3, (1, 0, top - 2), top - 1)
+
+        divisor = x(1) + x(2)
+        quotient = (Polynomial.monomial(3, (top - 1, 0, 0)) + Polynomial.monomial(3, (0, top - 1, 0), 3)
+                    + Polynomial.monomial(3, (0, 0, top - 1), 2))
+        product = divisor * quotient
+        assert product.degree() == top
+        assert product.exact_divide(divisor) == quotient
+        # the remainder ends at x3^top, whose x1 field is below the divisor's
+        assert (product + Polynomial.monomial(3, (0, 0, top))).exact_divide(divisor) is None
+        assert middle.exact_divide(x(1)) is None
+        assert middle.exact_divide(Polynomial.monomial(3, (0, top, 0), 2)) == \
+            Polynomial.constant(3, Fraction(5, 2))
+
+    def test_degree_limit(self):
+        top = MAX_DEGREE
+        assert Polynomial(1, {(top,): 1}).degree() == top
+        with pytest.raises(BudgetExceeded):
+            Polynomial(2, {(top, 1): 1})
+        assert (x(1) ** (top - 1) * x(2)).leading_term()[0] == (top - 1, 1, 0)
+        with pytest.raises(BudgetExceeded):
+            x(1) ** top * x(2)
+        with pytest.raises(BudgetExceeded):
+            x(1) ** (top + 1)
+        with pytest.raises(BudgetExceeded):
+            parse("x1^4294967296", 3)
+
+    def test_kappa_degree_limit(self):
+        half = 2**31
+        a, b = x(1) ** half, x(1) ** (half + 1)
+        # deg a + deg b - 2 == MAX_DEGREE
+        assert kappa(a, b) == Polynomial.monomial(3, (MAX_DEGREE, 0, 0), half * (half + 1))
+        assert kappa(a, a) == Polynomial.monomial(3, (MAX_DEGREE - 1, 0, 0), half * half)
+        with pytest.raises(BudgetExceeded):
+            kappa(b, b)
+        with pytest.raises(BudgetExceeded):
+            kappa(b, b * 1)
 
 
 class TestRingOperations:

@@ -1,11 +1,12 @@
 """Only `polynomial` and `calculus` read a polynomial's stored form.
 
 `Polynomial` keeps its terms as Gaussian-integer pairs over one shared
-denominator, in private fields with private constructors for them.  Every
-other module goes through `items`, `coefficient`, `leading_term` and the
-arithmetic, so a change of storage touches two modules.  This test parses
-each module of `src/eigensphere` and fails on an attribute access to one of
-those private names outside the two.
+denominator, keyed by packed exponent vectors, in private fields with
+private constructors and private key helpers for them.  Every other module
+goes through `items`, `coefficient`, `leading_term` and the arithmetic, so a
+change of storage touches two modules.  This test parses each module of
+`src/eigensphere` and fails on an attribute access to one of those private
+names, or an import of one, outside the two.
 """
 
 import ast
@@ -15,16 +16,25 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eigensphere"
 
-PRIVATE = {"_pairs", "_den", "_raw", "_reduced", "_summed"}
+PRIVATE = {
+    "_pairs", "_den", "_raw", "_reduced", "_summed",
+    "_shift", "_unit", "_pack", "_unpack", "_check_degree", "_scalar",
+}
 OWNERS = {"polynomial", "calculus"}
 
 
 def _private_reads(path: Path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return sorted(
+    reads = [
         (node.lineno, node.attr) for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in PRIVATE
-    )
+    ]
+    reads += [
+        (node.lineno, alias.name) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name in PRIVATE
+    ]
+    return sorted(reads)
 
 
 @pytest.mark.parametrize(
@@ -46,7 +56,8 @@ def test_check_catches_a_private_read(tmp_path):
     module.write_text(
         "def size(p):\n    return len(p.items())\n\n"
         "def den(p):\n    return p._den\n\n"
-        "def pairs(p):\n    return getattr(p, 'x') or p._pairs.values()\n",
+        "def pairs(p):\n    return getattr(p, 'x') or p._pairs.values()\n\n"
+        "from eigensphere.polynomial import MAX_DEGREE, _unpack as exponents\n",
         encoding="utf-8",
     )
-    assert _private_reads(module) == [(5, "_den"), (8, "_pairs")]
+    assert _private_reads(module) == [(5, "_den"), (8, "_pairs"), (10, "_unpack")]
