@@ -21,8 +21,6 @@ from .calculus import (
 from .eigen import (
     EigenReport,
     FamilyReport,
-    laplace_beltrami_fd,
-    tangential_square_fd,
     verify_eigenfamily,
     verify_eigenfunction,
 )
@@ -32,7 +30,6 @@ from .geometry import (
     PointCloud,
     VarietySpec,
     add_stereo,
-    cone_mean_curvature,
     export_cloud,
     mean_curvature,
     newton_project,
@@ -75,7 +72,6 @@ __all__ = [
     "check_minimal_codim1",
     "check_minimal_codim2",
     "classify_lawson",
-    "cone_mean_curvature",
     "conformality_diagnostics",
     "euler",
     "export_cloud",
@@ -85,7 +81,6 @@ __all__ = [
     "hessian",
     "identity_one_check",
     "kappa",
-    "laplace_beltrami_fd",
     "laplacian",
     "lawson_polynomial",
     "line_pullback",
@@ -101,7 +96,6 @@ __all__ = [
     "sample",
     "search_eigen",
     "stereographic",
-    "tangential_square_fd",
     "verify_eigenfamily",
     "verify_eigenfunction",
 ]

@@ -10,9 +10,7 @@ the unit sphere S^n satisfying
 flat bilinear square kappa(P, P) vanishes identically; the latter is
 equivalent to harmonicity of P^2.  This module alone states those exact
 conditions and lambda, mu (other modules call verify_eigenfunction or its
-raising forms, require_harmonic checking the harmonic half only), and
-cross-validates them against finite-difference oracles that touch only
-floating-point point evaluation.
+raising forms, require_harmonic checking the harmonic half only).
 
 Sign convention: Delta = div(grad), so sphere eigenvalues are non-positive.
 The exact conditions (Delta P = 0, Delta P^2 = 0, kappa(P,P) = 0) do not
@@ -24,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 from .calculus import kappa, laplacian
 from .errors import (
@@ -206,79 +202,3 @@ def verify_eigenfamily(Ps: Sequence[Polynomial], n: int) -> FamilyReport:
             if not residual.is_zero():
                 return FamilyReport(False, k, n, None, None, reports, (i, j), residual)
     return FamilyReport(True, k, n, reports[0].lam, reports[0].mu, reports, None, None)
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference oracles.  These touch only Polynomial.evaluate, never the
-# symbolic derivative operators, so they are independent witnesses.
-
-
-def unit_sphere_points(nvars: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points on the unit sphere in R^nvars (Gaussian normalization)."""
-    points = rng.standard_normal((count, nvars))
-    norms = np.linalg.norm(points, axis=1, keepdims=True)
-    # a zero draw has probability zero; regenerate defensively anyway
-    while np.any(norms < 1e-8):
-        points = rng.standard_normal((count, nvars))
-        norms = np.linalg.norm(points, axis=1, keepdims=True)
-    return points / norms
-
-
-def laplace_beltrami_fd(P: Polynomial, x: Sequence[float], h: float = 1e-2) -> complex:
-    """Finite-difference spherical Laplacian of P|_S at a unit vector x.
-
-    Uses the degree-zero homogeneous extension g(y) = P(y/|y|), for which the
-    flat Laplacian at |x| = 1 equals the intrinsic spherical Laplacian of the
-    restriction.  Fourth-order five-point stencils keep the truncation error
-    near 1e-8 at h = 1e-2.
-    """
-    x = np.asarray(x, dtype=float)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
-        raise ValueError("finite-difference oracle requires a unit vector")
-
-    def g(y: np.ndarray) -> complex:
-        return P.evaluate(y / np.linalg.norm(y))
-
-    center = g(x)
-    total = 0j
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        total += (
-            -g(x + 2 * step)
-            + 16 * g(x + step)
-            - 30 * center
-            + 16 * g(x - step)
-            - g(x - 2 * step)
-        ) / (12 * h * h)
-    return total
-
-
-def gradient_fd(P: Polynomial, x: Sequence[float], h: float = 1e-4) -> np.ndarray:
-    """Fourth-order central-difference flat gradient (complex components)."""
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros(x.size, dtype=complex)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        grad[i] = (
-            -P.evaluate(x + 2 * step)
-            + 8 * P.evaluate(x + step)
-            - 8 * P.evaluate(x - step)
-            + P.evaluate(x - 2 * step)
-        ) / (12 * h)
-    return grad
-
-
-def tangential_square_fd(P: Polynomial, x: Sequence[float], h: float = 1e-4) -> complex:
-    """Bilinear square of the tangential gradient of P|_S at unit x, by FD.
-
-    Projects the finite-difference flat gradient tangentially to the sphere
-    and takes the complex-bilinear (unconjugated) square.  For a degree-k
-    eigenfunction this equals -k^2 * P(x)^2.
-    """
-    x = np.asarray(x, dtype=float)
-    grad = gradient_fd(P, x, h)
-    radial = np.dot(x, grad)  # bilinear; x is real
-    tangential = grad - radial * x
-    return complex(np.sum(tangential * tangential))

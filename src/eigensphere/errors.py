@@ -81,10 +81,6 @@ class OffVariety(EigenSphereError, ValueError):
     """Point does not satisfy the constraints within tolerance."""
 
 
-class DegeneratePoint(EigenSphereError, ValueError):
-    """Gradient too small for a level-set curvature evaluation."""
-
-
 class PoleSingularity(EigenSphereError, ValueError):
     """Stereographic projection evaluated at (or too close to) the pole."""
 

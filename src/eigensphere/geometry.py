@@ -3,15 +3,13 @@
 This is the floating-point layer.  Everything symbolic (constraints, their
 gradients and Hessians) is prepared exactly once per VarietySpec and
 compiled into CompiledPolys tables, which are the only way this layer
-evaluates polynomials, at one point or at a batch of points;
-Polynomial.evaluate stays as the independent witness of the
-finite-difference oracles and the tests.  The numerics are Newton
-projection with a rank-revealing least-squares step, seeded Gaussian
-sampling, and the level-set second-fundamental-form trace that yields
-mean-curvature components of the cut-out submanifold.  The seeded attempt
-loop exists once, as the generator _projections, which runs Newton on a
-chunk of attempts at once (_newton_batch, of which newton_project is the
-batch of one) but yields and tallies them one by one in attempt order.
+evaluates polynomials, at one point or at a batch of points.  The numerics
+are Newton projection with a rank-revealing least-squares step, seeded
+Gaussian sampling, and the level-set second-fundamental-form trace that
+yields mean-curvature components of the cut-out submanifold.  The seeded
+attempt loop exists once, as the generator _projections, which runs Newton
+on a chunk of attempts at once (_newton_batch, of which newton_project is
+the batch of one) but yields and tallies them one by one in attempt order.
 `sample` and the codimension-2 minimality check take their points through
 _quota (the first count converged of 10*count attempts, one shortfall
 message); the codimension-1 check stops the loop at its own quota of
@@ -22,8 +20,7 @@ those of the Newton step at which it converged.
 Every caller uses the same thresholds, so they are module constants:
   * EPS_REG = 1e-8: a point is regular when the smallest singular value of
     its constraint Jacobian is at least EPS_REG (Newton's "singular" outcome,
-    sample's regularity, mean_curvature), and cone_mean_curvature needs
-    |grad P| > EPS_REG;
+    sample's regularity, mean_curvature);
   * OFF_VARIETY_TOL = 10 * DEFAULT_TOL: the largest residual max |g_a| that
     mean_curvature accepts;
   * POLE_EPS = 1e-8: stereographic refuses points this close to its pole.
@@ -51,9 +48,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .calculus import gradient, hess_grad_grad, hessian, laplacian
+from .calculus import gradient, hessian
 from .errors import (
-    DegeneratePoint,
     DimensionMismatch,
     IndexOutOfRange,
     InsufficientYield,
@@ -90,16 +86,18 @@ class CompiledPolys:
     """
 
     def __init__(self, nvars: int, polys: Sequence[Polynomial], shape: Tuple[int, ...]):
+        # columns in first-seen order of the monomials over all polynomials
         index: Dict[Tuple[int, ...], int] = {}
-        for p in polys:
-            for exps, _coeff in p.items():
-                index.setdefault(exps, len(index))
+        rows, columns, values = [], [], []
+        for row, p in enumerate(polys):
+            for exps, coeff in p.items():
+                rows.append(row)
+                columns.append(index.setdefault(exps, len(index)))
+                values.append(float(coeff.re))
         # reshape with nvars, not -1: an all-zero list has an empty table
         self.exponents = np.array(list(index), dtype=int).reshape(len(index), nvars)
         self.coefficients = np.zeros((len(polys), len(index)))
-        for row, p in enumerate(polys):
-            for exps, coeff in p.items():
-                self.coefficients[row, index[exps]] = float(coeff.re)
+        self.coefficients[rows, columns] = values
         self.shape = shape
         top = int(self.exponents.max(initial=0))
         self._degrees = np.arange(top + 1)
@@ -439,24 +437,6 @@ def mean_curvature(spec: VarietySpec, x: Sequence[float]) -> CurvatureSample:
         radial_component=float(components[0]),
         frame_condition=float(sigma[-1]),
     )
-
-
-def cone_mean_curvature(P: Polynomial, x: Sequence[float]) -> float:
-    """Euclidean level-set mean curvature div(grad P / |grad P|) at x.
-
-    Equals (lap(P)|grad P|^2 - HessP(gradP,gradP)) / |grad P|^3.  For a
-    harmonic P on its own zero set this is -HessP(gradP,gradP)/|grad P|^3,
-    whose vanishing is exactly the minimality criterion for the cone.
-    Raises DegeneratePoint when |grad P| <= EPS_REG.
-    """
-    if not P.is_real():
-        raise ValueError("cone mean curvature is defined for real polynomials")
-    forms = [laplacian(P), hess_grad_grad(P), *gradient(P)]
-    lap, q, *grad = CompiledPolys(P.nvars, forms, (len(forms),))(x)
-    grad_norm = float(np.linalg.norm(grad))
-    if grad_norm <= EPS_REG:
-        raise DegeneratePoint(f"|grad P| = {grad_norm:.3e} <= {EPS_REG:.1e}")
-    return float((lap * grad_norm**2 - q) / grad_norm**3)
 
 
 def stereographic(x: np.ndarray, pole: int) -> np.ndarray:

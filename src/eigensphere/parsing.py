@@ -39,9 +39,10 @@ from .polynomial import GaussianRational, I, Polynomial, complex_variable
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*^()/]))"
-)
+_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*^()/])")
+# anchored at a position, so skipping whitespace copies nothing; \s is the
+# whitespace set of str.strip
+_SPACE_RE = re.compile(r"\s*")
 
 
 @dataclass(frozen=True)
@@ -53,25 +54,18 @@ class Token:
 
 def _tokenize(text: str) -> List[Token]:
     tokens = []
-    pos = 0
+    pos = _SPACE_RE.match(text).end()
     while pos < len(text):
-        rest = text[pos:]
-        if not rest.strip():
-            break
         match = _TOKEN_RE.match(text, pos)
         if match is None:
-            bad = pos + len(rest) - len(rest.lstrip())
-            char = text[bad]
+            char = text[pos]
             if char == ".":
                 raise ParseError(
-                    "decimal literals are not accepted; write an exact rational like 3/10", bad
+                    "decimal literals are not accepted; write an exact rational like 3/10", pos
                 )
-            raise ParseError(f"unexpected character {char!r}", bad)
-        for kind in ("int", "name", "op"):
-            if match.group(kind) is not None:
-                tokens.append(Token(kind, match.group(kind), match.start(kind)))
-                break
-        pos = match.end()
+            raise ParseError(f"unexpected character {char!r}", pos)
+        tokens.append(Token(match.lastgroup, match.group(), pos))
+        pos = _SPACE_RE.match(text, match.end()).end()
     tokens.append(Token("end", "", len(text)))
     return tokens
 

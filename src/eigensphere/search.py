@@ -91,11 +91,6 @@ def search_memory_bytes(nvars: int, degree: int) -> int:
     return 8 * (rows * 2 * size + 2 * (2 * size) ** 2 + 2 * targets * size + 4 * entries)
 
 
-def coefficients_of(P: Polynomial, basis: Sequence[Tuple[int, ...]]) -> np.ndarray:
-    """Extract the complex coefficient vector of P over a monomial basis."""
-    return np.array([complex(P.coefficient(e)) for e in basis])
-
-
 class ResidualSystem:
     """Residual map and analytic Jacobian for fixed (nvars, degree).
 
@@ -199,16 +194,6 @@ class ResidualSystem:
         jac[-1, :m] = 2 * u
         jac[-1, m:] = 2 * v
         return jac
-
-    def residual_norm_of(self, coefficients: np.ndarray) -> float:
-        t = np.concatenate([coefficients.real, coefficients.imag])
-        return float(np.linalg.norm(self.residual(t)))
-
-    def polynomial_of(self, coefficients: Sequence[complex]) -> Polynomial:
-        terms = {}
-        for exps, value in zip(self.basis, coefficients):
-            terms[exps] = GaussianRational(Fraction(value.real), Fraction(value.imag))
-        return Polynomial(self.nvars, terms)
 
 
 def _levenberg_marquardt(

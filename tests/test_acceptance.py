@@ -18,12 +18,7 @@ from eigensphere.calculus import (
     r2_coprime,
 )
 from eigensphere.cli import main
-from eigensphere.eigen import (
-    laplace_beltrami_fd,
-    tangential_square_fd,
-    unit_sphere_points,
-    verify_eigenfunction,
-)
+from eigensphere.eigen import verify_eigenfunction
 from eigensphere.geometry import VarietySpec, mean_curvature, sample
 from eigensphere.minimality import classify_lawson, flat_section_residuals, LawsonType
 from eigensphere.parsing import parse
@@ -31,6 +26,7 @@ from eigensphere.polynomial import Polynomial, r_squared
 from eigensphere.search import search_eigen
 
 from conftest import ACCEPTANCE_LINES, random_poly
+from oracles import laplace_beltrami_fd, tangential_square_fd, unit_sphere_points
 
 
 def record(num, name, ok, detail):

@@ -10,13 +10,7 @@ from numpy.testing import assert_allclose
 
 from eigensphere import eigen
 from eigensphere.calculus import kappa, laplacian, r2_coprime
-from eigensphere.eigen import (
-    laplace_beltrami_fd,
-    tangential_square_fd,
-    unit_sphere_points,
-    verify_eigenfamily,
-    verify_eigenfunction,
-)
+from eigensphere.eigen import verify_eigenfamily, verify_eigenfunction
 from eigensphere.errors import (
     DimensionMismatch,
     MixedDegrees,
@@ -28,6 +22,7 @@ from eigensphere.parsing import parse, render
 from eigensphere.polynomial import GaussianRational, Polynomial, complex_variable, r_squared
 
 from conftest import random_homogeneous
+from oracles import laplace_beltrami_fd, tangential_square_fd, unit_sphere_points
 
 
 def harmonic_combo(rng, nvars, degree):

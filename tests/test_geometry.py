@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from eigensphere.calculus import gradient, hessian
 from eigensphere.errors import (
-    DegeneratePoint,
     DimensionMismatch,
     IndexOutOfRange,
     InsufficientYield,
@@ -23,7 +22,6 @@ from eigensphere.geometry import (
     VarietySpec,
     _projections,
     add_stereo,
-    cone_mean_curvature,
     export_cloud,
     mean_curvature,
     newton_project,
@@ -37,6 +35,7 @@ from eigensphere.parsing import parse
 from eigensphere.polynomial import Polynomial
 
 from conftest import random_poly
+from oracles import DegeneratePoint, cone_mean_curvature
 
 
 def clifford_spec():

@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used in its module.
+"""Every module-level import of the package is used in its module, and the
+exact layer imports no numpy.
 
 No linter runs on this code base, so this test is the unused-import check:
 it parses each module of `src/eigensphere` (not `__init__.py`, whose imports
@@ -14,25 +15,32 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eigensphere"
 
+# The modules that decide verdicts exactly; none of them may import numpy.
+EXACT_LAYER = ("errors", "polynomial", "parsing", "calculus", "eigen")
+
 # (module, name): the benchmark's tracer alias test patches and restores this name
 ALLOWED = {("minimality", "newton_project")}
 
 
-def _imported_names(tree: ast.Module):
+def _imports(tree: ast.Module):
+    """(bound name, top-level package) of each top-level import; the package
+    of a relative import is ""."""
     for node in tree.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
-                yield alias.asname or alias.name.split(".")[0]
+                package = alias.name.split(".")[0]
+                yield alias.asname or package, package
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            package = "" if node.level else node.module.split(".")[0]
             for alias in node.names:
-                yield alias.asname or alias.name
+                yield alias.asname or alias.name, package
 
 
 def _unused_imports(path: Path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(
-        name for name in _imported_names(tree)
+        name for name, _package in _imports(tree)
         if name not in used and (path.stem, name) not in ALLOWED
     )
 
@@ -44,6 +52,12 @@ def _unused_imports(path: Path):
 )
 def test_module_uses_every_import(path):
     assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("module", EXACT_LAYER)
+def test_exact_layer_imports_no_numpy(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert "numpy" not in {package for _name, package in _imports(tree)}
 
 
 def test_check_catches_an_unused_import(tmp_path):

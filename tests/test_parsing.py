@@ -1,11 +1,12 @@
 """Expression grammar: parsing, complex shorthand expansion, rendering round-trips."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from eigensphere.errors import NegativeExponent, ParseError, VariableOutOfRange
-from eigensphere.parsing import parse, render
+from eigensphere.parsing import _tokenize, parse, render
 from eigensphere.polynomial import GaussianRational, Polynomial
 
 from conftest import random_poly
@@ -122,6 +123,25 @@ class TestErrors:
     def test_nonpositive_nvars(self):
         with pytest.raises(ValueError):
             parse("1", 0)
+
+
+class TestTokenizer:
+    def test_unicode_whitespace_and_positions(self):
+        # every character str.strip removes separates tokens, and positions
+        # are offsets into the original text
+        tokens = _tokenize("\u2003x1\t+\u00a0 2 \n")
+        assert [(t.kind, t.text, t.pos) for t in tokens] == [
+            ("name", "x1", 1), ("op", "+", 4), ("int", "2", 7), ("end", "", 10)]
+
+    def test_linear_in_input_length(self):
+        # 1 MB of input; a tokenizer that copies the rest of the text per
+        # token needs about 20 s here
+        text = "x1 + " * 200_000 + "x1"
+        start = time.perf_counter()
+        tokens = _tokenize(text)
+        elapsed = time.perf_counter() - start
+        assert len(tokens) == 400_002
+        assert elapsed < 8.0, f"tokenizing {len(text)} characters took {elapsed:.1f} s"
 
 
 class TestRender:
