@@ -55,10 +55,7 @@ def gradient(p: Polynomial) -> Tuple[Polynomial, ...]:
 
 
 def laplacian(p: Polynomial) -> Polynomial:
-    total = Polynomial.zero(p.nvars)
-    for i in range(1, p.nvars + 1):
-        total = total + partial(partial(p, i), i)
-    return total
+    return Polynomial.sum(p.nvars, (partial(partial(p, i), i) for i in range(1, p.nvars + 1)))
 
 
 def hessian(p: Polynomial) -> Tuple[Tuple[Polynomial, ...], ...]:
@@ -138,10 +135,8 @@ def hess_grad_grad(p: Polynomial) -> Polynomial:
 
 def euler(p: Polynomial) -> Polynomial:
     """Euler operator sum_i x_i d_i p; equals k*p on homogeneous degree-k input."""
-    total = Polynomial.zero(p.nvars)
-    for i in range(1, p.nvars + 1):
-        total = total + Polynomial.variable(p.nvars, i) * partial(p, i)
-    return total
+    return Polynomial.sum(p.nvars, (Polynomial.variable(p.nvars, i) * partial(p, i)
+                                    for i in range(1, p.nvars + 1)))
 
 
 def r2_coprime(p: Polynomial) -> bool:
@@ -160,10 +155,10 @@ def identity_one_check(phi: Polynomial, psi: Polynomial) -> bool:
     """
     if phi.nvars != psi.nvars:
         raise DimensionMismatch("operands live in different spaces")
-    residual = (
-        laplacian(phi * psi)
-        - laplacian(phi) * psi
-        - 2 * kappa(phi, psi)
-        - phi * laplacian(psi)
-    )
+    residual = Polynomial.sum(phi.nvars, (
+        laplacian(phi * psi),
+        -(laplacian(phi) * psi),
+        -2 * kappa(phi, psi),
+        -(phi * laplacian(psi)),
+    ))
     return residual.is_zero()

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -65,12 +66,17 @@ def _emit(args, verdict: Dict, started: float, human_lines: List[str]) -> None:
             print(line)
 
 
+# one entry of --line: the polynomial grammar's rational literal with a sign
+_LINE_ENTRY_RE = re.compile(r"[+-]?\d+(/\d+)?")
+
+
 def _parse_line(text: str) -> Tuple[Fraction, Fraction]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--line expects 'a,b', got {text!r}")
+    parts = [part.strip() for part in text.split(",")]
+    if len(parts) != 2 or not all(_LINE_ENTRY_RE.fullmatch(part) for part in parts):
+        raise ValueError(
+            f"--line expects 'a,b' with each entry of the form [+-]digits[/digits], got {text!r}")
     try:
-        return Fraction(parts[0].strip()), Fraction(parts[1].strip())
+        return Fraction(parts[0]), Fraction(parts[1])
     except ZeroDivisionError:
         raise ValueError(f"--line {text!r} has a zero denominator") from None
 
@@ -228,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--poly", required=True)
     p.add_argument("--line", required=True,
-                   help="line direction a,b (rationals, e.g. 1,0 or -1/2,3)")
+                   help="line direction a,b, each [+-]digits[/digits], e.g. 1,0 or -1/2,3")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--reject", type=float, default=DEFAULT_REJECT)

@@ -18,8 +18,11 @@ literals.  `conj` conjugates the coefficients of its argument's expansion,
 which is exactly complex conjugation because the variables are real-valued.
 
 `parse` builds the polynomial in one pass, in source order: each grammar rule
-returns the expansion of the text it reads, and an operator is applied as
-soon as its right operand has been read.
+returns the expansion of the text it reads.  A product is applied as soon as
+its right operand has been read, and the terms of an expression, each
+subtracted one negated, are merged once by `Polynomial.sum`.  Groups nest at
+most MAX_NESTING deep and a run of unary minus signs is read in a loop, so no
+input exhausts the interpreter's stack.
 
 `render` produces a canonical string in the same grammar (x-variables only,
 terms in descending graded-lexicographic order), and `parse(render(p), p.nvars)`
@@ -75,6 +78,11 @@ def _tokenize(text: str) -> List[Token]:
 
 _VAR_RE = re.compile(r"^([xz])([0-9]+)$")
 
+#: The deepest nesting of '(' and 'conj(' groups `parse` accepts.  Each group
+#: costs six Python frames, so the limit keeps parsing far below the
+#: interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str, nvars: int):
@@ -82,6 +90,7 @@ class _Parser:
         self.nvars = nvars
         self.tokens = _tokenize(text)
         self.at = 0
+        self.depth = 0  # groups open at the current token
 
     def peek(self) -> Token:
         return self.tokens[self.at]
@@ -109,15 +118,15 @@ class _Parser:
         return poly
 
     def expression(self) -> Polynomial:
-        poly = self.term()
+        terms = [self.term()]
         while True:
             token = self.peek()
             if token.kind == "op" and token.text in "+-":
                 self.advance()
                 right = self.term()
-                poly = poly + right if token.text == "+" else poly - right
+                terms.append(right if token.text == "+" else -right)
             else:
-                return poly
+                return Polynomial.sum(self.nvars, terms)
 
     def term(self) -> Polynomial:
         poly = self.factor()
@@ -130,11 +139,13 @@ class _Parser:
                 return poly
 
     def factor(self) -> Polynomial:
-        token = self.peek()
-        if token.kind == "op" and token.text == "-":
+        # a run of unary minus signs is read in a loop, so its length costs no stack
+        negate = False
+        while self.peek().kind == "op" and self.peek().text == "-":
             self.advance()
-            return -self.factor()
-        return self.power()
+            negate = not negate
+        base = self.power()
+        return -base if negate else base
 
     def power(self) -> Polynomial:
         base = self.primary()
@@ -187,10 +198,7 @@ class _Parser:
                 return Polynomial.constant(self.nvars, I)
             if token.text == "conj":
                 self.advance()
-                self.expect_op("(")
-                inner = self.expression()
-                self.expect_op(")")
-                return inner.conjugate()
+                return self.group().conjugate()
             var = _VAR_RE.match(token.text)
             if var:
                 kind, index = var.group(1), int(var.group(2))
@@ -211,11 +219,20 @@ class _Parser:
                 return complex_variable(self.nvars, index)
             raise ParseError(f"unknown identifier {token.text!r}", token.pos)
         if token.kind == "op" and token.text == "(":
-            self.advance()
-            inner = self.expression()
-            self.expect_op(")")
-            return inner
+            return self.group()
         raise ParseError(f"expected a value, found {self._describe(token)}", token.pos)
+
+    def group(self) -> Polynomial:
+        """'(' expression ')', at most MAX_NESTING groups deep."""
+        opening = self.expect_op("(")
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"parentheses nest deeper than {MAX_NESTING} levels", opening.pos)
+        self.depth += 1
+        inner = self.expression()
+        self.expect_op(")")
+        self.depth -= 1
+        return inner
 
 
 def parse(text: str, nvars: int) -> Polynomial:

@@ -45,7 +45,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BudgetExceeded,
@@ -84,11 +84,10 @@ class GaussianRational:
     @staticmethod
     def of(value: "ScalarLike") -> "GaussianRational":
         """Coerce an int, Fraction, or GaussianRational."""
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(Fraction(value))
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        result = GaussianRational._operand(value)
+        if result is None:
+            raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        return result
 
     @staticmethod
     def _operand(other) -> Optional["GaussianRational"]:
@@ -201,8 +200,8 @@ def _check_degree(degree: int) -> None:
             f"total degree {degree} is over the limit of {MAX_DEGREE}")
 
 
-def _scalar(value) -> Optional[Tuple[int, int, int]]:
-    """An int, Fraction or GaussianRational as (re, im, den) in lowest terms, else None."""
+def _scalar(value) -> Tuple[int, int, int]:
+    """An int, Fraction or GaussianRational as (re, im, den) in lowest terms, else TypeError."""
     if isinstance(value, int):
         return value, 0, 1
     if isinstance(value, Fraction):
@@ -213,7 +212,7 @@ def _scalar(value) -> Optional[Tuple[int, int, int]]:
         den = lcm(re.denominator, im.denominator)
         return (re.numerator * (den // re.denominator),
                 im.numerator * (den // im.denominator), den)
-    return None
+    raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
 
 class Polynomial:
@@ -224,7 +223,7 @@ class Polynomial:
     def __init__(self, nvars: int, terms: Optional[Mapping[Exponents, ScalarLike]] = None):
         if nvars < 1:
             raise DimensionMismatch(f"nvars must be positive, got {nvars}")
-        clean: dict = {}
+        monomials = []
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
@@ -234,24 +233,12 @@ class Polynomial:
                     )
                 if any((not isinstance(e, int)) or e < 0 for e in exps):
                     raise ValueError(f"exponents must be non-negative integers, got {exps}")
-                value = GaussianRational.of(coeff)
-                if value:
+                re, im, den = _scalar(coeff)
+                if re or im:
                     _check_degree(sum(exps))
-                    key = _pack(exps)
-                    acc = clean.get(key)
-                    value = value if acc is None else acc + value
-                    if value:
-                        clean[key] = value
-                    elif key in clean:
-                        del clean[key]
-        # the lcm of reduced denominators shares no factor with every numerator
-        den = lcm(*(d for c in clean.values() for d in (c.re.denominator, c.im.denominator)))
-        pairs = {
-            key: (c.re.numerator * (den // c.re.denominator),
-                  c.im.numerator * (den // c.im.denominator))
-            for key, c in clean.items()
-        }
-        self._set(nvars, pairs, den)
+                    monomials.append(Polynomial._raw(nvars, {_pack(exps): (re, im)}, den))
+        merged = Polynomial.sum(nvars, monomials)
+        self._set(nvars, merged._pairs, merged._den)
 
     def _set(self, nvars: int, pairs: dict, den: int) -> None:
         object.__setattr__(self, "nvars", nvars)
@@ -272,10 +259,7 @@ class Polynomial:
     def constant(cls, nvars: int, value: ScalarLike) -> "Polynomial":
         if nvars < 1:
             raise DimensionMismatch(f"nvars must be positive, got {nvars}")
-        scalar = _scalar(value)
-        if scalar is None:
-            raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
-        re, im, den = scalar
+        re, im, den = _scalar(value)
         # the monomial 1 has key 0
         return cls._raw(nvars, {0: (re, im)}, den) if re or im else cls._raw(nvars, {}, 1)
 
@@ -288,7 +272,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff: ScalarLike = 1) -> "Polynomial":
-        return cls(nvars, {tuple(exps): GaussianRational.of(coeff)})
+        return cls(nvars, {tuple(exps): coeff})
 
     @classmethod
     def _raw(cls, nvars: int, pairs: dict, den: int) -> "Polynomial":
@@ -320,6 +304,39 @@ class Polynomial:
         """
         pairs = {e: (re, im) for e, (re, im) in sums.items() if re or im}
         return cls._reduced(nvars, pairs, den)
+
+    @classmethod
+    def sum(cls, nvars: int, polys: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of `polys`, all in `nvars` variables; zero when there are none.
+
+        One pass over the lcm D of their denominators: the first operand's
+        pairs are copied and every other term is added in, so no partial sum
+        is ever copied, and the common factor of D is divided out once.
+        """
+        polys = list(polys)
+        for p in polys:
+            if p.nvars != nvars:
+                raise DimensionMismatch(
+                    f"polynomials live in different spaces: {nvars} vs {p.nvars} variables")
+        if not polys:
+            return cls._raw(nvars, {}, 1)
+        den = lcm(*(p._den for p in polys))
+        first, *rest = polys
+        scale = den // first._den
+        terms = (dict(first._pairs) if scale == 1 else
+                 {e: (re * scale, im * scale) for e, (re, im) in first._pairs.items()})
+        for p in rest:
+            scale = den // p._den
+            for key, (re, im) in p._pairs.items():
+                re, im = re * scale, im * scale
+                acc = terms.get(key)
+                if acc is not None:
+                    re, im = acc[0] + re, acc[1] + im
+                    if not (re or im):
+                        del terms[key]
+                        continue
+                terms[key] = (re, im)
+        return cls._reduced(nvars, terms, den)
 
     # ----- inspection ---------------------------------------------------
 
@@ -384,22 +401,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_same_space(other)
-        den = lcm(self._den, other._den)
-        scale = den // self._den
-        terms = (dict(self._pairs) if scale == 1 else
-                 {e: (re * scale, im * scale) for e, (re, im) in self._pairs.items()})
-        scale = den // other._den
-        for exps, (re, im) in other._pairs.items():
-            re, im = re * scale, im * scale
-            acc = terms.get(exps)
-            if acc is not None:
-                re, im = acc[0] + re, acc[1] + im
-                if not (re or im):
-                    del terms[exps]
-                    continue
-            terms[exps] = (re, im)
-        return self._reduced(self.nvars, terms, den)
+        return Polynomial.sum(self.nvars, (self, other))
 
     __radd__ = __add__
 
@@ -421,11 +423,11 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            scalar = _scalar(other)
-            if scalar is None:
+            try:
+                a, b, den = _scalar(other)
+            except TypeError:
                 return NotImplemented
             # a nonzero Gaussian integer times a nonzero pair is never (0, 0)
-            a, b, den = scalar
             if not (a or b):
                 return Polynomial._raw(self.nvars, {}, 1)
             pairs = {key: (re * a - im * b, re * b + im * a)
@@ -592,9 +594,8 @@ class Polynomial:
     # ----- dunders -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.constant(self.nvars, other)
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return (self.nvars == other.nvars and self._den == other._den
                 and self._pairs == other._pairs)

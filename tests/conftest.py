@@ -1,11 +1,12 @@
 """Shared helpers for the test suite."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
-from eigensphere.polynomial import GaussianRational, Polynomial
+from eigensphere.polynomial import FIELD_BITS, MAX_DEGREE, GaussianRational, Polynomial
 from eigensphere.selftest import random_polynomial as random_poly  # noqa: F401
 
 
@@ -29,6 +30,26 @@ def random_rational_poly(rng, nvars, max_degree=4, terms=8):
         im = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
         data[exps] = data.get(exps, GaussianRational()) + GaussianRational(re, im)
     return Polynomial(nvars, data)
+
+
+def assert_canonical(r):
+    """The storage invariant: Gaussian-integer pairs over one positive denominator D,
+    no (0, 0) pair, gcd(D, every re, every im) == 1, and D == 1 for the zero polynomial.
+    Each pair is keyed by an int packing N + 1 fields of FIELD_BITS bits: a top field
+    at most MAX_DEGREE that equals the sum of the N exponent fields below it."""
+    pairs, den = r._pairs, r._den
+    for key in pairs:
+        assert isinstance(key, int) and key >= 0
+        fields = [(key >> (FIELD_BITS * k)) & MAX_DEGREE for k in range(r.nvars)]
+        assert key >> (FIELD_BITS * r.nvars) == sum(fields) <= MAX_DEGREE
+    assert isinstance(den, int) and den >= 1
+    assert all(isinstance(v, int) for pair in pairs.values() for v in pair)
+    assert all(pair != (0, 0) for pair in pairs.values())
+    assert gcd(den, *(v for pair in pairs.values() for v in pair)) == 1
+    assert all(isinstance(c, GaussianRational) and c for _exps, c in r.items())
+    assert all(isinstance(c.re, Fraction) and isinstance(c.im, Fraction)
+               for _exps, c in r.items())
+    assert Polynomial(r.nvars, dict(r.items())) == r
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """Differential operators: partials, Laplacian, Hessian, bilinear gradient product."""
 
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 import pytest
@@ -19,9 +18,9 @@ from eigensphere.calculus import (
 )
 from eigensphere.errors import DimensionMismatch, IndexOutOfRange, ZeroPolynomial
 from eigensphere.parsing import parse
-from eigensphere.polynomial import FIELD_BITS, MAX_DEGREE, GaussianRational, Polynomial, r_squared
+from eigensphere.polynomial import GaussianRational, Polynomial, r_squared
 
-from conftest import random_homogeneous, random_poly, random_rational_poly
+from conftest import assert_canonical, random_homogeneous, random_poly, random_rational_poly
 
 I = GaussianRational(0, 1)
 
@@ -58,26 +57,6 @@ def kappa_reference(p, q):
     for i in range(1, p.nvars + 1):
         total = total + mul_reference(partial_reference(p, i), partial_reference(q, i))
     return total
-
-
-def assert_canonical(r):
-    """The storage invariant: Gaussian-integer pairs over one positive denominator D,
-    no (0, 0) pair, gcd(D, every re, every im) == 1, and D == 1 for the zero polynomial.
-    Each pair is keyed by an int packing N + 1 fields of FIELD_BITS bits: a top field
-    at most MAX_DEGREE that equals the sum of the N exponent fields below it."""
-    pairs, den = r._pairs, r._den
-    for key in pairs:
-        assert isinstance(key, int) and key >= 0
-        fields = [(key >> (FIELD_BITS * k)) & MAX_DEGREE for k in range(r.nvars)]
-        assert key >> (FIELD_BITS * r.nvars) == sum(fields) <= MAX_DEGREE
-    assert isinstance(den, int) and den >= 1
-    assert all(isinstance(v, int) for pair in pairs.values() for v in pair)
-    assert all(pair != (0, 0) for pair in pairs.values())
-    assert gcd(den, *(v for pair in pairs.values() for v in pair)) == 1
-    assert all(isinstance(c, GaussianRational) and c for _exps, c in r.items())
-    assert all(isinstance(c.re, Fraction) and isinstance(c.im, Fraction)
-               for _exps, c in r.items())
-    assert Polynomial(r.nvars, dict(r.items())) == r
 
 
 class TestPartial:

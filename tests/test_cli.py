@@ -71,6 +71,23 @@ class TestEigenCheck:
         assert out == ""
         assert "total degree 4294967296 is over the limit" in err
 
+    def test_nesting_over_the_limit(self, capsys):
+        code, out, err = run(
+            capsys, "eigen-check", "--vars", "4", "--sphere-dim", "3",
+            "--poly", "(" * 101 + "z1" + ")" * 101,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: parentheses nest deeper than 100 levels")
+
+    def test_long_run_of_minus_signs(self, capsys):
+        code, report, _ = run_json(
+            capsys, "eigen-check", "--vars", "4", "--sphere-dim", "3",
+            "--poly=" + "-" * 1000 + "z1",
+        )
+        assert code == 0
+        assert report["verdict"]["is_eigen"] is True
+
     def test_high_degree_residual(self, capsys):
         code, report, _ = run_json(
             capsys, "eigen-check", "--vars", "3", "--sphere-dim", "2",
@@ -162,6 +179,17 @@ class TestMinimalLine:
             "--poly", "z1^2+z2^2", "--line", "1;0",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("line", ["1e3,1", "0.5,1"])
+    def test_line_outside_the_grammar(self, capsys, line):
+        # exponent notation would let "1e1000000" build a million-digit integer
+        code, out, err = run(
+            capsys, "minimal-line", "--vars", "4", "--sphere-dim", "3",
+            "--poly", "z1^2+z2^2", "--line", line,
+        )
+        assert code == 3
+        assert out == ""
+        assert "[+-]digits[/digits]" in err
 
 
 class TestMinimalZero:

@@ -1,12 +1,13 @@
 """Expression grammar: parsing, complex shorthand expansion, rendering round-trips."""
 
+import itertools
 import time
 from fractions import Fraction
 
 import pytest
 
 from eigensphere.errors import NegativeExponent, ParseError, VariableOutOfRange
-from eigensphere.parsing import _tokenize, parse, render
+from eigensphere.parsing import MAX_NESTING, _tokenize, parse, render
 from eigensphere.polynomial import GaussianRational, Polynomial
 
 from conftest import random_poly
@@ -41,6 +42,9 @@ class TestBasicParsing:
         assert parse("-x1", 2) == -x(1, 2)
         assert parse("--x1", 2) == x(1, 2)
         assert parse("3 - -2", 1) == Polynomial.constant(1, 5)
+        # a run of signs far longer than the interpreter's recursion limit
+        assert parse("-" * 1001 + "x1", 2) == -x(1, 2)
+        assert parse("x2 -" + "-" * 1000 + "x1", 2) == x(2, 2) - x(1, 2)
 
     def test_parentheses(self):
         assert parse("(x1 + x2)^2", 2) == (x(1, 2) + x(2, 2)) ** 2
@@ -104,6 +108,8 @@ ERROR_TABLE = [
     ("trailing_garbage", "x1 + x2)", ParseError, 7, "unexpected ')'"),
     ("syntax_error_has_position", "x1 + + x2", ParseError, 5, "expected a value, found '+'"),
     ("empty_input", "", ParseError, 0, "expected a value, found end of input"),
+    ("nesting_too_deep", "(" * 101 + "x1" + ")" * 101, ParseError, 100,
+     "nest deeper than 100 levels"),
 ]
 
 
@@ -142,6 +148,30 @@ class TestTokenizer:
         elapsed = time.perf_counter() - start
         assert len(tokens) == 400_002
         assert elapsed < 8.0, f"tokenizing {len(text)} characters took {elapsed:.1f} s"
+
+
+class TestLongInput:
+    def test_long_sum_is_linear(self):
+        # 32,000 distinct cubic monomials in 59 variables (432 KB); folding the
+        # sum left, copying the partial sum per operator, took about 12 s on a
+        # 2-CPU x86_64 host
+        monomials = itertools.islice(itertools.combinations_with_replacement(range(1, 60), 3),
+                                     32_000)
+        text = " + ".join(f"x{a}*x{b}*x{c}" for a, b, c in monomials)
+        start = time.perf_counter()
+        p = parse(text, 59)
+        elapsed = time.perf_counter() - start
+        assert p.num_terms() == 32_000
+        assert elapsed < 5.0, f"parsing {len(text)} characters took {elapsed:.1f} s"
+
+    def test_nesting_at_the_limit(self):
+        text = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+        assert parse(text, 4) == Polynomial.variable(4, 1)
+        mixed = "conj(-(" * (MAX_NESTING // 2) + "z1" + "))" * (MAX_NESTING // 2)
+        # an even number of conjugations and of negations
+        assert parse(mixed, 4) == parse("z1", 4)
+        with pytest.raises(ParseError, match="nest deeper"):
+            parse("conj(" + mixed + ")", 4)
 
 
 class TestRender:

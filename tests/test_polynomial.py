@@ -19,7 +19,7 @@ from eigensphere.errors import (
 from eigensphere.parsing import parse
 from eigensphere.polynomial import MAX_DEGREE, GaussianRational, Polynomial, r_squared
 
-from conftest import random_poly, random_rational_poly
+from conftest import assert_canonical, random_poly, random_rational_poly
 
 
 def x(i, nvars=3):
@@ -228,6 +228,56 @@ class TestRingOperations:
     def test_cross_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
             x(1, 3) + x(1, 4)
+
+
+class TestSum:
+    """`Polynomial.sum` is the n-ary form of `+`, and every sum goes through it."""
+
+    @hypothesis.settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(0, 6),
+                      st.booleans())
+    def test_matches_left_fold_and_coefficient_sums(self, nvars, seed, count, cancel):
+        rng = np.random.default_rng(seed)
+        polys = [random_rational_poly(rng, nvars, max_degree=3, terms=int(rng.integers(0, 6)))
+                 for _ in range(count)]
+        if cancel:
+            # every operand's negation joins the list, so the sum cancels to zero
+            polys += [-p for p in polys]
+        total = Polynomial.sum(nvars, polys)
+        assert_canonical(total)
+        fold = Polynomial.zero(nvars)
+        for p in polys:
+            fold = fold + p
+        assert total == fold
+        # the reference adds GaussianRational coefficients, with no Polynomial sum
+        reference = {}
+        for p in polys:
+            for exps, c in p.items():
+                reference[exps] = reference.get(exps, GaussianRational()) + c
+        assert dict(total.items()) == {e: c for e, c in reference.items() if c}
+        if cancel:
+            assert total.is_zero()
+
+    def test_empty_is_canonical_zero(self):
+        zero = Polynomial.sum(3, [])
+        assert zero.is_zero() and zero._den == 1
+        assert zero == Polynomial.zero(3)
+
+    def test_mixed_denominators(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        total = Polynomial.sum(2, [half * x(1, 2), third * x(1, 2), x(2, 2) * Fraction(1, 6)])
+        assert_canonical(total)
+        assert total._den == 6
+        assert total == Fraction(5, 6) * x(1, 2) + Fraction(1, 6) * x(2, 2)
+        # the common factor of the lcm and the numerators is divided out
+        assert Polynomial.sum(2, [half * x(1, 2), half * x(1, 2)]) == x(1, 2)
+        assert Polynomial.sum(2, [half * x(1, 2), half * x(1, 2)])._den == 1
+
+    def test_mixed_spaces_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            Polynomial.sum(3, [x(1, 3), x(1, 4)])
+        with pytest.raises(DimensionMismatch):
+            Polynomial.sum(4, [x(1, 3)])
 
 
 class TestStructure:
