@@ -12,7 +12,9 @@ mathematical outcome from operational problems:
 
 The sphere dimension is always explicit: passing --vars N and --sphere-dim n
 with N != n+1 is rejected rather than silently fixed, because every formula
-downstream depends on that relation.
+downstream depends on that relation.  --vars is capped at MAX_VARS for every
+subcommand that takes it, before any polynomial is built; the library API
+has no such cap.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, geometry
 from .eigen import verify_eigenfunction
-from .errors import EigenSphereError, InsufficientYield
+from .errors import BudgetExceeded, EigenSphereError, InsufficientYield
 from .geometry import VarietySpec, add_stereo, export_cloud, sample
 from .minimality import (
     DEFAULT_REJECT,
@@ -47,6 +49,11 @@ EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
+
+# calculus.kappa packs N keys of (N+1)*FIELD_BITS bits before it reads a term:
+# `minimal-zero --poly z1 --samples 5` took 53 s and 300 MB at 1,000 variables
+# and about 2 s and 50 MB at 256 (2-CPU x86_64)
+MAX_VARS = 256
 
 
 def _emit(args, verdict: Dict, started: float, human_lines: List[str]) -> None:
@@ -311,6 +318,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR if code != 0 else 0
     started = time.perf_counter()
     try:
+        if getattr(args, "vars", 0) > MAX_VARS:
+            raise BudgetExceeded(f"--vars {args.vars} is over the limit of {MAX_VARS} variables")
         verdict, lines, code = args.func(args)
     except (EigenSphereError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -9,13 +9,13 @@ Gaussian sampling, and the level-set second-fundamental-form trace that
 yields mean-curvature components of the cut-out submanifold.  The seeded
 attempt loop exists once, as the generator _projections, which runs Newton
 on a chunk of attempts at once (_newton_batch, of which newton_project is
-the batch of one) but yields and tallies them one by one in attempt order.
-`sample` and the codimension-2 minimality check take their points through
-_quota (the first count converged of 10*count attempts, one shortfall
-message); the codimension-1 check stops the loop at its own quota of
-reliable samples.  Curvature and the codimension-1 criterion are evaluated
-one point at a time; the residual and regularity of a sampled point are
-those of the Newton step at which it converged.
+the batch of one) but yields every attempt with its outcome in order.
+_quota alone consumes it: it tallies each attempt, keeps the converged
+points whose optional per-point measure is not None, and stops at its
+quota; `sample` and both minimality checks take their points through it.
+Curvature and the codimension-1 criterion are evaluated one point at a
+time; the residual and regularity of a sampled point are those of the
+Newton step at which it converged.
 
 Every caller uses the same thresholds, so they are module constants:
   * EPS_REG = 1e-8: a point is regular when the smallest singular value of
@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import islice
 from math import ceil, isfinite
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -267,7 +266,7 @@ class PointCloud:
     points: np.ndarray  # (k, N)
     residuals: np.ndarray  # (k,) max |g_a(x)|
     regularity: np.ndarray  # (k,) smallest singular value of the Jacobian
-    stereo: Optional[np.ndarray] = None  # (k, 3) when filled
+    stereo: Optional[np.ndarray] = None  # (k, N - 1) when filled
     metadata: Dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -279,31 +278,28 @@ def _projections(
     rng_seed: int,
     max_attempts: int,
     quota: int,
-    tallies: Dict[str, int],
     tol: float = DEFAULT_TOL,
     maxiter: int = DEFAULT_MAXITER,
-) -> Iterator[Tuple[int, np.ndarray, float, float]]:
-    """Seeded Newton attempts; yields (attempt, point, residual, regularity)
-    for each converged one, the last two from the Newton step that stopped:
-    max |g_a| and the smallest singular value of the Jacobian.
+) -> Iterator[Tuple[int, str, np.ndarray, float, float]]:
+    """Seeded Newton attempts; yields (attempt, outcome, point, residual,
+    regularity) for every attempt in order.  The outcome is converged,
+    no_convergence (a draw of norm below 1e-12 included) or singular; the
+    last two are max |g_a| and the smallest singular value of the Jacobian
+    at the Newton step that stopped.
 
     Attempt i projects the normalized draw of default_rng([rng_seed, i]), so
     results do not depend on execution order.  Attempts run in chunks
     through _newton_batch: each chunk is the number of attempts that, at the
-    yield so far, should bring the yield to quota (the caller's wanted
-    count), capped so that no temporary exceeds about 256 KB.  Points are
-    yielded in attempt order, and an attempt is counted in tallies as
-    converged, no_convergence (a draw of norm below 1e-12 included) or
-    singular only when the caller reaches it: a caller whose quota is full
-    leaves the loop, and the rest of the chunk is dropped untallied.
+    converged rate so far, should bring the converged count to quota, capped
+    so that no temporary exceeds about 256 KB.
     """
     cap = max(1, CHUNK_FLOATS // max(spec._values.point_floats, spec._jacobian.point_floats))
-    attempt = yielded = 0
+    attempt = converged = 0
     while attempt < max_attempts:
-        # the attempts that fill the rest of the quota at the yield so far, and
+        # the attempts that fill the rest of the quota at the rate so far, and
         # one point's worth for a caller that filters points past its quota
-        rate = (yielded + 1) / (attempt + 1)
-        wanted = ceil(max(quota - yielded, 1) / rate)
+        rate = (converged + 1) / (attempt + 1)
+        wanted = ceil(max(quota - converged, 1) / rate)
         chunk = range(attempt, min(attempt + min(wanted, cap), max_attempts))
         draws = [np.random.default_rng([rng_seed, i]).standard_normal(spec.nvars) for i in chunk]
         norms = np.array([np.linalg.norm(draw) for draw in draws])
@@ -315,28 +311,38 @@ def _projections(
         points[drawn], outcomes[drawn], residuals[drawn], regularity[drawn] = _newton_batch(
             spec, seeds, tol, maxiter)
         for i, outcome, point, res, reg in zip(chunk, outcomes, points, residuals, regularity):
-            tallies[outcome] += 1
-            if outcome == "converged":
-                yielded += 1
-                yield i, point, res, reg
+            converged += outcome == "converged"
+            yield i, outcome, point, res, reg
         attempt = chunk.stop
 
 
 def _quota(
-    spec: VarietySpec, count: int, rng_seed: int, **newton_kwargs
-) -> Tuple[List[Tuple[int, np.ndarray, float, float]], Dict[str, int], Optional[str]]:
-    """The first count converged attempts of at most 10*count, as sample draws them.
+    spec: VarietySpec, count: int, rng_seed: int, max_attempts: int,
+    measure: Optional[Callable[[np.ndarray], Any]] = None, **newton_kwargs,
+) -> Tuple[List[Tuple[int, np.ndarray, float, float, Any]], Dict[str, int], Optional[str]]:
+    """The first count kept points of at most max_attempts attempts.
 
-    Returns the (attempt, point, residual, regularity) tuples of _projections,
-    the attempt tallies and, when the quota is not full, the shortfall
-    message naming both (else None).
+    measure(point) is called on each converged point in attempt order, and
+    a point whose measure is None is not kept.  Returns the kept (attempt,
+    point, residual, regularity, value) tuples (value None without a
+    measure), the tallies of every attempt consumed and, when the quota is
+    not full, the shortfall message naming both (else None).
     """
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
-    max_attempts = 10 * count
-    projections = _projections(spec, rng_seed, max_attempts, count, tallies, **newton_kwargs)
-    kept = list(islice(projections, count))
+    kept = []
+    for attempt, outcome, point, residual, regularity in _projections(
+            spec, rng_seed, max_attempts, count, **newton_kwargs):
+        tallies[outcome] += 1
+        if outcome != "converged":
+            continue
+        value = None if measure is None else measure(point)
+        if measure is not None and value is None:
+            continue
+        kept.append((attempt, point, residual, regularity, value))
+        if len(kept) == count:
+            break
     shortfall = None
     if len(kept) < count:
         shortfall = (
@@ -365,8 +371,8 @@ def sample(
     count/2 attempts converge within 10*count attempts; a yield between
     count/2 and count returns the partial cloud with a shortfall note.
     """
-    kept, tallies, shortfall = _quota(spec, count, rng_seed, tol=tol, maxiter=maxiter)
-    seed_indices, points, residuals, regularity = list(zip(*kept)) or [()] * 4
+    kept, tallies, shortfall = _quota(spec, count, rng_seed, 10 * count, tol=tol, maxiter=maxiter)
+    seed_indices, points, residuals, regularity, _values = list(zip(*kept)) or [()] * 5
     metadata = {
         "rng_seed": rng_seed,
         "tol": tol,
@@ -394,7 +400,6 @@ def sample(
 class CurvatureSample:
     """Mean-curvature components of the cut-out submanifold at one point."""
 
-    point: np.ndarray
     normal_components: np.ndarray  # <H, nu_b> for b = 1..c (sphere-intrinsic)
     radial_component: float  # <H, nu_0>, always -dim M on the sphere
     frame_condition: float  # smallest singular value of the constraint Jacobian
@@ -432,7 +437,6 @@ def mean_curvature(spec: VarietySpec, x: Sequence[float]) -> CurvatureSample:
     components = -np.sign(pivots) * np.linalg.solve(r[:m].T, traces)
 
     return CurvatureSample(
-        point=x,
         normal_components=components[1:],
         radial_component=float(components[0]),
         frame_condition=float(sigma[-1]),
@@ -472,8 +476,8 @@ def add_stereo(cloud: PointCloud, pole: int) -> PointCloud:
 def export_cloud(cloud: PointCloud, path: str) -> None:
     """Write the cloud as CSV with 17-significant-digit floats.
 
-    Header: x1..xN, then s1..s3 when stereo is present, then residual and
-    regularity.  Row order is generation order, so output is deterministic.
+    Header: x1..xN, then s1..s(N-1) when stereo is present, then residual
+    and regularity.  Row order is generation order, so output is deterministic.
     """
     nvars = cloud.points.shape[1]
     header = [f"x{i + 1}" for i in range(nvars)]

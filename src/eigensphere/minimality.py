@@ -13,10 +13,10 @@ Two geometric situations are covered:
   * codimension 2: the full zero fiber {Re F = Im F = 0} on the sphere,
     verified by the mean-curvature components of the geometry layer.
 
-Both checks draw their samples from the one seeded attempt loop of the
-geometry layer (geometry._projections; codimension 2 through geometry._quota,
-which also serves geometry.sample), and one function grades the sampled
-criterion values for both.  Verdicts are graded: ExactMinimal needs a
+Both checks draw their samples through geometry._quota, the one loop that
+also serves geometry.sample, each with its own per-point measure (the
+reliable criterion, the mean curvature), and one function grades the
+sampled criterion values for both.  Verdicts are graded: ExactMinimal needs a
 symbolic certificate; NumericMinimal needs the full sample quota below tol;
 NotMinimal needs a reliable witness above the reject threshold; everything
 else is Inconclusive.  The gap between tol (1e-8) and reject (1e-3) keeps
@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd, isfinite, pi
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .errors import (
     ZeroLine,
     ZeroPolynomial,
 )
-from .geometry import CompiledPolys, VarietySpec, _projections, _quota, mean_curvature
+from .geometry import CompiledPolys, VarietySpec, _quota, mean_curvature
 
 # not called here: the name stays importable because the benchmark tracer's
 # alias test patches and restores it in this module
@@ -181,7 +181,8 @@ def _attach_numeric(
     which perturbs Q by |grad Q| times that, and evaluation roundoff adds
     at most gamma * sum_a |c_a| |x^a| for Q = sum_a c_a x^a, the dot-product
     bound with gamma = (deg Q + number of terms) * 2^-53.  Samples whose
-    bound exceeds tol/10 cannot attest |q| < tol and are discarded; this is
+    bound exceeds tol/10 cannot attest |q| < tol, are not kept by _quota and
+    are tallied unreliable (converged minus kept); this is
     also what enforces the submersion hypothesis, since the bound blows up
     exactly where |grad P| degenerates.  A verdict without a certificate is
     graded from the samples; a certified one only records the sampled maximum.
@@ -198,42 +199,35 @@ def _attach_numeric(
     p_roundoff = (P.degree() + P.num_terms()) * 2.0**-53 * p_mass
     newton_tol = min(1e-13, max(tol * 1e-5, 4 * p_roundoff))
 
-    points: List[np.ndarray] = []
-    values: List[float] = []
-    tallies = {"converged": 0, "no_convergence": 0, "singular": 0, "unreliable": 0}
-    max_attempts = 30 * samples
-    projections = _projections(
-        spec, rng_seed, max_attempts, samples, tallies, tol=newton_tol, maxiter=60)
-    for _attempt, x, _residual, _regularity in projections:
+    def reliable_criterion(x: np.ndarray) -> Optional[float]:
         p_val = abs(spec.values(x)[1])  # row 0 is the sphere
         gp = np.linalg.norm(spec.jacobian(x)[1])
         q_val, *grad_q = q_forms(x)
         gq = np.linalg.norm(grad_q)
         error_bound = (gq * (p_val / gp) + gamma * q_magnitude(np.abs(x))) / gp**3
-        if error_bound > tol / 10:
-            tallies["unreliable"] += 1
-            continue
-        points.append(x)
-        values.append(q_val / gp**3)
-        if len(points) == samples:
-            break
+        return None if error_bound > tol / 10 else q_val / gp**3
 
-    attempts = tallies["converged"] + tallies["no_convergence"] + tallies["singular"]
-    verdict.diagnostics["sampling"] = dict(tallies, attempts=attempts)
-    if verdict.certificate is None:
-        if not points:
+    max_attempts = 30 * samples
+    kept, tallies, _shortfall = _quota(
+        spec, samples, rng_seed, max_attempts, reliable_criterion, tol=newton_tol, maxiter=60)
+    outcomes = dict(tallies, unreliable=tallies["converged"] - len(kept))
+    verdict.diagnostics["sampling"] = dict(outcomes, attempts=sum(tallies.values()))
+    if not kept:
+        if verdict.certificate is None:
             raise InsufficientYield(
-                f"no reliable fiber samples in {max_attempts} attempts (outcomes: {tallies})")
+                f"no reliable fiber samples in {max_attempts} attempts (outcomes: {outcomes})")
+        verdict.diagnostics["numeric_cross_check"] = "no reliable samples"
+        return
+    _attempts, points, _residuals, _regularity, values = zip(*kept)
+    if verdict.certificate is None:
         _decide(
             verdict, spec, points, values, samples, tol, reject, "max |criterion| =",
             f"criterion below tolerance, but only {len(points)} of {samples} "
             f"requested reliable samples were collected",
         )
-    elif points:
+    else:
         verdict.samples = len(points)
         verdict.max_residual = float(np.max(np.abs(values)))
-    else:
-        verdict.diagnostics["numeric_cross_check"] = "no reliable samples"
 
 
 def _decide(
@@ -298,7 +292,7 @@ def check_minimal_codim2(
     are parallel everywhere), EmptyFiber for a nonzero constant F.  The points
     come from geometry._quota exactly as geometry.sample draws them: at most
     10*samples attempts, the default Newton settings and the same shortfall
-    message.
+    message, with the mean curvature as the measure of each kept point.
     """
     _check_thresholds(samples, tol, reject)
     k = require_harmonic(F, n)
@@ -318,9 +312,9 @@ def check_minimal_codim2(
     kappa_zero = kappa(F, F).is_zero()
 
     spec = VarietySpec(F.nvars, [u, v])
-    kept, tallies, shortfall = _quota(spec, samples, rng_seed)
-    points = [x for _attempt, x, _residual, _regularity in kept]
-    if not points:
+    kept, tallies, shortfall = _quota(
+        spec, samples, rng_seed, 10 * samples, lambda x: mean_curvature(spec, x))
+    if not kept:
         if tallies["singular"] > 0:
             raise SingularFiber(
                 "every located fiber point fails the regularity threshold "
@@ -328,7 +322,7 @@ def check_minimal_codim2(
             )
         raise EmptyFiber(f"no point of the fiber was found on the sphere (outcomes: {tallies})")
 
-    curvatures = [mean_curvature(spec, x) for x in points]
+    _attempts, points, _residuals, _regularity, curvatures = zip(*kept)
     normal = [float(np.max(np.abs(c.normal_components))) for c in curvatures]
     dimension = F.nvars - 1 - 2
     verdict = MinimalityVerdict(

@@ -396,6 +396,40 @@ class TestUsage:
         assert main(["eigen-check", "--vars", "4"]) == 3
 
 
+# one command line per subcommand that takes --vars, for {n} variables
+VARS_ARGV = [
+    ["eigen-check", "--vars", "{n}", "--sphere-dim", "{dim}", "--poly", "z1"],
+    ["minimal-line", "--vars", "{n}", "--sphere-dim", "{dim}", "--poly", "z1", "--line", "1,0"],
+    ["minimal-zero", "--vars", "{n}", "--sphere-dim", "{dim}", "--poly", "z1"],
+    ["sample", "--vars", "{n}", "--constraint", "x1", "--count", "5", "--out", "{out}"],
+    ["search", "--vars", "{n}", "--degree", "1", "--attempts", "1"],
+]
+
+
+class TestVarsCap:
+    @pytest.mark.parametrize("argv", VARS_ARGV, ids=[argv[0] for argv in VARS_ARGV])
+    def test_over_the_cap_exits_3_at_once(self, capsys, monkeypatch, tmp_path, argv):
+        # no polynomial may be built
+        monkeypatch.setattr(cli, "parse", None)
+        monkeypatch.setattr(cli, "search_eigen", None)
+        n = cli.MAX_VARS + 1
+        code, out, err = run(capsys, *[a.format(n=n, dim=n - 1, out=tmp_path / "cloud.csv")
+                                       for a in argv])
+        assert code == 3
+        assert out == ""
+        assert err == f"error: --vars {n} is over the limit of {cli.MAX_VARS} variables\n"
+        assert not (tmp_path / "cloud.csv").exists()
+
+    def test_eigen_check_at_the_cap_answers(self, capsys):
+        n = cli.MAX_VARS
+        code, report, _ = run_json(
+            capsys, "eigen-check", "--vars", str(n), "--sphere-dim", str(n - 1), "--poly", "z1")
+        assert code == 0
+        assert report["verdict"] == {
+            "is_eigen": True, "k": 1, "n": n - 1, "lambda": 1 - n, "mu": -1, "failure": None,
+        }
+
+
 def _escaping_insufficient_yield(monkeypatch, tmp_path):
     def give_up(*_args, **_kwargs):
         raise InsufficientYield("no reliable fiber samples")

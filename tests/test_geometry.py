@@ -21,6 +21,7 @@ from eigensphere.geometry import (
     PointCloud,
     VarietySpec,
     _projections,
+    _quota,
     add_stereo,
     export_cloud,
     mean_curvature,
@@ -227,18 +228,6 @@ class TestSample:
         assert len(exc.value.cloud) == 0
 
 
-class RecordedTallies(dict):
-    """Attempt tallies that also keep the order in which attempts were counted."""
-
-    def __init__(self):
-        super().__init__(converged=0, no_convergence=0, singular=0)
-        self.order = []
-
-    def __setitem__(self, key, value):
-        self.order.append(key)
-        super().__setitem__(key, value)
-
-
 def newton_reference(spec, seed, tol=1e-12, maxiter=50, eps_reg=1e-8):
     """Reference: Newton projection of one point, one step at a time."""
     x = np.asarray(seed, dtype=float).copy()
@@ -319,15 +308,71 @@ class TestBatchMatchesOneAtATime:
             lambda key: ZeroDraw() if key[1] in zeros else default_rng(key))
         spec = VarietySpec(nvars, constraints)
         expected = one_at_a_time(project, spec, seed, attempts, **newton_kwargs)
-        tallies = RecordedTallies()
         # consumed to the end, past the quota the chunks are sized for
-        points = {attempt: point for attempt, point, _residual, _regularity
-                  in _projections(spec, seed, attempts, quota, tallies, **newton_kwargs)}
-        assert tallies.order == [outcome for outcome, _point in expected]
+        yielded = list(_projections(spec, seed, attempts, quota, **newton_kwargs))
+        assert [attempt for attempt, *_rest in yielded] == list(range(attempts))
+        assert [outcome for _attempt, outcome, *_rest in yielded] == [
+            outcome for outcome, _point in expected]
+        points = {attempt: point for attempt, outcome, point, _residual, _regularity
+                  in yielded if outcome == "converged"}
         assert sorted(points) == [i for i, (outcome, _p) in enumerate(expected)
                                   if outcome == "converged"]
         for attempt, point in points.items():
             assert np.max(np.abs(point - expected[attempt][1])) <= 1e-12
+
+
+# (nvars, constraints, seed, count, max_attempts, Newton settings): the first
+# mixes converged and singular attempts, the second converged and
+# no_convergence ones
+QUOTA_CASES = [
+    pytest.param(4, _real_parts("z1^3*conj(z2)^2", 4), 0, 4, 40, {}, id="codim2-singular"),
+    pytest.param(3, [parse("x1^2*x2 - x3^3", 3)], 0, 6, 60, {"maxiter": 5},
+                 id="short-maxiter"),
+]
+QUOTA_FIELDS = "nvars, constraints, seed, count, max_attempts, newton_kwargs"
+
+
+class TestQuotaMeasure:
+    @pytest.mark.parametrize(QUOTA_FIELDS, QUOTA_CASES)
+    def test_rejecting_measure_runs_every_attempt(self, nvars, constraints, seed, count,
+                                                  max_attempts, newton_kwargs):
+        spec = VarietySpec(nvars, constraints)
+        kept, tallies, shortfall = _quota(spec, count, seed, max_attempts,
+                                          lambda point: None, **newton_kwargs)
+        outcomes = [outcome for _attempt, outcome, *_rest
+                    in _projections(spec, seed, max_attempts, count, **newton_kwargs)]
+        assert kept == []
+        assert sum(tallies.values()) == max_attempts
+        assert tallies == {key: outcomes.count(key)
+                           for key in ("converged", "no_convergence", "singular")}
+        assert shortfall.startswith(f"only 0 of {count} requested points converged "
+                                    f"in {max_attempts} attempts")
+
+    @pytest.mark.parametrize(QUOTA_FIELDS, QUOTA_CASES)
+    def test_measure_called_once_per_converged_attempt(self, nvars, constraints, seed, count,
+                                                       max_attempts, newton_kwargs):
+        spec = VarietySpec(nvars, constraints)
+        calls = []
+
+        def every_other(point):
+            calls.append(point)
+            return len(calls) if len(calls) % 2 else None
+
+        kept, tallies, shortfall = _quota(spec, count, seed, max_attempts, every_other,
+                                          **newton_kwargs)
+        converged = [(attempt, point) for attempt, outcome, point, *_rest
+                     in _projections(spec, seed, max_attempts, count, **newton_kwargs)
+                     if outcome == "converged"]
+        assert shortfall is None
+        # the quota fills at the (2*count - 1)-th converged attempt, and no later
+        # attempt is measured or tallied
+        assert len(calls) == 2 * count - 1
+        assert all(np.array_equal(called, point)
+                   for called, (_attempt, point) in zip(calls, converged))
+        assert [(attempt, value) for attempt, _p, _res, _reg, value in kept] == [
+            (converged[i][0], i + 1) for i in range(0, 2 * count - 1, 2)]
+        assert tallies["converged"] == len(calls)
+        assert sum(tallies.values()) == converged[2 * count - 2][0] + 1
 
 
 def _gram_schmidt_tracked(rows):

@@ -243,7 +243,7 @@ class TestCheckMinimalCodim1:
 
     @pytest.mark.parametrize("cross_check", [False, True])
     def test_constant_has_empty_fiber(self, monkeypatch, cross_check):
-        monkeypatch.setattr(minimality, "_projections", None)  # no attempt may run
+        monkeypatch.setattr(minimality, "_quota", None)  # no attempt may run
         with pytest.raises(EmptyFiber):
             check_minimal_codim1(Polynomial.constant(4, 1), 1, 0, 3, cross_check=cross_check)
 
