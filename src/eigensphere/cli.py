@@ -41,7 +41,7 @@ from .minimality import (
     check_minimal_codim2,
     classify_lawson,
 )
-from .parsing import parse
+from .parsing import MAX_COEFF_DIGITS, parse
 from .search import search_eigen
 from .selftest import run_selftest
 
@@ -82,6 +82,8 @@ def _parse_line(text: str) -> Tuple[Fraction, Fraction]:
     if len(parts) != 2 or not all(_LINE_ENTRY_RE.fullmatch(part) for part in parts):
         raise ValueError(
             f"--line expects 'a,b' with each entry of the form [+-]digits[/digits], got {text!r}")
+    if max(len(digits) for digits in re.findall(r"\d+", text)) > MAX_COEFF_DIGITS:
+        raise BudgetExceeded(f"--line has an entry over the limit of {MAX_COEFF_DIGITS} digits")
     try:
         return Fraction(parts[0]), Fraction(parts[1])
     except ZeroDivisionError:
@@ -119,10 +121,11 @@ def _cmd_eigen_check(args):
 def _cmd_minimal(args):
     """minimal-line (codimension 1) and minimal-zero (codimension 2)."""
     _check_dims(args.vars, args.sphere_dim)
+    line = _parse_line(args.line) if args.command == "minimal-line" else None
     F = parse(args.poly, args.vars)
     common = dict(samples=args.samples, tol=args.tol, reject=args.reject, rng_seed=args.seed)
-    if args.command == "minimal-line":
-        a, b = _parse_line(args.line)
+    if line is not None:
+        a, b = line
         verdict = check_minimal_codim1(
             F, a, b, args.sphere_dim, cross_check=args.cross_check, **common)
         quantity = "max |criterion|"

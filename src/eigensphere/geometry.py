@@ -7,15 +7,13 @@ evaluates polynomials, at one point or at a batch of points.  The numerics
 are Newton projection with a rank-revealing least-squares step, seeded
 Gaussian sampling, and the level-set second-fundamental-form trace that
 yields mean-curvature components of the cut-out submanifold.  The seeded
-attempt loop exists once, as the generator _projections, which runs Newton
-on a chunk of attempts at once (_newton_batch, of which newton_project is
-the batch of one) but yields every attempt with its outcome in order.
-_quota alone consumes it: it tallies each attempt, keeps the converged
-points whose optional per-point measure is not None, and stops at its
-quota; `sample` and both minimality checks take their points through it.
-Curvature and the codimension-1 criterion are evaluated one point at a
-time; the residual and regularity of a sampled point are those of the
-Newton step at which it converged.
+attempt loop exists once, as _quota: it runs Newton on a chunk of attempts
+at once (_newton_batch, of which newton_project is the batch of one), calls
+an optional measure once per chunk on the chunk's converged points, tallies
+each attempt in order, keeps the points whose value is not None, and stops
+at its quota.  `sample` and both minimality checks take their points through
+it.  The residual and regularity of a sampled point are those of the Newton
+step at which it converged.
 
 Every caller uses the same thresholds, so they are module constants:
   * EPS_REG = 1e-8: a point is regular when the smallest singular value of
@@ -43,7 +41,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from math import ceil, isfinite
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +62,7 @@ DEFAULT_MAXITER = 50
 EPS_REG = 1e-8
 OFF_VARIETY_TOL = 10 * DEFAULT_TOL
 POLE_EPS = 1e-8
-# floats in about 256 KB: the cap on any temporary of a batched Newton chunk
+# floats in about 256 KB: the cap on any temporary of a batched evaluation
 CHUNK_FLOATS = 2**15
 
 
@@ -82,6 +80,8 @@ class CompiledPolys:
     reshaped to `shape` (row-major over the polynomials as listed); a batch
     of shape (B, N) gives (B, *shape), one row per point.  Each monomial is
     a product of entries of the per-variable power table x_v^0 .. x_v^D.
+    A batch is evaluated in blocks of rows small enough that no temporary
+    exceeds CHUNK_FLOATS floats.
     """
 
     def __init__(self, nvars: int, polys: Sequence[Polynomial], shape: Tuple[int, ...]):
@@ -111,6 +111,9 @@ class CompiledPolys:
         if x.ndim not in (1, 2) or x.shape[-1] != nvars:
             raise DimensionMismatch(
                 f"point has shape {x.shape}, expected ({nvars},) or (B, {nvars})")
+        rows = max(1, CHUNK_FLOATS // self.point_floats)
+        if x.ndim == 2 and len(x) > rows:
+            return np.concatenate([self(x[i:i + rows]) for i in range(0, len(x), rows)])
         powers = x[..., None] ** self._degrees
         powers = powers.reshape(x.shape[:-1] + (powers.shape[-2] * powers.shape[-1],))
         monomials = np.multiply.reduce(powers.take(self._power_index, axis=-1), axis=-1)
@@ -273,33 +276,39 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def _projections(
-    spec: VarietySpec,
-    rng_seed: int,
-    max_attempts: int,
-    quota: int,
-    tol: float = DEFAULT_TOL,
-    maxiter: int = DEFAULT_MAXITER,
-) -> Iterator[Tuple[int, str, np.ndarray, float, float]]:
-    """Seeded Newton attempts; yields (attempt, outcome, point, residual,
-    regularity) for every attempt in order.  The outcome is converged,
-    no_convergence (a draw of norm below 1e-12 included) or singular; the
-    last two are max |g_a| and the smallest singular value of the Jacobian
-    at the Newton step that stopped.
+def _quota(
+    spec: VarietySpec, count: int, rng_seed: int, max_attempts: int,
+    measure: Optional[Callable[[np.ndarray], Sequence[Any]]] = None,
+    tol: float = DEFAULT_TOL, maxiter: int = DEFAULT_MAXITER,
+) -> Tuple[List[Tuple[int, np.ndarray, float, float, Any]], Dict[str, int], Optional[str]]:
+    """The first count kept points of at most max_attempts seeded Newton attempts.
 
     Attempt i projects the normalized draw of default_rng([rng_seed, i]), so
-    results do not depend on execution order.  Attempts run in chunks
-    through _newton_batch: each chunk is the number of attempts that, at the
-    converged rate so far, should bring the converged count to quota, capped
-    so that no temporary exceeds about 256 KB.
+    results do not depend on execution order; a draw of norm below 1e-12 is
+    no_convergence.  Attempts run in chunks through _newton_batch: each
+    chunk is the number of attempts that, at the converged rate so far,
+    should bring the converged count to count, capped so that no temporary
+    exceeds about 256 KB.  measure(points) is called once per chunk on its
+    converged points (B, N) in attempt order and returns one value per
+    point; a point whose value is None is not kept.  Every attempt up to the
+    one that fills the quota is tallied as converged, no_convergence or
+    singular.  Returns the kept (attempt, point, residual, regularity,
+    value) tuples (value None without a measure), where residual and
+    regularity are max |g_a| and the smallest singular value of the
+    Jacobian at the Newton step that converged, the tallies and, when the
+    quota is not full, the shortfall message naming both (else None).
     """
+    if count < 1:
+        raise ValueError(f"sample count must be >= 1, got {count}")
     cap = max(1, CHUNK_FLOATS // max(spec._values.point_floats, spec._jacobian.point_floats))
-    attempt = converged = 0
-    while attempt < max_attempts:
+    tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
+    kept = []
+    attempt = 0
+    while attempt < max_attempts and len(kept) < count:
         # the attempts that fill the rest of the quota at the rate so far, and
-        # one point's worth for a caller that filters points past its quota
-        rate = (converged + 1) / (attempt + 1)
-        wanted = ceil(max(quota - converged, 1) / rate)
+        # one point's worth once as many converged as the quota asks
+        rate = (tallies["converged"] + 1) / (attempt + 1)
+        wanted = ceil(max(count - tallies["converged"], 1) / rate)
         chunk = range(attempt, min(attempt + min(wanted, cap), max_attempts))
         draws = [np.random.default_rng([rng_seed, i]).standard_normal(spec.nvars) for i in chunk]
         norms = np.array([np.linalg.norm(draw) for draw in draws])
@@ -310,39 +319,18 @@ def _projections(
         seeds = np.array(draws)[drawn] / norms[drawn, None]
         points[drawn], outcomes[drawn], residuals[drawn], regularity[drawn] = _newton_batch(
             spec, seeds, tol, maxiter)
-        for i, outcome, point, res, reg in zip(chunk, outcomes, points, residuals, regularity):
-            converged += outcome == "converged"
-            yield i, outcome, point, res, reg
+        values = [None] * len(chunk)
+        converged = np.flatnonzero(outcomes == "converged")
+        if measure is not None and converged.size:
+            for i, value in zip(converged, measure(points[converged])):
+                values[i] = value
+        for i, outcome in enumerate(outcomes):
+            tallies[outcome] += 1
+            if outcome == "converged" and (measure is None or values[i] is not None):
+                kept.append((chunk[i], points[i], residuals[i], regularity[i], values[i]))
+                if len(kept) == count:
+                    break
         attempt = chunk.stop
-
-
-def _quota(
-    spec: VarietySpec, count: int, rng_seed: int, max_attempts: int,
-    measure: Optional[Callable[[np.ndarray], Any]] = None, **newton_kwargs,
-) -> Tuple[List[Tuple[int, np.ndarray, float, float, Any]], Dict[str, int], Optional[str]]:
-    """The first count kept points of at most max_attempts attempts.
-
-    measure(point) is called on each converged point in attempt order, and
-    a point whose measure is None is not kept.  Returns the kept (attempt,
-    point, residual, regularity, value) tuples (value None without a
-    measure), the tallies of every attempt consumed and, when the quota is
-    not full, the shortfall message naming both (else None).
-    """
-    if count < 1:
-        raise ValueError(f"sample count must be >= 1, got {count}")
-    tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
-    kept = []
-    for attempt, outcome, point, residual, regularity in _projections(
-            spec, rng_seed, max_attempts, count, **newton_kwargs):
-        tallies[outcome] += 1
-        if outcome != "converged":
-            continue
-        value = None if measure is None else measure(point)
-        if measure is not None and value is None:
-            continue
-        kept.append((attempt, point, residual, regularity, value))
-        if len(kept) == count:
-            break
     shortfall = None
     if len(kept) < count:
         shortfall = (

@@ -14,13 +14,14 @@ Two geometric situations are covered:
     verified by the mean-curvature components of the geometry layer.
 
 Both checks draw their samples through geometry._quota, the one loop that
-also serves geometry.sample, each with its own per-point measure (the
-reliable criterion, the mean curvature), and one function grades the
-sampled criterion values for both.  Verdicts are graded: ExactMinimal needs a
-symbolic certificate; NumericMinimal needs the full sample quota below tol;
-NotMinimal needs a reliable witness above the reject threshold; everything
-else is Inconclusive.  The gap between tol (1e-8) and reject (1e-3) keeps
-borderline noise from flapping verdicts.
+also serves geometry.sample, each with its own measure of a chunk of
+converged points: codimension 1 evaluates the reliable criterion on the
+whole chunk at once, codimension 2 the mean curvature point by point.  One
+function grades the sampled criterion values for both.  Verdicts are
+graded: ExactMinimal needs a symbolic certificate; NumericMinimal needs the
+full sample quota below tol; NotMinimal needs a reliable witness above the
+reject threshold; everything else is Inconclusive.  The gap between tol
+(1e-8) and reject (1e-3) keeps borderline noise from flapping verdicts.
 """
 
 from __future__ import annotations
@@ -176,15 +177,17 @@ def _attach_numeric(
 ) -> None:
     """Sample the fiber and evaluate the normalized criterion q = Q/|grad P|^3.
 
-    Each sample carries a first-order reliability bound: the Newton residual
-    |P(x)| displaces the point from the exact fiber by about |P|/|grad P|,
-    which perturbs Q by |grad Q| times that, and evaluation roundoff adds
-    at most gamma * sum_a |c_a| |x^a| for Q = sum_a c_a x^a, the dot-product
-    bound with gamma = (deg Q + number of terms) * 2^-53.  Samples whose
-    bound exceeds tol/10 cannot attest |q| < tol, are not kept by _quota and
-    are tallied unreliable (converged minus kept); this is
-    also what enforces the submersion hypothesis, since the bound blows up
-    exactly where |grad P| degenerates.  A verdict without a certificate is
+    The criterion and its bound are evaluated on each chunk of converged
+    points at once, one call per compiled table.  Each sample carries a
+    first-order reliability bound: the Newton residual |P(x)| displaces the
+    point from the exact fiber by about |P|/|grad P|, which perturbs Q by
+    |grad Q| times that, and evaluation roundoff adds at most
+    gamma * sum_a |c_a| |x^a| for Q = sum_a c_a x^a, the dot-product bound
+    with gamma = (deg Q + number of terms) * 2^-53.  Samples whose bound
+    exceeds tol/10 cannot attest |q| < tol, are not kept by _quota and are
+    tallied unreliable (converged minus kept); this is also what enforces
+    the submersion hypothesis, since the bound blows up exactly where
+    |grad P| degenerates.  A verdict without a certificate is
     graded from the samples; a certified one only records the sampled maximum.
     """
     spec = VarietySpec(P.nvars, [P])
@@ -199,13 +202,13 @@ def _attach_numeric(
     p_roundoff = (P.degree() + P.num_terms()) * 2.0**-53 * p_mass
     newton_tol = min(1e-13, max(tol * 1e-5, 4 * p_roundoff))
 
-    def reliable_criterion(x: np.ndarray) -> Optional[float]:
-        p_val = abs(spec.values(x)[1])  # row 0 is the sphere
-        gp = np.linalg.norm(spec.jacobian(x)[1])
-        q_val, *grad_q = q_forms(x)
-        gq = np.linalg.norm(grad_q)
+    def reliable_criterion(x: np.ndarray) -> np.ndarray:
+        p_val = np.abs(spec.values(x)[:, 1])  # column 0 is the sphere
+        gp = np.linalg.norm(spec.jacobian(x)[:, 1], axis=1)
+        forms = q_forms(x)
+        gq = np.linalg.norm(forms[:, 1:], axis=1)
         error_bound = (gq * (p_val / gp) + gamma * q_magnitude(np.abs(x))) / gp**3
-        return None if error_bound > tol / 10 else q_val / gp**3
+        return np.where(error_bound > tol / 10, None, forms[:, 0] / gp**3)
 
     max_attempts = 30 * samples
     kept, tallies, _shortfall = _quota(
@@ -218,10 +221,10 @@ def _attach_numeric(
                 f"no reliable fiber samples in {max_attempts} attempts (outcomes: {outcomes})")
         verdict.diagnostics["numeric_cross_check"] = "no reliable samples"
         return
-    _attempts, points, _residuals, _regularity, values = zip(*kept)
+    _attempts, points, residuals, _regularity, values = zip(*kept)
     if verdict.certificate is None:
         _decide(
-            verdict, spec, points, values, samples, tol, reject, "max |criterion| =",
+            verdict, points, residuals, values, samples, tol, reject, "max |criterion| =",
             f"criterion below tolerance, but only {len(points)} of {samples} "
             f"requested reliable samples were collected",
         )
@@ -232,8 +235,8 @@ def _attach_numeric(
 
 def _decide(
     verdict: MinimalityVerdict,
-    spec: VarietySpec,
     points: Sequence[np.ndarray],
+    residuals: Sequence[float],
     values: Sequence[float],
     quota: int,
     tol: float,
@@ -243,7 +246,8 @@ def _decide(
 ) -> None:
     """Grade sampled criterion values; sets samples, max_residual, status, witness, reason.
 
-    NotMinimal needs one value above reject, whose point becomes the witness;
+    NotMinimal needs one value above reject, whose point becomes the witness
+    with its residual, Newton's max |g_a| at the step that converged;
     NumericMinimal needs the full quota below tol; anything else is
     Inconclusive, with the shortfall reason when every value is below tol
     and the quota is not full.  points must not be empty.
@@ -257,7 +261,7 @@ def _decide(
         verdict.status = NOT_MINIMAL
         verdict.witness = {
             "point": [float(c) for c in points[worst]],
-            "residual": float(spec.residual(points[worst])),
+            "residual": float(residuals[worst]),
             "criterion": float(values[worst]),
         }
     elif max_abs < tol and len(points) >= quota:
@@ -313,7 +317,8 @@ def check_minimal_codim2(
 
     spec = VarietySpec(F.nvars, [u, v])
     kept, tallies, shortfall = _quota(
-        spec, samples, rng_seed, 10 * samples, lambda x: mean_curvature(spec, x))
+        spec, samples, rng_seed, 10 * samples,
+        lambda points: [mean_curvature(spec, x) for x in points])
     if not kept:
         if tallies["singular"] > 0:
             raise SingularFiber(
@@ -322,7 +327,7 @@ def check_minimal_codim2(
             )
         raise EmptyFiber(f"no point of the fiber was found on the sphere (outcomes: {tallies})")
 
-    _attempts, points, _residuals, _regularity, curvatures = zip(*kept)
+    _attempts, points, residuals, _regularity, curvatures = zip(*kept)
     normal = [float(np.max(np.abs(c.normal_components))) for c in curvatures]
     dimension = F.nvars - 1 - 2
     verdict = MinimalityVerdict(
@@ -339,8 +344,8 @@ def check_minimal_codim2(
     flat = _flat_section_residuals(F, k, points)
     if flat is not None:
         verdict.diagnostics["flat_section_max_residual"] = float(np.max(flat))
-    _decide(
-        verdict, spec, points, normal, samples, tol, reject, "max normal component", shortfall)
+    _decide(verdict, points, residuals, normal, samples, tol, reject, "max normal component",
+            shortfall)
     return verdict
 
 

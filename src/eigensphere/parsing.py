@@ -24,6 +24,14 @@ subtracted one negated, are merged once by `Polynomial.sum`.  Groups nest at
 most MAX_NESTING deep and a run of unary minus signs is read in a loop, so no
 input exhausts the interpreter's stack.
 
+Coefficients stay below 10**MAX_COEFF_DIGITS: an integer literal has at most
+MAX_COEFF_DIGITS digits, a power is refused before it is expanded when the
+bound Polynomial.coefficient_norm gives for it could pass the limit, and the
+parsed polynomial's numerator sum and denominator are checked once more.
+Past the limit `parse` raises BudgetExceeded.  The limit keeps the quadratic
+objects built from an input (the kappa residual, a certificate quotient such
+as 8*c^2*(a^2 + 1)) within the 4300 digits Python converts to text.
+
 `render` produces a canonical string in the same grammar (x-variables only,
 terms in descending graded-lexicographic order), and `parse(render(p), p.nvars)`
 returns a polynomial equal to `p`.
@@ -34,9 +42,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
 from typing import List, Tuple
 
-from .errors import NegativeExponent, ParseError, VariableOutOfRange
+from .errors import BudgetExceeded, NegativeExponent, ParseError, VariableOutOfRange
 from .polynomial import GaussianRational, I, Polynomial, complex_variable
 
 # ---------------------------------------------------------------------------
@@ -46,6 +55,11 @@ _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+
 # anchored at a position, so skipping whitespace copies nothing; \s is the
 # whitespace set of str.strip
 _SPACE_RE = re.compile(r"\s*")
+
+#: The most decimal digits of an integer literal, and of the numerator sum
+#: and the denominator of a parsed polynomial's coefficients.
+MAX_COEFF_DIGITS = 1000
+_COEFF_LIMIT = 10**MAX_COEFF_DIGITS
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,10 @@ def _tokenize(text: str) -> List[Token]:
                     "decimal literals are not accepted; write an exact rational like 3/10", pos
                 )
             raise ParseError(f"unexpected character {char!r}", pos)
+        if match.lastgroup == "int" and len(match.group()) > MAX_COEFF_DIGITS:
+            raise BudgetExceeded(
+                f"integer literal of {len(match.group())} digits at position {pos} is over "
+                f"the limit of {MAX_COEFF_DIGITS} digits")
         tokens.append(Token(match.lastgroup, match.group(), pos))
         pos = _SPACE_RE.match(text, match.end()).end()
     tokens.append(Token("end", "", len(text)))
@@ -152,7 +170,16 @@ class _Parser:
         token = self.peek()
         if token.kind == "op" and token.text == "^":
             self.advance()
-            return base ** self.exponent()
+            k = self.exponent()
+            if k > 1:
+                # base**k has numerator sum at most norm**k over den**k
+                norm, den = base.coefficient_norm()
+                digits = k * log10(max(norm, den))
+                if digits > MAX_COEFF_DIGITS:
+                    raise BudgetExceeded(
+                        f"^{k} at position {token.pos} could give coefficients of "
+                        f"{int(digits) + 1} digits, over the limit of {MAX_COEFF_DIGITS} digits")
+            return base ** k
         return base
 
     def exponent(self) -> int:
@@ -239,7 +266,12 @@ def parse(text: str, nvars: int) -> Polynomial:
     """Parse an expression into a canonical Polynomial in x1..x<nvars>."""
     if nvars < 1:
         raise ValueError(f"nvars must be positive, got {nvars}")
-    return _Parser(text, nvars).parse()
+    poly = _Parser(text, nvars).parse()
+    if max(poly.coefficient_norm()) >= _COEFF_LIMIT:
+        raise BudgetExceeded(
+            f"the coefficients of the parsed polynomial are over the limit of "
+            f"{MAX_COEFF_DIGITS} digits in their numerator sum or denominator")
+    return poly
 
 
 # ---------------------------------------------------------------------------

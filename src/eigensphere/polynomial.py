@@ -360,6 +360,12 @@ class Polynomial:
     def num_terms(self) -> int:
         return len(self._pairs)
 
+    def coefficient_norm(self) -> Tuple[int, int]:
+        """(N, D): every coefficient is (re + i*im)/D over the shared denominator
+        D, and N is the sum of |re| + |im| over the terms.  N bounds each
+        numerator, and N**k over D**k bounds the coefficients of the k-th power."""
+        return sum(abs(re) + abs(im) for re, im in self._pairs.values()), self._den
+
     def is_zero(self) -> bool:
         return not self._pairs
 

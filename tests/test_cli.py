@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -394,6 +395,52 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert main(["eigen-check", "--vars", "4"]) == 3
+
+
+class TestCoefficientCap:
+    S3 = ["--vars", "4", "--sphere-dim", "3"]
+
+    @pytest.mark.parametrize("argv", [
+        ["eigen-check", "--poly", "z1^2 + 10^5000*x1^2"],
+        ["minimal-line", "--poly", "10^2200*z1^2", "--line", "1,0"],
+        ["minimal-line", "--poly", "z1^2", "--line", "1" + "0" * cli.MAX_COEFF_DIGITS + ",1"],
+    ], ids=["eigen-check", "minimal-line", "line-entry"])
+    def test_over_the_cap_exits_3_before_exact_work(self, capsys, monkeypatch, argv):
+        # these once computed a verdict and then failed to render it
+        monkeypatch.setattr(cli, "verify_eigenfunction", None)
+        monkeypatch.setattr(cli, "check_minimal_codim1", None)
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], *self.S3, *argv[1:])
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert out == ""
+        assert f"over the limit of {cli.MAX_COEFF_DIGITS} digits" in err
+
+    def test_line_entry_is_checked_before_the_polynomial(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "parse", None)
+        code, _out, err = run(capsys, "minimal-line", *self.S3, "--poly", "z1^2",
+                              "--line", "1,1/1" + "0" * cli.MAX_COEFF_DIGITS)
+        assert code == 3
+        assert f"over the limit of {cli.MAX_COEFF_DIGITS} digits" in err
+
+    def test_input_at_the_cap_renders_its_certificate(self, capsys):
+        # c*z1^2 with a line (a, 1): P = c*(a*x1^2 + 2*x1*x2 - a*x2^2) = x^T A x
+        # with A^2 = c^2*(a^2 + 1)*I, so Q = 8*x^T A^3 x = 8*c^2*(a^2 + 1)*P,
+        # a quotient of about 4*MAX_COEFF_DIGITS digits
+        c = 10 ** (cli.MAX_COEFF_DIGITS - 1) + 7
+        a = 10 ** (cli.MAX_COEFF_DIGITS - 1) + 3
+        code, report, _err = run_json(capsys, "minimal-line", *self.S3,
+                                      "--poly", f"{c}*z1^2", "--line", f"{a},1")
+        assert code == 0
+        assert report["verdict"] == {"status": "ExactMinimal",
+                                     "certificate": str(8 * c**2 * (a**2 + 1))}
+        # harmonic, so the gate fails on the square, whose coefficients are about c^2
+        code, report, _err = run_json(capsys, "eigen-check", *self.S3,
+                                      "--poly", f"{c}*(x1^2 - x2^2)")
+        assert code == 1
+        failure = report["verdict"]["failure"]
+        assert failure["condition"] == "laplacian_P2"
+        assert len(failure["residual"]) > 2 * cli.MAX_COEFF_DIGITS
 
 
 # one command line per subcommand that takes --vars, for {n} variables

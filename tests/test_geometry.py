@@ -1,6 +1,7 @@
 """Newton projection, sampling, curvature frames, projection, CSV export."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from eigensphere.errors import (
     PoleSingularity,
     SingularJacobian,
 )
+from eigensphere import geometry
 from eigensphere.geometry import (
     CompiledPolys,
     PointCloud,
     VarietySpec,
-    _projections,
     _quota,
     add_stereo,
     export_cloud,
@@ -94,6 +95,30 @@ class TestVarietySpec:
                     assert compiled.shape == expected.shape
                     scale = np.max(np.abs(expected), initial=0.0)
                     assert_allclose(compiled, expected, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_batch_in_blocks_matches_rows(self, monkeypatch):
+        polys = [random_poly(np.random.default_rng(7), 4, 4, complex_coeffs=False)
+                 for _ in range(3)]
+        compiled = CompiledPolys(4, polys, (3,))
+        # blocks of 2 rows, the last one short
+        monkeypatch.setattr(geometry, "CHUNK_FLOATS", 2 * compiled.point_floats + 1)
+        x = np.random.default_rng(8).standard_normal((41, 4))
+        batch = compiled(x)
+        assert batch.shape == (41, 3)
+        assert_allclose(batch, [compiled(row) for row in x], rtol=1e-13, atol=1e-13)
+
+    def test_batch_temporaries_are_bounded(self):
+        # 462 monomials in 6 variables: one point's temporary is 2772 floats, so
+        # 2000 points at once would allocate 44 MB
+        compiled = CompiledPolys(6, [parse("(1 + x1 + x2 + x3 + x4 + x5 + x6)^5", 6)], ())
+        x = np.random.default_rng(9).standard_normal((2000, 6)) / 6
+        tracemalloc.start()
+        try:
+            compiled(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * geometry.CHUNK_FLOATS * 8
 
     def test_empty_table(self):
         # the Hessians of linear constraints are all zero: no monomial at all
@@ -290,6 +315,17 @@ BATCH_CASES = [
 ]
 
 
+def recording_measure():
+    """A measure that rejects every point, and the list of the batches it saw."""
+    calls = []
+
+    def reject(points):
+        calls.append(points.copy())
+        return [None] * len(points)
+
+    return reject, calls
+
+
 class TestBatchMatchesOneAtATime:
     @pytest.mark.parametrize("project", [newton_project, newton_reference],
                              ids=["newton_project", "reference"])
@@ -308,17 +344,17 @@ class TestBatchMatchesOneAtATime:
             lambda key: ZeroDraw() if key[1] in zeros else default_rng(key))
         spec = VarietySpec(nvars, constraints)
         expected = one_at_a_time(project, spec, seed, attempts, **newton_kwargs)
-        # consumed to the end, past the quota the chunks are sized for
-        yielded = list(_projections(spec, seed, attempts, quota, **newton_kwargs))
-        assert [attempt for attempt, *_rest in yielded] == list(range(attempts))
-        assert [outcome for _attempt, outcome, *_rest in yielded] == [
-            outcome for outcome, _point in expected]
-        points = {attempt: point for attempt, outcome, point, _residual, _regularity
-                  in yielded if outcome == "converged"}
-        assert sorted(points) == [i for i, (outcome, _p) in enumerate(expected)
-                                  if outcome == "converged"]
-        for attempt, point in points.items():
-            assert np.max(np.abs(point - expected[attempt][1])) <= 1e-12
+        # every point rejected: all attempts run, past the quota the chunks are sized for
+        reject, calls = recording_measure()
+        kept, tallies, _shortfall = _quota(spec, quota, seed, attempts, reject, **newton_kwargs)
+        assert kept == []
+        assert tallies == {key: [outcome for outcome, _p in expected].count(key)
+                           for key in ("converged", "no_convergence", "singular")}
+        measured = np.concatenate(calls) if calls else np.zeros((0, nvars))
+        converged = [point for outcome, point in expected if outcome == "converged"]
+        assert len(measured) == len(converged)
+        for point, reference in zip(measured, converged):
+            assert np.max(np.abs(point - reference)) <= 1e-12
 
 
 # (nvars, constraints, seed, count, max_attempts, Newton settings): the first
@@ -332,47 +368,66 @@ QUOTA_CASES = [
 QUOTA_FIELDS = "nvars, constraints, seed, count, max_attempts, newton_kwargs"
 
 
+def converged_attempts(spec, seed, max_attempts, **newton_kwargs):
+    return [attempt for attempt, (outcome, _point) in enumerate(
+        one_at_a_time(newton_project, spec, seed, max_attempts, **newton_kwargs))
+        if outcome == "converged"]
+
+
 class TestQuotaMeasure:
     @pytest.mark.parametrize(QUOTA_FIELDS, QUOTA_CASES)
     def test_rejecting_measure_runs_every_attempt(self, nvars, constraints, seed, count,
                                                   max_attempts, newton_kwargs):
         spec = VarietySpec(nvars, constraints)
-        kept, tallies, shortfall = _quota(spec, count, seed, max_attempts,
-                                          lambda point: None, **newton_kwargs)
-        outcomes = [outcome for _attempt, outcome, *_rest
-                    in _projections(spec, seed, max_attempts, count, **newton_kwargs)]
+        reject, calls = recording_measure()
+        kept, tallies, shortfall = _quota(spec, count, seed, max_attempts, reject,
+                                          **newton_kwargs)
         assert kept == []
         assert sum(tallies.values()) == max_attempts
-        assert tallies == {key: outcomes.count(key)
-                           for key in ("converged", "no_convergence", "singular")}
+        assert tallies["converged"] == sum(len(points) for points in calls)
+        assert tallies["converged"] == len(
+            converged_attempts(spec, seed, max_attempts, **newton_kwargs))
         assert shortfall.startswith(f"only 0 of {count} requested points converged "
                                     f"in {max_attempts} attempts")
 
     @pytest.mark.parametrize(QUOTA_FIELDS, QUOTA_CASES)
-    def test_measure_called_once_per_converged_attempt(self, nvars, constraints, seed, count,
-                                                       max_attempts, newton_kwargs):
+    def test_measure_sees_each_chunk_once(self, nvars, constraints, seed, count, max_attempts,
+                                          newton_kwargs):
         spec = VarietySpec(nvars, constraints)
         calls = []
 
-        def every_other(point):
-            calls.append(point)
-            return len(calls) if len(calls) % 2 else None
+        def every_other(points):
+            first = sum(len(batch) for batch in calls) + 1
+            calls.append(points.copy())
+            return [n if n % 2 else None for n in range(first, first + len(points))]
 
         kept, tallies, shortfall = _quota(spec, count, seed, max_attempts, every_other,
                                           **newton_kwargs)
-        converged = [(attempt, point) for attempt, outcome, point, *_rest
-                     in _projections(spec, seed, max_attempts, count, **newton_kwargs)
-                     if outcome == "converged"]
+        reject, rejected = recording_measure()
+        _quota(spec, count, seed, max_attempts, reject, **newton_kwargs)
+        converged = converged_attempts(spec, seed, max_attempts, **newton_kwargs)
         assert shortfall is None
-        # the quota fills at the (2*count - 1)-th converged attempt, and no later
-        # attempt is measured or tallied
-        assert len(calls) == 2 * count - 1
-        assert all(np.array_equal(called, point)
-                   for called, (_attempt, point) in zip(calls, converged))
+        # one (B, N) batch per chunk with a converged point, in attempt order; the
+        # measure does not change the chunks, so the batches are those of a
+        # measure that keeps nothing, cut at the chunk that fills the quota
+        assert all(points.ndim == 2 and len(points) >= 1 for points in calls)
+        assert all(np.array_equal(mine, theirs) for mine, theirs in zip(calls, rejected))
+        assert len(calls) <= len(rejected)
+        # the quota fills at the (2*count - 1)-th converged attempt; later points
+        # of its chunk are measured, but neither kept nor tallied
+        assert sum(len(points) for points in calls) >= 2 * count - 1
         assert [(attempt, value) for attempt, _p, _res, _reg, value in kept] == [
-            (converged[i][0], i + 1) for i in range(0, 2 * count - 1, 2)]
-        assert tallies["converged"] == len(calls)
-        assert sum(tallies.values()) == converged[2 * count - 2][0] + 1
+            (converged[i], i + 1) for i in range(0, 2 * count - 1, 2)]
+        assert all(np.array_equal(point, np.concatenate(calls)[value - 1])
+                   for _attempt, point, _res, _reg, value in kept)
+        assert tallies["converged"] == 2 * count - 1
+        assert sum(tallies.values()) == converged[2 * count - 2] + 1
+
+    def test_no_measure_keeps_every_converged_point(self):
+        spec, _q = clifford_spec()
+        kept, tallies, shortfall = _quota(spec, 12, 3, 40)
+        assert shortfall is None and len(kept) == 12 == tallies["converged"]
+        assert [value for *_rest, value in kept] == [None] * 12
 
 
 def _gram_schmidt_tracked(rows):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eigensphere.calculus import hess_grad_grad, kappa, laplacian
+from eigensphere.calculus import gradient, hess_grad_grad, hessian, kappa, laplacian
 from eigensphere import minimality
 from eigensphere.errors import (
     BothZero,
@@ -30,6 +30,7 @@ from eigensphere.minimality import (
     lawson_polynomial,
     line_pullback,
 )
+from eigensphere.geometry import VarietySpec, mean_curvature
 from eigensphere.parsing import parse
 from eigensphere.polynomial import GaussianRational, Polynomial, r_squared
 
@@ -377,6 +378,44 @@ class TestCheckMinimalCodim2:
         assert payload["status"] == "NumericMinimal"
         assert payload["samples"] == 30
         assert payload["max_residual"] < 1e-8
+
+
+# holomorphic cubics on S^5 and lines whose preimages are far from minimal,
+# and a non-isotropic harmonic quadric whose zero fiber is (criteria >= 1)
+CUBIC_WITNESS_CASES = [("z1^2*z2+z3^3", "1,0"), ("2*z1^2*z2+z3^3", "0,1"),
+                       ("z1^2*z2+3*z3^3", "1,-1"), ("z1^2*z2+z3^3+z1*z3^2", "2,1")]
+NONISOTROPIC_QUADRIC = "z1^2+z2^2+x5^2-x6^2"
+
+
+class TestWitnessesAgainstAnIndependentEvaluation:
+    @pytest.mark.parametrize("poly, line", CUBIC_WITNESS_CASES)
+    def test_codim1_criterion(self, poly, line):
+        a, b = (int(v) for v in line.split(","))
+        verdict = check_minimal_codim1(parse(poly, 6), a, b, 5, samples=50, rng_seed=0)
+        assert verdict.status == "NotMinimal"
+        x = np.array(verdict.witness["point"])
+        # Hess P(grad P, grad P)/|grad P|^3 entry by entry with Polynomial.evaluate,
+        # not through hess_grad_grad or a compiled table
+        P = line_pullback(parse(poly, 6), a, b)
+        grad = np.array([g.evaluate(x).real for g in gradient(P)])
+        hess = np.array([[h.evaluate(x).real for h in row] for row in hessian(P)])
+        expected = grad @ hess @ grad / np.linalg.norm(grad) ** 3
+        assert verdict.witness["criterion"] == pytest.approx(expected, rel=1e-9)
+        assert abs(verdict.witness["criterion"]) == verdict.max_residual
+        assert verdict.witness["residual"] <= 1e-12
+        assert abs(P.evaluate(x)) <= 1e-12 and abs(x @ x - 1) <= 1e-12
+
+    def test_codim2_criterion(self):
+        F = parse(NONISOTROPIC_QUADRIC, 6)
+        verdict = check_minimal_codim2(F, 5, samples=50, rng_seed=0)
+        assert verdict.status == "NotMinimal"
+        x = np.array(verdict.witness["point"])
+        curvature = mean_curvature(VarietySpec(6, F.real_imag_parts()), x)
+        expected = np.max(np.abs(curvature.normal_components))
+        assert verdict.witness["criterion"] == pytest.approx(expected, rel=1e-9)
+        assert verdict.witness["criterion"] == verdict.max_residual
+        assert verdict.witness["residual"] <= 1e-12
+        assert abs(F.evaluate(x)) <= 1e-12 and abs(x @ x - 1) <= 1e-12
 
 
 def conformality_reference(F):

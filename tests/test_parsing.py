@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from eigensphere.errors import NegativeExponent, ParseError, VariableOutOfRange
-from eigensphere.parsing import MAX_NESTING, _tokenize, parse, render
+from eigensphere.errors import BudgetExceeded, NegativeExponent, ParseError, VariableOutOfRange
+from eigensphere.parsing import MAX_COEFF_DIGITS, MAX_NESTING, _tokenize, parse, render
 from eigensphere.polynomial import GaussianRational, Polynomial
 
 from conftest import random_poly
@@ -172,6 +172,49 @@ class TestLongInput:
         assert parse(mixed, 4) == parse("z1", 4)
         with pytest.raises(ParseError, match="nest deeper"):
             parse("conj(" + mixed + ")", 4)
+
+
+class TestCoefficientBudget:
+    # the largest and the smallest integer of MAX_COEFF_DIGITS digits
+    LARGEST = "9" * MAX_COEFF_DIGITS
+    SMALLEST = "1" + "0" * (MAX_COEFF_DIGITS - 1)
+
+    def test_literals_at_the_limit_parse(self):
+        largest = int(self.LARGEST)
+        assert parse(f"{self.LARGEST}*x1", 2).coefficient((1, 0)) == GaussianRational(largest)
+        assert parse(f"-1/{self.LARGEST}*x2", 2).coefficient((0, 1)) == GaussianRational(
+            Fraction(-1, largest))
+
+    @pytest.mark.parametrize("text", ["9{big}", "1/1{big}*x1", "x1^1{big}"])
+    def test_long_literal_is_refused(self, text):
+        with pytest.raises(BudgetExceeded, match=f"limit of {MAX_COEFF_DIGITS} digits"):
+            parse(text.format(big=self.LARGEST), 2)
+
+    @pytest.mark.parametrize("text", ["z1^500", "x1^100000", "(x1 + x2)^300",
+                                      "(1/2*x1)^1000", "10^999", "(10^333)^3", "0^4000"])
+    def test_powers_within_the_bound_expand(self, text):
+        norm, den = parse(text, 4).coefficient_norm()
+        assert max(norm, den) < 10**MAX_COEFF_DIGITS
+
+    @pytest.mark.parametrize("text", ["10^5000", "z1^2 + 10^5000*x1^2", "10^2200*z1^2",
+                                      "(1/10*x1)^1001", "(2*z1)^1700", "z1^3400",
+                                      "z1^4294967295"])
+    def test_powers_past_the_bound_are_refused_unexpanded(self, monkeypatch, text):
+        expand = Polynomial.__pow__
+
+        def squares_only(base, k):
+            assert k <= 2, f"^{k} was expanded"
+            return expand(base, k)
+
+        monkeypatch.setattr(Polynomial, "__pow__", squares_only)
+        with pytest.raises(BudgetExceeded, match=f"limit of {MAX_COEFF_DIGITS} digits"):
+            parse(text, 4)
+
+    @pytest.mark.parametrize("text", ["{small}*{small}*x1", "{small}*x1 + {largest}*x2",
+                                      "1/{small}*x1 + 1/{largest}*x2", "10^1000"])
+    def test_parsed_result_is_checked(self, text):
+        with pytest.raises(BudgetExceeded, match="numerator sum or denominator"):
+            parse(text.format(small=self.SMALLEST, largest=self.LARGEST), 2)
 
 
 class TestRender:

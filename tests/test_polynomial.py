@@ -318,6 +318,18 @@ class TestStructure:
         r2 = r_squared(4)
         assert r2 == sum((x(i, 4) ** 2 for i in range(1, 5)), Polynomial.zero(4))
 
+    def test_coefficient_norm(self, rng):
+        # (3 - 2i)x1 + x2/2 = ((6 - 4i)x1 + x2)/2
+        assert parse("(3 - 2*i)*x1 + 1/2*x2", 3).coefficient_norm() == (11, 2)
+        assert Polynomial.zero(3).coefficient_norm() == (0, 1)
+        for _ in range(10):
+            p = random_rational_poly(rng, 3)
+            norm, den = p.coefficient_norm()
+            assert all(max(abs(c.re), abs(c.im)) <= Fraction(norm, den) for _e, c in p.items())
+            square_norm, square_den = (p * p).coefficient_norm()
+            assert Fraction(square_norm, square_den) <= Fraction(norm, den) ** 2
+            assert square_den <= den ** 2
+
 
 class TestDivision:
     def test_exact_quotient(self):
