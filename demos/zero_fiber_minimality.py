@@ -48,7 +48,7 @@ print(f"   re-checked on {len(cloud)} fresh samples: "
 # negative control: a geodesic sphere of radius pi/3 is NOT minimal
 spec = VarietySpec(4, [parse("x4 - 1/2", 4)])
 cloud = sample(spec, count=30, rng_seed=2)
-values = [abs(mean_curvature(spec, x).normal_components[0]) for x in cloud.points]
+values = np.abs(mean_curvature(spec, cloud.points).normal_components[:, 0])
 expected = 2.0 / math.sqrt(3.0)
 print(f"geodesic sphere x4 = 1/2: |H| = {np.mean(values):.9f} "
       f"(expected 2/sqrt(3) = {expected:.9f})")

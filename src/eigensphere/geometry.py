@@ -26,7 +26,7 @@ Newton's tol and maxiter stay parameters (DEFAULT_TOL, DEFAULT_MAXITER).
 
 Conventions:
   * the sphere constraint is g0 = (|x|^2 - 1)/2, so grad g0 = x exactly;
-  * the normal frame comes from one complete QR factorization
+  * the normal frame at each point comes from one complete QR factorization
     J^T = Q R of the constraint Jacobian: the first m columns of Q, signed
     by diag(R), are the Gram-Schmidt normals nu_b of the gradient rows, so
     nu_0 is the position vector, and the remaining columns are an
@@ -47,6 +47,7 @@ import numpy as np
 
 from .calculus import gradient, hessian
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
     IndexOutOfRange,
     InsufficientYield,
@@ -80,8 +81,8 @@ class CompiledPolys:
     reshaped to `shape` (row-major over the polynomials as listed); a batch
     of shape (B, N) gives (B, *shape), one row per point.  Each monomial is
     a product of entries of the per-variable power table x_v^0 .. x_v^D.
-    A batch is evaluated in blocks of rows small enough that no temporary
-    exceeds CHUNK_FLOATS floats.
+    A batch is evaluated in blocks of rows so that no temporary exceeds
+    CHUNK_FLOATS floats.  A coefficient past float range is BudgetExceeded.
     """
 
     def __init__(self, nvars: int, polys: Sequence[Polynomial], shape: Tuple[int, ...]):
@@ -92,7 +93,11 @@ class CompiledPolys:
             for exps, coeff in p.items():
                 rows.append(row)
                 columns.append(index.setdefault(exps, len(index)))
-                values.append(float(coeff.re))
+                try:
+                    values.append(float(coeff.re))
+                except OverflowError:
+                    raise BudgetExceeded("a coefficient is past the float range (about "
+                                         "1.8e308) that the numeric layer needs") from None
         # reshape with nvars, not -1: an all-zero list has an empty table
         self.exponents = np.array(list(index), dtype=int).reshape(len(index), nvars)
         self.coefficients = np.zeros((len(polys), len(index)))
@@ -160,22 +165,14 @@ class VarietySpec:
     def num_equations(self) -> int:
         return self._values.shape[0]
 
-    def codimension(self) -> int:
-        """Number of constraints beyond the sphere."""
-        return len(self.constraints)
-
     def values(self, x: np.ndarray) -> np.ndarray:
         return self._values(x)
-
-    def residual(self, x: np.ndarray) -> float:
-        values = self.values(x)
-        return float(np.max(np.abs(values))) if values.size else 0.0
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self._jacobian(x)
 
     def hessian_at(self, x: np.ndarray) -> np.ndarray:
-        """Numeric Hessians of every equation, shape (m, N, N); row 0 is the sphere."""
+        """Numeric Hessians of every equation, (m, N, N) or (B, m, N, N); row 0 is the sphere."""
         return self._hessians(x)
 
 
@@ -386,49 +383,55 @@ def sample(
 
 @dataclass(frozen=True)
 class CurvatureSample:
-    """Mean-curvature components of the cut-out submanifold at one point."""
+    """Mean-curvature components of the cut-out submanifold at one point or a batch."""
 
-    normal_components: np.ndarray  # <H, nu_b> for b = 1..c (sphere-intrinsic)
-    radial_component: float  # <H, nu_0>, always -dim M on the sphere
-    frame_condition: float  # smallest singular value of the constraint Jacobian
+    normal_components: np.ndarray  # <H, nu_b> for b = 1..c (sphere-intrinsic): (c,) or (B, c)
+    radial_component: Any  # <H, nu_0>, always -dim M on the sphere: float or (B,)
+    frame_condition: Any  # smallest singular value of the constraint Jacobian: float or (B,)
 
 
 def mean_curvature(spec: VarietySpec, x: Sequence[float]) -> CurvatureSample:
-    """Mean-curvature components at an on-variety point.
+    """Mean-curvature components at one on-variety point (N,) or a batch (B, N).
 
     The frame is nu_0 = x (sphere normal, exactly the gradient of g0),
     followed by the Gram-Schmidt normals of the remaining constraint
     gradients, all read off one QR factorization of the Jacobian; the
     tangent space is the orthogonal complement.  Minimality of the cut-out
     submanifold inside the sphere is the vanishing of all components for
-    b >= 1; the radial component is the dimension check -dim M.  Raises
-    OffVariety when the residual exceeds OFF_VARIETY_TOL and SingularJacobian
-    when the smallest singular value of the Jacobian is below EPS_REG; every
-    pivot of the QR factorization is then at least EPS_REG in magnitude.
+    b >= 1; the radial component is the dimension check -dim M.  A batch
+    runs in blocks of rows, each one stacked SVD, complete QR, einsum and
+    solve, so that no temporary exceeds CHUNK_FLOATS floats beyond one
+    point's own; one point is the batch of one.  Raises OffVariety when any
+    residual max |g_a| exceeds OFF_VARIETY_TOL and SingularJacobian when any
+    smallest singular value of the Jacobian is below EPS_REG.
     """
-    x = np.asarray(x, dtype=float)
-    residual = spec.residual(x)
-    if residual > OFF_VARIETY_TOL:
-        raise OffVariety(f"point residual {residual:.3e} exceeds {OFF_VARIETY_TOL:.1e}")
-
-    jac = spec.jacobian(x)  # rows: grad g0 = x, grad g1, ..., grad gc
-    sigma = np.linalg.svd(jac, compute_uv=False)
-    if sigma[-1] < EPS_REG:
-        raise SingularJacobian(
-            f"smallest singular value {sigma[-1]:.3e} below {EPS_REG:.1e}"
-        )
+    points = np.atleast_2d(np.asarray(x, dtype=float))
     m = spec.num_equations
-    q, r = np.linalg.qr(jac.T, mode="complete")
-    pivots = np.diag(r)
-    tangent = q[:, m:]
-    traces = np.einsum("ni,anm,mi->a", tangent, spec.hessian_at(x), tangent)
-    components = -np.sign(pivots) * np.linalg.solve(r[:m].T, traces)
-
-    return CurvatureSample(
-        normal_components=components[1:],
-        radial_component=float(components[0]),
-        frame_condition=float(sigma[-1]),
-    )
+    rows = max(1, CHUNK_FLOATS // max(
+        spec._values.point_floats, spec._jacobian.point_floats, spec._hessians.point_floats))
+    components = np.empty((len(points), m))
+    sigma = np.empty(len(points))
+    for start in range(0, len(points), rows):
+        span = slice(start, start + rows)
+        block = points[span]
+        residual = np.max(np.abs(spec.values(block)))
+        if residual > OFF_VARIETY_TOL:
+            raise OffVariety(f"point residual {residual:.3e} exceeds {OFF_VARIETY_TOL:.1e}")
+        jac = spec.jacobian(block)  # rows: grad g0 = x, grad g1, ..., grad gc
+        sigma[span] = np.linalg.svd(jac, compute_uv=False)[:, -1]
+        if np.min(sigma[span]) < EPS_REG:
+            raise SingularJacobian(
+                f"smallest singular value {np.min(sigma[span]):.3e} below {EPS_REG:.1e}")
+        q, r = np.linalg.qr(np.swapaxes(jac, 1, 2), mode="complete")
+        tangent = q[:, :, m:]
+        traces = np.einsum("bni,banm,bmi->ba", tangent, spec.hessian_at(block), tangent)
+        pivots = np.diagonal(r, axis1=1, axis2=2)
+        # b as a stack of column vectors reads the same under numpy 1.x and 2.x
+        solved = np.linalg.solve(np.swapaxes(r[:, :m], 1, 2), traces[..., None])[..., 0]
+        components[span] = -np.sign(pivots) * solved
+    if np.ndim(x) == 1:
+        return CurvatureSample(components[0, 1:], float(components[0, 0]), float(sigma[0]))
+    return CurvatureSample(components[:, 1:], components[:, 0], sigma)
 
 
 def stereographic(x: np.ndarray, pole: int) -> np.ndarray:

@@ -16,7 +16,7 @@ Two geometric situations are covered:
 Both checks draw their samples through geometry._quota, the one loop that
 also serves geometry.sample, each with its own measure of a chunk of
 converged points: codimension 1 evaluates the reliable criterion on the
-whole chunk at once, codimension 2 the mean curvature point by point.  One
+whole chunk at once, codimension 2 its mean curvature in one call.  One
 function grades the sampled criterion values for both.  Verdicts are
 graded: ExactMinimal needs a symbolic certificate; NumericMinimal needs the
 full sample quota below tol; NotMinimal needs a reliable witness above the
@@ -198,7 +198,8 @@ def _attach_numeric(
     gamma = 0.0 if Q.is_zero() else (Q.degree() + Q.num_terms()) * 2.0**-53
     # Newton cannot push |P| below P's own roundoff, at most gamma_P * sum_a |c_a|
     # on the sphere (every |x^a| <= 1); the floor can bind only for tol < 1e-8
-    p_mass = float(sum(abs(c.re) for _exps, c in P.items()))
+    # a float sum: P's coefficients compiled above, and a sum past the float range is inf
+    p_mass = sum(abs(float(c.re)) for _exps, c in P.items())
     p_roundoff = (P.degree() + P.num_terms()) * 2.0**-53 * p_mass
     newton_tol = min(1e-13, max(tol * 1e-5, 4 * p_roundoff))
 
@@ -296,7 +297,7 @@ def check_minimal_codim2(
     are parallel everywhere), EmptyFiber for a nonzero constant F.  The points
     come from geometry._quota exactly as geometry.sample draws them: at most
     10*samples attempts, the default Newton settings and the same shortfall
-    message, with the mean curvature as the measure of each kept point.
+    message, with one mean_curvature call per chunk as the measure.
     """
     _check_thresholds(samples, tol, reject)
     k = require_harmonic(F, n)
@@ -316,9 +317,12 @@ def check_minimal_codim2(
     kappa_zero = kappa(F, F).is_zero()
 
     spec = VarietySpec(F.nvars, [u, v])
-    kept, tallies, shortfall = _quota(
-        spec, samples, rng_seed, 10 * samples,
-        lambda points: [mean_curvature(spec, x) for x in points])
+
+    def component_rows(points: np.ndarray) -> np.ndarray:
+        curvature = mean_curvature(spec, points)
+        return np.column_stack([curvature.radial_component, curvature.normal_components])
+
+    kept, tallies, shortfall = _quota(spec, samples, rng_seed, 10 * samples, component_rows)
     if not kept:
         if tallies["singular"] > 0:
             raise SingularFiber(
@@ -327,8 +331,8 @@ def check_minimal_codim2(
             )
         raise EmptyFiber(f"no point of the fiber was found on the sphere (outcomes: {tallies})")
 
-    _attempts, points, residuals, _regularity, curvatures = zip(*kept)
-    normal = [float(np.max(np.abs(c.normal_components))) for c in curvatures]
+    _attempts, points, residuals, _regularity, rows = zip(*kept)
+    components = np.array(rows)  # (k, 3): the radial component, then the two normal ones
     dimension = F.nvars - 1 - 2
     verdict = MinimalityVerdict(
         INCONCLUSIVE,
@@ -337,40 +341,30 @@ def check_minimal_codim2(
             "degree": k,
             "fiber_dimension": dimension,
             # the radial component is -dim M on the sphere
-            "max_radial_error": float(max(abs(c.radial_component + dimension) for c in curvatures)),
+            "max_radial_error": float(np.max(np.abs(components[:, 0] + dimension))),
             "sampling": tallies,
         },
     )
-    flat = _flat_section_residuals(F, k, points)
-    if flat is not None:
-        verdict.diagnostics["flat_section_max_residual"] = float(np.max(flat))
-    _decide(verdict, points, residuals, normal, samples, tol, reject, "max normal component",
-            shortfall)
+    if F == complex_variable(F.nvars, 1) ** k + complex_variable(F.nvars, 2) ** k:
+        verdict.diagnostics["flat_section_max_residual"] = float(
+            np.max(flat_section_residuals(points, k)))
+    _decide(verdict, points, residuals, np.max(np.abs(components[:, 1:]), axis=1), samples,
+            tol, reject, "max normal component", shortfall)
     return verdict
 
 
-def _flat_section_residuals(F: Polynomial, k: int, points: np.ndarray) -> Optional[np.ndarray]:
-    """For F = z1^k + z2^k, k >= 1: distance of samples to the nearest flat section.
+def flat_section_residuals(points: np.ndarray, k: int) -> np.ndarray:
+    """Distance of each of the points (B, N) to the nearest flat section of z1^k + z2^k.
 
     The fiber of z1^k + z2^k lies on the union of complex planes
-    {z1 = zeta*z2} over k-th roots zeta of -1; returns per-point
-    min_zeta |z1 - zeta*z2|, or None when F is not of this shape.
+    {z1 = zeta*z2} over the k-th roots zeta of -1; returns per-point
+    min_zeta |z1 - zeta*z2|.
     """
-    model = complex_variable(F.nvars, 1) ** k + complex_variable(F.nvars, 2) ** k
-    if F != model:
-        return None
-    return flat_section_residuals(points, k)
-
-
-def flat_section_residuals(points: np.ndarray, k: int) -> np.ndarray:
-    """Per-point min over k-th roots zeta of -1 of |z1 - zeta*z2|."""
     roots = np.exp(1j * (pi + 2 * pi * np.arange(k)) / k)
-    out = []
-    for x in points:
-        z1 = complex(x[0], x[1])
-        z2 = complex(x[2], x[3])
-        out.append(min(abs(z1 - zeta * z2) for zeta in roots))
-    return np.array(out)
+    points = np.asarray(points)
+    z1 = points[:, 0] + 1j * points[:, 1]
+    z2 = points[:, 2] + 1j * points[:, 3]
+    return np.min(np.abs(z1[:, None] - roots * z2[:, None]), axis=1)
 
 
 @dataclass(frozen=True)

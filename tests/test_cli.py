@@ -443,6 +443,37 @@ class TestCoefficientCap:
         assert len(failure["residual"]) > 2 * cli.MAX_COEFF_DIGITS
 
 
+class TestFloatRange:
+    S5 = ["--vars", "6", "--sphere-dim", "5"]
+
+    @pytest.mark.parametrize("argv", [
+        ["minimal-zero", "--vars", "4", "--sphere-dim", "3", "--poly", "10^400*z1*z2",
+         "--samples", "5"],
+        ["sample", "--vars", "3", "--constraint", "10^400*x1", "--count", "5"],
+        ["minimal-line", *S5, "--poly", "10^400*(z1^2*z2+z3^3)", "--line", "1,0"],
+        # P compiles; the criterion Q, with coefficients of about 10^360, does not
+        ["minimal-line", *S5, "--poly", "10^120*(z1^2*z2+z3^3)", "--line", "1,0"],
+    ], ids=["minimal-zero", "sample", "minimal-line", "minimal-line-criterion"])
+    def test_past_float_range_exits_3(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "cloud.csv"
+        if argv[0] == "sample":
+            argv = [*argv, "--out", str(out_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: a coefficient is past the float range")
+        assert not out_path.exists()
+
+    def test_coefficient_sum_past_float_range(self, capsys):
+        # each coefficient of P = c*(x1 + x3) is a float, their sum is not
+        code, report, _ = run_json(
+            capsys, "minimal-line", "--vars", "4", "--sphere-dim", "3",
+            "--poly", "10^308*z1 + 10^308*z2", "--line", "1,0", "--samples", "5",
+            "--cross-check")
+        assert code == 0
+        assert report["verdict"]["certificate"] == "Q ≡ 0"
+
+
 # one command line per subcommand that takes --vars, for {n} variables
 VARS_ARGV = [
     ["eigen-check", "--vars", "{n}", "--sphere-dim", "{dim}", "--poly", "z1"],

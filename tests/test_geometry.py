@@ -217,7 +217,7 @@ class TestSample:
         # same point, and a batch evaluation that may differ in the last bits
         assert np.array_equal(cloud.regularity, [
             np.linalg.svd(spec.jacobian(x), compute_uv=False)[-1] for x in cloud.points])
-        assert_allclose(cloud.residuals, [spec.residual(x) for x in cloud.points],
+        assert_allclose(cloud.residuals, np.max(np.abs(spec.values(cloud.points)), axis=1),
                         rtol=0, atol=1e-15)
 
     # seeded cases with failed attempts: (constraint in 3 variables, count,
@@ -498,13 +498,20 @@ class TestFrameMatchesReference:
         cloud = sample(spec, 20, rng_seed=seed)
         assert len(cloud) == 20
         largest_normal = 0.0
-        for x in cloud.points:
+        # one call on the whole cloud must match the per-point calls row by
+        # row, though not bit for bit: stacked and single calls round apart
+        batch = mean_curvature(spec, cloud.points)
+        rows = np.column_stack([batch.radial_component, batch.normal_components])
+        for x, row, batch_condition in zip(cloud.points, rows, batch.frame_condition):
             cs = mean_curvature(spec, x)
             expected = mean_curvature_reference(spec, x)
             actual = np.concatenate([[cs.radial_component], cs.normal_components])
             atol = 1e-13 * np.maximum(1.0, np.abs(expected))
-            assert np.all(np.abs(actual - expected) <= atol), (actual, expected)
+            for components in (actual, row):
+                assert np.all(np.abs(components - expected) <= atol), (components, expected)
+            assert np.all(np.abs(row - actual) <= atol), (row, actual)
             assert cs.frame_condition == np.linalg.svd(spec.jacobian(x), compute_uv=False)[-1]
+            assert batch_condition == pytest.approx(cs.frame_condition, rel=1e-13)
             largest_normal = max(largest_normal, float(np.max(np.abs(expected[1:]))))
         assert (largest_normal < 1e-10) if minimal else (largest_normal > 0.1)
 
@@ -583,6 +590,55 @@ class TestMeanCurvature:
         spec, _ = clifford_spec()
         with pytest.raises(OffVariety):
             mean_curvature(spec, np.array([1.0, 0.0, 0.0, 0.0]))
+
+    def test_shapes(self):
+        spec = VarietySpec(6, _real_parts("z1^3 + z2^3 - z3^3", 6))
+        cloud = sample(spec, 5, rng_seed=3)
+        single = mean_curvature(spec, cloud.points[0])
+        assert single.normal_components.shape == (2,)
+        assert type(single.radial_component) is float
+        assert type(single.frame_condition) is float
+        batch = mean_curvature(spec, cloud.points)
+        assert batch.normal_components.shape == (5, 2)
+        assert batch.radial_component.shape == (5,)
+        assert batch.frame_condition.shape == (5,)
+        for bad in (cloud.points[:, :5], cloud.points[None]):
+            with pytest.raises(DimensionMismatch):
+                mean_curvature(spec, bad)
+
+    def test_one_off_variety_row_rejects_the_batch(self):
+        spec, _ = clifford_spec()
+        points = sample(spec, 6, rng_seed=1).points
+        points[4] = [1.0, 0.0, 0.0, 0.0]
+        with pytest.raises(OffVariety):
+            mean_curvature(spec, points)
+
+    def test_one_singular_row_rejects_the_batch(self):
+        # the gradient of x1*x5 vanishes where x1 = x5 = 0, so there it
+        # depends on that of x4; the first two rows are regular
+        spec = VarietySpec(5, [parse("x4", 5), parse("x1*x5", 5)])
+        points = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0, 0.0],
+                           [0.0, 1.0, 0.0, 0.0, 0.0]])
+        assert mean_curvature(spec, points[:2]).frame_condition.min() >= geometry.EPS_REG
+        with pytest.raises(SingularJacobian):
+            mean_curvature(spec, points)
+
+    def test_batch_memory_is_blocked(self):
+        # 64 variables: the Hessians of one point are 2 * 64 * 64 floats, so
+        # an unblocked batch of 200 would hold about 200 times that
+        spec = VarietySpec(64, [parse("x1^2 - x2^2 + x3*x4", 64)])
+        points = sample(spec, 200, rng_seed=7).points
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_point = peak(lambda: [mean_curvature(spec, x) for x in points])
+        batched = peak(lambda: mean_curvature(spec, points))
+        assert batched <= 2 * per_point, (batched, per_point)
 
 
 class TestConeMeanCurvature:

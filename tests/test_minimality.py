@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eigensphere.calculus import gradient, hess_grad_grad, hessian, kappa, laplacian
-from eigensphere import minimality
+from eigensphere import geometry, minimality
 from eigensphere.errors import (
     BothZero,
     DimensionMismatch,
@@ -308,6 +308,22 @@ class TestCheckMinimalCodim2:
     def test_real_polynomial_singular(self):
         with pytest.raises(SingularFiber):
             check_minimal_codim2(parse("x1", 4), 3, samples=20)
+
+    def test_one_curvature_call_per_newton_chunk(self, monkeypatch):
+        calls = {"newton": 0, "curvature": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(geometry, "_newton_batch", counted("newton", geometry._newton_batch))
+        monkeypatch.setattr(minimality, "mean_curvature",
+                            counted("curvature", minimality.mean_curvature))
+        verdict = check_minimal_codim2(quadric(), 3, samples=200, rng_seed=1)
+        assert verdict.status == NUMERIC_MINIMAL
+        assert verdict.samples == 200
+        assert 1 <= calls["curvature"] <= calls["newton"]
 
     def test_attempt_bookkeeping_quota_fills(self):
         # the quota fills after attempts that converge to singular points
