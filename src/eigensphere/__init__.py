@@ -39,6 +39,7 @@ from .geometry import (
 )
 from .minimality import (
     ConformalityReport,
+    LawsonSurface,
     LawsonType,
     MinimalityVerdict,
     check_minimal_codim1,
@@ -47,6 +48,7 @@ from .minimality import (
     conformality_diagnostics,
     flat_section_residuals,
     lawson_polynomial,
+    lawson_surface,
     line_pullback,
 )
 from .parsing import parse, render
@@ -62,6 +64,7 @@ __all__ = [
     "EigenSphereError",
     "FamilyReport",
     "GaussianRational",
+    "LawsonSurface",
     "LawsonType",
     "MinimalityVerdict",
     "PointCloud",
@@ -83,6 +86,7 @@ __all__ = [
     "kappa",
     "laplacian",
     "lawson_polynomial",
+    "lawson_surface",
     "line_pullback",
     "mean_curvature",
     "newton_project",

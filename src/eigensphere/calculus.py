@@ -11,16 +11,23 @@ with no conjugation.  An isotropic gradient, e.g. for p = x1 + i*x2, gives
 kappa(p, p) = 0 even though p is not constant.  This is the whole point:
 the second eigenfunction equation constrains the bilinear square of the
 gradient, and conjugating would make every nontrivial example fail.
+
+Storage stays in the real variables x1..xN, but kappa works in the complex
+ones: per coordinate pair (x_{2j-1}, x_{2j}) it multiplies the derivatives
+D+- = d_x +- i*d_y, so a polynomial that is holomorphic or antiholomorphic
+in each z_j = x_{2j-1} + i*x_{2j} contributes no product to kappa(P, P).
+`partial` and `laplacian` are single passes over the stored integer pairs;
+kappa is built from `partial` and one `Polynomial._dot` sum of products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
-from typing import Tuple
+from typing import Iterator, Tuple
 
 from .errors import DimensionMismatch, IndexOutOfRange, ZeroPolynomial
-from .polynomial import MAX_DEGREE, Polynomial, _check_degree, _shift, _unit, _unpack, r_squared
+from .polynomial import (
+    FIELD_BITS, MAX_DEGREE, I, Polynomial, _check_degree, _shift, _unit, r_squared)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +62,29 @@ def gradient(p: Polynomial) -> Tuple[Polynomial, ...]:
 
 
 def laplacian(p: Polynomial) -> Polynomial:
-    return Polynomial.sum(p.nvars, (partial(partial(p, i), i) for i in range(1, p.nvars + 1)))
+    """sum_i d_i^2 p in one pass over p's Gaussian-integer pairs.
+
+    A term c x^a adds a_i(a_i - 1)*c at x^(a - 2e_i) for every i with
+    a_i >= 2, whose packed key is key(a) - 2*key(x_i).  The sums share p's
+    denominator, and only a common factor is divided out at the end.
+    """
+    nvars = p.nvars
+    top = 2 << _shift(nvars, 0)
+    shifts = range(_shift(nvars, 1), -1, -FIELD_BITS)
+    sums: dict = {}
+    for key, (re, im) in p._pairs.items():
+        for shift in shifts:
+            e = (key >> shift) & MAX_DEGREE
+            if e > 1:
+                target = key - top - (2 << shift)
+                weight = e * (e - 1)
+                acc = sums.get(target)
+                if acc is None:
+                    sums[target] = [weight * re, weight * im]
+                else:
+                    acc[0] += weight * re
+                    acc[1] += weight * im
+    return Polynomial._summed(nvars, sums, p._den)
 
 
 def hessian(p: Polynomial) -> Tuple[Tuple[Polynomial, ...], ...]:
@@ -73,55 +102,64 @@ def hessian(p: Polynomial) -> Tuple[Tuple[Polynomial, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def _wirtinger(p: Polynomial, j: int) -> Tuple[Polynomial, Polynomial]:
+    """(D+ p, D- p) for the pair (x, y) = (x_{2j-1}, x_{2j}), D+- = d_x +- i*d_y.
+
+    D+ = 2 d/d(conj z_j) annihilates polynomials holomorphic in z_j = x + i*y,
+    and D- = 2 d/dz_j antiholomorphic ones.
+    """
+    dx, i_dy = partial(p, 2 * j - 1), partial(p, 2 * j) * I
+    return dx + i_dy, dx - i_dy
+
+
+def _partials(p: Polynomial, q: Polynomial, indices) -> Iterator[Tuple[Polynomial, Polynomial]]:
+    """(d_i p, d_i q) for i in `indices` with both nonzero; one object for
+    both when q is p, so that their product is a square."""
+    for i in indices:
+        dp = partial(p, i)
+        if dp._pairs:
+            dq = dp if q is p else partial(q, i)
+            if dq._pairs:
+                yield dp, dq
+
+
 def kappa(p: Polynomial, q: Polynomial) -> Polynomial:
     """Complex-bilinear gradient product sum_i (d_i p)(d_i q); no conjugation.
 
-    One pass over term pairs, with no partial derivatives or products built:
-    a term c_a x^a of p and a term c_b x^b of q contribute a_i*b_i*c_a*c_b
-    at the exponent a + b - 2e_i for every i with a_i and b_i both nonzero,
-    whose packed key is key(a) + key(b) - 2*key(x_i).  The operands'
-    Gaussian-integer pairs are multiplied and summed as they are stored,
-    over the product of the two denominators, as in `Polynomial.__mul__`.
-    When q is p, each unordered pair of terms is visited once and counted
-    twice.  Raises BudgetExceeded when deg p + deg q - 2 is over MAX_DEGREE.
+    Complex operands are taken a coordinate pair (x, y) = (x_{2j-1}, x_{2j})
+    at a time, through
+
+        d_x p d_x q + d_y p d_y q = (D+p D-q + D-p D+q) / 2,   D+- = d_x +- i*d_y,
+
+    which is D+p D-p when q is p.  Products with a zero factor are skipped:
+    D+ annihilates polynomials holomorphic in z_j = x + i*y and D-
+    antiholomorphic ones, so kappa(P, P) forms no product at all when P is
+    one or the other in every z_j, as z1^n*conj(z2)^m is.  An odd N adds
+    d_N p d_N q.  No factor vanishes when both operands are real, so they
+    take the definition sum_i (d_i p)(d_i q), with squares when q is p.
+    Every product is summed in one `Polynomial._dot` pass.  Raises
+    BudgetExceeded when deg p + deg q - 2 is over MAX_DEGREE.
     """
     if p.nvars != q.nvars:
         raise DimensionMismatch(
             f"kappa operands live in different spaces: {p.nvars} vs {q.nvars}"
         )
     nvars = p.nvars
-    if p and q:
+    if p._pairs and q._pairs:
         _check_degree(p.degree() + q.degree() - 2)
-    twice = [2 * _unit(nvars, i) for i in range(1, nvars + 1)]
-    left = [(ka, _unpack(ka, nvars), ra, ia) for ka, (ra, ia) in p._pairs.items()]
-    if q is p:
-        doubled = [(kb, eb, 2 * rb, 2 * ib) for kb, eb, rb, ib in left]
-    else:
-        right = [(kb, _unpack(kb, nvars), rb, ib) for kb, (rb, ib) in q._pairs.items()]
-    sums: dict = {}
-    for index, (ka, ea, ra, ia) in enumerate(left):
-        support = [(i, a, twice[i]) for i, a in enumerate(ea) if a]
-        # for q is p: the term itself once, then every later term twice
-        partners = (
-            chain((left[index],), islice(doubled, index + 1, None)) if q is p else right)
-        for kb, eb, rb, ib in partners:
-            both = None
-            for i, a, unit2 in support:
-                b = eb[i]
-                if not b:
-                    continue
-                if both is None:
-                    both = ka + kb
-                    re, im = ra * rb - ia * ib, ra * ib + ia * rb
-                key = both - unit2
-                weight = a * b
-                acc = sums.get(key)
-                if acc is None:
-                    sums[key] = [weight * re, weight * im]
-                else:
-                    acc[0] += weight * re
-                    acc[1] += weight * im
-    return Polynomial._summed(p.nvars, sums, p._den * q._den)
+    if p.is_real() and (q is p or q.is_real()):
+        return Polynomial._dot(nvars, list(_partials(p, q, range(1, nvars + 1))))
+    factors = []
+    for j in range(1, nvars // 2 + 1):
+        plus_p, minus_p = _wirtinger(p, j)
+        if q is p:
+            factors.append((plus_p, minus_p))
+        else:
+            plus_q, minus_q = _wirtinger(q, j)
+            factors += [(plus_p * Fraction(1, 2), minus_q), (minus_p * Fraction(1, 2), plus_q)]
+    if nvars % 2:
+        factors += _partials(p, q, (nvars,))
+    return Polynomial._dot(nvars, [(a, b) for a, b in factors if a._pairs and b._pairs])
 
 
 def hess_grad_grad(p: Polynomial) -> Polynomial:

@@ -39,7 +39,7 @@ from .minimality import (
     NOT_MINIMAL,
     check_minimal_codim1,
     check_minimal_codim2,
-    classify_lawson,
+    lawson_surface,
 )
 from .parsing import MAX_COEFF_DIGITS, parse
 from .search import search_eigen
@@ -50,9 +50,11 @@ EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
-# calculus.kappa packs N keys of (N+1)*FIELD_BITS bits before it reads a term:
-# `minimal-zero --poly z1 --samples 5` took 53 s and 300 MB at 1,000 variables
-# and about 2 s and 50 MB at 256 (2-CPU x86_64)
+# the numeric layer grows as N^2 in memory and faster in time: VarietySpec
+# builds N^2 symbolic second partials and mean_curvature contracts N x N
+# arrays per point.  `minimal-zero --poly z1 --samples 5` took 55 s and 300 MB
+# at 1,000 variables (33 s in mean_curvature, 22 s building the spec) and
+# 1.5 s and 50 MB at 256 (2-CPU x86_64)
 MAX_VARS = 256
 
 
@@ -184,8 +186,8 @@ def _cmd_sample(args):
 
 
 def _cmd_lawson(args):
-    surface_type = classify_lawson(args.n, args.m)
-    return {"type": surface_type.value}, [surface_type.value], EXIT_POSITIVE
+    surface = lawson_surface(args.n, args.m)
+    return surface.to_json(), [surface.type.value], EXIT_POSITIVE
 
 
 def _cmd_search(args):

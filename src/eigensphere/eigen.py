@@ -89,8 +89,11 @@ def _square_condition(P: Polynomial) -> Optional[ConditionFailure]:
     """The square step for harmonic P: laplacian(P^2) vanishes, or its failure."""
     lap_sq = laplacian(P * P)
     kap = kappa(P, P)
-    # With laplacian(P) = 0 the product rule forces laplacian(P^2) = 2*kappa(P,P);
-    # computing both guards the implementation against itself.
+    # With laplacian(P) = 0 the product rule forces laplacian(P^2) = 2*kappa(P,P).
+    # The two sides share no operator: the left squares P (the diagonal branch
+    # of Polynomial._dot) and takes one pass over the square's terms, the right
+    # multiplies the D+- derivatives of P built from partials (its general
+    # branch).  So each guards the other.
     if lap_sq != 2 * kap:
         raise AssertionError("product-rule cross-check failed; calculus layer is broken")
     if not lap_sq.is_zero():

@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd, isfinite, pi
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -410,6 +410,45 @@ def classify_lawson(n: int, m: int) -> LawsonType:
     if n == 0 or m == 0:
         return LawsonType.SPHERE
     return LawsonType.TORUS if (n * m) % 2 == 1 else LawsonType.KLEIN_BOTTLE
+
+
+@dataclass(frozen=True)
+class LawsonSurface:
+    """The surface Im(z1^n * conj(z2)^m) = 0 in S^3 and its components.
+
+    With g = gcd(n, m), z1^n * conj(z2)^m = w^g for w = z1^(n/g) * conj(z2)^(m/g),
+    and w^g is real exactly on g lines through 0 in the w-plane.  So the
+    surface is g phase-rotated copies of the one of the reduced pair
+    (n/g, m/g), which meet only where w = 0: on the circle z1 = 0 when
+    n > 0 and on z2 = 0 when m > 0.  `type` is classify_lawson(n, m), the
+    parity rule, which reads the whole surface as one and so is right only
+    when g == 1; `reduced_type` is the type of each component.
+    """
+
+    type: LawsonType
+    components: int
+    reduced_pair: Tuple[int, int]
+    reduced_type: LawsonType
+    singular_circles: int
+
+    def to_json(self) -> dict:
+        return {
+            "type": self.type.value,
+            "components": self.components,
+            "reduced_pair": list(self.reduced_pair),
+            "reduced_type": self.reduced_type.value,
+            "singular_circles": self.singular_circles,
+        }
+
+
+def lawson_surface(n: int, m: int) -> LawsonSurface:
+    """classify_lawson(n, m) together with the components of the surface."""
+    surface_type = classify_lawson(n, m)
+    g = gcd(n, m)
+    reduced = (n // g, m // g)
+    # every component contains the circles where w vanishes
+    shared = (n > 0) + (m > 0) if g > 1 else 0
+    return LawsonSurface(surface_type, g, reduced, classify_lawson(*reduced), shared)
 
 
 def lawson_polynomial(n: int, m: int) -> Polynomial:

@@ -28,11 +28,13 @@ between threads.
 Sums, products, conjugation and division are passes over the integer pairs;
 the common factor of D and the numerators is divided out once per result,
 and not at all when D == 1, as it is for every Gaussian-integer polynomial.
-`calculus.partial` and `calculus.kappa` read the keys and pairs directly; no
-other module does.  Exponent tuples appear only at the boundary: the
-constructor takes a map from them to coefficients, and `items`,
-`coefficient` and `leading_term` unpack keys and build GaussianRational
-coefficients on demand.
+A square p * p visits each unordered pair of terms once, and `_dot` sums
+several products in one accumulator.  `calculus.partial` and
+`calculus.laplacian` read the keys and pairs directly (`calculus.kappa` only
+tests them for emptiness); no other module does.  Exponent tuples appear
+only at the boundary: the constructor takes a map from them to
+coefficients, and `items`, `coefficient` and `leading_term` unpack keys and
+build GaussianRational coefficients on demand.
 
 The only floating-point operation is `evaluate`, which sums the terms in the
 canonical graded-lexicographic order so results are reproducible run to run.
@@ -241,10 +243,12 @@ class Polynomial:
         self._set(nvars, merged._pairs, merged._den)
 
     def _set(self, nvars: int, pairs: dict, den: int) -> None:
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_eval_terms", None)
+        # the slots' own setters: past the guard in __setattr__, and cheaper
+        # than object.__setattr__ for the many small results of the calculus
+        _SET_NVARS(self, nvars)
+        _SET_PAIRS(self, pairs)
+        _SET_DEN(self, den)
+        _SET_EVAL_TERMS(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial values are immutable")
@@ -277,7 +281,7 @@ class Polynomial:
     @classmethod
     def _raw(cls, nvars: int, pairs: dict, den: int) -> "Polynomial":
         """Internal constructor for integer pairs over `den` already in canonical form."""
-        poly = cls.__new__(cls)
+        poly = object.__new__(cls)
         poly._set(nvars, pairs, den)
         return poly
 
@@ -440,22 +444,55 @@ class Polynomial:
                      for key, (re, im) in self._pairs.items()}
             return self._reduced(self.nvars, pairs, self._den * den)
         self._check_same_space(other)
-        if self._pairs and other._pairs:
-            _check_degree(self.degree() + other.degree())
-        right = list(other._pairs.items())
-        sums: dict = {}
-        for ka, (ra, ia) in self._pairs.items():
-            for kb, (rb, ib) in right:
-                key = ka + kb
-                acc = sums.get(key)
-                if acc is None:
-                    sums[key] = [ra * rb - ia * ib, ra * ib + ia * rb]
-                else:
-                    acc[0] += ra * rb - ia * ib
-                    acc[1] += ra * ib + ia * rb
-        return self._summed(self.nvars, sums, self._den * other._den)
+        if not (self._pairs and other._pairs):
+            return Polynomial._raw(self.nvars, {}, 1)
+        _check_degree(self.degree() + other.degree())
+        return Polynomial._dot(self.nvars, [(self, other)])
 
     __rmul__ = __mul__
+
+    @classmethod
+    def _dot(cls, nvars: int, factors: Sequence[Tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
+        """The sum of a * b over the (a, b) pairs of `factors`, in one pass.
+
+        Every product is added into one accumulator over the lcm D of the
+        products' denominators, so no product is built on its own, and the
+        common factor of D is divided out once.  A pair (a, a) visits each
+        unordered pair of a's terms once: the diagonal product once, every
+        off-diagonal product doubled.  Callers pass nonzero factors only and
+        check the degrees.
+        """
+        den = lcm(*[a._den * b._den for a, b in factors])
+        sums: dict = {}
+        for a, b in factors:
+            scale = den // (a._den * b._den)
+            right = list(b._pairs.items())
+            square = a is b
+            for index, (ka, (ra, ia)) in enumerate(right if square else a._pairs.items()):
+                if scale != 1:
+                    ra, ia = ra * scale, ia * scale
+                partners = right
+                if square:
+                    # the diagonal product once, then every later term's twice
+                    key = ka + ka
+                    rb, ib = right[index][1]
+                    acc = sums.get(key)
+                    if acc is None:
+                        sums[key] = [ra * rb - ia * ib, ra * ib + ia * rb]
+                    else:
+                        acc[0] += ra * rb - ia * ib
+                        acc[1] += ra * ib + ia * rb
+                    ra, ia = 2 * ra, 2 * ia
+                    partners = right[index + 1:]
+                for kb, (rb, ib) in partners:
+                    key = ka + kb
+                    acc = sums.get(key)
+                    if acc is None:
+                        sums[key] = [ra * rb - ia * ib, ra * ib + ia * rb]
+                    else:
+                        acc[0] += ra * rb - ia * ib
+                        acc[1] += ra * ib + ia * rb
+        return cls._summed(nvars, sums, den)
 
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
@@ -619,6 +656,10 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {str(self)!r})"
+
+
+_SET_NVARS, _SET_PAIRS, _SET_DEN, _SET_EVAL_TERMS = (
+    Polynomial.__dict__[slot].__set__ for slot in Polynomial.__slots__)
 
 
 def r_squared(nvars: int) -> Polynomial:

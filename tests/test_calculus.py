@@ -136,6 +136,17 @@ class TestLaplacian:
                 coeff = 2 * k * (nvars + 2 * k - 2)
                 assert lhs == coeff * r2 ** (k - 1)
 
+    @pytest.mark.parametrize("nvars", range(1, 7))
+    def test_matches_reference(self, nvars):
+        rng = np.random.default_rng([nvars, 0x1A9])
+        for _ in range(8):
+            p = random_rational_poly(rng, nvars)
+            expected = Polynomial.sum(nvars, (partial_reference(partial_reference(p, i), i)
+                                              for i in range(1, nvars + 1)))
+            got = laplacian(p)
+            assert got == expected
+            assert_canonical(got)
+
     def test_trace_of_hessian(self, rng):
         for _ in range(15):
             p = random_poly(rng, nvars=3, max_degree=4)
@@ -216,6 +227,27 @@ class TestKappa:
                 assert got == expected
                 assert_canonical(got)
 
+    @pytest.mark.parametrize("nvars, left, right", [
+        (4, "(z1 + 2*z2)^3 + i*z1*z2 - 1/3", "z1^2*z2 - 3*z2"),  # holomorphic
+        (4, "conj((z1 + 2*z2)^3 + i*z1*z2)", "conj(z1^2*z2) - 3/2"),  # antiholomorphic
+        (5, "z1^3*conj(z2)^2 + x5", "conj(z1)*z2^2 + 2*x5^2"),  # mixed, odd N
+        (4, "z1^2*conj(z2) + conj(z1)^2 + z1*conj(z1)", "(z1 + conj(z2))^2"),  # mixed
+        (6, "x1^2*x3 - 2*x1*x2*x4 + 1/3*x5^3", "x2*x3 + x1^2 - x6"),  # real
+        (5, "x1^2 - 2/7*x2*x5 + x5^3", "x1*x4 - 1/2*x3^2"),  # real, odd N
+        (4, "x1^2 - x2^2 + x3*x4", "z1^2 + i*conj(z2)"),  # real x complex
+        (5, "x1*x5^2 - x3", "z1*conj(z2) + i*x5^2"),  # real x complex, odd N
+    ], ids=["holomorphic", "antiholomorphic", "mixed-odd", "mixed", "real", "real-odd",
+            "real-complex", "real-complex-odd"])
+    def test_operand_kinds_match_reference(self, nvars, left, right):
+        p, q = parse(left, nvars), parse(right, nvars)
+        for a, b in ((p, q), (q, p)):
+            copy = Polynomial(nvars, dict(a.items()))
+            square = kappa_reference(a, a)
+            for got, expected in ((kappa(a, a), square), (kappa(a, copy), square),
+                                  (kappa(a, b), kappa_reference(a, b))):
+                assert got == expected
+                assert_canonical(got)
+
     def test_cancellation_is_canonical(self):
         # kappa(z1, z1) cancels every coefficient; kappa(u, v) of z1^2 too
         z1 = parse("z1", 2)
@@ -243,6 +275,15 @@ class TestProduct:
                 got = left * right
                 assert got == expected
                 assert_canonical(got)
+
+    def test_square_cross_terms_cancel(self):
+        # 2*(x1^2)(2*x2^2) + (2i*x1*x2)^2 = 0: the square has no x1^2*x2^2 term
+        p = parse("x1^2 + 2*x2^2 + 2*i*x1*x2", 2)
+        square = p * p
+        assert square.coefficient((2, 2)).is_zero()
+        assert (2, 2) not in dict(square.items())
+        assert square == p * Polynomial(2, dict(p.items())) == mul_reference(p, p)
+        assert_canonical(square)
 
     def test_cancellation_is_canonical(self):
         # the two x1*x2 products cancel inside the loop and must not be stored

@@ -346,6 +346,13 @@ class TestLawson:
         code, _out, err = run(capsys, "lawson", "--n", "0", "--m", "0")
         assert code == 3
 
+    def test_components_in_json(self, capsys):
+        code, report, _ = run_json(capsys, "lawson", "--n", "2", "--m", "2")
+        assert code == 0
+        assert report["verdict"] == {
+            "type": "KleinBottle", "components": 2, "reduced_pair": [1, 1],
+            "reduced_type": "Torus", "singular_circles": 2}
+
 
 class TestSearch:
     def test_linear_search(self, capsys):

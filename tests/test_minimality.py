@@ -28,6 +28,7 @@ from eigensphere.minimality import (
     classify_lawson,
     conformality_diagnostics,
     lawson_polynomial,
+    lawson_surface,
     line_pullback,
 )
 from eigensphere.geometry import VarietySpec, mean_curvature
@@ -508,6 +509,39 @@ class TestClassifyLawson:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             classify_lawson(-1, 2)
+
+
+class TestLawsonSurface:
+    @pytest.mark.parametrize("n, m, components, reduced_pair, reduced_type, circles", [
+        (2, 2, 2, (1, 1), LawsonType.TORUS, 2),
+        (2, 6, 2, (1, 3), LawsonType.TORUS, 2),
+        (3, 0, 3, (1, 0), LawsonType.SPHERE, 1),
+        (1, 0, 1, (1, 0), LawsonType.SPHERE, 0),
+        (3, 2, 1, (3, 2), LawsonType.KLEIN_BOTTLE, 0),
+    ])
+    def test_components(self, n, m, components, reduced_pair, reduced_type, circles):
+        surface = lawson_surface(n, m)
+        # `type` keeps the parity rule, which reads (2, 2) as a Klein bottle
+        assert surface.type is classify_lawson(n, m)
+        assert surface.components == components
+        assert surface.reduced_pair == reduced_pair
+        assert surface.reduced_type is reduced_type
+        assert surface.singular_circles == circles
+        assert surface.to_json() == {
+            "type": classify_lawson(n, m).value, "components": components,
+            "reduced_pair": list(reduced_pair), "reduced_type": reduced_type.value,
+            "singular_circles": circles}
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 6)])
+    def test_two_components_factor(self, n, m):
+        # Im(w^2) = 2 Re(w) Im(w) for w = z1^(n/2) conj(z2)^(m/2): two surfaces
+        _, im = lawson_polynomial(n, m).real_imag_parts()
+        re_w, im_w = lawson_polynomial(n // 2, m // 2).real_imag_parts()
+        assert im == 2 * re_w * im_w
+
+    def test_both_zero(self):
+        with pytest.raises(BothZero):
+            lawson_surface(0, 0)
 
 
 class TestLawsonPolynomial:

@@ -7,7 +7,9 @@ to x_{2j-1} + I*x_{2j}, `i` to I and `conj` to `conjugate` over real symbols.
 product `*`, the partial derivatives `partial`, the `laplacian`, the
 bilinear gradient product `kappa` and `exact_divide` of parsed expressions
 must return those of the same operation done by sympy, with `sympy.diff`
-for the derivatives and `sympy.div` for the division.
+for the derivatives and `sympy.div` for the division.  Everything runs in 4
+variables; `kappa`, `partial` and `laplacian` run in 5 as well, where x5 has
+no partner to form a z_j with.
 """
 
 from fractions import Fraction
@@ -23,7 +25,10 @@ from eigensphere.calculus import kappa, laplacian, partial  # noqa: E402
 from eigensphere.parsing import parse  # noqa: E402
 
 NVARS = 4
-X = sympy.symbols(f"x1:{NVARS + 1}", real=True)
+# an odd variable count, whose x5 has no partner: z1, z2 and x5
+ODD_NVARS = 5
+X_ALL = sympy.symbols(f"x1:{ODD_NVARS + 1}", real=True)
+X = X_ALL[:NVARS]
 MAX_DEGREE = 6
 
 # Binding strength of each form; an operand weaker than its slot needs
@@ -39,15 +44,15 @@ class Generated(NamedTuple):
 
 
 @st.composite
-def leaves(draw, budget):
+def leaves(draw, budget, nvars):
     choices = (["x", "z"] if budget >= 1 else []) + ["i", "int", "ratio"]
     kind = draw(st.sampled_from(choices))
     if kind == "x":
-        k = draw(st.integers(1, NVARS))
-        return f"x{k}", X[k - 1], 1
+        k = draw(st.integers(1, nvars))
+        return f"x{k}", X_ALL[k - 1], 1
     if kind == "z":
-        j = draw(st.integers(1, NVARS // 2))
-        return f"z{j}", X[2 * j - 2] + sympy.I * X[2 * j - 1], 1
+        j = draw(st.integers(1, nvars // 2))
+        return f"z{j}", X_ALL[2 * j - 2] + sympy.I * X_ALL[2 * j - 1], 1
     if kind == "i":
         return "i", sympy.I, 0
     p = draw(st.integers(0, 9))
@@ -63,26 +68,27 @@ def _wrap(node: Generated, slot: int) -> str:
 
 
 @st.composite
-def expressions(draw, depth=4, budget=MAX_DEGREE):
-    """An expression nested at most `depth` deep, of total degree at most `budget`."""
+def expressions(draw, depth=4, budget=MAX_DEGREE, nvars=NVARS):
+    """An expression in `nvars` variables nested at most `depth` deep, of total
+    degree at most `budget`."""
     kind = draw(st.sampled_from(["leaf", "sum", "product", "neg", "conj", "pow"]))
     if depth == 0 or kind == "leaf":
-        text, expr, degree = draw(leaves(budget))
+        text, expr, degree = draw(leaves(budget, nvars))
         return Generated(text, ATOM, expr, degree)
     space = draw(st.sampled_from(["", " "]))
     if kind == "sum":
-        left = draw(expressions(depth - 1, budget))
-        right = draw(expressions(depth - 1, budget))
+        left = draw(expressions(depth - 1, budget, nvars))
+        right = draw(expressions(depth - 1, budget, nvars))
         op = draw(st.sampled_from("+-"))
         text = f"{_wrap(left, SUM)}{space}{op}{space}{_wrap(right, PRODUCT)}"
         expr = left.expr + right.expr if op == "+" else left.expr - right.expr
         return Generated(text, SUM, expr, max(left.degree, right.degree))
     if kind == "product":
-        left = draw(expressions(depth - 1, budget))
-        right = draw(expressions(depth - 1, budget - left.degree))
+        left = draw(expressions(depth - 1, budget, nvars))
+        right = draw(expressions(depth - 1, budget - left.degree, nvars))
         text = f"{_wrap(left, PRODUCT)}{space}*{space}{_wrap(right, NEGATION)}"
         return Generated(text, PRODUCT, left.expr * right.expr, left.degree + right.degree)
-    inner = draw(expressions(depth - 1, budget))
+    inner = draw(expressions(depth - 1, budget, nvars))
     if kind == "neg":
         return Generated(f"-{_wrap(inner, NEGATION)}", NEGATION, -inner.expr, inner.degree)
     if kind == "conj":
@@ -100,8 +106,8 @@ def _terms(poly) -> dict:
     return {exps: (c.re, c.im) for exps, c in poly.items()}
 
 
-def sympy_terms(expr) -> dict:
-    poly = sympy.Poly(sympy.expand(expr), *X)
+def sympy_terms(expr, nvars=NVARS) -> dict:
+    poly = sympy.Poly(sympy.expand(expr), *X_ALL[:nvars])
     return {
         tuple(monom): (_fraction(sympy.re(c)), _fraction(sympy.im(c)))
         for monom, c in poly.terms()
@@ -115,13 +121,14 @@ def test_parse_matches_sympy_expand(generated):
     assert _terms(parse(generated.text, NVARS)) == sympy_terms(generated.expr), generated.text
 
 
-def sympy_kappa(f, g):
+def sympy_kappa(f, g, nvars=NVARS):
     f, g = sympy.expand(f), sympy.expand(g)
-    return sum(sympy.diff(f, x) * sympy.diff(g, x) for x in X)
+    return sum(sympy.diff(f, x) * sympy.diff(g, x) for x in X_ALL[:nvars])
 
 
 # Operands of degree at most 3, so products stay within MAX_DEGREE.
 operands = expressions(depth=3, budget=3)
+odd_operands = expressions(depth=3, budget=3, nvars=ODD_NVARS)
 
 
 @hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -132,23 +139,46 @@ def test_product_matches_sympy(left, right):
     assert _terms(p * p) == sympy_terms(left.expr * left.expr), left.text
 
 
+def _check_kappa(left, right, nvars):
+    p, q = parse(left.text, nvars), parse(right.text, nvars)
+    expected = sympy_terms(sympy_kappa(left.expr, right.expr, nvars), nvars)
+    assert _terms(kappa(p, q)) == expected, (left.text, right.text)
+    assert _terms(kappa(p, p)) == sympy_terms(
+        sympy_kappa(left.expr, left.expr, nvars), nvars), left.text
+
+
+def _check_partial_and_laplacian(generated, nvars):
+    p, expr = parse(generated.text, nvars), sympy.expand(generated.expr)
+    xs = X_ALL[:nvars]
+    for i, x in enumerate(xs, start=1):
+        assert _terms(partial(p, i)) == sympy_terms(sympy.diff(expr, x), nvars), (
+            generated.text, i)
+    assert _terms(laplacian(p)) == sympy_terms(
+        sum(sympy.diff(expr, x, 2) for x in xs), nvars), generated.text
+
+
 @hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @hypothesis.given(operands, operands)
 def test_kappa_matches_sympy(left, right):
-    p, q = parse(left.text, NVARS), parse(right.text, NVARS)
-    assert _terms(kappa(p, q)) == sympy_terms(sympy_kappa(left.expr, right.expr)), (
-        left.text, right.text)
-    assert _terms(kappa(p, p)) == sympy_terms(sympy_kappa(left.expr, left.expr)), left.text
+    _check_kappa(left, right, NVARS)
+
+
+@hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@hypothesis.given(odd_operands, odd_operands)
+def test_kappa_matches_sympy_odd_nvars(left, right):
+    _check_kappa(left, right, ODD_NVARS)
 
 
 @hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @hypothesis.given(expressions())
 def test_partial_and_laplacian_match_sympy(generated):
-    p, expr = parse(generated.text, NVARS), sympy.expand(generated.expr)
-    for i, x in enumerate(X, start=1):
-        assert _terms(partial(p, i)) == sympy_terms(sympy.diff(expr, x)), (generated.text, i)
-    assert _terms(laplacian(p)) == sympy_terms(sum(sympy.diff(expr, x, 2) for x in X)), (
-        generated.text)
+    _check_partial_and_laplacian(generated, NVARS)
+
+
+@hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@hypothesis.given(expressions(nvars=ODD_NVARS))
+def test_partial_and_laplacian_match_sympy_odd_nvars(generated):
+    _check_partial_and_laplacian(generated, ODD_NVARS)
 
 
 def _kappa_example():
