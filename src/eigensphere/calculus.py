@@ -16,8 +16,8 @@ Storage stays in the real variables x1..xN, but kappa works in the complex
 ones: per coordinate pair (x_{2j-1}, x_{2j}) it multiplies the derivatives
 D+- = d_x +- i*d_y, so a polynomial that is holomorphic or antiholomorphic
 in each z_j = x_{2j-1} + i*x_{2j} contributes no product to kappa(P, P).
-`partial` and `laplacian` are single passes over the stored integer pairs;
-kappa is built from `partial` and one `Polynomial._dot` sum of products.
+`partial` and `laplacian` come from `polynomial`, which owns the storage
+they pass over; kappa is `partial` and one `Polynomial._dot` sum.
 """
 
 from __future__ import annotations
@@ -25,35 +25,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Tuple
 
-from .errors import DimensionMismatch, IndexOutOfRange, ZeroPolynomial
-from .polynomial import (
-    FIELD_BITS, MAX_DEGREE, I, Polynomial, _check_degree, _shift, _unit, r_squared)
+from .errors import DimensionMismatch, ZeroPolynomial
+from .polynomial import I, Polynomial, laplacian, partial, r_squared
 
 
 # ---------------------------------------------------------------------------
 # First and second order operators
-
-
-def partial(p: Polynomial, i: int) -> Polynomial:
-    """Formal partial derivative with respect to x_i (1-based).
-
-    One pass over p's Gaussian-integer pairs, which share p's denominator D:
-    a term (re + i*im)/D x^a with a_i > 0 becomes (a_i*re + i*a_i*im)/D
-    x^(a - e_i).  a_i is read from x_i's field of the packed key, and the
-    new key is the old one minus the key of x_i.  Distinct terms land on
-    distinct exponents, so nothing is summed and nothing cancels; only a
-    common factor of D and the new numerators is divided out, and none
-    exists when D == 1.
-    """
-    if not 1 <= i <= p.nvars:
-        raise IndexOutOfRange(f"variable index {i} outside 1..{p.nvars}")
-    shift, unit = _shift(p.nvars, i), _unit(p.nvars, i)
-    pairs = {}
-    for key, (re, im) in p._pairs.items():
-        e = (key >> shift) & MAX_DEGREE
-        if e:
-            pairs[key - unit] = (e * re, e * im)
-    return Polynomial._reduced(p.nvars, pairs, p._den)
 
 
 def gradient(p: Polynomial) -> Tuple[Polynomial, ...]:
@@ -61,37 +38,14 @@ def gradient(p: Polynomial) -> Tuple[Polynomial, ...]:
     return tuple(partial(p, i) for i in range(1, p.nvars + 1))
 
 
-def laplacian(p: Polynomial) -> Polynomial:
-    """sum_i d_i^2 p in one pass over p's Gaussian-integer pairs.
-
-    A term c x^a adds a_i(a_i - 1)*c at x^(a - 2e_i) for every i with
-    a_i >= 2, whose packed key is key(a) - 2*key(x_i).  The sums share p's
-    denominator, and only a common factor is divided out at the end.
-    """
-    nvars = p.nvars
-    top = 2 << _shift(nvars, 0)
-    shifts = range(_shift(nvars, 1), -1, -FIELD_BITS)
-    sums: dict = {}
-    for key, (re, im) in p._pairs.items():
-        for shift in shifts:
-            e = (key >> shift) & MAX_DEGREE
-            if e > 1:
-                target = key - top - (2 << shift)
-                weight = e * (e - 1)
-                acc = sums.get(target)
-                if acc is None:
-                    sums[target] = [weight * re, weight * im]
-                else:
-                    acc[0] += weight * re
-                    acc[1] += weight * im
-    return Polynomial._summed(nvars, sums, p._den)
-
-
 def hessian(p: Polynomial) -> Tuple[Tuple[Polynomial, ...], ...]:
     """Rows of second partials; entry [i][j] is d_{i+1} d_{j+1} p, exactly symmetric."""
     firsts = [partial(p, i) for i in range(1, p.nvars + 1)]
     rows = []
     for i in range(p.nvars):
+        if not firsts[i]:
+            rows.append([firsts[i]] * p.nvars)  # d_j of zero is zero
+            continue
         row = []
         for j in range(p.nvars):
             if j < i:
@@ -113,14 +67,12 @@ def _wirtinger(p: Polynomial, j: int) -> Tuple[Polynomial, Polynomial]:
 
 
 def _partials(p: Polynomial, q: Polynomial, indices) -> Iterator[Tuple[Polynomial, Polynomial]]:
-    """(d_i p, d_i q) for i in `indices` with both nonzero; one object for
+    """(d_i p, d_i q) for i in `indices` with d_i p nonzero; one object for
     both when q is p, so that their product is a square."""
     for i in indices:
         dp = partial(p, i)
-        if dp._pairs:
-            dq = dp if q is p else partial(q, i)
-            if dq._pairs:
-                yield dp, dq
+        if dp:
+            yield dp, dp if q is p else partial(q, i)
 
 
 def kappa(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -131,24 +83,21 @@ def kappa(p: Polynomial, q: Polynomial) -> Polynomial:
 
         d_x p d_x q + d_y p d_y q = (D+p D-q + D-p D+q) / 2,   D+- = d_x +- i*d_y,
 
-    which is D+p D-p when q is p.  Products with a zero factor are skipped:
-    D+ annihilates polynomials holomorphic in z_j = x + i*y and D-
-    antiholomorphic ones, so kappa(P, P) forms no product at all when P is
-    one or the other in every z_j, as z1^n*conj(z2)^m is.  An odd N adds
-    d_N p d_N q.  No factor vanishes when both operands are real, so they
-    take the definition sum_i (d_i p)(d_i q), with squares when q is p.
-    Every product is summed in one `Polynomial._dot` pass.  Raises
-    BudgetExceeded when deg p + deg q - 2 is over MAX_DEGREE.
+    which is D+p D-p when q is p.  D+ annihilates polynomials holomorphic
+    in z_j = x + i*y and D- antiholomorphic ones, so kappa(P, P) forms no
+    product at all when P is one or the other in every z_j, as
+    z1^n*conj(z2)^m is.  An odd N adds d_N p d_N q.  Two real operands,
+    where no factor vanishes, take sum_i (d_i p)(d_i q), with squares when
+    q is p.  Every product is summed in one `Polynomial._dot` pass, which
+    skips a zero factor and raises BudgetExceeded past MAX_DEGREE.
     """
     if p.nvars != q.nvars:
         raise DimensionMismatch(
             f"kappa operands live in different spaces: {p.nvars} vs {q.nvars}"
         )
     nvars = p.nvars
-    if p._pairs and q._pairs:
-        _check_degree(p.degree() + q.degree() - 2)
     if p.is_real() and (q is p or q.is_real()):
-        return Polynomial._dot(nvars, list(_partials(p, q, range(1, nvars + 1))))
+        return Polynomial._dot(nvars, _partials(p, q, range(1, nvars + 1)))
     factors = []
     for j in range(1, nvars // 2 + 1):
         plus_p, minus_p = _wirtinger(p, j)
@@ -159,7 +108,7 @@ def kappa(p: Polynomial, q: Polynomial) -> Polynomial:
             factors += [(plus_p * Fraction(1, 2), minus_q), (minus_p * Fraction(1, 2), plus_q)]
     if nvars % 2:
         factors += _partials(p, q, (nvars,))
-    return Polynomial._dot(nvars, [(a, b) for a, b in factors if a._pairs and b._pairs])
+    return Polynomial._dot(nvars, factors)
 
 
 def hess_grad_grad(p: Polynomial) -> Polynomial:

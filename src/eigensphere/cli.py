@@ -51,10 +51,10 @@ EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
 # the numeric layer grows as N^2 in memory and faster in time: VarietySpec
-# builds N^2 symbolic second partials and mean_curvature contracts N x N
-# arrays per point.  `minimal-zero --poly z1 --samples 5` took 55 s and 300 MB
-# at 1,000 variables (33 s in mean_curvature, 22 s building the spec) and
-# 1.5 s and 50 MB at 256 (2-CPU x86_64)
+# builds up to N^2 symbolic second partials and mean_curvature contracts
+# N x N arrays per point.  `minimal-zero --poly z1 --samples 5` took 29 s and
+# 190 MB at 1,000 variables (22 s in mean_curvature, 6 s building the spec)
+# and 1.0 s and 46 MB at 256 (2-CPU x86_64 Xeon)
 MAX_VARS = 256
 
 

@@ -152,7 +152,6 @@ class VarietySpec:
                 f"dimension in {nvars} variables"
             )
         self.nvars = nvars
-        self.constraints = constraints
         full = [sphere_constraint(nvars), *constraints]
         m = len(full)
         self._values = CompiledPolys(nvars, full, (m,))

@@ -32,6 +32,12 @@ Past the limit `parse` raises BudgetExceeded.  The limit keeps the quadratic
 objects built from an input (the kappa residual, a certificate quotient such
 as 8*c^2*(a^2 + 1)) within the 4300 digits Python converts to text.
 
+Terms are bounded the same way: before each '*' and '^' is applied, the
+result's term count is bounded, by Ta*Tb for a product of Ta and Tb terms
+and by C(T+k-1, k) for a k-th power of T terms, each capped by C(N+d, N),
+the number of monomials of degree at most d in N variables.  A bound past
+MAX_TERMS raises BudgetExceeded, so no expansion runs out of memory.
+
 `render` produces a canonical string in the same grammar (x-variables only,
 terms in descending graded-lexicographic order), and `parse(render(p), p.nvars)`
 returns a polynomial equal to `p`.
@@ -60,6 +66,8 @@ _SPACE_RE = re.compile(r"\s*")
 #: and the denominator of a parsed polynomial's coefficients.
 MAX_COEFF_DIGITS = 1000
 _COEFF_LIMIT = 10**MAX_COEFF_DIGITS
+#: The most terms a product or power may be bounded to before it is expanded.
+MAX_TERMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,21 @@ def _tokenize(text: str) -> List[Token]:
         pos = _SPACE_RE.match(text, match.end()).end()
     tokens.append(Token("end", "", len(text)))
     return tokens
+
+
+def _comb_capped(n: int, k: int) -> int:
+    """C(n, k) when it is at most MAX_TERMS, else MAX_TERMS + 1.
+
+    Builds C(n - k + i, i) for i = 1 .. min(k, n - k), which is at least
+    2**i, so it stops after a few steps however large n and k are.
+    """
+    k = min(k, n - k)
+    value = 1
+    for i in range(1, k + 1):
+        value = value * (n - k + i) // i
+        if value > MAX_TERMS:
+            return MAX_TERMS + 1
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +175,21 @@ class _Parser:
             token = self.peek()
             if token.kind == "op" and token.text == "*":
                 self.advance()
-                poly = poly * self.factor()
+                right = self.factor()
+                self._bound_terms("'*'", token, poly.num_terms() * right.num_terms(),
+                                  lambda: poly.degree() + right.degree())
+                poly = poly * right
             else:
                 return poly
+
+    def _bound_terms(self, what: str, token: Token, terms: int, degree) -> None:
+        """Refuse a product or power whose result could have more than
+        MAX_TERMS terms: `terms` of them, capped by C(N + degree(), N).  The
+        cap is worked out only when `terms` alone is past the limit."""
+        if terms > MAX_TERMS and _comb_capped(self.nvars + degree(), self.nvars) > MAX_TERMS:
+            raise BudgetExceeded(
+                f"{what} at position {token.pos} could give a result over the limit of "
+                f"{MAX_TERMS} terms")
 
     def factor(self) -> Polynomial:
         # a run of unary minus signs is read in a loop, so its length costs no stack
@@ -172,13 +207,16 @@ class _Parser:
             self.advance()
             k = self.exponent()
             if k > 1:
-                # base**k has numerator sum at most norm**k over den**k
+                # base**k has numerator sum at most norm**k over den**k; exact, as
+                # k may be too large for a float
                 norm, den = base.coefficient_norm()
-                digits = k * log10(max(norm, den))
+                digits = k * Fraction(log10(max(norm, den)))
                 if digits > MAX_COEFF_DIGITS:
                     raise BudgetExceeded(
                         f"^{k} at position {token.pos} could give coefficients of "
                         f"{int(digits) + 1} digits, over the limit of {MAX_COEFF_DIGITS} digits")
+                self._bound_terms(f"^{k}", token, _comb_capped(base.num_terms() + k - 1, k),
+                                  lambda: k * base.degree())
             return base ** k
         return base
 

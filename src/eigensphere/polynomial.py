@@ -13,9 +13,9 @@ With the degree on top, the integer order of keys is the graded
 lexicographic order, and since every field stays below 2**FIELD_BITS the
 key of a product of monomials is the sum of their keys.  So a monomial
 product is one add, a quotient one subtract, and a degree one shift.  The
-total degree is capped at MAX_DEGREE = 2**FIELD_BITS - 1: the constructor,
-products and `calculus.kappa` raise BudgetExceeded before a result could
-pass it, so no field ever carries into the next.
+total degree is capped at MAX_DEGREE = 2**FIELD_BITS - 1: the constructor
+and `_dot`, behind every product, raise BudgetExceeded before a result
+could pass it, so no field ever carries into the next.
 
 The representation is canonical: no (0, 0) pair is stored, every key packs
 an exponent vector of length N, gcd(D, every re, every im) == 1, and the
@@ -29,9 +29,9 @@ Sums, products, conjugation and division are passes over the integer pairs;
 the common factor of D and the numerators is divided out once per result,
 and not at all when D == 1, as it is for every Gaussian-integer polynomial.
 A square p * p visits each unordered pair of terms once, and `_dot` sums
-several products in one accumulator.  `calculus.partial` and
-`calculus.laplacian` read the keys and pairs directly (`calculus.kappa` only
-tests them for emptiness); no other module does.  Exponent tuples appear
+several products in one accumulator.  `partial` and `laplacian`, which
+`calculus` imports, read the keys and pairs directly; no other module does,
+so a change of storage touches this one alone.  Exponent tuples appear
 only at the boundary: the constructor takes a map from them to
 coefficients, and `items`, `coefficient` and `leading_term` unpack keys and
 build GaussianRational coefficients on demand.
@@ -444,24 +444,25 @@ class Polynomial:
                      for key, (re, im) in self._pairs.items()}
             return self._reduced(self.nvars, pairs, self._den * den)
         self._check_same_space(other)
-        if not (self._pairs and other._pairs):
-            return Polynomial._raw(self.nvars, {}, 1)
-        _check_degree(self.degree() + other.degree())
         return Polynomial._dot(self.nvars, [(self, other)])
 
     __rmul__ = __mul__
 
     @classmethod
-    def _dot(cls, nvars: int, factors: Sequence[Tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
+    def _dot(cls, nvars: int, factors: Iterable[Tuple["Polynomial", "Polynomial"]]) -> "Polynomial":
         """The sum of a * b over the (a, b) pairs of `factors`, in one pass.
 
-        Every product is added into one accumulator over the lcm D of the
-        products' denominators, so no product is built on its own, and the
+        The one owner of the product rules: a pair with a zero side forms no
+        product, and a degree sum over MAX_DEGREE raises BudgetExceeded
+        before anything is accumulated.  Every product is added into one
+        accumulator over the lcm D of the products' denominators, and the
         common factor of D is divided out once.  A pair (a, a) visits each
         unordered pair of a's terms once: the diagonal product once, every
-        off-diagonal product doubled.  Callers pass nonzero factors only and
-        check the degrees.
+        off-diagonal product doubled.
         """
+        factors = [(a, b) for a, b in factors if a._pairs and b._pairs]
+        for a, b in factors:
+            _check_degree(a.degree() + b.degree())
         den = lcm(*[a._den * b._den for a, b in factors])
         sums: dict = {}
         for a, b in factors:
@@ -662,11 +663,59 @@ _SET_NVARS, _SET_PAIRS, _SET_DEN, _SET_EVAL_TERMS = (
     Polynomial.__dict__[slot].__set__ for slot in Polynomial.__slots__)
 
 
+def partial(p: Polynomial, i: int) -> Polynomial:
+    """Formal partial derivative with respect to x_i (1-based).
+
+    One pass over p's Gaussian-integer pairs, which share p's denominator D:
+    a term (re + i*im)/D x^a with a_i > 0 becomes (a_i*re + i*a_i*im)/D
+    x^(a - e_i).  a_i is read from x_i's field of the packed key, and the
+    new key is the old one minus the key of x_i.  Distinct terms land on
+    distinct exponents, so nothing is summed and nothing cancels; only a
+    common factor of D and the new numerators is divided out, and none
+    exists when D == 1.
+    """
+    if not 1 <= i <= p.nvars:
+        raise IndexOutOfRange(f"variable index {i} outside 1..{p.nvars}")
+    shift, unit = _shift(p.nvars, i), _unit(p.nvars, i)
+    pairs = {}
+    for key, (re, im) in p._pairs.items():
+        e = (key >> shift) & MAX_DEGREE
+        if e:
+            pairs[key - unit] = (e * re, e * im)
+    return Polynomial._reduced(p.nvars, pairs, p._den)
+
+
+def laplacian(p: Polynomial) -> Polynomial:
+    """sum_i d_i^2 p in one pass over p's Gaussian-integer pairs.
+
+    A term c x^a adds a_i(a_i - 1)*c at x^(a - 2e_i) for every i with
+    a_i >= 2, whose packed key is key(a) - 2*key(x_i).  The sums share p's
+    denominator, and only a common factor is divided out at the end.
+    """
+    nvars = p.nvars
+    top = 2 << _shift(nvars, 0)
+    shifts = range(_shift(nvars, 1), -1, -FIELD_BITS)
+    sums: dict = {}
+    for key, (re, im) in p._pairs.items():
+        for shift in shifts:
+            e = (key >> shift) & MAX_DEGREE
+            if e > 1:
+                target = key - top - (2 << shift)
+                weight = e * (e - 1)
+                acc = sums.get(target)
+                if acc is None:
+                    sums[target] = [weight * re, weight * im]
+                else:
+                    acc[0] += weight * re
+                    acc[1] += weight * im
+    return Polynomial._summed(nvars, sums, p._den)
+
+
 def r_squared(nvars: int) -> Polynomial:
     """The squared radius x1^2 + ... + xN^2."""
     return Polynomial._raw(nvars, {2 * _unit(nvars, i): (1, 0) for i in range(1, nvars + 1)}, 1)
 
 
 def complex_variable(nvars: int, j: int) -> Polynomial:
-    """z_j = x_{2j-1} + i*x_{2j}, with 1-based j as in the z1..zK naming."""
-    return Polynomial.variable(nvars, 2 * j - 1) + I * Polynomial.variable(nvars, 2 * j)
+    """z_j = x_{2j-1} + i*x_{2j}, with 1-based j <= nvars // 2 as in the z1..zK naming."""
+    return Polynomial._raw(nvars, {_unit(nvars, 2 * j - 1): (1, 0), _unit(nvars, 2 * j): (0, 1)}, 1)

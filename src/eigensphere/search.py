@@ -39,13 +39,15 @@ def monomial_basis(nvars: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
     """All degree-`degree` exponent tuples, descending graded-lexicographic."""
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
-    exps = set()
+    # each multiset of variables comes once and in lexicographic order, which
+    # is the descending order of the exponent tuples
+    basis = []
     for combo in combinations_with_replacement(range(nvars), degree):
         e = [0] * nvars
         for slot in combo:
             e[slot] += 1
-        exps.add(tuple(e))
-    return tuple(sorted(exps, reverse=True))
+        basis.append(tuple(e))
+    return tuple(basis)
 
 
 def _basis_size(nvars: int, degree: int) -> int:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import eigensphere.calculus as calculus
 from eigensphere.calculus import (
     euler,
     gradient,
@@ -177,6 +178,31 @@ class TestHessian:
             for i in range(3):
                 for j in range(3):
                     assert h[i][j] == h[j][i]
+
+    @staticmethod
+    def reference(p):
+        return tuple(tuple(partial_reference(partial_reference(p, i), j)
+                           for j in range(1, p.nvars + 1)) for i in range(1, p.nvars + 1))
+
+    def test_zero_rows_call_no_partial(self, monkeypatch):
+        nvars = 40
+        calls = []
+
+        def counted(p, i):
+            calls.append(i)
+            return partial(p, i)
+
+        monkeypatch.setattr(calculus, "partial", counted)
+        p = Polynomial.variable(nvars, 1)
+        assert hessian(p) == self.reference(p)
+        assert len(calls) <= 2 * nvars
+
+    def test_matches_reference_with_missing_variables(self, rng):
+        # x2 and x4 never appear, so their rows and columns are zero
+        for _ in range(10):
+            p = random_poly(rng, nvars=3, max_degree=4)
+            spread = Polynomial(5, {(a, 0, b, 0, c): coeff for (a, b, c), coeff in p.items()})
+            assert hessian(spread) == self.reference(spread)
 
 
 class TestKappa:

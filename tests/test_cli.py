@@ -13,6 +13,7 @@ from eigensphere import cli
 from eigensphere.cli import main
 from eigensphere.errors import InsufficientYield
 from eigensphere.geometry import read_cloud
+from eigensphere.parsing import MAX_TERMS
 
 
 def run(capsys, *argv):
@@ -448,6 +449,18 @@ class TestCoefficientCap:
         failure = report["verdict"]["failure"]
         assert failure["condition"] == "laplacian_P2"
         assert len(failure["residual"]) > 2 * cli.MAX_COEFF_DIGITS
+
+
+class TestTermCap:
+    def test_power_over_the_cap_exits_3_at_once(self, capsys):
+        # 62.9M terms with 37-digit coefficients: no other budget refuses it
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eigen-check", "--vars", "8", "--sphere-dim", "7",
+                             "--poly", "(x1+x2+x3+x4+x5+x6+x7+x8)^40")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert f"over the limit of {MAX_TERMS} terms" in err
 
 
 class TestFloatRange:

@@ -1,13 +1,19 @@
 """Expression grammar: parsing, complex shorthand expansion, rendering round-trips."""
 
+import importlib.util
 import itertools
+import re
+import sys
 import time
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
 from eigensphere.errors import BudgetExceeded, NegativeExponent, ParseError, VariableOutOfRange
-from eigensphere.parsing import MAX_COEFF_DIGITS, MAX_NESTING, _tokenize, parse, render
+from eigensphere.parsing import (
+    MAX_COEFF_DIGITS, MAX_NESTING, MAX_TERMS, _comb_capped, _tokenize, parse, render)
 from eigensphere.polynomial import GaussianRational, Polynomial
 
 from conftest import random_poly
@@ -198,7 +204,7 @@ class TestCoefficientBudget:
 
     @pytest.mark.parametrize("text", ["10^5000", "z1^2 + 10^5000*x1^2", "10^2200*z1^2",
                                       "(1/10*x1)^1001", "(2*z1)^1700", "z1^3400",
-                                      "z1^4294967295"])
+                                      "z1^4294967295", "(x1 + x2)^" + LARGEST])
     def test_powers_past_the_bound_are_refused_unexpanded(self, monkeypatch, text):
         expand = Polynomial.__pow__
 
@@ -210,11 +216,73 @@ class TestCoefficientBudget:
         with pytest.raises(BudgetExceeded, match=f"limit of {MAX_COEFF_DIGITS} digits"):
             parse(text, 4)
 
+    def test_exponent_past_float_range(self):
+        # k * log10(norm) once overflowed a float for an exponent of 309 digits
+        with pytest.raises(BudgetExceeded, match="total degree"):
+            parse(f"x1^{self.LARGEST}", 2)
+        assert parse(f"1^{self.LARGEST}", 2) == Polynomial.constant(2, 1)
+
     @pytest.mark.parametrize("text", ["{small}*{small}*x1", "{small}*x1 + {largest}*x2",
                                       "1/{small}*x1 + 1/{largest}*x2", "10^1000"])
     def test_parsed_result_is_checked(self, text):
         with pytest.raises(BudgetExceeded, match="numerator sum or denominator"):
             parse(text.format(small=self.SMALLEST, largest=self.LARGEST), 2)
+
+
+def _workload_inputs():
+    """(nvars, text) of every --poly and --constraint in cycles 0-2 of the
+    benchmark workloads at seeds 1 and 2."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    inputs = set()
+    for name, seed, cycle in itertools.product(workloads.WORKLOADS, (1, 2), range(3)):
+        for check in workloads.make_cycle(name, seed, cycle, "unused"):
+            argv = check.argv
+            nvars = int(argv[argv.index("--vars") + 1])
+            inputs.update((nvars, value) for flag, value in zip(argv, argv[1:])
+                          if flag in ("--poly", "--constraint"))
+    return sorted(inputs)
+
+
+class TestTermBudget:
+    SUM8 = "(x1+x2+x3+x4+x5+x6+x7+x8)"
+
+    def test_comb_capped(self):
+        for n in range(40):
+            for k in range(n + 1):
+                assert _comb_capped(n, k) == min(comb(n, k), MAX_TERMS + 1)
+        # a few steps, however large the arguments
+        assert _comb_capped(10**999 + 7, 10**999) == MAX_TERMS + 1
+
+    def test_within_the_bound_expands(self):
+        assert parse(self.SUM8 + "^12", 8).num_terms() == comb(19, 12)
+
+    @pytest.mark.parametrize("text, what", [
+        (SUM8 + "^40", "^40"),
+        (SUM8 + "^6*" + SUM8 + "^6", "'*'"),
+        ("*".join([SUM8] * 13), "'*'"),
+    ], ids=["power", "product-of-powers", "product-chain"])
+    def test_past_the_bound_is_refused_unexpanded(self, monkeypatch, text, what):
+        expand = Polynomial.__pow__
+
+        def small_powers_only(base, k):
+            assert k <= 6, f"^{k} was expanded"
+            return expand(base, k)
+
+        monkeypatch.setattr(Polynomial, "__pow__", small_powers_only)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded,
+                           match=rf"^{re.escape(what)} .* over the limit of {MAX_TERMS} terms"):
+            parse(text, 8)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("nvars, text", _workload_inputs())
+    def test_benchmark_inputs_parse(self, nvars, text):
+        assert parse(text, nvars).num_terms() <= MAX_TERMS
 
 
 class TestRender:

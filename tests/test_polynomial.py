@@ -199,6 +199,16 @@ class TestPackedKeys:
         with pytest.raises(BudgetExceeded):
             kappa(b, b * 1)
 
+    def test_kappa_checks_the_products_it_forms(self):
+        # deg p + deg q - 2 is over MAX_DEGREE, but d_i p d_i q == 0 for every i:
+        # no product is formed, so the exact zero comes back
+        power = 2**31 + 1
+        p, q = x(1, 4) ** power, x(3, 4) ** power
+        assert p.degree() + q.degree() - 2 > MAX_DEGREE
+        zero = kappa(p, q)
+        assert zero.is_zero()
+        assert_canonical(zero)
+
 
 class TestRingOperations:
     def test_ring_axioms_random(self, rng):
@@ -217,6 +227,13 @@ class TestRingOperations:
         assert 2 * p == p + p
         assert p - 1 == p + (-1)
         assert Fraction(1, 2) * (p + p) == p
+
+    def test_zero_factor_gives_canonical_zero(self):
+        p = parse("1/3*x1^2 + i*x2", 3)
+        zero = Polynomial.zero(3)
+        for product in (p * zero, zero * p, zero * zero):
+            assert product.is_zero()
+            assert_canonical(product)
 
     def test_pow(self):
         p = x(1) + x(2)

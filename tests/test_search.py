@@ -1,5 +1,7 @@
 """Least-squares discovery of eigenfunction candidates and exact recovery."""
 
+import itertools
+import math
 import time
 import tracemalloc
 
@@ -59,9 +61,13 @@ class TestMonomialBasis:
         assert len(monomial_basis(3, 3)) == 10
 
     def test_descending_graded_lex(self):
-        basis = monomial_basis(3, 2)
-        assert basis[0] == (2, 0, 0)
-        assert list(basis) == sorted(basis, reverse=True)
+        assert monomial_basis(3, 2)[0] == (2, 0, 0)
+        for nvars, degree in itertools.product(range(1, 8), range(7)):
+            basis = monomial_basis(nvars, degree)
+            assert all(sum(e) == degree for e in basis)
+            # strictly descending: sorted, with no tuple twice
+            assert all(a > b for a, b in zip(basis, basis[1:]))
+            assert len(basis) == math.comb(nvars + degree - 1, degree)
 
     def test_degree_zero(self):
         assert monomial_basis(3, 0) == ((0, 0, 0),)

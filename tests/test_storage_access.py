@@ -1,12 +1,13 @@
-"""Only `polynomial` and `calculus` read a polynomial's stored form.
+"""Only `polynomial` reads a polynomial's stored form.
 
 `Polynomial` keeps its terms as Gaussian-integer pairs over one shared
 denominator, keyed by packed exponent vectors, in private fields with
-private constructors and private key helpers for them.  Every other module
-goes through `items`, `coefficient`, `leading_term` and the arithmetic, so a
-change of storage touches two modules.  This test parses each module of
-`src/eigensphere` and fails on an attribute access to one of those private
-names, or an import of one, outside the two.
+private constructors and private key helpers for them.  Every pass over
+that storage, `partial` and `laplacian` included, lives in `polynomial`,
+and every other module goes through `items`, `coefficient`, `leading_term`
+and the arithmetic, so a change of storage touches one module.  This test
+parses each module of `src/eigensphere` and fails on an attribute access to
+one of those private names, or an import of one, outside `polynomial`.
 """
 
 import ast
@@ -20,7 +21,7 @@ PRIVATE = {
     "_pairs", "_den", "_raw", "_reduced", "_summed",
     "_shift", "_unit", "_pack", "_unpack", "_check_degree", "_scalar",
 }
-OWNERS = {"polynomial", "calculus"}
+OWNERS = {"polynomial"}
 
 
 def _private_reads(path: Path):
@@ -61,3 +62,16 @@ def test_check_catches_a_private_read(tmp_path):
         encoding="utf-8",
     )
     assert _private_reads(module) == [(5, "_den"), (8, "_pairs"), (10, "_unpack")]
+
+
+def test_product_rules_have_one_owner():
+    # the degree limit is checked where polynomials are built from exponent
+    # tuples and in the one sum of products; nowhere else
+    tree = ast.parse((PACKAGE / "polynomial.py").read_text(encoding="utf-8"))
+    callers = {
+        function.name for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_degree"
+    }
+    assert callers == {"__init__", "_dot"}
