@@ -39,19 +39,20 @@ def gradient(p: Polynomial) -> Tuple[Polynomial, ...]:
 
 
 def hessian(p: Polynomial) -> Tuple[Tuple[Polynomial, ...], ...]:
-    """Rows of second partials; entry [i][j] is d_{i+1} d_{j+1} p, exactly symmetric."""
-    firsts = [partial(p, i) for i in range(1, p.nvars + 1)]
+    """Rows of second partials; entry [i][j] is d_{i+1} d_{j+1} p, exactly symmetric.
+
+    d_j of a first partial is taken only for the variables x_j that occur
+    in it; every other entry is zero.  An entry left of the diagonal is the
+    one above it (Schwarz symmetry): x_j occurs in d_i p exactly when
+    d_j d_i p = d_i d_j p is nonzero, so that entry was formed.
+    """
+    zero = Polynomial.zero(p.nvars)
     rows = []
     for i in range(p.nvars):
-        if not firsts[i]:
-            rows.append([firsts[i]] * p.nvars)  # d_j of zero is zero
-            continue
-        row = []
-        for j in range(p.nvars):
-            if j < i:
-                row.append(rows[j][i])  # Schwarz symmetry, reuse the transpose
-            else:
-                row.append(partial(firsts[i], j + 1))
+        first = partial(p, i + 1)
+        row = [zero] * p.nvars
+        for j in first.variables():
+            row[j - 1] = rows[j - 1][i] if j <= i else partial(first, j)
         rows.append(row)
     return tuple(tuple(row) for row in rows)
 

@@ -3,17 +3,22 @@
 This is the floating-point layer.  Everything symbolic (constraints, their
 gradients and Hessians) is prepared exactly once per VarietySpec and
 compiled into CompiledPolys tables, which are the only way this layer
-evaluates polynomials, at one point or at a batch of points.  The numerics
-are Newton projection with a rank-revealing least-squares step, seeded
-Gaussian sampling, and the level-set second-fundamental-form trace that
-yields mean-curvature components of the cut-out submanifold.  The seeded
-attempt loop exists once, as _quota: it runs Newton on a chunk of attempts
-at once (_newton_batch, of which newton_project is the batch of one), calls
-an optional measure once per chunk on the chunk's converged points, tallies
-each attempt in order, keeps the points whose value is not None, and stops
-at its quota.  `sample` and both minimality checks take their points through
-it.  The residual and regularity of a sampled point are those of the Newton
-step at which it converged.
+evaluates polynomials, at one point or at a batch of points.  A table forms
+the powers x_v^k by repeated multiplication and each monomial as a product
+over its variables of nonzero exponent only, so a degree-d monomial is
+rounded at most d - 1 times; the roundoff factor (deg + terms) * 2^-53 of
+minimality's reliability bound rests on that.  Newton evaluates each point
+once: a step carries the values of the point it moved to into the next step.
+The numerics are Newton projection with a rank-revealing least-squares step,
+seeded Gaussian sampling, and the level-set second-fundamental-form trace
+that yields mean-curvature components of the cut-out submanifold.  The
+seeded attempt loop exists once, as _quota: it runs Newton on a chunk of
+attempts at once (_newton_batch, of which newton_project is the batch of
+one), calls an optional measure once per chunk on the chunk's converged
+points, tallies each attempt in order, keeps the points whose value is not
+None, and stops at its quota.  `sample` and both minimality checks take
+their points through it.  The residual and regularity of a sampled point are
+those of the Newton step at which it converged.
 
 Every caller uses the same thresholds, so they are module constants:
   * EPS_REG = 1e-8: a point is regular when the smallest singular value of
@@ -79,36 +84,49 @@ class CompiledPolys:
 
     Evaluation at a point x of shape (N,) is coefficients @ monomials(x),
     reshaped to `shape` (row-major over the polynomials as listed); a batch
-    of shape (B, N) gives (B, *shape), one row per point.  Each monomial is
-    a product of entries of the per-variable power table x_v^0 .. x_v^D.
-    A batch is evaluated in blocks of rows so that no temporary exceeds
-    CHUNK_FLOATS floats.  A coefficient past float range is BudgetExceeded.
+    of shape (B, N) gives (B, *shape), one row per point.  The power table
+    x_v^0 .. x_v^D of every variable is built by multiplication, x_v^0 = 1
+    and x_v^k = x_v^(k-1) * x_v, and each monomial is the product, in
+    variable order, of its factors x_v^e with e > 0 only, read from that
+    table; a monomial with fewer such factors than the widest one is padded
+    with entries x_v^0 = 1, which multiply exactly.  So a monomial of degree
+    d rounds at most d - 1 times, which the roundoff factor (deg + terms) *
+    2^-53 of minimality's reliability bound assumes; a float power x**k
+    gives no such bound.  A batch is evaluated in blocks of rows so that no
+    temporary exceeds CHUNK_FLOATS floats.  A coefficient past float range
+    is BudgetExceeded.
     """
 
     def __init__(self, nvars: int, polys: Sequence[Polynomial], shape: Tuple[int, ...]):
         # columns in first-seen order of the monomials over all polynomials
         index: Dict[Tuple[int, ...], int] = {}
         rows, columns, values = [], [], []
-        for row, p in enumerate(polys):
-            for exps, coeff in p.items():
-                rows.append(row)
-                columns.append(index.setdefault(exps, len(index)))
-                try:
-                    values.append(float(coeff.re))
-                except OverflowError:
-                    raise BudgetExceeded("a coefficient is past the float range (about "
-                                         "1.8e308) that the numeric layer needs") from None
+        try:
+            for row, p in enumerate(polys):
+                if not p:
+                    continue  # most Hessian entries of a large spec are zero
+                for exps, coeff in p.real_float_items():
+                    rows.append(row)
+                    columns.append(index.setdefault(exps, len(index)))
+                    values.append(coeff)
+        except OverflowError:
+            raise BudgetExceeded("a coefficient is past the float range (about "
+                                 "1.8e308) that the numeric layer needs") from None
         # reshape with nvars, not -1: an all-zero list has an empty table
         self.exponents = np.array(list(index), dtype=int).reshape(len(index), nvars)
         self.coefficients = np.zeros((len(polys), len(index)))
         self.coefficients[rows, columns] = values
         self.shape = shape
-        top = int(self.exponents.max(initial=0))
-        self._degrees = np.arange(top + 1)
-        # position of x_v^e in the flattened (N, D + 1) power table
-        self._power_index = np.arange(nvars) * (top + 1) + self.exponents
+        self._top = int(self.exponents.max(initial=0))
+        # per monomial, the positions of x_v^e in the flattened (N, D + 1)
+        # power table: the variables with e > 0 in order, then as many with
+        # e = 0 (x_v^0 = 1) as pad the row to the widest monomial's count
+        width = int(np.count_nonzero(self.exponents, axis=1).max(initial=0))
+        variables = np.argsort(self.exponents == 0, axis=1, kind="stable")[:, :width]
+        self._factor_index = (variables * (self._top + 1)
+                              + np.take_along_axis(self.exponents, variables, axis=1))
         # floats in the largest temporary that evaluating one point allocates
-        self.point_floats = max(self.exponents.size, len(polys), nvars * (top + 1))
+        self.point_floats = max(self._factor_index.size, len(polys), nvars * (self._top + 1))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -119,9 +137,13 @@ class CompiledPolys:
         rows = max(1, CHUNK_FLOATS // self.point_floats)
         if x.ndim == 2 and len(x) > rows:
             return np.concatenate([self(x[i:i + rows]) for i in range(0, len(x), rows)])
-        powers = x[..., None] ** self._degrees
-        powers = powers.reshape(x.shape[:-1] + (powers.shape[-2] * powers.shape[-1],))
-        monomials = np.multiply.reduce(powers.take(self._power_index, axis=-1), axis=-1)
+        powers = np.empty(x.shape + (self._top + 1,))
+        powers[..., 0] = 1.0
+        # cumprod multiplies in order: column k is (...(x * x) ...) * x, k factors
+        np.cumprod(np.broadcast_to(x[..., None], x.shape + (self._top,)), axis=-1,
+                   out=powers[..., 1:])
+        powers = powers.reshape(x.shape[:-1] + (nvars * (self._top + 1),))
+        monomials = np.multiply.reduce(powers.take(self._factor_index, axis=-1), axis=-1)
         return (monomials @ self.coefficients.T).reshape(x.shape[:-1] + self.shape)
 
 
@@ -215,6 +237,12 @@ def _newton_batch(
     "no_convergence".  Returns the final points, the outcome of each row, and
     its residual max |g_a| and smallest singular value at the stop (both nan
     when it did not stop).
+
+    Each point is evaluated once: the seeds' values before the first step,
+    then each candidate of the line search.  A row carries into its next
+    step the values of the candidate it accepted, or, when no halving
+    reduced its residual, those of the full step x - step, which was its
+    first candidate.
     """
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
@@ -223,9 +251,9 @@ def _newton_batch(
     residual = np.full(len(x), np.nan)
     sigma_min = np.full(len(x), np.nan)
     live = np.arange(len(x))
+    values = spec.values(x)
     for _ in range(maxiter):
         x_live = x[live]
-        values = spec.values(x_live)
         base = np.max(np.abs(values), axis=1)
         done = base < tol
         if done.any():
@@ -244,16 +272,21 @@ def _newton_batch(
         # backtracking: each row accepts its first damped step that reduces its residual
         pending = np.arange(len(live))
         scale = 1.0
-        for _halving in range(25):
+        for halving in range(25):
             candidate = x_live[pending] - scale * step[pending]
-            better = np.max(np.abs(spec.values(candidate)), axis=1) < base[pending]
+            found = spec.values(candidate)
+            if not halving:
+                full_step = found  # every row's x - step, in the order of live
+            better = np.max(np.abs(found), axis=1) < base[pending]
             x_live[pending[better]] = candidate[better]
+            values[pending[better]] = found[better]
             pending = pending[~better]
             if not pending.size:
                 break
             scale *= 0.5
         # no improvement found; let the iteration budget decide
         x_live[pending] -= step[pending]
+        values[pending] = full_step[pending]
         x[live] = x_live
     return x, outcomes, residual, sigma_min
 
@@ -306,13 +339,16 @@ def _quota(
         rate = (tallies["converged"] + 1) / (attempt + 1)
         wanted = ceil(max(count - tallies["converged"], 1) / rate)
         chunk = range(attempt, min(attempt + min(wanted, cap), max_attempts))
-        draws = [np.random.default_rng([rng_seed, i]).standard_normal(spec.nvars) for i in chunk]
-        norms = np.array([np.linalg.norm(draw) for draw in draws])
+        draws = np.array(
+            [np.random.default_rng([rng_seed, i]).standard_normal(spec.nvars) for i in chunk])
+        # row @ column is the dot product that np.linalg.norm takes of one
+        # draw, so every norm is bit for bit that of its draw alone
+        norms = np.sqrt(draws[:, None, :] @ draws[:, :, None]).reshape(len(chunk))
         drawn = norms >= 1e-12
         outcomes = np.full(len(chunk), "no_convergence", dtype=object)
         points = np.zeros((len(chunk), spec.nvars))
         residuals, regularity = np.full((2, len(chunk)), np.nan)
-        seeds = np.array(draws)[drawn] / norms[drawn, None]
+        seeds = draws[drawn] / norms[drawn, None]
         points[drawn], outcomes[drawn], residuals[drawn], regularity[drawn] = _newton_batch(
             spec, seeds, tol, maxiter)
         values = [None] * len(chunk)

@@ -34,7 +34,9 @@ several products in one accumulator.  `partial` and `laplacian`, which
 so a change of storage touches this one alone.  Exponent tuples appear
 only at the boundary: the constructor takes a map from them to
 coefficients, and `items`, `coefficient` and `leading_term` unpack keys and
-build GaussianRational coefficients on demand.
+build GaussianRational coefficients on demand; `real_float_items` unpacks
+them beside the float real parts that the numeric layer compiles, and
+`variables` names the variables that occur, from one unpack.
 
 The only floating-point operation is `evaluate`, which sums the terms in the
 canonical graded-lexicographic order so results are reproducible run to run.
@@ -42,11 +44,14 @@ canonical graded-lexicographic order so results are reproducible run to run.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -191,9 +196,14 @@ def _pack(exps: Exponents) -> int:
 
 
 def _unpack(key: int, nvars: int) -> Exponents:
-    """Exponent tuple of a key, the inverse of `_pack`."""
-    return tuple([(key >> shift) & MAX_DEGREE
-                  for shift in range(_shift(nvars, 1), -1, -FIELD_BITS)])
+    """Exponent tuple of a key, the inverse of `_pack`.
+
+    One conversion of the key to big-endian bytes and one unpack of its
+    fields as 32-bit unsigned ints ("I", which is FIELD_BITS), skipping the
+    degree field on top.  Shifting the key once per field would cost O(N)
+    per shift of an N-field key, O(N^2) per key.
+    """
+    return struct.unpack(f">4x{nvars}I", key.to_bytes(4 * (nvars + 1), "big"))
 
 
 def _check_degree(degree: int) -> None:
@@ -352,6 +362,27 @@ class Polynomial:
         nvars = self.nvars
         return ((_unpack(key, nvars), self._coefficient(self._pairs[key]))
                 for key in sorted(self._pairs, reverse=True))
+
+    def real_float_items(self) -> Iterator[Tuple[Exponents, float]]:
+        """Terms in the order of `items`, as (exps, float of the real part).
+
+        The float is re / D straight from the stored pair, with no Fraction
+        built: Python's int true division is correctly rounded, as
+        float(Fraction) is, so it is the same float.  A real part past the
+        float range raises OverflowError when its term is reached.
+        """
+        nvars, den = self.nvars, self._den
+        return ((_unpack(key, nvars), self._pairs[key][0] / den)
+                for key in sorted(self._pairs, reverse=True))
+
+    def variables(self) -> Tuple[int, ...]:
+        """1-based indices, ascending, of the variables that occur in some term.
+
+        The fields of the OR of all keys are nonzero exactly where some
+        term's are (an OR never carries), so this is one unpack.
+        """
+        fields = _unpack(reduce(or_, self._pairs, 0), self.nvars)
+        return tuple(i for i, e in enumerate(fields, start=1) if e)
 
     def coefficient(self, exps: Sequence[int]) -> GaussianRational:
         exps = tuple(exps)

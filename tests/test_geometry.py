@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigensphere.calculus import gradient, hessian
+from eigensphere.calculus import gradient, hess_grad_grad, hessian
 from eigensphere.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -32,7 +32,7 @@ from eigensphere.geometry import (
     sphere_constraint,
     stereographic,
 )
-from eigensphere.minimality import line_pullback
+from eigensphere.minimality import lawson_polynomial, line_pullback
 from eigensphere.parsing import parse
 from eigensphere.polynomial import Polynomial
 
@@ -120,6 +120,22 @@ class TestVarietySpec:
             tracemalloc.stop()
         assert peak < 8 * geometry.CHUNK_FLOATS * 8
 
+    def test_high_degree_table_matches_evaluate(self):
+        # Q of the (5,3) Lawson line pullback has degree 20 and exponents up to
+        # 15; with its gradient and x3^16 - 2 the table's monomials have 0 to 4
+        # variables, so most rows are padded to the widest
+        q = hess_grad_grad(line_pullback(lawson_polynomial(5, 3), 1, 0))
+        polys = [q, *gradient(q), parse("x3^16 - 2", 4)]
+        compiled = CompiledPolys(4, polys, (len(polys),))
+        assert compiled.exponents.max() >= 15
+        assert set(np.count_nonzero(compiled.exponents, axis=1)) == {0, 1, 2, 3, 4}
+        x = np.random.default_rng(11).standard_normal((20, 4))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        batch = compiled(x)
+        for row, point in zip(batch, x):
+            expected = _per_entry(polys, point)
+            assert_allclose(row, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+
     def test_empty_table(self):
         # the Hessians of linear constraints are all zero: no monomial at all
         linear = [parse("x1 - 2*x3", 4), parse("3*x2 + x4", 4)]
@@ -173,6 +189,25 @@ class TestNewtonProject:
         spec = VarietySpec(3, [])
         with pytest.raises(DimensionMismatch):
             newton_project(spec, [1.0, 0.0])
+
+    def test_each_point_evaluated_once(self):
+        # the values of an accepted candidate, or of the full step when the
+        # line search fails, are carried to the next step, not evaluated again
+        spec = VarietySpec(6, _real_parts("z1^3 + z2^3 + z3^3", 6))
+        seeds = np.random.default_rng(12).standard_normal((200, 6))
+        seeds /= np.linalg.norm(seeds, axis=1)[:, None]
+        evaluated = []
+        values = spec.values
+
+        def recorded(x):
+            evaluated.extend(map(tuple, np.atleast_2d(x)))
+            return values(x)
+
+        spec.values = recorded
+        _points, outcomes, _residual, _sigma = geometry._newton_batch(
+            spec, seeds, geometry.DEFAULT_TOL, geometry.DEFAULT_MAXITER)
+        assert np.all(outcomes == "converged")
+        assert len(set(evaluated)) == len(evaluated)
 
 
 def _real_parts(text, nvars):

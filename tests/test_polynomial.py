@@ -17,7 +17,9 @@ from eigensphere.errors import (
     ZeroPolynomial,
 )
 from eigensphere.parsing import parse
-from eigensphere.polynomial import MAX_DEGREE, GaussianRational, Polynomial, r_squared
+from eigensphere.polynomial import (
+    FIELD_BITS, MAX_DEGREE, GaussianRational, Polynomial, _pack, _unpack, r_squared,
+)
 
 from conftest import assert_canonical, random_poly, random_rational_poly
 
@@ -174,6 +176,41 @@ class TestPackedKeys:
         assert middle.exact_divide(x(1)) is None
         assert middle.exact_divide(Polynomial.monomial(3, (0, top, 0), 2)) == \
             Polynomial.constant(3, Fraction(5, 2))
+
+    @pytest.mark.parametrize("nvars", [1, 6, 1000])
+    def test_unpack_roundtrip(self, nvars):
+        # one field at MAX_DEGREE (the most a key can hold) in each position
+        # that matters, and a spread of small fields; checked against a shift
+        # per field
+        def shifted(key):
+            return tuple((key >> (FIELD_BITS * (nvars - i))) & MAX_DEGREE
+                         for i in range(1, nvars + 1))
+
+        rng = np.random.default_rng(nvars)
+        cases = [tuple(int(e) for e in rng.integers(0, 4, nvars)), (0,) * nvars]
+        for position in sorted({0, nvars // 2, nvars - 1}):
+            exps = [0] * nvars
+            exps[position] = MAX_DEGREE
+            cases.append(tuple(exps))
+        for exps in cases:
+            key = _pack(exps)
+            assert _unpack(key, nvars) == shifted(key) == exps
+
+    def test_real_float_items_match_items(self):
+        rng = np.random.default_rng(13)
+        third = Fraction(10**400 + 1, 3 * 10**100)  # a numerator past float range
+        polys = [random_rational_poly(rng, 4) for _ in range(20)]
+        polys.append(Polynomial(2, {(1, 0): third, (0, 2): GaussianRational(1, third)}))
+        for p in polys:
+            assert list(p.real_float_items()) == [(e, float(c.re)) for e, c in p.items()]
+        with pytest.raises(OverflowError):
+            list(Polynomial(2, {(1, 0): 10**400}).real_float_items())
+
+    def test_variables(self):
+        assert Polynomial.zero(3).variables() == Polynomial.constant(3, 5).variables() == ()
+        assert parse("x3^2*x1 - x1 + 7", 4).variables() == (1, 3)
+        assert Polynomial.monomial(3, (0, MAX_DEGREE, 0)).variables() == (2,)
+        assert r_squared(1000).variables() == tuple(range(1, 1001))
 
     def test_degree_limit(self):
         top = MAX_DEGREE
