@@ -50,12 +50,12 @@ EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
-# the numeric layer grows as N^2 in memory and faster in time: VarietySpec
+# the numeric layer grows as N^2 in memory and faster in time: codimension 2
 # compiles an N x N table of second partials per constraint and
-# mean_curvature contracts N x N arrays per point.  `minimal-zero --poly z1
-# --samples 5` took 34 s and 150 MB at 1,000 variables (31 s in
-# mean_curvature, 2.7 s building the spec) and 1.0 s and 44 MB at 256
-# (2-CPU x86_64 Xeon)
+# mean_curvature multiplies N x N arrays per point.  `minimal-zero --poly z1
+# --samples 5` took 3.2-4.1 s and 152 MB at 1,000 variables (2.7 s in
+# mean_curvature, about 2.0 s of it building the Hessian table, and 1.4 s
+# building the spec) and 0.13-0.17 s and 45 MB at 256 (2-CPU x86_64 Xeon)
 MAX_VARS = 256
 
 

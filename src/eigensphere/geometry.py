@@ -1,24 +1,27 @@
 """Numerical geometry of polynomial varieties intersected with the unit sphere.
 
 This is the floating-point layer.  Everything symbolic (constraints, their
-gradients and Hessians) is prepared exactly once per VarietySpec and
-compiled into CompiledPolys tables, which are the only way this layer
-evaluates polynomials, at one point or at a batch of points.  A table forms
-the powers x_v^k by repeated multiplication and each monomial as a product
-over its variables of nonzero exponent only, so a degree-d monomial is
-rounded at most d - 1 times; the roundoff factor (deg + terms) * 2^-53 of
-minimality's reliability bound rests on that.  Newton evaluates each point
-once: a step carries the values of the point it moved to into the next step.
-The numerics are Newton projection with a rank-revealing least-squares step,
-seeded Gaussian sampling, and the level-set second-fundamental-form trace
-that yields mean-curvature components of the cut-out submanifold.  The
-seeded attempt loop exists once, as _quota: it runs Newton on a chunk of
-attempts at once (_newton_batch, of which newton_project is the batch of
-one), calls an optional measure once per chunk on the chunk's converged
-points, tallies each attempt in order, keeps the points whose value is not
-None, and stops at its quota.  `sample` and both minimality checks take
-their points through it.  The residual and regularity of a sampled point are
-those of the Newton step at which it converged.
+gradients and Hessians) is prepared at most once per VarietySpec, the
+Hessians only when mean_curvature first asks for them, and compiled into
+CompiledPolys tables, which are the only way this layer evaluates
+polynomials, at one point or at a batch of points.  A table forms the powers
+x_v^k by repeated multiplication and each monomial as a product over its
+variables of nonzero exponent only, so a degree-d monomial is rounded at
+most d - 1 times; the roundoff factor (deg + terms) * 2^-53 of minimality's
+reliability bound rests on that.  Newton evaluates each point once: a step
+carries the values of the point it moved to into the next step.  The
+numerics are Newton projection with a minimum-norm least-squares step (one
+stacked QR, and the SVD with its singular-value cutoff for the rows that QR
+cannot prove far from that cutoff), seeded Gaussian sampling, and the
+level-set second-fundamental-form trace that yields mean-curvature
+components of the cut-out submanifold.  The seeded attempt loop exists once,
+as _quota: it runs Newton on a chunk of attempts at once (_newton_batch, of
+which newton_project is the batch of one), calls an optional measure once
+per chunk on the chunk's converged points, tallies each attempt in order,
+keeps the points whose value is not None, and stops at its quota.  `sample`
+and both minimality checks take their points through it.  The residual and
+regularity of a sampled point are those of the Newton step at which it
+converged.
 
 Every caller uses the same thresholds, so they are module constants:
   * EPS_REG = 1e-8: a point is regular when the smallest singular value of
@@ -44,7 +47,9 @@ Conventions:
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil, isfinite
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -150,10 +155,11 @@ class CompiledPolys:
 class VarietySpec:
     """Real polynomial constraints intersected with the unit sphere.
 
-    Gradients and Hessians of every constraint are computed symbolically at
-    construction and compiled into three CompiledPolys tables (values,
-    Jacobian, Hessians), through which all later evaluation goes; values
-    and jacobian take one point (N,) or a batch (B, N).
+    The constraints and their gradients are compiled at construction into
+    two CompiledPolys tables (values, Jacobian); the Hessians, which only
+    mean_curvature reads, are computed symbolically and compiled into a third
+    table on first use.  All later evaluation goes through these tables;
+    values, jacobian and hessian_at take one point (N,) or a batch (B, N).
     """
 
     def __init__(self, nvars: int, constraints: Sequence[Polynomial]):
@@ -174,13 +180,18 @@ class VarietySpec:
                 f"dimension in {nvars} variables"
             )
         self.nvars = nvars
-        full = [sphere_constraint(nvars), *constraints]
-        m = len(full)
-        self._values = CompiledPolys(nvars, full, (m,))
+        self._constraints = (sphere_constraint(nvars), *constraints)
+        m = len(self._constraints)
+        self._values = CompiledPolys(nvars, self._constraints, (m,))
         self._jacobian = CompiledPolys(
-            nvars, [d for g in full for d in gradient(g)], (m, nvars))
-        self._hessians = CompiledPolys(
-            nvars, [e for g in full for row in hessian(g) for e in row], (m, nvars, nvars))
+            nvars, [d for g in self._constraints for d in gradient(g)], (m, nvars))
+
+    @cached_property
+    def _hessians(self) -> CompiledPolys:
+        m = len(self._constraints)
+        return CompiledPolys(
+            self.nvars, [e for g in self._constraints for row in hessian(g) for e in row],
+            (m, self.nvars, self.nvars))
 
     @property
     def num_equations(self) -> int:
@@ -205,11 +216,12 @@ def newton_project(
 ) -> np.ndarray:
     """Project a seed onto the variety by least-squares Newton iteration.
 
-    Each step solves the local linearization in the minimum-norm sense via a
-    singular-value cutoff, so rank-deficient Jacobians do not blow up the
-    step; they either still converge (then SingularJacobian is raised when
-    the smallest singular value of the Jacobian there is below EPS_REG) or
-    stall into NonConvergence.  This is _newton_batch on a batch of one seed.
+    Each step solves the local linearization in the minimum-norm sense with
+    a singular-value cutoff (see _newton_steps), so rank-deficient Jacobians
+    do not blow up the step; they either still converge (then
+    SingularJacobian is raised when the smallest singular value of the
+    Jacobian there is below EPS_REG) or stall into NonConvergence.  This is
+    _newton_batch on a batch of one seed.
     """
     x = np.asarray(seed, dtype=float)
     if x.shape != (spec.nvars,):
@@ -236,7 +248,9 @@ def _newton_batch(
     otherwise; a row that never stops within maxiter steps is
     "no_convergence".  Returns the final points, the outcome of each row, and
     its residual max |g_a| and smallest singular value at the stop (both nan
-    when it did not stop).
+    when it did not stop).  The steps come from _newton_steps, a stacked QR
+    for the rows whose singular values it proves above the cutoff; the
+    smallest singular value at the stop always comes from a values-only SVD.
 
     Each point is evaluated once: the seeds' values before the first step,
     then each candidate of the line search.  A row carries into its next
@@ -264,11 +278,7 @@ def _newton_batch(
             live, x_live, values, base = live[~done], x_live[~done], values[~done], base[~done]
         if not live.size:
             break
-        u, s, vt = np.linalg.svd(spec.jacobian(x_live), full_matrices=False)
-        cutoff = np.maximum(EPS_REG * 1e-4, s[:, :1] * 1e-14)
-        inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-        coords = inv * np.einsum("bmk,bm->bk", u, values)
-        step = np.einsum("bkn,bk->bn", vt, coords)
+        step = _newton_steps(spec.jacobian(x_live), values)
         # backtracking: each row accepts its first damped step that reduces its residual
         pending = np.arange(len(live))
         scale = 1.0
@@ -289,6 +299,45 @@ def _newton_batch(
         values[pending] = full_step[pending]
         x[live] = x_live
     return x, outcomes, residual, sigma_min
+
+
+def _newton_steps(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares steps s_b with jac_b s_b = values_b, (B, m, N) -> (B, N).
+
+    The step of a row is V S^+ U^T g from the SVD of its Jacobian, where S^+
+    inverts the singular values above max(EPS_REG * 1e-4, 1e-14 sigma_max)
+    and drops the rest.  Every row is first factored by one stacked QR,
+    J^T = Q R.  Since sigma_min = |det R| / (product of the other singular
+    values) >= |det R| / ||R||_F^(m-1), and sigma_max <= ||R||_F, a row with
+    |det R| / ||R||_F^(m-1) > max(EPS_REG * 1e-4, 1e-14 ||R||_F) has no
+    singular value at or below the cutoff; its step is the full-rank
+    minimum-norm solution Q R^-T g, by forward substitution.  Only the other
+    rows, rank-deficient or nearly so, take the SVD.  The bound is formed as
+    ||R||_F * prod_k (|R_kk| / ||R||_F), whose factors are at most 1, so it
+    overflows only with ||R||_F itself; a row whose ||R||_F overflows (or is
+    zero) reads nan, which compares false, and takes the SVD.
+    """
+    q, r = np.linalg.qr(np.swapaxes(jac, 1, 2))
+    m = r.shape[-1]
+    pivots = np.diagonal(r, axis1=1, axis2=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        frobenius = np.linalg.norm(r, axis=(1, 2))
+        bound = np.prod(np.abs(pivots) / frobenius[:, None], axis=1) * frobenius
+    by_qr = bound > np.maximum(EPS_REG * 1e-4, frobenius * 1e-14)
+    steps = np.empty((len(jac), jac.shape[2]))
+    if by_qr.any():
+        r_qr, g = r[by_qr], values[by_qr]
+        y = np.empty_like(g)
+        for k in range(m):  # R^T y = g, lower triangular
+            y[:, k] = (g[:, k] - np.einsum("bj,bj->b", r_qr[:, :k, k], y[:, :k])) / r_qr[:, k, k]
+        steps[by_qr] = np.einsum("bnk,bk->bn", q[by_qr], y)
+    if not by_qr.all():
+        u, s, vt = np.linalg.svd(jac[~by_qr], full_matrices=False)
+        cutoff = np.maximum(EPS_REG * 1e-4, s[:, :1] * 1e-14)
+        inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+        coords = inv * np.einsum("bmk,bm->bk", u, values[~by_qr])
+        steps[~by_qr] = np.einsum("bkn,bk->bn", vt, coords)
+    return steps
 
 
 @dataclass
@@ -314,22 +363,32 @@ def _quota(
 
     Attempt i projects the normalized draw of default_rng([rng_seed, i]), so
     results do not depend on execution order; a draw of norm below 1e-12 is
-    no_convergence.  Attempts run in chunks through _newton_batch: each
-    chunk is the number of attempts that, at the converged rate so far,
-    should bring the converged count to count, capped so that no temporary
-    exceeds about 256 KB.  measure(points) is called once per chunk on its
-    converged points (B, N) in attempt order and returns one value per
-    point; a point whose value is None is not kept.  Every attempt up to the
-    one that fills the quota is tallied as converged, no_convergence or
-    singular.  Returns the kept (attempt, point, residual, regularity,
-    value) tuples (value None without a measure), where residual and
-    regularity are max |g_a| and the smallest singular value of the
-    Jacobian at the Newton step that converged, the tallies and, when the
-    quota is not full, the shortfall message naming both (else None).
+    no_convergence.  For i >= 1 the generator is seeded with the integer
+    (i << 32 w) | rng_seed, w the number of 32-bit words of rng_seed, whose
+    words numpy reads as exactly those of [rng_seed, i], so every draw is
+    the same, and the integer is cheaper to convert than the list.  Attempt
+    0 keeps the list: the integer would drop its trailing zero word, which
+    changes the stream for seeds of more than three words.  Attempts run in
+    chunks through _newton_batch: each chunk is the number of attempts that,
+    at the converged rate so far, should bring the converged count to count,
+    capped so that no temporary exceeds about 256 KB.  measure(points) is
+    called once per chunk on its converged points (B, N) in attempt order
+    and returns one value per point; a point whose value is None is not
+    kept.  Every attempt up to the one that fills the quota is tallied as
+    converged, no_convergence or singular.  Returns the kept (attempt,
+    point, residual, regularity, value) tuples (value None without a
+    measure), where residual and regularity are max |g_a| and the smallest
+    singular value of the Jacobian at the Newton step that converged, the
+    tallies and, when the quota is not full, the shortfall message naming
+    both (else None).
     """
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     cap = max(1, CHUNK_FLOATS // max(spec._values.point_floats, spec._jacobian.point_floats))
+    # a numpy integer becomes a Python int, whose shifts do not wrap; a float
+    # raises TypeError, and a negative rng_seed numpy's ValueError at attempt 0
+    rng_seed = operator.index(rng_seed)
+    shift = 32 * max(1, -(-rng_seed.bit_length() // 32))
     tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
     kept = []
     attempt = 0
@@ -339,8 +398,9 @@ def _quota(
         rate = (tallies["converged"] + 1) / (attempt + 1)
         wanted = ceil(max(count - tallies["converged"], 1) / rate)
         chunk = range(attempt, min(attempt + min(wanted, cap), max_attempts))
-        draws = np.array(
-            [np.random.default_rng([rng_seed, i]).standard_normal(spec.nvars) for i in chunk])
+        draws = np.array([
+            np.random.default_rng((i << shift) | rng_seed if i else [rng_seed, 0])
+            .standard_normal(spec.nvars) for i in chunk])
         # row @ column is the dot product that np.linalg.norm takes of one
         # draw, so every norm is bit for bit that of its draw alone
         norms = np.sqrt(draws[:, None, :] @ draws[:, :, None]).reshape(len(chunk))
@@ -434,16 +494,20 @@ def mean_curvature(spec: VarietySpec, x: Sequence[float]) -> CurvatureSample:
     tangent space is the orthogonal complement.  Minimality of the cut-out
     submanifold inside the sphere is the vanishing of all components for
     b >= 1; the radial component is the dimension check -dim M.  A batch
-    runs in blocks of rows, each one stacked SVD, complete QR, einsum and
-    solve, so that no temporary exceeds CHUNK_FLOATS floats beyond one
-    point's own; one point is the batch of one.  Raises OffVariety when any
+    runs in blocks of rows, each one stacked SVD, complete QR, Hessian-times-
+    tangent-basis matrix product, trace and solve, so that no temporary
+    exceeds CHUNK_FLOATS floats beyond one point's own; one point is the
+    batch of one.  Raises OffVariety when any
     residual max |g_a| exceeds OFF_VARIETY_TOL and SingularJacobian when any
     smallest singular value of the Jacobian is below EPS_REG.
     """
     points = np.atleast_2d(np.asarray(x, dtype=float))
     m = spec.num_equations
-    rows = max(1, CHUNK_FLOATS // max(
-        spec._values.point_floats, spec._jacobian.point_floats, spec._hessians.point_floats))
+    n = spec.nvars
+    # a point's Hessians and its (m, N, N - m) products with the tangent basis
+    # are alive at once
+    rows = max(1, CHUNK_FLOATS // max(spec._values.point_floats, spec._jacobian.point_floats,
+                                      spec._hessians.point_floats + m * n * (n - m)))
     components = np.empty((len(points), m))
     sigma = np.empty(len(points))
     for start in range(0, len(points), rows):
@@ -459,7 +523,8 @@ def mean_curvature(spec: VarietySpec, x: Sequence[float]) -> CurvatureSample:
                 f"smallest singular value {np.min(sigma[span]):.3e} below {EPS_REG:.1e}")
         q, r = np.linalg.qr(np.swapaxes(jac, 1, 2), mode="complete")
         tangent = q[:, :, m:]
-        traces = np.einsum("bni,banm,bmi->ba", tangent, spec.hessian_at(block), tangent)
+        # sum_i e_i^T H_a e_i, with H_a e_i for every i as one matrix product
+        traces = np.einsum("bni,bani->ba", tangent, spec.hessian_at(block) @ tangent[:, None])
         pivots = np.diagonal(r, axis1=1, axis2=2)
         # b as a stack of column vectors reads the same under numpy 1.x and 2.x
         solved = np.linalg.solve(np.swapaxes(r[:, :m], 1, 2), traces[..., None])[..., 0]

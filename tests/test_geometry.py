@@ -374,9 +374,12 @@ class TestBatchMatchesOneAtATime:
             def standard_normal(self, size):
                 return np.zeros(size)
 
+        # the key is [seed, attempt] or the integer (attempt << 32) | seed;
+        # every seed here is below 2^32
         monkeypatch.setattr(
             np.random, "default_rng",
-            lambda key: ZeroDraw() if key[1] in zeros else default_rng(key))
+            lambda key: ZeroDraw() if (key[1] if isinstance(key, list) else key >> 32) in zeros
+            else default_rng(key))
         spec = VarietySpec(nvars, constraints)
         expected = one_at_a_time(project, spec, seed, attempts, **newton_kwargs)
         # every point rejected: all attempts run, past the quota the chunks are sized for
@@ -463,6 +466,143 @@ class TestQuotaMeasure:
         kept, tallies, shortfall = _quota(spec, 12, 3, 40)
         assert shortfall is None and len(kept) == 12 == tallies["converged"]
         assert [value for *_rest, value in kept] == [None] * 12
+
+
+def svd_steps(jac, values, eps_reg=1e-8):
+    """Reference: each row's minimum-norm step through its own SVD and cutoff."""
+    steps = []
+    for matrix, g in zip(jac, values):
+        u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+        cutoff = max(eps_reg * 1e-4, s[0] * 1e-14)
+        inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+        steps.append(vt.T @ (inv * (u.T @ g)))
+    return np.array(steps)
+
+
+def svd_inputs(monkeypatch):
+    """Record every stacked matrix that np.linalg.svd receives from now on."""
+    seen, svd = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return seen
+
+
+def assert_close_steps(steps, expected):
+    # a stacked SVD contracts in another order than a row's own, and the
+    # truncated steps here are well conditioned
+    assert np.all(np.linalg.norm(steps - expected, axis=1)
+                  <= 1e-13 * np.linalg.norm(expected, axis=1)), (steps, expected)
+
+
+STACK_KINDS = ("plain", "scaled", "nearly-dependent")
+
+
+def jacobian_stack(m, n, kind, rows=40):
+    rng = np.random.default_rng([m, n, STACK_KINDS.index(kind)])
+    jac, values = rng.standard_normal((rows, m, n)), rng.standard_normal((rows, m))
+    if kind == "scaled":  # the whole Jacobian, and each row apart
+        jac *= 10.0 ** rng.integers(-4, 7, (rows, 1, 1)) * 10.0 ** rng.integers(-2, 3, (rows, m, 1))
+    if kind == "nearly-dependent":  # the last row within 1e-2 .. 1e-6 of the first
+        jac[:, -1] = jac[:, 0] + 10.0 ** rng.integers(-6, -1, (rows, 1)) * jac[:, -1]
+    return jac, values
+
+
+class TestNewtonSteps:
+    @pytest.mark.parametrize("kind", STACK_KINDS)
+    @pytest.mark.parametrize("m, n", [(m, n) for m in (1, 2, 3) for n in range(3, 9) if m < n])
+    def test_qr_step_is_the_svd_step(self, monkeypatch, m, n, kind):
+        jac, values = jacobian_stack(m, n, kind)
+        expected = svd_steps(jac, values)
+        seen = svd_inputs(monkeypatch)
+        steps = geometry._newton_steps(jac, values)
+        # every row's bound holds, so no row reaches the SVD
+        assert seen == []
+        # both steps are backward stable, so they agree to the Jacobian's
+        # conditioning: 1e-13 up to condition 10, proportionally beyond
+        cond = np.linalg.cond(jac)
+        error = np.linalg.norm(steps - expected, axis=1) / np.linalg.norm(expected, axis=1)
+        assert np.all(error <= 1e-13 * np.maximum(1.0, cond / 10)), (error / cond).max()
+
+    def test_dependent_constraints_take_the_svd(self, monkeypatch):
+        # rows x, e4 and 2 e4: rank 2 at every point
+        spec = VarietySpec(5, [parse("x4", 5), parse("2*x4", 5)])
+        x = np.random.default_rng(3).standard_normal((6, 5))
+        jac, values = spec.jacobian(x), spec.values(x)
+        expected = svd_steps(jac, values)
+        seen = svd_inputs(monkeypatch)
+        steps = geometry._newton_steps(jac, values)
+        assert len(seen) == 1 and np.array_equal(seen[0], jac)
+        assert_close_steps(steps, expected)
+
+    @pytest.mark.parametrize("jac, by_svd", [
+        # an exact zero pivot: the last row repeats the first
+        (np.array([[[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [1.0, 2.0, 0.0, 1.0]]]), True),
+        # a zero Jacobian: ||R||_F^(m-1) is 0
+        (np.zeros((1, 2, 4)), True),
+        # entries whose ||R||_F overflows
+        (1e160 * np.random.default_rng(5).standard_normal((1, 3, 5)), True),
+        # |det R| overflows, and |det R| / ||R||_F^2 = 5 is far below the
+        # cutoff 1e-14 sigma_max, which drops the third singular value
+        (np.diag([9e153, 9e153, 10.0, 0.0])[None, :3], True),
+        # ||R||_F is finite and ||R||_F^3 overflows; no singular value is near the cutoff
+        (1e120 * np.random.default_rng(6).standard_normal((1, 4, 6)), False),
+    ], ids=["zero-pivot", "zero", "frobenius-overflows", "determinant-overflows",
+            "power-overflows"])
+    def test_extreme_rows_without_warning(self, monkeypatch, jac, by_svd):
+        # pyproject turns every RuntimeWarning into an error
+        values = np.ones(jac.shape[:2])
+        expected = svd_steps(jac, values)
+        seen = svd_inputs(monkeypatch)
+        steps = geometry._newton_steps(jac, values)
+        assert len(seen) == by_svd
+        assert_close_steps(steps, expected)
+
+    def test_rows_split_between_the_branches(self, monkeypatch):
+        jac, values = jacobian_stack(2, 5, "plain", rows=6)
+        jac[[1, 4], 1] = 3 * jac[[1, 4], 0]
+        expected = svd_steps(jac, values)
+        seen = svd_inputs(monkeypatch)
+        steps = geometry._newton_steps(jac, values)
+        assert len(seen) == 1 and np.array_equal(seen[0], jac[[1, 4]])
+        assert_close_steps(steps, expected)
+
+
+# seeds of one to four uint32 words, one of four words plus a bit, and a
+# numpy integer
+DRAW_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3, np.uint64(2**63 + 7)]
+
+
+class TestAttemptDraws:
+    @pytest.mark.parametrize("rng_seed", DRAW_SEEDS)
+    def test_draws_are_those_of_seed_and_attempt(self, monkeypatch, rng_seed):
+        spec = VarietySpec(5, [parse("x1*x2 - x3^2", 5)])
+        seeds = []
+
+        def no_newton(_spec, batch, _tol, _maxiter):
+            seeds.append(batch)
+            return (batch, np.full(len(batch), "no_convergence", dtype=object),
+                    *np.full((2, len(batch)), np.nan))
+
+        monkeypatch.setattr(geometry, "_newton_batch", no_newton)
+        _kept, tallies, _shortfall = _quota(spec, 1, rng_seed, 41)
+        assert tallies["no_convergence"] == 41
+        draws = [np.random.default_rng([rng_seed, attempt]).standard_normal(5)
+                 for attempt in range(41)]
+        expected = np.array([draw / np.linalg.norm(draw) for draw in draws])
+        assert np.array_equal(np.concatenate(seeds), expected)
+
+    def test_negative_or_float_seed_raises(self):
+        spec, _q = clifford_spec()
+        with pytest.raises(ValueError):
+            _quota(spec, 1, -1, 5)
+        with pytest.raises(ValueError):
+            sample(spec, 1, rng_seed=-(2**40))
+        with pytest.raises(TypeError):
+            _quota(spec, 1, 1.5, 5)
 
 
 def _gram_schmidt_tracked(rows):

@@ -67,7 +67,9 @@ def plant_draws(monkeypatch, draw):
             return np.zeros(size) + self.vector
 
     def rng(seed):
-        vector = draw(seed[1])
+        # [rng_seed, attempt] or the integer (attempt << 32) | rng_seed; every
+        # rng_seed here is below 2^32
+        vector = draw(seed[1] if isinstance(seed, list) else seed >> 32)
         return default_rng(seed) if vector is None else Planted(vector)
 
     monkeypatch.setattr(np.random, "default_rng", rng)
@@ -396,6 +398,33 @@ class TestCheckMinimalCodim2:
         assert payload["samples"] == 30
         assert payload["max_residual"] < 1e-8
 
+
+class TestHessianTableIsLazy:
+    """Only codim-2's mean_curvature reads the Hessians, so only it builds them."""
+
+    @pytest.fixture
+    def hessian_calls(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return hessian(p)
+
+        monkeypatch.setattr(geometry, "hessian", counting)
+        return calls
+
+    def test_sample_and_codim1_build_none(self, hessian_calls):
+        geometry.sample(VarietySpec(4, [parse("x1*x2 - x3*x4", 4)]), 10, rng_seed=1)
+        verdict = check_minimal_codim1(parse("z1^2*z2", 4), 1, 0, 3, samples=8, rng_seed=3,
+                                       cross_check=True)
+        assert verdict.diagnostics["sampling"]["converged"] >= 8
+        assert hessian_calls == []
+
+    def test_codim2_builds_one_per_equation(self, hessian_calls):
+        verdict = check_minimal_codim2(quadric(), 3, samples=30, rng_seed=5)
+        assert verdict.status == "NumericMinimal"
+        # the sphere, Re F and Im F, once for every chunk of samples
+        assert len(hessian_calls) == 3
 
 # holomorphic cubics on S^5 and lines whose preimages are far from minimal,
 # and a non-isotropic harmonic quadric whose zero fiber is (criteria >= 1)
