@@ -23,7 +23,7 @@ they pass over; kappa is `partial` and one `Polynomial._dot` sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Tuple
+from typing import Iterator, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, ZeroPolynomial
 from .polynomial import I, Polynomial, laplacian, partial, r_squared
@@ -38,19 +38,22 @@ def gradient(p: Polynomial) -> Tuple[Polynomial, ...]:
     return tuple(partial(p, i) for i in range(1, p.nvars + 1))
 
 
-def hessian(p: Polynomial) -> Tuple[Tuple[Polynomial, ...], ...]:
+def hessian(p: Union[Polynomial, Sequence[Polynomial]]) -> Tuple[Tuple[Polynomial, ...], ...]:
     """Rows of second partials; entry [i][j] is d_{i+1} d_{j+1} p, exactly symmetric.
 
+    p is a polynomial or its gradient (d_1 p, ..., d_N p), which a caller
+    that already holds it passes so that no first partial is formed twice.
     d_j of a first partial is taken only for the variables x_j that occur
     in it; every other entry is zero.  An entry left of the diagonal is the
     one above it (Schwarz symmetry): x_j occurs in d_i p exactly when
     d_j d_i p = d_i d_j p is nonzero, so that entry was formed.
     """
-    zero = Polynomial.zero(p.nvars)
+    first_partials = gradient(p) if isinstance(p, Polynomial) else tuple(p)
+    nvars = len(first_partials)
+    zero = Polynomial.zero(nvars)
     rows = []
-    for i in range(p.nvars):
-        first = partial(p, i + 1)
-        row = [zero] * p.nvars
+    for i, first in enumerate(first_partials):
+        row = [zero] * nvars
         for j in first.variables():
             row[j - 1] = rows[j - 1][i] if j <= i else partial(first, j)
         rows.append(row)

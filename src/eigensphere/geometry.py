@@ -21,7 +21,11 @@ per chunk on the chunk's converged points, tallies each attempt in order,
 keeps the points whose value is not None, and stops at its quota.  `sample`
 and both minimality checks take their points through it.  The residual and
 regularity of a sampled point are those of the Newton step at which it
-converged.
+converged.  Attempt i draws default_rng([seed, i]).standard_normal(N) bit
+for bit, but no generator is built per attempt: _AttemptDraws runs
+SeedSequence's hash over a whole chunk of attempts as uint32 array
+operations, then sets the state of one reused PCG64 for each draw.
+search_eigen takes its starting points from it too.
 
 Every caller uses the same thresholds, so they are module constants:
   * EPS_REG = 1e-8: a point is regular when the smallest singular value of
@@ -183,14 +187,16 @@ class VarietySpec:
         self._constraints = (sphere_constraint(nvars), *constraints)
         m = len(self._constraints)
         self._values = CompiledPolys(nvars, self._constraints, (m,))
+        # kept for the Hessians, which differentiate these first partials
+        self._gradients = tuple(gradient(g) for g in self._constraints)
         self._jacobian = CompiledPolys(
-            nvars, [d for g in self._constraints for d in gradient(g)], (m, nvars))
+            nvars, [d for grad in self._gradients for d in grad], (m, nvars))
 
     @cached_property
     def _hessians(self) -> CompiledPolys:
         m = len(self._constraints)
         return CompiledPolys(
-            self.nvars, [e for g in self._constraints for row in hessian(g) for e in row],
+            self.nvars, [e for grad in self._gradients for row in hessian(grad) for e in row],
             (m, self.nvars, self.nvars))
 
     @property
@@ -340,6 +346,133 @@ def _newton_steps(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
     return steps
 
 
+# SeedSequence's hash (numpy's bit_generator.pyx, the stable algorithm of NEP
+# 19), then the multiplier of PCG64's 128-bit linear congruential step
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_MIX_ENTROPY = (0x43B0D7E5, 0x931E8875)  # first hash constant, its multiplier
+_GENERATE_STATE = (0x8B51F9DD, 0x58F38DED)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(count: int, constant: int, multiplier: int) -> np.ndarray:
+    """c_0 .. c_count as a column, c_0 = constant and c_k+1 = c_k * multiplier mod 2^32.
+
+    SeedSequence's k-th hash of a word, counted from 0, xors c_k and
+    multiplies by c_k+1 (_hash).
+    """
+    constants = [constant]
+    for _ in range(count):
+        constants.append(constants[-1] * multiplier & _MASK32)
+    return np.array(constants, np.uint32)[:, None]
+
+
+def _hash(words: np.ndarray, xor: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """h = (v ^ xor) * multiplier, then h ^ (h >> 16); words (K, B) or (B,), constants (K, 1)."""
+    value = (words ^ xor) * multiplier
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> 16
+
+
+# mix_entropy's hashes 4 .. 15 mix each pool word, the source, into the
+# three others in order; as (xor, multiplier) columns over the pool, the
+# source's own slot has the constant 0 and keeps its value
+_ENTROPY_HASHES = _hash_constants(16, *_MIX_ENTROPY)
+_SOURCE_HASHES = [(np.insert(_ENTROPY_HASHES[k:k + 3], source, 0, axis=0),
+                   np.insert(_ENTROPY_HASHES[k + 1:k + 4], source, 0, axis=0))
+                  for source, k in enumerate(range(4, 16, 3))]
+_GENERATE_HASHES = _hash_constants(8, *_GENERATE_STATE)
+
+
+def _uint32_words(n: int) -> List[int]:
+    """The little-endian 32-bit words numpy's SeedSequence reads from n >= 0; [0] for 0."""
+    return [(n >> shift) & _MASK32 for shift in range(0, max(1, n.bit_length()), 32)]
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """The seeds of PCG64(SeedSequence(column)) for every column of entropy (W, B) uint32.
+
+    Returns (4, B) uint64: the high and low halves of initstate, then of
+    initseq.  SeedSequence pools the words with mix_entropy: the first four,
+    padded with zeros, hashed into four pool words, every pool word mixed
+    into each other one, then each word past the fourth into every pool
+    word.  Its generate_state(4, uint64) hashes the pool, cycled twice, into
+    eight words, read in little-endian pairs.  The hash constants evolve the
+    same way whatever the data, so every column runs the same sequence of
+    uint32 array operations, which wrap mod 2^32 as the C code does.
+    """
+    width = len(entropy)
+    constants = _hash_constants(16 + 4 * max(0, width - 4), *_MIX_ENTROPY)
+    pool = np.zeros((4, entropy.shape[1]), np.uint32)
+    pool[:min(width, 4)] = entropy[:4]
+    pool = _hash(pool, constants[:4], constants[1:5])
+    for source, (xor, multiplier) in enumerate(_SOURCE_HASHES):
+        kept = pool[source].copy()
+        pool = _mix(pool, _hash(pool[source], xor, multiplier))
+        pool[source] = kept
+    for k, word in zip(range(16, len(constants), 4), entropy[4:]):
+        pool = _mix(pool, _hash(word, constants[k:k + 4], constants[k + 1:k + 5]))
+    words = _hash(np.concatenate([pool, pool]), _GENERATE_HASHES[:-1],
+                  _GENERATE_HASHES[1:]).astype(np.uint64)
+    return words[0::2] | words[1::2] << np.uint64(32)
+
+
+class _AttemptDraws:
+    """The standard normal draws of seeded attempts, a chunk at a time.
+
+    draws = _AttemptDraws(rng_seed) validates the seed as numpy does: a
+    float raises TypeError and a negative integer ValueError.  Then
+    draws(attempts, nvars) is (B, nvars), and its row j is
+    default_rng([rng_seed, attempts[j]]).standard_normal(nvars) bit for bit.
+    SeedSequence's hash runs over the chunk in array operations
+    (_pcg64_seeds), once for every number of 32-bit words that attempt
+    indices take; then each row takes PCG64's seeding step in Python
+    integers, sets the state of one PCG64, reused by every call, and draws
+    from it.
+    """
+
+    def __init__(self, rng_seed: int):
+        # a numpy integer becomes a Python int, whose shifts do not wrap
+        rng_seed = operator.index(rng_seed)
+        if rng_seed < 0:
+            raise ValueError("expected non-negative integer")
+        self._seed_words = np.array(_uint32_words(rng_seed), np.uint32)[:, None]
+        self._bit_generator = np.random.PCG64(0)
+        self._generator = np.random.Generator(self._bit_generator)
+
+    def __call__(self, attempts: Sequence[int], nvars: int) -> np.ndarray:
+        index = np.array(attempts, dtype=object)
+        seeds = np.empty((4, len(index)), np.uint64)
+        seed_width = len(self._seed_words)
+        rest = np.arange(len(index))
+        width = 1
+        while rest.size:
+            fits = index[rest] < 1 << 32 * width
+            rows, rest = rest[fits], rest[~fits]
+            entropy = np.empty((seed_width + width, len(rows)), np.uint32)
+            entropy[:seed_width] = self._seed_words
+            for word in range(width):
+                entropy[seed_width + word] = (index[rows] >> 32 * word) & _MASK32
+            seeds[:, rows] = _pcg64_seeds(entropy)
+            width += 1
+        draws = np.empty((len(index), nvars))
+        for draw, state_high, state_low, seq_high, seq_low in zip(draws, *seeds.tolist()):
+            # PCG64's seeding: inc = 2 initseq + 1, then one LCG step from
+            # state 0, the addition of initstate, and one more step
+            inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+            state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULT + inc) & _MASK128
+            self._bit_generator.state = {"bit_generator": "PCG64",
+                                         "state": {"state": state, "inc": inc},
+                                         "has_uint32": 0, "uinteger": 0}
+            self._generator.standard_normal(out=draw)
+        return draws
+
+
 @dataclass
 class PointCloud:
     """Converged, regular samples with per-point diagnostics."""
@@ -363,12 +496,9 @@ def _quota(
 
     Attempt i projects the normalized draw of default_rng([rng_seed, i]), so
     results do not depend on execution order; a draw of norm below 1e-12 is
-    no_convergence.  For i >= 1 the generator is seeded with the integer
-    (i << 32 w) | rng_seed, w the number of 32-bit words of rng_seed, whose
-    words numpy reads as exactly those of [rng_seed, i], so every draw is
-    the same, and the integer is cheaper to convert than the list.  Attempt
-    0 keeps the list: the integer would drop its trailing zero word, which
-    changes the stream for seeds of more than three words.  Attempts run in
+    no_convergence.  Each chunk takes its draws from one call of an
+    _AttemptDraws made once per _quota call, which seeds the whole chunk in
+    array operations and gives every draw bit for bit.  Attempts run in
     chunks through _newton_batch: each chunk is the number of attempts that,
     at the converged rate so far, should bring the converged count to count,
     capped so that no temporary exceeds about 256 KB.  measure(points) is
@@ -385,10 +515,7 @@ def _quota(
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     cap = max(1, CHUNK_FLOATS // max(spec._values.point_floats, spec._jacobian.point_floats))
-    # a numpy integer becomes a Python int, whose shifts do not wrap; a float
-    # raises TypeError, and a negative rng_seed numpy's ValueError at attempt 0
-    rng_seed = operator.index(rng_seed)
-    shift = 32 * max(1, -(-rng_seed.bit_length() // 32))
+    attempt_draws = _AttemptDraws(rng_seed)
     tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
     kept = []
     attempt = 0
@@ -398,9 +525,7 @@ def _quota(
         rate = (tallies["converged"] + 1) / (attempt + 1)
         wanted = ceil(max(count - tallies["converged"], 1) / rate)
         chunk = range(attempt, min(attempt + min(wanted, cap), max_attempts))
-        draws = np.array([
-            np.random.default_rng((i << shift) | rng_seed if i else [rng_seed, 0])
-            .standard_normal(spec.nvars) for i in chunk])
+        draws = attempt_draws(chunk, spec.nvars)
         # row @ column is the dot product that np.linalg.norm takes of one
         # draw, so every norm is bit for bit that of its draw alone
         norms = np.sqrt(draws[:, None, :] @ draws[:, :, None]).reshape(len(chunk))
@@ -443,7 +568,9 @@ def sample(
     """Draw Gaussian seeds, project, and keep converged regular points.
 
     Deterministic in rng_seed: attempt i uses its own substream
-    default_rng([rng_seed, i]), so results do not depend on execution order.
+    default_rng([rng_seed, i]), so results do not depend on execution order;
+    the draws come from _quota, a chunk at a time, bit for bit those of that
+    substream.
     Residual and regularity are Newton's own, from the step that converged;
     a point is kept only when its regularity is at least EPS_REG, which
     metadata["eps_reg"] records.
@@ -577,9 +704,10 @@ def export_cloud(cloud: PointCloud, path: str) -> None:
     header += ["residual", "regularity"]
     stereo = [] if cloud.stereo is None else [cloud.stereo]
     table = np.hstack([cloud.points, *stereo, cloud.residuals[:, None], cloud.regularity[:, None]])
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as handle:
-        np.savetxt(handle, table, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=",".join(header), comments="")
+        handle.write(",".join(header) + "\r\n")
+        handle.write((row_format * len(table)) % tuple(table.ravel().tolist()))
 
 
 def read_cloud(path: str) -> PointCloud:

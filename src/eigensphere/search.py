@@ -27,6 +27,7 @@ import numpy as np
 
 from .eigen import verify_eigenfunction
 from .errors import BudgetExceeded
+from .geometry import _AttemptDraws
 from .parsing import render
 from .polynomial import GaussianRational, Polynomial
 
@@ -331,16 +332,20 @@ def search_eigen(
     Returns one SearchResult per attempt, sorted by residual (ties broken by
     attempt index).  Results whose residual is small get a rationalization
     pass; `exact` is filled only when the rounded polynomial verifies exactly.
+    Attempt i starts from the normalized draw
+    default_rng([rng_seed, i]).standard_normal(2 * size), taken, as the
+    sampling attempts take theirs, from geometry's _AttemptDraws.
     """
     if attempts < 0:
         raise ValueError(f"attempts must be >= 0, got {attempts}")
     if denominator_bound < 1:
         raise ValueError(f"denominator bound must be >= 1, got {denominator_bound}")
     system = ResidualSystem(nvars, degree)
+    # every starting point in one call: 2 * size floats per attempt, as many
+    # bytes as the coefficients that each SearchResult keeps
+    starts = _AttemptDraws(rng_seed)(range(attempts), 2 * system.size)
     results: List[SearchResult] = []
-    for attempt in range(attempts):
-        rng = np.random.default_rng([rng_seed, attempt])
-        t0 = rng.standard_normal(2 * system.size)
+    for attempt, t0 in enumerate(starts):
         t0 /= np.linalg.norm(t0)
         t_star, residual = _levenberg_marquardt(system, t0)
         u, v = system.split(t_star)

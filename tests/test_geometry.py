@@ -22,6 +22,7 @@ from eigensphere.geometry import (
     CompiledPolys,
     PointCloud,
     VarietySpec,
+    _AttemptDraws,
     _quota,
     add_stereo,
     export_cloud,
@@ -314,11 +315,14 @@ def newton_reference(spec, seed, tol=1e-12, maxiter=50, eps_reg=1e-8):
     raise NonConvergence("no convergence")
 
 
-def one_at_a_time(project, spec, rng_seed, attempts, **newton_kwargs):
-    """(outcome, point) of every attempt, each projected alone by project."""
+def one_at_a_time(project, spec, rng_seed, attempts, zeros=(), **newton_kwargs):
+    """(outcome, point) of every attempt, each projected alone by project; the
+    attempts in zeros draw all zeros."""
     results = []
     for attempt in range(attempts):
         draw = np.random.default_rng([rng_seed, attempt]).standard_normal(spec.nvars)
+        if attempt in zeros:
+            draw[:] = 0.0
         norm = np.linalg.norm(draw)
         if norm < 1e-12:
             results.append(("no_convergence", None))
@@ -368,20 +372,16 @@ class TestBatchMatchesOneAtATime:
         "nvars, constraints, seed, attempts, quota, newton_kwargs, zeros", BATCH_CASES)
     def test_same_outcomes_and_points(self, monkeypatch, nvars, constraints, seed, attempts,
                                       quota, newton_kwargs, zeros, project):
-        default_rng = np.random.default_rng
+        draws = geometry._AttemptDraws.__call__
 
-        class ZeroDraw:
-            def standard_normal(self, size):
-                return np.zeros(size)
+        def planted(self, chunk, size):
+            drawn = draws(self, chunk, size)
+            drawn[[attempt in zeros for attempt in chunk]] = 0.0
+            return drawn
 
-        # the key is [seed, attempt] or the integer (attempt << 32) | seed;
-        # every seed here is below 2^32
-        monkeypatch.setattr(
-            np.random, "default_rng",
-            lambda key: ZeroDraw() if (key[1] if isinstance(key, list) else key >> 32) in zeros
-            else default_rng(key))
+        monkeypatch.setattr(geometry._AttemptDraws, "__call__", planted)
         spec = VarietySpec(nvars, constraints)
-        expected = one_at_a_time(project, spec, seed, attempts, **newton_kwargs)
+        expected = one_at_a_time(project, spec, seed, attempts, zeros, **newton_kwargs)
         # every point rejected: all attempts run, past the quota the chunks are sized for
         reject, calls = recording_measure()
         kept, tallies, _shortfall = _quota(spec, quota, seed, attempts, reject, **newton_kwargs)
@@ -603,6 +603,34 @@ class TestAttemptDraws:
             sample(spec, 1, rng_seed=-(2**40))
         with pytest.raises(TypeError):
             _quota(spec, 1, 1.5, 5)
+
+    @pytest.mark.parametrize("rng_seed", DRAW_SEEDS)
+    @pytest.mark.parametrize("nvars", [1, 2, 6, 9])
+    def test_helper_matches_default_rng(self, rng_seed, nvars):
+        # attempt indices of one and two words, out of order, in one chunk
+        attempts = [2**32, 0, 2**40, 1, 2**32 - 1, 7]
+        expected = [np.random.default_rng([rng_seed, attempt]).standard_normal(nvars)
+                    for attempt in attempts]
+        assert np.array_equal(_AttemptDraws(rng_seed)(attempts, nvars), np.array(expected))
+
+    def test_helper_empty_chunk(self):
+        assert _AttemptDraws(3)([], 4).shape == (0, 4)
+
+    def test_quota_builds_one_generator(self, monkeypatch):
+        spec, _q = clifford_spec()
+        built = []
+        generator = np.random.Generator
+
+        def counting(bit_generator):
+            built.append(bit_generator)
+            return generator(bit_generator)
+
+        monkeypatch.setattr(np.random, "Generator", counting)
+        monkeypatch.setattr(np.random, "default_rng", None)  # no generator per attempt
+        reject, calls = recording_measure()
+        _kept, tallies, _shortfall = _quota(spec, 50, 4, 200, reject)
+        assert sum(tallies.values()) == 200 and len(calls) > 1
+        assert len(built) <= 1
 
 
 def _gram_schmidt_tracked(rows):
@@ -919,6 +947,18 @@ class TestExport:
             b"0,-0,1e-300,2.2204460492503131e-16,"
             b"0,1e+20,-3,0,3.1415926535897931\r\n"
         )
+
+    def test_bytes_match_savetxt(self, tmp_path):
+        # the format export_cloud has always written: np.savetxt's
+        table = np.random.default_rng(13).standard_normal((40, 6)) * 10.0 ** np.arange(-3, 3)
+        table[0, :3] = [np.inf, -np.inf, np.nan]
+        cloud = PointCloud(points=table[:, :4], residuals=table[:, 4], regularity=table[:, 5])
+        path, reference = tmp_path / "cloud.csv", tmp_path / "reference.csv"
+        export_cloud(cloud, str(path))
+        with open(reference, "w", newline="") as handle:
+            np.savetxt(handle, table, fmt="%.17g", delimiter=",", newline="\r\n",
+                       header="x1,x2,x3,x4,residual,regularity", comments="")
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_roundtrip_bit_identical(self, tmp_path):
         spec, _ = clifford_spec()

@@ -57,22 +57,17 @@ BAD_THRESHOLDS = [
 
 def plant_draws(monkeypatch, draw):
     """Make attempt i draw the vector draw(i) wherever that is not None."""
-    default_rng = np.random.default_rng
+    draws = geometry._AttemptDraws.__call__
 
-    class Planted:
-        def __init__(self, vector):
-            self.vector = vector
+    def planted(self, attempts, nvars):
+        drawn = draws(self, attempts, nvars)
+        for row, attempt in enumerate(attempts):
+            vector = draw(attempt)
+            if vector is not None:
+                drawn[row] = vector
+        return drawn
 
-        def standard_normal(self, size):
-            return np.zeros(size) + self.vector
-
-    def rng(seed):
-        # [rng_seed, attempt] or the integer (attempt << 32) | rng_seed; every
-        # rng_seed here is below 2^32
-        vector = draw(seed[1] if isinstance(seed, list) else seed >> 32)
-        return default_rng(seed) if vector is None else Planted(vector)
-
-    monkeypatch.setattr(np.random, "default_rng", rng)
+    monkeypatch.setattr(geometry._AttemptDraws, "__call__", planted)
 
 
 def zero_draws(monkeypatch, is_zero):
