@@ -52,10 +52,11 @@ EXIT_ERROR = 3
 
 # the numeric layer grows as N^2 in memory and faster in time: codimension 2
 # compiles an N x N table of second partials per constraint and
-# mean_curvature multiplies N x N arrays per point.  `minimal-zero --poly z1
-# --samples 5` took 3.2-4.1 s and 152 MB at 1,000 variables (2.7 s in
-# mean_curvature, about 2.0 s of it building the Hessian table, and 1.4 s
-# building the spec) and 0.13-0.17 s and 45 MB at 256 (2-CPU x86_64 Xeon)
+# mean_curvature evaluates those N x N Hessians at every point.
+# `minimal-zero --poly z1 --samples 5` took 1.45-1.99 s and 145-147 MB at
+# 1,000 variables (0.62-0.90 s in mean_curvature, 0.57-0.79 s of it building
+# the Hessian table, and 0.78-1.06 s building the spec) and 0.08-0.09 s and
+# 45 MB at 256 (2-CPU x86_64 Xeon)
 MAX_VARS = 256
 
 

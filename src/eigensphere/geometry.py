@@ -17,15 +17,16 @@ level-set second-fundamental-form trace that yields mean-curvature
 components of the cut-out submanifold.  The seeded attempt loop exists once,
 as _quota: it runs Newton on a chunk of attempts at once (_newton_batch, of
 which newton_project is the batch of one), calls an optional measure once
-per chunk on the chunk's converged points, tallies each attempt in order,
-keeps the points whose value is not None, and stops at its quota.  `sample`
-and both minimality checks take their points through it.  The residual and
-regularity of a sampled point are those of the Newton step at which it
-converged.  Attempt i draws default_rng([seed, i]).standard_normal(N) bit
-for bit, but no generator is built per attempt: _AttemptDraws runs
-SeedSequence's hash over a whole chunk of attempts as uint32 array
-operations, then sets the state of one reused PCG64 for each draw.
-search_eigen takes its starting points from it too.
+per chunk on the chunk's converged points, keeps by one mask those whose
+measured row has no nan up to its quota, and returns them as a PointCloud,
+with the kept rows as one float array.  `sample` and both minimality checks
+take their points through it.  The residual and regularity of a sampled
+point are those of the Newton step at which it converged.  Attempt i
+draws default_rng([seed, i]).standard_normal(N) bit for bit, but no
+generator is built per attempt: _AttemptDraws runs SeedSequence's hash over
+a whole chunk of attempts as uint32 array operations, then sets the state
+of one reused PCG64 for each draw.  search_eigen takes its starting points
+from it too.
 
 Every caller uses the same thresholds, so they are module constants:
   * EPS_REG = 1e-8: a point is regular when the smallest singular value of
@@ -38,14 +39,14 @@ Newton's tol and maxiter stay parameters (DEFAULT_TOL, DEFAULT_MAXITER).
 
 Conventions:
   * the sphere constraint is g0 = (|x|^2 - 1)/2, so grad g0 = x exactly;
-  * the normal frame at each point comes from one complete QR factorization
-    J^T = Q R of the constraint Jacobian: the first m columns of Q, signed
-    by diag(R), are the Gram-Schmidt normals nu_b of the gradient rows, so
-    nu_0 is the position vector, and the remaining columns are an
-    orthonormal tangent basis {e_i};
-  * <H, nu_b> = -sum_i (sum_a C_ba Hess g_a)(e_i, e_i), where
-    nu_b = sum_a C_ba grad g_a, i.e. C = sign(diag R) R^-T; the radial
-    component (b = 0) always equals -dim M on the sphere.
+  * the normal frame at each point comes from one reduced QR factorization
+    J^T = Q R of the constraint Jacobian: the columns of Q, signed by
+    diag(R), are the Gram-Schmidt normals nu_b of the gradient rows, so nu_0
+    is the position vector;
+  * <H, nu_b> = -sum_i (sum_a C_ba Hess g_a)(e_i, e_i) over an orthonormal
+    tangent basis {e_i}, where nu_b = sum_a C_ba grad g_a, i.e.
+    C = sign(diag R) R^-T, and sum_i H(e_i, e_i) = tr H - sum_k H(nu_k, nu_k);
+    the radial component (b = 0) always equals -dim M on the sphere.
 """
 
 from __future__ import annotations
@@ -489,9 +490,9 @@ class PointCloud:
 
 def _quota(
     spec: VarietySpec, count: int, rng_seed: int, max_attempts: int,
-    measure: Optional[Callable[[np.ndarray], Sequence[Any]]] = None,
+    measure: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     tol: float = DEFAULT_TOL, maxiter: int = DEFAULT_MAXITER,
-) -> Tuple[List[Tuple[int, np.ndarray, float, float, Any]], Dict[str, int], Optional[str]]:
+) -> Tuple[PointCloud, Optional[np.ndarray], Optional[str]]:
     """The first count kept points of at most max_attempts seeded Newton attempts.
 
     Attempt i projects the normalized draw of default_rng([rng_seed, i]), so
@@ -503,23 +504,26 @@ def _quota(
     at the converged rate so far, should bring the converged count to count,
     capped so that no temporary exceeds about 256 KB.  measure(points) is
     called once per chunk on its converged points (B, N) in attempt order
-    and returns one value per point; a point whose value is None is not
-    kept.  Every attempt up to the one that fills the quota is tallied as
-    converged, no_convergence or singular.  Returns the kept (attempt,
-    point, residual, regularity, value) tuples (value None without a
-    measure), where residual and regularity are max |g_a| and the smallest
-    singular value of the Jacobian at the Newton step that converged, the
-    tallies and, when the quota is not full, the shortfall message naming
-    both (else None).
+    and returns a float array with one row (or value) per point; a point
+    whose row contains nan is not kept.  A chunk is cut after the attempt
+    that fills the quota; every attempt before the cut is tallied as
+    converged, no_convergence or singular.  Returns the PointCloud of the
+    kept points, with max |g_a| and the smallest singular value of the
+    Jacobian at the Newton step that converged, and the tallies
+    ("outcomes") and kept attempts ("seed_indices") as metadata; the
+    measure's kept rows (None without a measure); and, when the quota is not
+    full, the shortfall message naming both tallies (else None).
     """
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     cap = max(1, CHUNK_FLOATS // max(spec._values.point_floats, spec._jacobian.point_floats))
     attempt_draws = _AttemptDraws(rng_seed)
     tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
-    kept = []
+    # per chunk, its kept attempts, points, residuals, regularity and measured rows
+    indices, points, residuals, regularity, rows = [], [], [], [], []
+    found = 0
     attempt = 0
-    while attempt < max_attempts and len(kept) < count:
+    while attempt < max_attempts and found < count:
         # the attempts that fill the rest of the quota at the rate so far, and
         # one point's worth once as many converged as the quota asks
         rate = (tallies["converged"] + 1) / (attempt + 1)
@@ -531,31 +535,39 @@ def _quota(
         norms = np.sqrt(draws[:, None, :] @ draws[:, :, None]).reshape(len(chunk))
         drawn = norms >= 1e-12
         outcomes = np.full(len(chunk), "no_convergence", dtype=object)
-        points = np.zeros((len(chunk), spec.nvars))
-        residuals, regularity = np.full((2, len(chunk)), np.nan)
+        projected = np.zeros((len(chunk), spec.nvars))
+        residual, sigma_min = np.full((2, len(chunk)), np.nan)
         seeds = draws[drawn] / norms[drawn, None]
-        points[drawn], outcomes[drawn], residuals[drawn], regularity[drawn] = _newton_batch(
+        projected[drawn], outcomes[drawn], residual[drawn], sigma_min[drawn] = _newton_batch(
             spec, seeds, tol, maxiter)
-        values = [None] * len(chunk)
-        converged = np.flatnonzero(outcomes == "converged")
-        if measure is not None and converged.size:
-            for i, value in zip(converged, measure(points[converged])):
-                values[i] = value
-        for i, outcome in enumerate(outcomes):
-            tallies[outcome] += 1
-            if outcome == "converged" and (measure is None or values[i] is not None):
-                kept.append((chunk[i], points[i], residuals[i], regularity[i], values[i]))
-                if len(kept) == count:
-                    break
+        keep = outcomes == "converged"
+        if measure is not None and keep.any():
+            values = np.asarray(measure(projected[keep]), dtype=float)
+            whole = ~np.isnan(values.reshape(len(values), -1)).any(axis=1)
+            keep[keep] = whole
+            rows.append(values[whole])
+        stop = min(len(chunk), int(np.searchsorted(np.cumsum(keep), count - found)) + 1)
+        for name in tallies:
+            tallies[name] += int(np.count_nonzero(outcomes[:stop] == name))
+        keep[stop:] = False
+        found += int(np.count_nonzero(keep))
+        indices.append(np.flatnonzero(keep) + attempt)
+        points.append(projected[keep])
+        residuals.append(residual[keep])
+        regularity.append(sigma_min[keep])
         attempt = chunk.stop
+    metadata = {"outcomes": tallies, "seed_indices": np.concatenate(indices).tolist()}
+    cloud = PointCloud(*map(np.concatenate, (points, residuals, regularity)), metadata=metadata)
+    # only the last chunk is cut, so the rows past the quota are the last ones
+    values = None if measure is None else np.concatenate(rows or [np.zeros(0)])[:found]
     shortfall = None
-    if len(kept) < count:
+    if found < count:
         shortfall = (
-            f"only {len(kept)} of {count} requested points converged "
+            f"only {found} of {count} requested points converged "
             f"in {max_attempts} attempts "
             f"(no_convergence={tallies['no_convergence']}, singular={tallies['singular']})"
         )
-    return kept, tallies, shortfall
+    return cloud, values, shortfall
 
 
 def sample(
@@ -569,8 +581,8 @@ def sample(
 
     Deterministic in rng_seed: attempt i uses its own substream
     default_rng([rng_seed, i]), so results do not depend on execution order;
-    the draws come from _quota, a chunk at a time, bit for bit those of that
-    substream.
+    the cloud is _quota's, whose draws are bit for bit those of that
+    substream, with the run's settings added to its metadata.
     Residual and regularity are Newton's own, from the step that converged;
     a point is kept only when its regularity is at least EPS_REG, which
     metadata["eps_reg"] records.
@@ -578,26 +590,18 @@ def sample(
     count/2 attempts converge within 10*count attempts; a yield between
     count/2 and count returns the partial cloud with a shortfall note.
     """
-    kept, tallies, shortfall = _quota(spec, count, rng_seed, 10 * count, tol=tol, maxiter=maxiter)
-    seed_indices, points, residuals, regularity, _values = list(zip(*kept)) or [()] * 5
-    metadata = {
+    cloud, _values, shortfall = _quota(spec, count, rng_seed, 10 * count, tol=tol, maxiter=maxiter)
+    cloud.metadata = {
         "rng_seed": rng_seed,
         "tol": tol,
         "eps_reg": EPS_REG,
         "maxiter": maxiter,
         "requested": count,
-        "attempts": sum(tallies.values()),
-        "outcomes": tallies,
-        "seed_indices": list(seed_indices),
+        "attempts": sum(cloud.metadata["outcomes"].values()),
+        **cloud.metadata,
     }
-    cloud = PointCloud(
-        points=np.array(points).reshape(-1, spec.nvars),
-        residuals=np.array(residuals, dtype=float),
-        regularity=np.array(regularity, dtype=float),
-        metadata=metadata,
-    )
     if shortfall is not None:
-        metadata["shortfall"] = count - len(cloud)
+        cloud.metadata["shortfall"] = count - len(cloud)
         if len(cloud) < count / 2:
             raise InsufficientYield(shortfall, cloud=cloud)
     return cloud
@@ -617,24 +621,24 @@ def mean_curvature(spec: VarietySpec, x: Sequence[float]) -> CurvatureSample:
 
     The frame is nu_0 = x (sphere normal, exactly the gradient of g0),
     followed by the Gram-Schmidt normals of the remaining constraint
-    gradients, all read off one QR factorization of the Jacobian; the
-    tangent space is the orthogonal complement.  Minimality of the cut-out
-    submanifold inside the sphere is the vanishing of all components for
-    b >= 1; the radial component is the dimension check -dim M.  A batch
-    runs in blocks of rows, each one stacked SVD, complete QR, Hessian-times-
-    tangent-basis matrix product, trace and solve, so that no temporary
-    exceeds CHUNK_FLOATS floats beyond one point's own; one point is the
-    batch of one.  Raises OffVariety when any
+    gradients, all read off one reduced QR factorization of the Jacobian;
+    the tangent space is the orthogonal complement, and the trace of a
+    Hessian over it is its full trace minus its trace over the normals.
+    Minimality of the cut-out submanifold inside the sphere is the vanishing
+    of all components for b >= 1; the radial component is the dimension
+    check -dim M.  A batch runs in blocks of rows, each one stacked SVD,
+    reduced QR, Hessian-times-normals matrix product, trace and solve, so
+    that no temporary exceeds CHUNK_FLOATS floats beyond one point's own;
+    one point is the batch of one.  Raises OffVariety when any
     residual max |g_a| exceeds OFF_VARIETY_TOL and SingularJacobian when any
     smallest singular value of the Jacobian is below EPS_REG.
     """
     points = np.atleast_2d(np.asarray(x, dtype=float))
     m = spec.num_equations
-    n = spec.nvars
-    # a point's Hessians and its (m, N, N - m) products with the tangent basis
-    # are alive at once
+    # a point's Hessians and their (m, N, m) products with the normals are
+    # alive at once
     rows = max(1, CHUNK_FLOATS // max(spec._values.point_floats, spec._jacobian.point_floats,
-                                      spec._hessians.point_floats + m * n * (n - m)))
+                                      spec._hessians.point_floats + m * spec.nvars * m))
     components = np.empty((len(points), m))
     sigma = np.empty(len(points))
     for start in range(0, len(points), rows):
@@ -648,13 +652,14 @@ def mean_curvature(spec: VarietySpec, x: Sequence[float]) -> CurvatureSample:
         if np.min(sigma[span]) < EPS_REG:
             raise SingularJacobian(
                 f"smallest singular value {np.min(sigma[span]):.3e} below {EPS_REG:.1e}")
-        q, r = np.linalg.qr(np.swapaxes(jac, 1, 2), mode="complete")
-        tangent = q[:, :, m:]
-        # sum_i e_i^T H_a e_i, with H_a e_i for every i as one matrix product
-        traces = np.einsum("bni,bani->ba", tangent, spec.hessian_at(block) @ tangent[:, None])
+        q, r = np.linalg.qr(np.swapaxes(jac, 1, 2))
+        hessians = spec.hessian_at(block)
+        # sum_i e_i^T H_a e_i = tr H_a - sum_k nu_k^T H_a nu_k over the normals
+        traces = (np.trace(hessians, axis1=2, axis2=3)
+                  - np.einsum("bnk,bank->ba", q, hessians @ q[:, None]))
         pivots = np.diagonal(r, axis1=1, axis2=2)
         # b as a stack of column vectors reads the same under numpy 1.x and 2.x
-        solved = np.linalg.solve(np.swapaxes(r[:, :m], 1, 2), traces[..., None])[..., 0]
+        solved = np.linalg.solve(np.swapaxes(r, 1, 2), traces[..., None])[..., 0]
         components[span] = -np.sign(pivots) * solved
     if np.ndim(x) == 1:
         return CurvatureSample(components[0, 1:], float(components[0, 0]), float(sigma[0]))

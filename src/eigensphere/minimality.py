@@ -15,9 +15,11 @@ Two geometric situations are covered:
 
 Both checks draw their samples through geometry._quota, the one loop that
 also serves geometry.sample, each with its own measure of a chunk of
-converged points: codimension 1 evaluates the reliable criterion on the
-whole chunk at once, codimension 2 its mean curvature in one call.  One
-function grades the sampled criterion values for both.  Verdicts are
+converged points, one float row per point, where nan drops the point:
+codimension 1 evaluates the reliable criterion on the whole chunk at once
+(nan where its bound fails), codimension 2 its mean curvature in one call.
+Both read the kept points from _quota's PointCloud and the kept rows as one
+array, and one function grades the sampled values for both.  Verdicts are
 graded: ExactMinimal needs a symbolic certificate; NumericMinimal needs the
 full sample quota below tol; NotMinimal needs a reliable witness above the
 reject threshold; everything else is Inconclusive.  The gap between tol
@@ -30,7 +32,7 @@ import enum
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd, isfinite, pi
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -184,11 +186,11 @@ def _attach_numeric(
     |grad Q| times that, and evaluation roundoff adds at most
     gamma * sum_a |c_a| |x^a| for Q = sum_a c_a x^a, the dot-product bound
     with gamma = (deg Q + number of terms) * 2^-53.  Samples whose bound
-    exceeds tol/10 cannot attest |q| < tol, are not kept by _quota and are
-    tallied unreliable (converged minus kept); this is also what enforces
-    the submersion hypothesis, since the bound blows up exactly where
-    |grad P| degenerates.  A verdict without a certificate is
-    graded from the samples; a certified one only records the sampled maximum.
+    exceeds tol/10 cannot attest |q| < tol, read nan, are not kept by _quota
+    and are tallied unreliable (converged minus kept); this is also what
+    enforces the submersion hypothesis, since the bound blows up exactly
+    where |grad P| degenerates.  A verdict without a certificate is graded
+    from the samples; a certified one only records the sampled maximum.
     """
     spec = VarietySpec(P.nvars, [P])
     q_forms = CompiledPolys(P.nvars, [Q, *gradient(Q)], (P.nvars + 1,))
@@ -209,36 +211,37 @@ def _attach_numeric(
         forms = q_forms(x)
         gq = np.linalg.norm(forms[:, 1:], axis=1)
         error_bound = (gq * (p_val / gp) + gamma * q_magnitude(np.abs(x))) / gp**3
-        return np.where(error_bound > tol / 10, None, forms[:, 0] / gp**3)
+        return np.where(error_bound > tol / 10, np.nan, forms[:, 0] / gp**3)
 
     max_attempts = 30 * samples
-    kept, tallies, _shortfall = _quota(
+    cloud, values, _shortfall = _quota(
         spec, samples, rng_seed, max_attempts, reliable_criterion, tol=newton_tol, maxiter=60)
-    outcomes = dict(tallies, unreliable=tallies["converged"] - len(kept))
+    tallies = cloud.metadata["outcomes"]
+    outcomes = dict(tallies, unreliable=tallies["converged"] - len(cloud))
     verdict.diagnostics["sampling"] = dict(outcomes, attempts=sum(tallies.values()))
-    if not kept:
+    if not len(cloud):
         if verdict.certificate is None:
             raise InsufficientYield(
                 f"no reliable fiber samples in {max_attempts} attempts (outcomes: {outcomes})")
         verdict.diagnostics["numeric_cross_check"] = "no reliable samples"
         return
-    _attempts, points, residuals, _regularity, values = zip(*kept)
     if verdict.certificate is None:
         _decide(
-            verdict, points, residuals, values, samples, tol, reject, "max |criterion| =",
-            f"criterion below tolerance, but only {len(points)} of {samples} "
+            verdict, cloud.points, cloud.residuals, values, samples, tol, reject,
+            "max |criterion| =",
+            f"criterion below tolerance, but only {len(cloud)} of {samples} "
             f"requested reliable samples were collected",
         )
     else:
-        verdict.samples = len(points)
+        verdict.samples = len(cloud)
         verdict.max_residual = float(np.max(np.abs(values)))
 
 
 def _decide(
     verdict: MinimalityVerdict,
-    points: Sequence[np.ndarray],
-    residuals: Sequence[float],
-    values: Sequence[float],
+    points: np.ndarray,
+    residuals: np.ndarray,
+    values: np.ndarray,
     quota: int,
     tol: float,
     reject: float,
@@ -251,7 +254,8 @@ def _decide(
     with its residual, Newton's max |g_a| at the step that converged;
     NumericMinimal needs the full quota below tol; anything else is
     Inconclusive, with the shortfall reason when every value is below tol
-    and the quota is not full.  points must not be empty.
+    and the quota is not full.  points (k, N), residuals and values (k,)
+    must not be empty.
     """
     magnitudes = np.abs(values)
     worst = int(np.argmax(magnitudes))
@@ -297,7 +301,8 @@ def check_minimal_codim2(
     are parallel everywhere), EmptyFiber for a nonzero constant F.  The points
     come from geometry._quota exactly as geometry.sample draws them: at most
     10*samples attempts, the default Newton settings and the same shortfall
-    message, with one mean_curvature call per chunk as the measure.
+    message, with one mean_curvature call per chunk as the measure; a
+    sample whose components contain nan is dropped, not graded.
     """
     _check_thresholds(samples, tol, reject)
     k = require_harmonic(F, n)
@@ -322,8 +327,9 @@ def check_minimal_codim2(
         curvature = mean_curvature(spec, points)
         return np.column_stack([curvature.radial_component, curvature.normal_components])
 
-    kept, tallies, shortfall = _quota(spec, samples, rng_seed, 10 * samples, component_rows)
-    if not kept:
+    cloud, components, shortfall = _quota(spec, samples, rng_seed, 10 * samples, component_rows)
+    tallies = cloud.metadata["outcomes"]
+    if not len(cloud):
         if tallies["singular"] > 0:
             raise SingularFiber(
                 "every located fiber point fails the regularity threshold "
@@ -331,8 +337,7 @@ def check_minimal_codim2(
             )
         raise EmptyFiber(f"no point of the fiber was found on the sphere (outcomes: {tallies})")
 
-    _attempts, points, residuals, _regularity, rows = zip(*kept)
-    components = np.array(rows)  # (k, 3): the radial component, then the two normal ones
+    # components (k, 3): the radial component, then the two normal ones
     dimension = F.nvars - 1 - 2
     verdict = MinimalityVerdict(
         INCONCLUSIVE,
@@ -347,9 +352,9 @@ def check_minimal_codim2(
     )
     if F == complex_variable(F.nvars, 1) ** k + complex_variable(F.nvars, 2) ** k:
         verdict.diagnostics["flat_section_max_residual"] = float(
-            np.max(flat_section_residuals(points, k)))
-    _decide(verdict, points, residuals, np.max(np.abs(components[:, 1:]), axis=1), samples,
-            tol, reject, "max normal component", shortfall)
+            np.max(flat_section_residuals(cloud.points, k)))
+    _decide(verdict, cloud.points, cloud.residuals, np.max(np.abs(components[:, 1:]), axis=1),
+            samples, tol, reject, "max normal component", shortfall)
     return verdict
 
 
@@ -361,7 +366,6 @@ def flat_section_residuals(points: np.ndarray, k: int) -> np.ndarray:
     min_zeta |z1 - zeta*z2|.
     """
     roots = np.exp(1j * (pi + 2 * pi * np.arange(k)) / k)
-    points = np.asarray(points)
     z1 = points[:, 0] + 1j * points[:, 1]
     z2 = points[:, 2] + 1j * points[:, 3]
     return np.min(np.abs(z1[:, None] - roots * z2[:, None]), axis=1)

@@ -32,7 +32,8 @@ from .parsing import render
 from .polynomial import GaussianRational, Polynomial
 
 
-# Largest search_memory_bytes that ResidualSystem accepts.
+# Largest search_memory_bytes that ResidualSystem accepts, and largest
+# number of bytes that search_eigen's attempts may keep.
 MEMORY_BUDGET = 1 << 30
 
 
@@ -334,15 +335,23 @@ def search_eigen(
     pass; `exact` is filled only when the rounded polynomial verifies exactly.
     Attempt i starts from the normalized draw
     default_rng([rng_seed, i]).standard_normal(2 * size), taken, as the
-    sampling attempts take theirs, from geometry's _AttemptDraws.
+    sampling attempts take theirs, from geometry's _AttemptDraws, all before
+    the first step; attempts that would keep more than MEMORY_BUDGET bytes
+    raise BudgetExceeded before any draw.
     """
     if attempts < 0:
         raise ValueError(f"attempts must be >= 0, got {attempts}")
     if denominator_bound < 1:
         raise ValueError(f"denominator bound must be >= 1, got {denominator_bound}")
     system = ResidualSystem(nvars, degree)
-    # every starting point in one call: 2 * size floats per attempt, as many
-    # bytes as the coefficients that each SearchResult keeps
+    # an attempt keeps its starting draw and its coefficients, 2 * size floats
+    # each, and about 320 bytes of objects (tracemalloc: 310 at (4, 1) and (5, 3))
+    kept = attempts * (32 * system.size + 320)
+    if kept > MEMORY_BUDGET:
+        raise BudgetExceeded(
+            f"{attempts} attempts at nvars={nvars}, degree={degree} keep about "
+            f"{kept / 2**20:.0f} MiB, over the {MEMORY_BUDGET / 2**20:.0f} MiB budget"
+        )
     starts = _AttemptDraws(rng_seed)(range(attempts), 2 * system.size)
     results: List[SearchResult] = []
     for attempt, t0 in enumerate(starts):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eigensphere import cli
+from eigensphere import cli, search
 from eigensphere.cli import main
 from eigensphere.errors import InsufficientYield
 from eigensphere.geometry import read_cloud
@@ -384,6 +384,19 @@ class TestSearch:
         assert code == 3
         assert out == ""
         assert "budget" in err
+
+    def test_attempts_over_memory_budget(self, capsys, monkeypatch):
+        # every starting point is drawn before the first step: 10^8 of them
+        # are refused before any draw, not left to a MemoryError
+        monkeypatch.setattr(search, "_AttemptDraws", None)
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys, "search", "--vars", "4", "--degree", "1", "--attempts", "100000000",
+        )
+        assert time.perf_counter() - started < 1
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: 100000000 attempts") and "budget" in err
 
 
 class TestSelftest:

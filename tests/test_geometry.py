@@ -3,6 +3,8 @@
 import math
 import tracemalloc
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -360,7 +362,7 @@ def recording_measure():
 
     def reject(points):
         calls.append(points.copy())
-        return [None] * len(points)
+        return np.full(len(points), np.nan)
 
     return reject, calls
 
@@ -384,8 +386,9 @@ class TestBatchMatchesOneAtATime:
         expected = one_at_a_time(project, spec, seed, attempts, zeros, **newton_kwargs)
         # every point rejected: all attempts run, past the quota the chunks are sized for
         reject, calls = recording_measure()
-        kept, tallies, _shortfall = _quota(spec, quota, seed, attempts, reject, **newton_kwargs)
-        assert kept == []
+        cloud, _values, _shortfall = _quota(spec, quota, seed, attempts, reject, **newton_kwargs)
+        tallies = cloud.metadata["outcomes"]
+        assert len(cloud) == 0
         assert tallies == {key: [outcome for outcome, _p in expected].count(key)
                            for key in ("converged", "no_convergence", "singular")}
         measured = np.concatenate(calls) if calls else np.zeros((0, nvars))
@@ -418,9 +421,10 @@ class TestQuotaMeasure:
                                                   max_attempts, newton_kwargs):
         spec = VarietySpec(nvars, constraints)
         reject, calls = recording_measure()
-        kept, tallies, shortfall = _quota(spec, count, seed, max_attempts, reject,
-                                          **newton_kwargs)
-        assert kept == []
+        cloud, _values, shortfall = _quota(spec, count, seed, max_attempts, reject,
+                                           **newton_kwargs)
+        tallies = cloud.metadata["outcomes"]
+        assert len(cloud) == 0
         assert sum(tallies.values()) == max_attempts
         assert tallies["converged"] == sum(len(points) for points in calls)
         assert tallies["converged"] == len(
@@ -437,10 +441,11 @@ class TestQuotaMeasure:
         def every_other(points):
             first = sum(len(batch) for batch in calls) + 1
             calls.append(points.copy())
-            return [n if n % 2 else None for n in range(first, first + len(points))]
+            return np.array([n if n % 2 else np.nan for n in range(first, first + len(points))])
 
-        kept, tallies, shortfall = _quota(spec, count, seed, max_attempts, every_other,
+        cloud, values, shortfall = _quota(spec, count, seed, max_attempts, every_other,
                                           **newton_kwargs)
+        tallies = cloud.metadata["outcomes"]
         reject, rejected = recording_measure()
         _quota(spec, count, seed, max_attempts, reject, **newton_kwargs)
         converged = converged_attempts(spec, seed, max_attempts, **newton_kwargs)
@@ -454,18 +459,146 @@ class TestQuotaMeasure:
         # the quota fills at the (2*count - 1)-th converged attempt; later points
         # of its chunk are measured, but neither kept nor tallied
         assert sum(len(points) for points in calls) >= 2 * count - 1
-        assert [(attempt, value) for attempt, _p, _res, _reg, value in kept] == [
+        assert list(zip(cloud.metadata["seed_indices"], values.tolist())) == [
             (converged[i], i + 1) for i in range(0, 2 * count - 1, 2)]
-        assert all(np.array_equal(point, np.concatenate(calls)[value - 1])
-                   for _attempt, point, _res, _reg, value in kept)
+        assert all(np.array_equal(point, np.concatenate(calls)[int(value) - 1])
+                   for point, value in zip(cloud.points, values))
         assert tallies["converged"] == 2 * count - 1
         assert sum(tallies.values()) == converged[2 * count - 2] + 1
 
     def test_no_measure_keeps_every_converged_point(self):
         spec, _q = clifford_spec()
-        kept, tallies, shortfall = _quota(spec, 12, 3, 40)
-        assert shortfall is None and len(kept) == 12 == tallies["converged"]
-        assert [value for *_rest, value in kept] == [None] * 12
+        cloud, values, shortfall = _quota(spec, 12, 3, 40)
+        tallies = cloud.metadata["outcomes"]
+        assert shortfall is None and len(cloud) == 12 == tallies["converged"]
+        assert values is None
+
+
+def quota_reference(spec, count, rng_seed, max_attempts, measure=None,
+                    tol=geometry.DEFAULT_TOL, maxiter=geometry.DEFAULT_MAXITER, plans=None):
+    """_quota as a per-attempt loop over each chunk: the kept (attempt, point,
+    residual, regularity, row) tuples, the tallies and the shortfall message.
+
+    Chunks, draws and Newton are _quota's own; a measured row with a nan is
+    not kept.  When plans is a list, each chunk is appended to it as planned,
+    before max_attempts cuts it.
+    """
+    cap = max(1, geometry.CHUNK_FLOATS
+              // max(spec._values.point_floats, spec._jacobian.point_floats))
+    attempt_draws = _AttemptDraws(rng_seed)
+    tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
+    kept = []
+    attempt = 0
+    while attempt < max_attempts and len(kept) < count:
+        rate = (tallies["converged"] + 1) / (attempt + 1)
+        wanted = math.ceil(max(count - tallies["converged"], 1) / rate)
+        plan = range(attempt, attempt + min(wanted, cap))
+        if plans is not None:
+            plans.append(plan)
+        chunk = range(attempt, min(plan.stop, max_attempts))
+        draws = attempt_draws(chunk, spec.nvars)
+        norms = np.sqrt(draws[:, None, :] @ draws[:, :, None]).reshape(len(chunk))
+        drawn = norms >= 1e-12
+        outcomes = np.full(len(chunk), "no_convergence", dtype=object)
+        points = np.zeros((len(chunk), spec.nvars))
+        residuals, regularity = np.full((2, len(chunk)), np.nan)
+        seeds = draws[drawn] / norms[drawn, None]
+        points[drawn], outcomes[drawn], residuals[drawn], regularity[drawn] = (
+            geometry._newton_batch(spec, seeds, tol, maxiter))
+        values = [None] * len(chunk)
+        converged = np.flatnonzero(outcomes == "converged")
+        if measure is not None and converged.size:
+            for i, row in zip(converged, measure(points[converged])):
+                values[i] = None if np.isnan(row).any() else row
+        for i, outcome in enumerate(outcomes):
+            tallies[outcome] += 1
+            if outcome == "converged" and (measure is None or values[i] is not None):
+                kept.append((chunk[i], points[i], residuals[i], regularity[i], values[i]))
+                if len(kept) == count:
+                    break
+        attempt = chunk.stop
+    shortfall = None
+    if len(kept) < count:
+        shortfall = (
+            f"only {len(kept)} of {count} requested points converged "
+            f"in {max_attempts} attempts "
+            f"(no_convergence={tallies['no_convergence']}, singular={tallies['singular']})"
+        )
+    return kept, tallies, shortfall
+
+
+def nan_rows(salt, modulus, width):
+    """A measure of rows (B, width), or values (B,) for width 0, that puts a
+    nan in the rows of the points whose first coordinate's digits, shifted
+    by salt, are divisible by modulus."""
+    def measure(points):
+        rows = points[:, :max(width, 1)].copy()
+        dropped = (np.floor(np.abs(points[:, 0]) * 1e6).astype(int) + salt) % modulus == 0
+        rows[dropped, -1] = np.nan
+        return rows if width else rows[:, 0]
+    return measure
+
+
+# (spec, Newton settings): converged attempts only; converged and singular;
+# converged and no_convergence
+DIFFERENTIAL_SPECS = [
+    (clifford_spec()[0], {}),
+    (VarietySpec(4, _real_parts("z1^3*conj(z2)^2", 4)), {}),
+    (VarietySpec(3, [parse("x1^2*x2 - x3^3", 3)]), {"maxiter": 5}),
+]
+# (spec, seed, count, max_attempts, salt, modulus, width), both with points
+# the measure drops: the quota fills in the middle of a chunk; max_attempts
+# cuts the last chunk short
+MID_CHUNK_FILL = (1, 1, 4, 60, 0, 2, 2)
+CUT_BY_MAX_ATTEMPTS = (1, 1, 4, 25, 0, 2, 2)
+
+
+class TestQuotaMatchesPerAttemptLoop:
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, len(DIFFERENTIAL_SPECS) - 1), st.integers(0, 2**32 - 1),
+                      st.integers(1, 12), st.integers(1, 60), st.integers(0, 6),
+                      st.integers(2, 5), st.sampled_from([None, 0, 2]))
+    @hypothesis.example(*MID_CHUNK_FILL)
+    @hypothesis.example(*CUT_BY_MAX_ATTEMPTS)
+    def test_same_kept_points_tallies_and_shortfall(self, spec_index, seed, count,
+                                                    max_attempts, salt, modulus, width):
+        spec, newton_kwargs = DIFFERENTIAL_SPECS[spec_index]
+        measure = None if width is None else nan_rows(salt, modulus, width)
+        cloud, values, shortfall = _quota(spec, count, seed, max_attempts, measure,
+                                          **newton_kwargs)
+        kept, tallies, expected_shortfall = quota_reference(
+            spec, count, seed, max_attempts, measure, **newton_kwargs)
+        assert cloud.metadata["seed_indices"] == [attempt for attempt, *_rest in kept]
+        assert cloud.metadata["outcomes"] == tallies
+        assert shortfall == expected_shortfall
+        for column, got in zip((1, 2, 3), (cloud.points, cloud.residuals, cloud.regularity)):
+            expected = np.array([entry[column] for entry in kept]).reshape(got.shape)
+            assert np.array_equal(got, expected)
+        if measure is None:
+            assert values is None
+        else:
+            expected = np.array([entry[4] for entry in kept])
+            assert np.array_equal(values, expected.reshape(values.shape))
+            assert not np.isnan(values).any()
+
+    @pytest.mark.parametrize("case", [MID_CHUNK_FILL, CUT_BY_MAX_ATTEMPTS],
+                             ids=["mid-chunk-fill", "cut-by-max-attempts"])
+    def test_examples_reach_their_edge(self, case):
+        spec_index, seed, count, max_attempts, salt, modulus, width = case
+        spec, newton_kwargs = DIFFERENTIAL_SPECS[spec_index]
+        plans = []
+        kept, tallies, _shortfall = quota_reference(
+            spec, count, seed, max_attempts, nan_rows(salt, modulus, width),
+            plans=plans, **newton_kwargs)
+        assert tallies["converged"] > len(kept)
+        if case is MID_CHUNK_FILL:
+            # the quota fills before the last attempt of its chunk, and the
+            # attempts after it are not tallied
+            assert len(kept) == count
+            assert sum(tallies.values()) == kept[-1][0] + 1 < min(plans[-1].stop, max_attempts)
+        else:
+            assert len(plans) >= 2 and plans[-1].stop > max_attempts
+            assert sum(tallies.values()) == max_attempts
 
 
 def svd_steps(jac, values, eps_reg=1e-8):
@@ -588,8 +721,8 @@ class TestAttemptDraws:
                     *np.full((2, len(batch)), np.nan))
 
         monkeypatch.setattr(geometry, "_newton_batch", no_newton)
-        _kept, tallies, _shortfall = _quota(spec, 1, rng_seed, 41)
-        assert tallies["no_convergence"] == 41
+        cloud, _values, _shortfall = _quota(spec, 1, rng_seed, 41)
+        assert cloud.metadata["outcomes"]["no_convergence"] == 41
         draws = [np.random.default_rng([rng_seed, attempt]).standard_normal(5)
                  for attempt in range(41)]
         expected = np.array([draw / np.linalg.norm(draw) for draw in draws])
@@ -628,8 +761,8 @@ class TestAttemptDraws:
         monkeypatch.setattr(np.random, "Generator", counting)
         monkeypatch.setattr(np.random, "default_rng", None)  # no generator per attempt
         reject, calls = recording_measure()
-        _kept, tallies, _shortfall = _quota(spec, 50, 4, 200, reject)
-        assert sum(tallies.values()) == 200 and len(calls) > 1
+        cloud, _values, _shortfall = _quota(spec, 50, 4, 200, reject)
+        assert sum(cloud.metadata["outcomes"].values()) == 200 and len(calls) > 1
         assert len(built) <= 1
 
 
