@@ -41,8 +41,8 @@ from .minimality import (
     check_minimal_codim2,
     lawson_surface,
 )
-from .parsing import MAX_COEFF_DIGITS, parse
-from .search import search_eigen
+from .parsing import MAX_COEFF_DIGITS, parse, render
+from .search import MEMORY_BUDGET, _basis_size, search_eigen
 from .selftest import run_selftest
 
 EXIT_POSITIVE = 0
@@ -59,8 +59,15 @@ EXIT_ERROR = 3
 # 45 MB at 256 (2-CPU x86_64 Xeon)
 MAX_VARS = 256
 
+# bytes that `search --json` holds per attempt, per coefficient of the
+# degree-d basis and per result: the result, its entry in the report and that
+# entry's indented text.  tracemalloc, with LM stubbed, read 3.2, 6.2 and
+# 18.4 KB per attempt at (4, 1), (4, 2) and (5, 3); these give 3.3, 6.4, 19.2.
+REPORT_BYTES_PER_COEFFICIENT = 512
+REPORT_BYTES_PER_RESULT = 1280
 
-def _emit(args, verdict: Dict, started: float, human_lines: List[str]) -> None:
+
+def _emit(args, verdict: Optional[Dict], started: float, human_lines: List[str]) -> None:
     if args.json:
         inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func", "json")}
         report = {
@@ -193,15 +200,25 @@ def _cmd_lawson(args):
 
 
 def _cmd_search(args):
+    # search_eigen refuses nvars < 3 itself, with its own message
+    if args.json and args.vars > 0:
+        size = _basis_size(args.vars, args.degree)
+        report = args.attempts * (REPORT_BYTES_PER_COEFFICIENT * size + REPORT_BYTES_PER_RESULT)
+        if report > MEMORY_BUDGET:
+            raise BudgetExceeded(
+                f"{args.attempts} attempts at nvars={args.vars}, degree={args.degree} make "
+                f"a JSON report of about {report / 2**20:.0f} MiB, over the "
+                f"{MEMORY_BUDGET / 2**20:.0f} MiB budget")
     results = search_eigen(
         args.vars, args.degree, args.attempts,
         rng_seed=args.seed, denominator_bound=args.denominator_bound,
     )
     lines = []
     for r in results[: min(5, len(results))]:
-        exact = f"   exact: {r.to_json()['exact']}" if r.exact is not None else ""
+        exact = f"   exact: {render(r.exact)}" if r.exact is not None else ""
         lines.append(f"attempt {r.attempt}: residual {r.residual:.3e}{exact}")
-    return {"results": [r.to_json() for r in results]}, lines or ["no candidates"], EXIT_POSITIVE
+    verdict = {"results": [r.to_json() for r in results]} if args.json else None
+    return verdict, lines or ["no candidates"], EXIT_POSITIVE
 
 
 def _cmd_selftest(args):

@@ -194,8 +194,9 @@ def _attach_numeric(
     """
     spec = VarietySpec(P.nvars, [P])
     q_forms = CompiledPolys(P.nvars, [Q, *gradient(Q)], (P.nvars + 1,))
-    q_magnitude = CompiledPolys(
-        P.nvars, [Polynomial(P.nvars, {e: abs(c.re) for e, c in Q.items()})], ())
+    # sum_a |c_a| x^a: Q's own table with its coefficients made absolute (Q is real)
+    q_magnitude = CompiledPolys(P.nvars, [Q], ())
+    np.abs(q_magnitude.coefficients, out=q_magnitude.coefficients)
     # Q = 0 (a linear P) evaluates exactly: no roundoff term, and no degree
     gamma = 0.0 if Q.is_zero() else (Q.degree() + Q.num_terms()) * 2.0**-53
     # Newton cannot push |P| below P's own roundoff, at most gamma_P * sum_a |c_a|

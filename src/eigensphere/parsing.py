@@ -46,13 +46,12 @@ returns a polynomial equal to `p`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import log10
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import BudgetExceeded, NegativeExponent, ParseError, VariableOutOfRange
-from .polynomial import GaussianRational, I, Polynomial, complex_variable
+from .polynomial import I, Polynomial, complex_variable
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -70,8 +69,7 @@ _COEFF_LIMIT = 10**MAX_COEFF_DIGITS
 MAX_TERMS = 100_000
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int", "name", "op", "end"
     text: str
     pos: int
@@ -316,36 +314,36 @@ def parse(text: str, nvars: int) -> Polynomial:
 # Renderer
 
 
-def _render_term(exps, coeff: GaussianRational) -> Tuple[str, str]:
-    """One term as (sign, body) with sign in {"+", "-"}.
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms as str(Fraction(num, den)) writes it."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _render_term(exps, re: int, re_den: int, im: int, im_den: int) -> Tuple[str, str]:
+    """One term, coefficient re/re_den + (im/im_den)*i, as (sign, body) with
+    sign in {"+", "-"}.
 
     Mixed complex coefficients keep their sign inside parentheses so the
     joining logic never has to negate them.
     """
-    variables = []
-    for position, e in enumerate(exps):
-        if e == 1:
-            variables.append(f"x{position + 1}")
-        elif e > 1:
-            variables.append(f"x{position + 1}^{e}")
-    mono = "*".join(variables)
+    mono = "*".join(f"x{position}" if e == 1 else f"x{position}^{e}"
+                    for position, e in enumerate(exps, 1) if e)
 
-    if coeff.re != 0 and coeff.im != 0:
-        im_sign = "+" if coeff.im > 0 else "-"
-        body = f"({coeff.re!s}{im_sign}{abs(coeff.im)!s}*i)"
+    if re and im:
+        im_sign = "+" if im > 0 else "-"
+        body = f"({_ratio(re, re_den)}{im_sign}{_ratio(abs(im), im_den)}*i)"
         return "+", f"{body}*{mono}" if mono else body
-    if coeff.im != 0:
-        sign = "+" if coeff.im > 0 else "-"
-        magnitude = abs(coeff.im)
-        scale = "i" if magnitude == 1 else f"{magnitude!s}*i"
+    if im:
+        sign = "+" if im > 0 else "-"
+        scale = "i" if abs(im) == im_den else f"{_ratio(abs(im), im_den)}*i"
         return sign, f"{scale}*{mono}" if mono else scale
-    sign = "+" if coeff.re > 0 else "-"
-    magnitude = abs(coeff.re)
+    sign = "+" if re > 0 else "-"
+    magnitude = _ratio(abs(re), re_den)
     if not mono:
-        return sign, str(magnitude)
-    if magnitude == 1:
+        return sign, magnitude
+    if abs(re) == re_den:
         return sign, mono
-    return sign, f"{magnitude!s}*{mono}"
+    return sign, f"{magnitude}*{mono}"
 
 
 def render(p: Polynomial) -> str:
@@ -353,8 +351,8 @@ def render(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for exps, coeff in p.items():
-        sign, body = _render_term(exps, coeff)
+    for term in p.rational_items():
+        sign, body = _render_term(*term)
         if not pieces:
             pieces.append(body if sign == "+" else f"-{body}")
         else:

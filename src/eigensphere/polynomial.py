@@ -35,8 +35,9 @@ so a change of storage touches this one alone.  Exponent tuples appear
 only at the boundary: the constructor takes a map from them to
 coefficients, and `items`, `coefficient` and `leading_term` unpack keys and
 build GaussianRational coefficients on demand; `real_float_items` unpacks
-them beside the float real parts that the numeric layer compiles, and
-`variables` names the variables that occur, from one unpack.
+them beside the float real parts that the numeric layer compiles,
+`rational_items` beside the reduced integer ratios that `render` formats,
+and `variables` names the variables that occur, from one unpack.
 
 The only floating-point operation is `evaluate`, which sums the terms in the
 canonical graded-lexicographic order so results are reproducible run to run.
@@ -363,6 +364,17 @@ class Polynomial:
         return ((_unpack(key, nvars), self._coefficient(self._pairs[key]))
                 for key in sorted(self._pairs, reverse=True))
 
+    def rational_items(self) -> Iterator[Tuple[Exponents, int, int, int, int]]:
+        """Terms in the order of `items`, as (exps, re, re_den, im, im_den):
+        the coefficient is re/re_den + (im/im_den)*i, each ratio in lowest
+        terms with a positive denominator, as the Fractions of `items` hold
+        it, but with no Fraction built."""
+        nvars, den = self.nvars, self._den
+        for key in sorted(self._pairs, reverse=True):
+            re, im = self._pairs[key]
+            g, h = gcd(re, den), gcd(im, den)
+            yield _unpack(key, nvars), re // g, den // g, im // h, den // h
+
     def real_float_items(self) -> Iterator[Tuple[Exponents, float]]:
         """Terms in the order of `items`, as (exps, float of the real part).
 
@@ -529,14 +541,20 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"polynomial power must be a non-negative integer, got {k}")
-        result = Polynomial.constant(self.nvars, 1)
+        if k == 0:
+            return Polynomial.constant(self.nvars, 1)
+        # square-and-multiply from the lowest set bit of k, which starts the result
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
             k >>= 1
-            if k:
-                base = base * base
         return result
 
     def _coerce(self, other):

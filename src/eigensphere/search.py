@@ -82,9 +82,10 @@ def _basis_positions(exps: np.ndarray, degree: int) -> np.ndarray:
 def search_memory_bytes(nvars: int, degree: int) -> int:
     """Estimated peak bytes of one search at (nvars, degree).
 
-    Counts 8-byte words for the Jacobian (rows x 2M), the LM normal matrix
-    and its damped copy (2 (2M)^2), B@u and B@v (2 T M) and the kappa
-    table (4 E), from the basis sizes alone: M degree-d monomials,
+    Counts 8-byte words for the Jacobian buffer (rows x 2M), the damped LM
+    normal matrix and the copy of it that `solve` factors (2 (2M)^2), B@u
+    and B@v (2 T M), the kappa table (4 E) and its float weights and flat
+    cell indices (2 E), from the basis sizes alone: M degree-d monomials,
     T degree-(2d-2) kappa targets, E = N * mid^2 table rows over the mid
     degree-(d-1) monomials.
     """
@@ -92,7 +93,7 @@ def search_memory_bytes(nvars: int, degree: int) -> int:
     targets = _basis_size(nvars, 2 * degree - 2)
     entries = nvars * _basis_size(nvars, degree - 1) ** 2
     rows = 2 * _basis_size(nvars, degree - 2) + 2 * targets + 1
-    return 8 * (rows * 2 * size + 2 * (2 * size) ** 2 + 2 * targets * size + 4 * entries)
+    return 8 * (rows * 2 * size + 2 * (2 * size) ** 2 + 2 * targets * size + 6 * entries)
 
 
 class ResidualSystem:
@@ -112,7 +113,9 @@ class ResidualSystem:
     B[mu + nu][mu + e_i, nu + e_i], one row per (i, mu, nu): E = N * mid^2.
     No two rows share (target, a, b), since a + b - target = 2 e_i fixes i,
     and swapping mu and nu gives the row (target, b, a, weight), so B is
-    symmetric as listed and every weight is an integer.
+    symmetric as listed and every weight is an integer.  The weights as
+    floats and the flat cell index target * M + a of each row are kept
+    beside the table, so no evaluation casts or recomputes them.
 
     Construction raises BudgetExceeded before building any basis when
     `search_memory_bytes` exceeds MEMORY_BUDGET.
@@ -156,6 +159,9 @@ class ResidualSystem:
         table[3] = factor[:, :, None] * factor[:, None, :]
         # the (E, 4) transpose of a (4, E) array keeps each column contiguous
         self.kappa_forms = table.reshape(4, -1).T
+        self._target, self._a, self._b, weight = self.kappa_forms.T
+        self._weight = weight.astype(float)
+        self._cell = self._target * self.size + self._a
         self.num_targets = _basis_size(nvars, 2 * degree - 2)
         self.num_residuals = 2 * self.lap_matrix.shape[0] + 2 * self.num_targets + 1
 
@@ -166,7 +172,7 @@ class ResidualSystem:
         u, v = self.split(t)
         lap_u = self.lap_matrix @ u
         lap_v = self.lap_matrix @ v
-        target, a, b, weight = self.kappa_forms.T
+        target, a, b, weight = self._target, self._a, self._b, self._weight
         kap_re = np.bincount(target, weight * (u[a] * u[b] - v[a] * v[b]), self.num_targets)
         kap_im = 2 * np.bincount(target, weight * (u[a] * v[b]), self.num_targets)
         gauge = u @ u + v @ v - 1.0
@@ -174,53 +180,70 @@ class ResidualSystem:
 
     def _form_times(self, w: np.ndarray) -> np.ndarray:
         """The (T, M) matrix whose row t is B[t] @ w."""
-        target, a, b, weight = self.kappa_forms.T
-        size = self.num_targets * self.size
-        return np.bincount(target * self.size + a, weight * w[b], size).reshape(
-            self.num_targets, self.size
-        )
+        return np.bincount(self._cell, self._weight * w[self._b],
+                           self.num_targets * self.size).reshape(self.num_targets, self.size)
 
-    def jacobian(self, t: np.ndarray) -> np.ndarray:
+    def jacobian(self, t: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The (rows, 2M) Jacobian of `residual` at t.
+
+        Without `out`, a new array.  With `out`, an array that an earlier
+        call on this system returned: its Laplacian blocks and zero blocks do
+        not depend on t, so only the kappa blocks and the gauge row are
+        written, and `out` is returned.  Both give the same bits.
+        """
         u, v = self.split(t)
         m = self.size
-        rows = self.num_residuals
-        jac = np.zeros((rows, 2 * m))
         r = self.lap_matrix.shape[0]
-        jac[:r, :m] = self.lap_matrix
-        jac[r:2 * r, m:] = self.lap_matrix
+        jac = out
+        if jac is None:
+            jac = np.zeros((self.num_residuals, 2 * m))
+            jac[:r, :m] = self.lap_matrix
+            jac[r:2 * r, m:] = self.lap_matrix
         bu = self._form_times(u)
         bv = self._form_times(v)
         q = self.num_targets
-        jac[2 * r:2 * r + q, :m] = 2 * bu
-        jac[2 * r:2 * r + q, m:] = -2 * bv
-        jac[2 * r + q:2 * r + 2 * q, :m] = 2 * bv
-        jac[2 * r + q:2 * r + 2 * q, m:] = 2 * bu
-        jac[-1, :m] = 2 * u
-        jac[-1, m:] = 2 * v
+        np.multiply(bu, 2, out=jac[2 * r:2 * r + q, :m])
+        np.multiply(bv, -2, out=jac[2 * r:2 * r + q, m:])
+        np.multiply(bv, 2, out=jac[2 * r + q:2 * r + 2 * q, :m])
+        np.multiply(bu, 2, out=jac[2 * r + q:2 * r + 2 * q, m:])
+        np.multiply(u, 2, out=jac[-1, :m])
+        np.multiply(v, 2, out=jac[-1, m:])
         return jac
 
 
 def _levenberg_marquardt(
     system: ResidualSystem, t0: np.ndarray, max_iters: int = 300
 ) -> Tuple[np.ndarray, float]:
+    """Damped Gauss-Newton from t0; returns (t, |residual(t)|).
+
+    One Jacobian buffer serves every iteration, refilled in place.  The
+    normal matrix is damped in place: 0.0 is added to it once, as adding
+    the diagonal matrix lam * diag(scale) adds 0.0 off the diagonal, and each
+    retry writes its own diagonal, so every solve sees the floats of the
+    normal matrix plus that diagonal matrix, which is never built.
+    """
     t = t0.copy()
     r = system.residual(t)
     cost = float(r @ r)
     lam = 1e-3
+    jac = None
     for _ in range(max_iters):
         if np.sqrt(cost) < 1e-15:
             break
-        jac = system.jacobian(t)
+        jac = system.jacobian(t, out=jac)
         grad = jac.T @ r
         if np.max(np.abs(grad)) < 1e-16:
             break
-        gauss = jac.T @ jac
-        del jac  # free it before the next iteration builds another
-        damping_scale = np.maximum(np.diag(gauss), 1e-12)
+        damped = jac.T @ jac
+        diagonal = np.diag(damped).copy()
+        damping_scale = np.maximum(diagonal, 1e-12)
+        damped += 0.0
+        damped_diagonal = damped.reshape(-1)[:: len(damped) + 1]
         accepted = False
         for _retry in range(40):
+            np.add(diagonal, lam * damping_scale, out=damped_diagonal)
             try:
-                step = np.linalg.solve(gauss + lam * np.diag(damping_scale), -grad)
+                step = np.linalg.solve(damped, -grad)
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
@@ -235,12 +258,14 @@ def _levenberg_marquardt(
             lam *= 4
             if lam > 1e15:
                 break
+        # free it before the next iteration refills the Jacobian
+        del damped, damped_diagonal
         if not accepted:
             break
     return t, float(np.sqrt(cost))
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchResult:
     coefficients: np.ndarray  # complex, indexed by the degree-d monomial basis
     residual: float
@@ -345,7 +370,8 @@ def search_eigen(
         raise ValueError(f"denominator bound must be >= 1, got {denominator_bound}")
     system = ResidualSystem(nvars, degree)
     # an attempt keeps its starting draw and its coefficients, 2 * size floats
-    # each, and about 320 bytes of objects (tracemalloc: 310 at (4, 1) and (5, 3))
+    # each, and about 320 bytes of objects (tracemalloc with LM stubbed: at most
+    # 260 at (4, 1) and (5, 3), while the results are sorted)
     kept = attempts * (32 * system.size + 320)
     if kept > MEMORY_BUDGET:
         raise BudgetExceeded(
@@ -365,5 +391,7 @@ def search_eigen(
             if exact is None and degree == 1:
                 exact = _isotropic_completion(coefficients, system.basis, denominator_bound)
         results.append(SearchResult(coefficients, residual, exact, attempt))
-    results.sort(key=lambda res: (res.residual, res.attempt))
+    # a stable sort of results in attempt order breaks ties by attempt, and
+    # keys that are the residuals themselves allocate nothing per result
+    results.sort(key=lambda res: res.residual)
     return results

@@ -1,4 +1,4 @@
-"""Float reference implementations that the tests compare the package against.
+"""Reference implementations that the tests compare the package against.
 
 None of these is part of the package: no command runs them, and the exact
 layer never depends on them.  Each is a second, independent path to a value
@@ -17,6 +17,13 @@ that the package computes another way.
   * coefficients_of, residual_norm_of, polynomial_of: conversions between a
     Polynomial and a coefficient vector of search.ResidualSystem, with which
     test_search checks the residual map against the symbolic operators.
+  * levenberg_marquardt_reference: the search's Levenberg-Marquardt loop as
+    it was before it refilled one Jacobian buffer and damped the normal
+    matrix in place: a fresh dense Jacobian per iteration and the damped
+    matrix built as a sum.  test_search checks the loop against it bit for bit.
+  * render_reference: the canonical renderer as it was before it read the
+    packed pairs, through `items` and a GaussianRational per term;
+    test_parsing checks `render` against it string for string.
 """
 
 from fractions import Fraction
@@ -151,3 +158,90 @@ def polynomial_of(system: ResidualSystem, coefficients: Sequence[complex]) -> Po
     for exps, value in zip(system.basis, coefficients):
         terms[exps] = GaussianRational(Fraction(value.real), Fraction(value.imag))
     return Polynomial(system.nvars, terms)
+
+
+# ---------------------------------------------------------------------------
+# The search's Levenberg-Marquardt loop, one fresh Jacobian per iteration
+
+
+def levenberg_marquardt_reference(
+    system: ResidualSystem, t0: np.ndarray, max_iters: int = 300
+) -> Tuple[np.ndarray, float]:
+    t = t0.copy()
+    r = system.residual(t)
+    cost = float(r @ r)
+    lam = 1e-3
+    for _ in range(max_iters):
+        if np.sqrt(cost) < 1e-15:
+            break
+        jac = system.jacobian(t)
+        grad = jac.T @ r
+        if np.max(np.abs(grad)) < 1e-16:
+            break
+        gauss = jac.T @ jac
+        damping_scale = np.maximum(np.diag(gauss), 1e-12)
+        accepted = False
+        for _retry in range(40):
+            try:
+                step = np.linalg.solve(gauss + lam * np.diag(damping_scale), -grad)
+            except np.linalg.LinAlgError:
+                lam *= 10
+                continue
+            candidate = t + step
+            r_new = system.residual(candidate)
+            cost_new = float(r_new @ r_new)
+            if cost_new < cost:
+                t, r, cost = candidate, r_new, cost_new
+                lam = max(lam / 3, 1e-13)
+                accepted = True
+                break
+            lam *= 4
+            if lam > 1e15:
+                break
+        if not accepted:
+            break
+    return t, float(np.sqrt(cost))
+
+
+# ---------------------------------------------------------------------------
+# The canonical renderer, one GaussianRational per term
+
+
+def _render_term_reference(exps, coeff: GaussianRational) -> Tuple[str, str]:
+    variables = []
+    for position, e in enumerate(exps):
+        if e == 1:
+            variables.append(f"x{position + 1}")
+        elif e > 1:
+            variables.append(f"x{position + 1}^{e}")
+    mono = "*".join(variables)
+
+    if coeff.re != 0 and coeff.im != 0:
+        im_sign = "+" if coeff.im > 0 else "-"
+        body = f"({coeff.re!s}{im_sign}{abs(coeff.im)!s}*i)"
+        return "+", f"{body}*{mono}" if mono else body
+    if coeff.im != 0:
+        sign = "+" if coeff.im > 0 else "-"
+        magnitude = abs(coeff.im)
+        scale = "i" if magnitude == 1 else f"{magnitude!s}*i"
+        return sign, f"{scale}*{mono}" if mono else scale
+    sign = "+" if coeff.re > 0 else "-"
+    magnitude = abs(coeff.re)
+    if not mono:
+        return sign, str(magnitude)
+    if magnitude == 1:
+        return sign, mono
+    return sign, f"{magnitude!s}*{mono}"
+
+
+def render_reference(p: Polynomial) -> str:
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for exps, coeff in p.items():
+        sign, body = _render_term_reference(exps, coeff)
+        if not pieces:
+            pieces.append(body if sign == "+" else f"-{body}")
+        else:
+            pieces.append(f" {sign} {body}")
+    return "".join(pieces)

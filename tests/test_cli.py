@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eigensphere import cli, search
@@ -397,6 +399,36 @@ class TestSearch:
         assert code == 3
         assert out == ""
         assert err.startswith("error: 100000000 attempts") and "budget" in err
+
+    def test_json_report_over_memory_budget(self, capsys, monkeypatch):
+        # 2,000,000 attempts at (4, 1) keep about 0.9 GB in search_eigen, within
+        # its budget, but their JSON report would need several GB
+        monkeypatch.setattr(search, "_AttemptDraws", None)
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys, "search", "--vars", "4", "--degree", "1", "--attempts", "2000000", "--json",
+        )
+        assert time.perf_counter() - started < 1
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: 2000000 attempts") and "JSON report" in err
+
+    def test_memory_per_attempt_without_json(self, capsys, monkeypatch):
+        # without --json no per-result report is built: the run holds what
+        # search_eigen's attempt budget counts, 32 * size + 320 bytes each
+        monkeypatch.setattr(search, "_levenberg_marquardt",
+                            lambda system, t0: (t0, float(np.linalg.norm(t0)) + 1.0))
+        attempts = 20_000
+        tracemalloc.start()
+        try:
+            code = main(["search", "--vars", "4", "--degree", "1",
+                         "--attempts", str(attempts)])
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        assert peak / attempts <= 32 * 4 + 320
 
 
 class TestSelftest:

@@ -9,6 +9,8 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from eigensphere.errors import BudgetExceeded, NegativeExponent, ParseError, VariableOutOfRange
@@ -17,6 +19,7 @@ from eigensphere.parsing import (
 from eigensphere.polynomial import GaussianRational, Polynomial
 
 from conftest import random_poly
+from oracles import render_reference
 
 I = GaussianRational(0, 1)
 
@@ -309,6 +312,28 @@ class TestRender:
     def test_deterministic(self, rng):
         p = random_poly(rng, nvars=3, terms=8)
         assert render(p) == render(p)
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.data())
+    def test_matches_reference_renderer(self, data):
+        # parts of 0 and +-1 give the real, imaginary, unit and negative forms;
+        # denominators drawn from one small set make terms share them
+        nvars = data.draw(st.integers(1, 4))
+        part = st.one_of(
+            st.sampled_from([0, 1, -1]),
+            st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 12])),
+            st.integers(-10**30, 10**30),
+        ).map(Fraction)
+        terms = data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * nvars), st.builds(GaussianRational, part, part),
+            max_size=6))
+        p = Polynomial(nvars, terms)
+        assert render(p) == render_reference(p)
+        for (exps, re, re_den, im, im_den), (ref_exps, coeff) in zip(
+                p.rational_items(), p.items(), strict=True):
+            assert exps == ref_exps
+            assert (re, re_den, im, im_den) == (coeff.re.numerator, coeff.re.denominator,
+                                                coeff.im.numerator, coeff.im.denominator)
 
 
 class TestConjInvolution:

@@ -279,6 +279,16 @@ class TestRingOperations:
         with pytest.raises(ValueError):
             p**-1
 
+    def test_pow_matches_repeated_product(self):
+        # square-and-multiply starts from the base at k's lowest set bit
+        for p in (x(1) + x(2), Fraction(1, 2) * x(1) - GaussianRational(Fraction(0), Fraction(2, 3)),
+                  Polynomial.zero(3), Polynomial.constant(3, Fraction(-3, 4))):
+            product = Polynomial.constant(3, 1)
+            for k in range(10):
+                assert p**k == product
+                assert_canonical(p**k)
+                product = product * p
+
     def test_cross_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
             x(1, 3) + x(1, 4)

@@ -23,7 +23,8 @@ from eigensphere.search import (
     search_memory_bytes,
 )
 
-from oracles import coefficients_of, polynomial_of, residual_norm_of
+from oracles import (
+    coefficients_of, levenberg_marquardt_reference, polynomial_of, residual_norm_of)
 
 
 def dense_kappa_forms(nvars, degree):
@@ -197,9 +198,9 @@ class TestMemoryBudget:
         assert search_memory_bytes(nvars, degree) >= system.kappa_forms.nbytes + jac.nbytes
 
     def test_estimate_covers_lm_peak(self):
-        # at (12, 3) the Jacobian is 16 MB, about half the estimate, so the
-        # estimate holds only if one iteration's Jacobian is freed before the
-        # next one is built
+        # at (12, 3) the Jacobian buffer is 16 MB, about half the estimate, so
+        # the estimate holds only if each iteration's normal matrix is freed
+        # before the buffer is refilled
         system = ResidualSystem(12, 3)
         t0 = np.random.default_rng(0).standard_normal(2 * system.size)
         tracemalloc.start()
@@ -209,6 +210,31 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak <= search_memory_bytes(12, 3)
+
+
+class TestLevenbergMarquardt:
+    @pytest.mark.parametrize("nvars, degree", [(4, 1), (5, 2), (5, 3), (6, 3)])
+    def test_matches_reference_bit_for_bit(self, nvars, degree):
+        # the loop refills one Jacobian buffer and damps the normal matrix in
+        # place; the reference builds both afresh every time
+        system = ResidualSystem(nvars, degree)
+        for attempt in range(3):
+            t0 = np.random.default_rng([nvars * 10 + degree, attempt]).standard_normal(
+                2 * system.size)
+            t0 /= np.linalg.norm(t0)
+            t, residual = _levenberg_marquardt(system, t0, max_iters=25)
+            t_ref, residual_ref = levenberg_marquardt_reference(system, t0, max_iters=25)
+            assert t.tobytes() == t_ref.tobytes()
+            assert residual.hex() == residual_ref.hex()
+
+    @pytest.mark.parametrize("nvars, degree", [(4, 1), (5, 3)])
+    def test_reused_jacobian_buffer(self, nvars, degree, rng):
+        system = ResidualSystem(nvars, degree)
+        first, second = rng.standard_normal((2, 2 * system.size))
+        buffer = system.jacobian(first)
+        refilled = system.jacobian(second, out=buffer)
+        assert refilled is buffer
+        assert refilled.tobytes() == system.jacobian(second).tobytes()
 
 
 class TestRationalize:
