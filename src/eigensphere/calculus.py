@@ -23,7 +23,7 @@ they pass over; kappa is `partial` and one `Polynomial._dot` sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Dict, Iterator, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, ZeroPolynomial
 from .polynomial import I, Polynomial, laplacian, partial, r_squared
@@ -43,21 +43,32 @@ def hessian(p: Union[Polynomial, Sequence[Polynomial]]) -> Tuple[Tuple[Polynomia
 
     p is a polynomial or its gradient (d_1 p, ..., d_N p), which a caller
     that already holds it passes so that no first partial is formed twice.
-    d_j of a first partial is taken only for the variables x_j that occur
-    in it; every other entry is zero.  An entry left of the diagonal is the
-    one above it (Schwarz symmetry): x_j occurs in d_i p exactly when
-    d_j d_i p = d_i d_j p is nonzero, so that entry was formed.
+    Its nonzero entries come from hessian_entries; every other entry is zero.
     """
     first_partials = gradient(p) if isinstance(p, Polynomial) else tuple(p)
     nvars = len(first_partials)
     zero = Polynomial.zero(nvars)
-    rows = []
-    for i, first in enumerate(first_partials):
-        row = [zero] * nvars
-        for j in first.variables():
-            row[j - 1] = rows[j - 1][i] if j <= i else partial(first, j)
-        rows.append(row)
+    rows = [[zero] * nvars for _ in range(nvars)]
+    for (i, j), entry in hessian_entries(first_partials).items():
+        rows[i][j] = entry
     return tuple(tuple(row) for row in rows)
+
+
+def hessian_entries(first_partials: Sequence[Polynomial]) -> Dict[Tuple[int, int], Polynomial]:
+    """The nonzero second partials of p from its gradient, {(i, j): d_{i+1} d_{j+1} p}.
+
+    Keys are 0-based and in row-major order.  d_j of a first partial is
+    taken only for the variables x_j that occur in it, so no zero entry is
+    formed or visited.  An entry left of the diagonal is the one above it
+    (Schwarz symmetry): x_j occurs in d_i p exactly when d_j d_i p =
+    d_i d_j p is nonzero, so that entry was formed.
+    """
+    entries: Dict[Tuple[int, int], Polynomial] = {}
+    for i, first in enumerate(first_partials):
+        for j in first.variables():
+            j -= 1
+            entries[i, j] = entries[j, i] if j < i else partial(first, j + 1)
+    return entries
 
 
 def _wirtinger(p: Polynomial, j: int) -> Tuple[Polynomial, Polynomial]:

@@ -51,12 +51,12 @@ EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
 # the numeric layer grows as N^2 in memory and faster in time: codimension 2
-# compiles an N x N table of second partials per constraint and
-# mean_curvature evaluates those N x N Hessians at every point.
-# `minimal-zero --poly z1 --samples 5` took 1.45-1.99 s and 145-147 MB at
-# 1,000 variables (0.62-0.90 s in mean_curvature, 0.57-0.79 s of it building
-# the Hessian table, and 0.78-1.06 s building the spec) and 0.08-0.09 s and
-# 45 MB at 256 (2-CPU x86_64 Xeon)
+# compiles an N x N table of second partials per constraint and its
+# curvature measure evaluates those N x N Hessians at every point.
+# `minimal-zero --poly z1 --samples 5` took 1.05-1.56 s and 145-147 MB at
+# 1,000 variables (0.21-0.33 s in the curvature measure, 0.14-0.21 s of it
+# building the Hessian table, and 0.81-1.21 s building the spec) and 0.07 s
+# and 44 MB at 256 (2-CPU x86_64 Xeon)
 MAX_VARS = 256
 
 # bytes that `search --json` holds per attempt, per coefficient of the

@@ -2,19 +2,25 @@
 
 This is the floating-point layer.  Everything symbolic (constraints, their
 gradients and Hessians) is prepared at most once per VarietySpec, the
-Hessians only when mean_curvature first asks for them, and compiled into
-CompiledPolys tables, which are the only way this layer evaluates
-polynomials, at one point or at a batch of points.  A table forms the powers
-x_v^k by repeated multiplication and each monomial as a product over its
-variables of nonzero exponent only, so a degree-d monomial is rounded at
-most d - 1 times; the roundoff factor (deg + terms) * 2^-53 of minimality's
-reliability bound rests on that.  Newton evaluates each point once: a step
+Hessians only when the curvature first asks for them and from their nonzero
+entries alone, and compiled into CompiledPolys tables, which are the only
+way this layer evaluates polynomials, at one point or at a batch of points.
+A table forms the powers x_v^k by repeated multiplication and each monomial
+as a product over its variables of nonzero exponent only, so a degree-d
+monomial is rounded at most d - 1 times; the roundoff factor
+(deg + terms) * 2^-53 of minimality's reliability bound rests on that.  Both
+products run a column of the batch at a time, as does Newton's residual
+max |g_a|, since numpy reduces over a short last axis one row at a time.
+Newton evaluates each point once: a step
 carries the values of the point it moved to into the next step.  The
 numerics are Newton projection with a minimum-norm least-squares step (one
 stacked QR, and the SVD with its singular-value cutoff for the rows that QR
 cannot prove far from that cutoff), seeded Gaussian sampling, and the
 level-set second-fundamental-form trace that yields mean-curvature
-components of the cut-out submanifold.  The seeded attempt loop exists once,
+components of the cut-out submanifold: mean_curvature checks that its
+points are on the variety and regular, then calls _curvature_components,
+which codimension 2's measure calls directly on points Newton already
+found both.  The seeded attempt loop exists once,
 as _quota: it runs Newton on a chunk of attempts at once (_newton_batch, of
 which newton_project is the batch of one), calls an optional measure once
 per chunk on the chunk's converged points, keeps by one mask those whose
@@ -54,13 +60,13 @@ from __future__ import annotations
 import csv
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
-from math import ceil, isfinite
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, reduce
+from math import ceil, isfinite, prod
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .calculus import gradient, hessian
+from .calculus import gradient, hessian_entries
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -92,29 +98,35 @@ def sphere_constraint(nvars: int) -> Polynomial:
 class CompiledPolys:
     """Real polynomials compiled to one shared monomial table.
 
-    Evaluation at a point x of shape (N,) is coefficients @ monomials(x),
-    reshaped to `shape` (row-major over the polynomials as listed); a batch
-    of shape (B, N) gives (B, *shape), one row per point.  The power table
+    polys lists the polynomials in row-major order of `shape`, or maps the
+    row-major positions of the nonzero ones, in ascending order, to them (a
+    mostly zero table, such as the Hessians of a large spec, is built from
+    its nonzero entries alone).  Evaluation at a point x of shape (N,) is
+    coefficients @ monomials(x), reshaped to `shape`; a batch of shape
+    (B, N) gives (B, *shape), one row per point.  The power table
     x_v^0 .. x_v^D of every variable is built by multiplication, x_v^0 = 1
-    and x_v^k = x_v^(k-1) * x_v, and each monomial is the product, in
-    variable order, of its factors x_v^e with e > 0 only, read from that
-    table; a monomial with fewer such factors than the widest one is padded
-    with entries x_v^0 = 1, which multiply exactly.  So a monomial of degree
-    d rounds at most d - 1 times, which the roundoff factor (deg + terms) *
+    and x_v^k = x_v^(k-1) * x_v, and each monomial is the product, left to
+    right in variable order, of its factors x_v^e with e > 0 only, read
+    from that table; a monomial with fewer such factors than the widest one
+    is padded with entries x_v^0 = 1, which multiply exactly, and a table
+    whose widest monomial is the constant one gives ones.  Both products run
+    a whole column of the batch at a time.  So a monomial of degree d
+    rounds at most d - 1 times, which the roundoff factor (deg + terms) *
     2^-53 of minimality's reliability bound assumes; a float power x**k
     gives no such bound.  A batch is evaluated in blocks of rows so that no
     temporary exceeds CHUNK_FLOATS floats.  A coefficient past float range
     is BudgetExceeded.
     """
 
-    def __init__(self, nvars: int, polys: Sequence[Polynomial], shape: Tuple[int, ...]):
+    def __init__(self, nvars: int, polys: Union[Sequence[Polynomial], Mapping[int, Polynomial]],
+                 shape: Tuple[int, ...]):
         # columns in first-seen order of the monomials over all polynomials
         index: Dict[Tuple[int, ...], int] = {}
         rows, columns, values = [], [], []
         try:
-            for row, p in enumerate(polys):
+            for row, p in (polys.items() if isinstance(polys, Mapping) else enumerate(polys)):
                 if not p:
-                    continue  # most Hessian entries of a large spec are zero
+                    continue  # cheaper than an empty pass over its terms
                 for exps, coeff in p.real_float_items():
                     rows.append(row)
                     columns.append(index.setdefault(exps, len(index)))
@@ -124,7 +136,7 @@ class CompiledPolys:
                                  "1.8e308) that the numeric layer needs") from None
         # reshape with nvars, not -1: an all-zero list has an empty table
         self.exponents = np.array(list(index), dtype=int).reshape(len(index), nvars)
-        self.coefficients = np.zeros((len(polys), len(index)))
+        self.coefficients = np.zeros((prod(shape), len(index)))
         self.coefficients[rows, columns] = values
         self.shape = shape
         self._top = int(self.exponents.max(initial=0))
@@ -136,7 +148,8 @@ class CompiledPolys:
         self._factor_index = (variables * (self._top + 1)
                               + np.take_along_axis(self.exponents, variables, axis=1))
         # floats in the largest temporary that evaluating one point allocates
-        self.point_floats = max(self._factor_index.size, len(polys), nvars * (self._top + 1))
+        self.point_floats = max(self._factor_index.size, len(self.coefficients),
+                                nvars * (self._top + 1))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -147,13 +160,20 @@ class CompiledPolys:
         rows = max(1, CHUNK_FLOATS // self.point_floats)
         if x.ndim == 2 and len(x) > rows:
             return np.concatenate([self(x[i:i + rows]) for i in range(0, len(x), rows)])
+        # whole columns at a time: numpy reduces over a short last axis one
+        # output element at a time
         powers = np.empty(x.shape + (self._top + 1,))
         powers[..., 0] = 1.0
-        # cumprod multiplies in order: column k is (...(x * x) ...) * x, k factors
-        np.cumprod(np.broadcast_to(x[..., None], x.shape + (self._top,)), axis=-1,
-                   out=powers[..., 1:])
+        for k in range(1, self._top + 1):  # (...(1 * x) * x ...) * x, k factors
+            np.multiply(powers[..., k - 1], x, out=powers[..., k])
         powers = powers.reshape(x.shape[:-1] + (nvars * (self._top + 1),))
-        monomials = np.multiply.reduce(powers.take(self._factor_index, axis=-1), axis=-1)
+        factors = powers.take(self._factor_index, axis=-1)
+        if not factors.shape[-1]:  # no monomial, or only the constant one
+            monomials = np.ones(factors.shape[:-1])
+        else:
+            monomials = factors[..., 0]
+            for k in range(1, factors.shape[-1]):  # left to right, in variable order
+                monomials = monomials * factors[..., k]
         return (monomials @ self.coefficients.T).reshape(x.shape[:-1] + self.shape)
 
 
@@ -162,8 +182,9 @@ class VarietySpec:
 
     The constraints and their gradients are compiled at construction into
     two CompiledPolys tables (values, Jacobian); the Hessians, which only
-    mean_curvature reads, are computed symbolically and compiled into a third
-    table on first use.  All later evaluation goes through these tables;
+    the curvature reads, are computed symbolically, only their nonzero
+    entries (calculus.hessian_entries), and compiled into a third table on
+    first use.  All later evaluation goes through these tables;
     values, jacobian and hessian_at take one point (N,) or a batch (B, N).
     """
 
@@ -195,10 +216,12 @@ class VarietySpec:
 
     @cached_property
     def _hessians(self) -> CompiledPolys:
-        m = len(self._constraints)
-        return CompiledPolys(
-            self.nvars, [e for grad in self._gradients for row in hessian(grad) for e in row],
-            (m, self.nvars, self.nvars))
+        # only the entries that hessian_entries formed: at N variables the
+        # table has m N^2 positions, and most are zero
+        n = self.nvars
+        entries = {(a * n + i) * n + j: entry for a, grad in enumerate(self._gradients)
+                   for (i, j), entry in hessian_entries(grad).items()}
+        return CompiledPolys(n, entries, (len(self._constraints), n, n))
 
     @property
     def num_equations(self) -> int:
@@ -275,7 +298,7 @@ def _newton_batch(
     values = spec.values(x)
     for _ in range(maxiter):
         x_live = x[live]
-        base = np.max(np.abs(values), axis=1)
+        base = _max_abs(values)
         done = base < tol
         if done.any():
             sigma = np.linalg.svd(spec.jacobian(x_live[done]), compute_uv=False)[:, -1]
@@ -294,7 +317,7 @@ def _newton_batch(
             found = spec.values(candidate)
             if not halving:
                 full_step = found  # every row's x - step, in the order of live
-            better = np.max(np.abs(found), axis=1) < base[pending]
+            better = _max_abs(found) < base[pending]
             x_live[pending[better]] = candidate[better]
             values[pending[better]] = found[better]
             pending = pending[~better]
@@ -306,6 +329,16 @@ def _newton_batch(
         values[pending] = full_step[pending]
         x[live] = x_live
     return x, outcomes, residual, sigma_min
+
+
+def _max_abs(values: np.ndarray) -> np.ndarray:
+    """max_a |g_a| of each row of values (B, m), by np.maximum over the m columns.
+
+    A maximum is exact and nan propagates through np.maximum, so this is
+    np.max(np.abs(values), axis=1) bit for bit; numpy reduces over a short
+    last axis one row at a time.
+    """
+    return reduce(np.maximum, np.abs(values).T)
 
 
 def _newton_steps(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -626,32 +659,55 @@ def mean_curvature(spec: VarietySpec, x: Sequence[float]) -> CurvatureSample:
     Hessian over it is its full trace minus its trace over the normals.
     Minimality of the cut-out submanifold inside the sphere is the vanishing
     of all components for b >= 1; the radial component is the dimension
-    check -dim M.  A batch runs in blocks of rows, each one stacked SVD,
-    reduced QR, Hessian-times-normals matrix product, trace and solve, so
-    that no temporary exceeds CHUNK_FLOATS floats beyond one point's own;
-    one point is the batch of one.  Raises OffVariety when any
-    residual max |g_a| exceeds OFF_VARIETY_TOL and SingularJacobian when any
-    smallest singular value of the Jacobian is below EPS_REG.
+    check -dim M.  The guards come first, block by block: OffVariety when
+    any residual max |g_a| exceeds OFF_VARIETY_TOL and SingularJacobian when
+    any smallest singular value of the Jacobian (one stacked SVD per block,
+    returned as frame_condition) is below EPS_REG.  The components then
+    come from _curvature_components, which a caller whose points already
+    passed both guards, as _quota's converged points did in Newton, calls
+    directly.  One point is the batch of one.
     """
     points = np.atleast_2d(np.asarray(x, dtype=float))
-    m = spec.num_equations
-    # a point's Hessians and their (m, N, m) products with the normals are
-    # alive at once
-    rows = max(1, CHUNK_FLOATS // max(spec._values.point_floats, spec._jacobian.point_floats,
-                                      spec._hessians.point_floats + m * spec.nvars * m))
-    components = np.empty((len(points), m))
+    rows = _curvature_rows(spec)
     sigma = np.empty(len(points))
     for start in range(0, len(points), rows):
-        span = slice(start, start + rows)
-        block = points[span]
+        block = points[start:start + rows]
         residual = np.max(np.abs(spec.values(block)))
         if residual > OFF_VARIETY_TOL:
             raise OffVariety(f"point residual {residual:.3e} exceeds {OFF_VARIETY_TOL:.1e}")
-        jac = spec.jacobian(block)  # rows: grad g0 = x, grad g1, ..., grad gc
-        sigma[span] = np.linalg.svd(jac, compute_uv=False)[:, -1]
-        if np.min(sigma[span]) < EPS_REG:
+        smallest = np.linalg.svd(spec.jacobian(block), compute_uv=False)[:, -1]
+        if np.min(smallest) < EPS_REG:
             raise SingularJacobian(
-                f"smallest singular value {np.min(sigma[span]):.3e} below {EPS_REG:.1e}")
+                f"smallest singular value {np.min(smallest):.3e} below {EPS_REG:.1e}")
+        sigma[start:start + rows] = smallest
+    components = _curvature_components(spec, points)
+    if np.ndim(x) == 1:
+        return CurvatureSample(components[0, 1:], float(components[0, 0]), float(sigma[0]))
+    return CurvatureSample(components[:, 1:], components[:, 0], sigma)
+
+
+def _curvature_rows(spec: VarietySpec) -> int:
+    """Rows per block of mean_curvature, so that no temporary exceeds
+    CHUNK_FLOATS floats beyond one point's own: a point's Hessians and their
+    (m, N, m) products with the normals are alive at once."""
+    m = spec.num_equations
+    return max(1, CHUNK_FLOATS // max(spec._values.point_floats, spec._jacobian.point_floats,
+                                      spec._hessians.point_floats + m * spec.nvars * m))
+
+
+def _curvature_components(spec: VarietySpec, points: np.ndarray) -> np.ndarray:
+    """The components <H, nu_b>, b = 0 .. m - 1, at points (B, N): (B, m), column 0 radial.
+
+    mean_curvature without its guards, for points on the variety with a
+    regular Jacobian.  Each block of _curvature_rows rows is one reduced QR
+    of the Jacobian, one Hessian-times-normals matrix product, trace and
+    solve.
+    """
+    components = np.empty((len(points), spec.num_equations))
+    rows = _curvature_rows(spec)
+    for start in range(0, len(points), rows):
+        block = points[start:start + rows]
+        jac = spec.jacobian(block)  # rows: grad g0 = x, grad g1, ..., grad gc
         q, r = np.linalg.qr(np.swapaxes(jac, 1, 2))
         hessians = spec.hessian_at(block)
         # sum_i e_i^T H_a e_i = tr H_a - sum_k nu_k^T H_a nu_k over the normals
@@ -660,10 +716,8 @@ def mean_curvature(spec: VarietySpec, x: Sequence[float]) -> CurvatureSample:
         pivots = np.diagonal(r, axis1=1, axis2=2)
         # b as a stack of column vectors reads the same under numpy 1.x and 2.x
         solved = np.linalg.solve(np.swapaxes(r, 1, 2), traces[..., None])[..., 0]
-        components[span] = -np.sign(pivots) * solved
-    if np.ndim(x) == 1:
-        return CurvatureSample(components[0, 1:], float(components[0, 0]), float(sigma[0]))
-    return CurvatureSample(components[:, 1:], components[:, 0], sigma)
+        components[start:start + rows] = -np.sign(pivots) * solved
+    return components
 
 
 def stereographic(x: np.ndarray, pole: int) -> np.ndarray:

@@ -17,7 +17,9 @@ Both checks draw their samples through geometry._quota, the one loop that
 also serves geometry.sample, each with its own measure of a chunk of
 converged points, one float row per point, where nan drops the point:
 codimension 1 evaluates the reliable criterion on the whole chunk at once
-(nan where its bound fails), codimension 2 its mean curvature in one call.
+(nan where its bound fails), codimension 2 its mean-curvature components
+in one call of geometry._curvature_components, mean_curvature without the
+guards that Newton's stop already passed.
 Both read the kept points from _quota's PointCloud and the kept rows as one
 array, and one function grades the sampled values for both.  Verdicts are
 graded: ExactMinimal needs a symbolic certificate; NumericMinimal needs the
@@ -46,7 +48,7 @@ from .errors import (
     ZeroLine,
     ZeroPolynomial,
 )
-from .geometry import CompiledPolys, VarietySpec, _quota, mean_curvature
+from .geometry import CompiledPolys, VarietySpec, _curvature_components, _quota
 
 # not called here: the name stays importable because the benchmark tracer's
 # alias test patches and restores it in this module
@@ -302,8 +304,10 @@ def check_minimal_codim2(
     are parallel everywhere), EmptyFiber for a nonzero constant F.  The points
     come from geometry._quota exactly as geometry.sample draws them: at most
     10*samples attempts, the default Newton settings and the same shortfall
-    message, with one mean_curvature call per chunk as the measure; a
-    sample whose components contain nan is dropped, not graded.
+    message, with one _curvature_components call per chunk as the measure
+    (mean_curvature without its off-variety and regularity guards, which
+    Newton's stop already passed); a sample whose components contain nan is
+    dropped, not graded.
     """
     _check_thresholds(samples, tol, reject)
     k = require_harmonic(F, n)
@@ -324,11 +328,10 @@ def check_minimal_codim2(
 
     spec = VarietySpec(F.nvars, [u, v])
 
-    def component_rows(points: np.ndarray) -> np.ndarray:
-        curvature = mean_curvature(spec, points)
-        return np.column_stack([curvature.radial_component, curvature.normal_components])
-
-    cloud, components, shortfall = _quota(spec, samples, rng_seed, 10 * samples, component_rows)
+    # Newton kept only points with residual < 1e-12 < OFF_VARIETY_TOL and a
+    # smallest singular value >= EPS_REG, so mean_curvature's guards would pass
+    cloud, components, shortfall = _quota(
+        spec, samples, rng_seed, 10 * samples, lambda points: _curvature_components(spec, points))
     tallies = cloud.metadata["outcomes"]
     if not len(cloud):
         if tallies["singular"] > 0:

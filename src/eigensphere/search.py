@@ -82,18 +82,25 @@ def _basis_positions(exps: np.ndarray, degree: int) -> np.ndarray:
 def search_memory_bytes(nvars: int, degree: int) -> int:
     """Estimated peak bytes of one search at (nvars, degree).
 
-    Counts 8-byte words for the Jacobian buffer (rows x 2M), the damped LM
-    normal matrix and the copy of it that `solve` factors (2 (2M)^2), B@u
-    and B@v (2 T M), the kappa table (4 E) and its float weights and flat
-    cell indices (2 E), from the basis sizes alone: M degree-d monomials,
+    Counts 8-byte words, from the basis sizes alone: M degree-d monomials,
     T degree-(2d-2) kappa targets, E = N * mid^2 table rows over the mid
-    degree-(d-1) monomials.
+    degree-(d-1) monomials.  What every LM iteration holds is the Jacobian
+    buffer (rows x 2M), the kappa table (4 E) and its float weights and
+    flat cell indices (2 E).  On top of that it goes through two phases that
+    never overlap, since `_levenberg_marquardt` frees the normal matrix
+    before it refills the Jacobian, so only the larger one counts.
+    Refilling holds B@u and B@v (2 T M) and a gathered table column with
+    its product (2 E).  After it, the damped normal matrix lives with the
+    copy of it that `solve` factors (2 (2M)^2) and then with the residual's
+    gathered products at a candidate (4 E, counted on top).
     """
     size = _basis_size(nvars, degree)
     targets = _basis_size(nvars, 2 * degree - 2)
     entries = nvars * _basis_size(nvars, degree - 1) ** 2
     rows = 2 * _basis_size(nvars, degree - 2) + 2 * targets + 1
-    return 8 * (rows * 2 * size + 2 * (2 * size) ** 2 + 2 * targets * size + 6 * entries)
+    refill = 2 * targets * size + 2 * entries
+    normal = 2 * (2 * size) ** 2 + 4 * entries
+    return 8 * (rows * 2 * size + 6 * entries + max(refill, normal))
 
 
 class ResidualSystem:

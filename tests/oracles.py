@@ -24,6 +24,15 @@ that the package computes another way.
   * render_reference: the canonical renderer as it was before it read the
     packed pairs, through `items` and a GaussianRational per term;
     test_parsing checks `render` against it string for string.
+  * compiled_evaluate_reference: CompiledPolys evaluation as it was before
+    it multiplied whole columns, by np.cumprod over a broadcast copy of the
+    point and np.multiply.reduce over the gathered factors; test_geometry
+    checks CompiledPolys against it bit for bit.  Bit-identity rests on
+    numpy multiplying both reductions sequentially.
+  * hessian_table_reference: the Hessian table of a VarietySpec built as it
+    was before it read only the formed entries, from the dense N x N
+    `hessian` of every constraint; test_geometry checks that both tables
+    are the same.
 """
 
 from fractions import Fraction
@@ -31,9 +40,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from eigensphere.calculus import gradient, hess_grad_grad, laplacian
+from eigensphere import geometry
+from eigensphere.calculus import gradient, hess_grad_grad, hessian, laplacian
 from eigensphere.errors import EigenSphereError
-from eigensphere.geometry import EPS_REG, CompiledPolys
+from eigensphere.geometry import EPS_REG, CompiledPolys, VarietySpec
 from eigensphere.polynomial import GaussianRational, Polynomial
 from eigensphere.search import ResidualSystem
 
@@ -245,3 +255,30 @@ def render_reference(p: Polynomial) -> str:
         else:
             pieces.append(f" {sign} {body}")
     return "".join(pieces)
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation and the Hessian table
+
+
+def compiled_evaluate_reference(compiled: CompiledPolys, x) -> np.ndarray:
+    """compiled(x) by cumprod and multiply.reduce, in the same blocks of rows."""
+    x = np.asarray(x, dtype=float)
+    nvars = compiled.exponents.shape[1]
+    rows = max(1, geometry.CHUNK_FLOATS // compiled.point_floats)
+    if x.ndim == 2 and len(x) > rows:
+        return np.concatenate([compiled_evaluate_reference(compiled, x[i:i + rows])
+                               for i in range(0, len(x), rows)])
+    top = compiled._top
+    powers = np.empty(x.shape + (top + 1,))
+    powers[..., 0] = 1.0
+    np.cumprod(np.broadcast_to(x[..., None], x.shape + (top,)), axis=-1, out=powers[..., 1:])
+    powers = powers.reshape(x.shape[:-1] + (nvars * (top + 1),))
+    monomials = np.multiply.reduce(powers.take(compiled._factor_index, axis=-1), axis=-1)
+    return (monomials @ compiled.coefficients.T).reshape(x.shape[:-1] + compiled.shape)
+
+
+def hessian_table_reference(spec: VarietySpec) -> CompiledPolys:
+    """The spec's Hessian table compiled from every entry of every dense Hessian."""
+    entries = [e for grad in spec._gradients for row in hessian(grad) for e in row]
+    return CompiledPolys(spec.nvars, entries, (spec.num_equations, spec.nvars, spec.nvars))

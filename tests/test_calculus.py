@@ -11,6 +11,7 @@ from eigensphere.calculus import (
     gradient,
     hess_grad_grad,
     hessian,
+    hessian_entries,
     identity_one_check,
     kappa,
     laplacian,
@@ -209,6 +210,16 @@ class TestHessian:
             p = random_poly(rng, nvars=3, max_degree=4)
             spread = Polynomial(5, {(a, 0, b, 0, c): coeff for (a, b, c), coeff in p.items()})
             assert hessian(spread) == self.reference(spread)
+
+    def test_entries_are_the_nonzero_ones_in_row_major_order(self, rng):
+        for _ in range(10):
+            p = random_poly(rng, nvars=3, max_degree=4)
+            spread = Polynomial(5, {(a, 0, b, c, 0): coeff for (a, b, c), coeff in p.items()})
+            entries = hessian_entries(gradient(spread))
+            dense = self.reference(spread)
+            nonzero = [(i, j) for i in range(5) for j in range(5) if not dense[i][j].is_zero()]
+            assert list(entries) == nonzero
+            assert all(entries[key] == dense[key[0]][key[1]] for key in nonzero)
 
 
 class TestKappa:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as st
@@ -25,6 +26,7 @@ from eigensphere.geometry import (
     PointCloud,
     VarietySpec,
     _AttemptDraws,
+    _curvature_components,
     _quota,
     add_stereo,
     export_cloud,
@@ -40,7 +42,12 @@ from eigensphere.parsing import parse
 from eigensphere.polynomial import Polynomial
 
 from conftest import random_poly
-from oracles import DegeneratePoint, cone_mean_curvature
+from oracles import (
+    DegeneratePoint,
+    compiled_evaluate_reference,
+    cone_mean_curvature,
+    hessian_table_reference,
+)
 
 
 def clifford_spec():
@@ -147,6 +154,81 @@ class TestVarietySpec:
         assert compiled.exponents.shape == (0, 4)
         assert np.array_equal(compiled(np.ones(4)), np.zeros((2, 4, 4)))
         assert np.array_equal(compiled(np.ones((3, 4))), np.zeros((3, 2, 4, 4)))
+
+
+@st.composite
+def compiled_tables(draw):
+    """A CompiledPolys of 1 to 3 random polynomials, whose monomials have 0 to
+    4 variables with exponents up to 16, and a point (N,) or batch (B, N)."""
+    nvars = draw(st.integers(1, 6))
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(0, 6))):
+            exps = [0] * nvars
+            for v in draw(st.lists(st.integers(0, nvars - 1), max_size=4, unique=True)):
+                exps[v] = draw(st.integers(1, 16))
+            terms[tuple(exps)] = Fraction(draw(st.integers(-99, 99)), draw(st.integers(1, 9)))
+        polys.append(Polynomial(nvars, terms))
+    batch = draw(st.sampled_from([None, 1, 7, 60]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1.5, 1.5, (nvars,) if batch is None else (batch, nvars))
+    return CompiledPolys(nvars, polys, (len(polys),)), x
+
+
+class TestCompiledMatchesReduce:
+    """Column products give the bits of cumprod and multiply.reduce."""
+
+    @staticmethod
+    def assert_same_bits(compiled, x, block_points):
+        with pytest.MonkeyPatch.context() as patch:
+            if block_points is not None:
+                patch.setattr(geometry, "CHUNK_FLOATS", block_points * compiled.point_floats)
+            assert compiled(x).tobytes() == compiled_evaluate_reference(compiled, x).tobytes()
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(compiled_tables(), st.sampled_from([None, 1, 3]))
+    def test_random_tables(self, table, block_points):
+        compiled, x = table
+        self.assert_same_bits(compiled, x, block_points)
+
+    @pytest.mark.parametrize("polys", [["0", "0"], ["3/2", "0"], ["0", "-2"]],
+                             ids=["empty", "constant", "constant-second"])
+    @pytest.mark.parametrize("batch", [None, 5])
+    def test_width_zero_gives_ones(self, polys, batch):
+        compiled = CompiledPolys(3, [parse(p, 3) for p in polys], (2,))
+        assert compiled._factor_index.shape[1] == 0
+        x = np.full((3,) if batch is None else (batch, 3), 0.5)
+        self.assert_same_bits(compiled, x, None)
+
+    def test_four_factor_monomials_in_blocks(self):
+        compiled = CompiledPolys(5, [parse("x1^16*x2^3*x4^7*x5 - 3*x2*x3^9 + 1/7*x5^2", 5),
+                                     parse("x1*x2*x3*x4 + 2", 5)], (2,))
+        x = np.random.default_rng(12).uniform(-1.5, 1.5, (41, 5))
+        for block_points in (None, 1, 4):
+            self.assert_same_bits(compiled, x, block_points)
+            self.assert_same_bits(compiled, x[0], block_points)
+
+
+class TestHessianTable:
+    def test_large_spec_matches_dense_table(self):
+        spec = VarietySpec(1000, [parse("x1", 1000), parse("x2", 1000)])
+        expected = hessian_table_reference(spec)
+        assert np.array_equal(spec._hessians.exponents, expected.exponents)
+        assert spec._hessians.coefficients.tobytes() == expected.coefficients.tobytes()
+        assert spec._hessians.shape == expected.shape
+
+    @pytest.mark.parametrize("nvars", [3, 4, 6])
+    def test_random_specs_match_dense_table(self, nvars):
+        rng = np.random.default_rng(2000 + nvars)
+        for count in (1, nvars - 2):
+            spec = VarietySpec(nvars, [random_poly(rng, nvars, 4, complex_coeffs=False)
+                                       for _ in range(count)])
+            expected = hessian_table_reference(spec)
+            assert np.array_equal(spec._hessians.exponents, expected.exponents)
+            assert spec._hessians.coefficients.tobytes() == expected.coefficients.tobytes()
+            x = rng.standard_normal((4, nvars))
+            assert spec.hessian_at(x).tobytes() == expected(x).tobytes()
 
 
 class TestNewtonProject:
@@ -850,6 +932,23 @@ class TestFrameMatchesReference:
             assert batch_condition == pytest.approx(cs.frame_condition, rel=1e-13)
             largest_normal = max(largest_normal, float(np.max(np.abs(expected[1:]))))
         assert (largest_normal < 1e-10) if minimal else (largest_normal > 0.1)
+
+    @pytest.mark.parametrize("poly", ["z1^3 + 2*z2^3 - z3^3", "z1^2 + z2^2 + x5^2 - x6^2"])
+    def test_unguarded_components_on_quota_points(self, poly):
+        # the measure codim 2 hands _quota: every chunk's converged points
+        # give the components of mean_curvature bit for bit
+        spec = VarietySpec(6, list(parse(poly, 6).real_imag_parts()))
+        chunks = []
+
+        def measure(points):
+            chunks.append((points.copy(), _curvature_components(spec, points)))
+            return chunks[-1][1]
+        cloud, components, _shortfall = _quota(spec, 200, 1, 2000, measure)
+        assert len(cloud) == 200 and len(chunks) >= 1
+        for points, rows in chunks:
+            curvature = mean_curvature(spec, points)
+            expected = np.column_stack([curvature.radial_component, curvature.normal_components])
+            assert rows.tobytes() == expected.tobytes()
 
     def test_dependent_constraints_rejected(self):
         spec = VarietySpec(5, [parse("x4", 5), parse("2*x4", 5)])

@@ -1,11 +1,19 @@
 """Minimality decision procedures, conformality, and the surface classifier."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from eigensphere.calculus import gradient, hess_grad_grad, hessian, kappa, laplacian
+from eigensphere.calculus import (
+    gradient,
+    hess_grad_grad,
+    hessian,
+    hessian_entries,
+    kappa,
+    laplacian,
+)
 from eigensphere import geometry, minimality
 from eigensphere.errors import (
     BothZero,
@@ -316,12 +324,31 @@ class TestCheckMinimalCodim2:
                 return fn(*args, **kwargs)
             return wrapper
         monkeypatch.setattr(geometry, "_newton_batch", counted("newton", geometry._newton_batch))
-        monkeypatch.setattr(minimality, "mean_curvature",
-                            counted("curvature", minimality.mean_curvature))
+        monkeypatch.setattr(minimality, "_curvature_components",
+                            counted("curvature", minimality._curvature_components))
         verdict = check_minimal_codim2(quadric(), 3, samples=200, rng_seed=1)
         assert verdict.status == NUMERIC_MINIMAL
         assert verdict.samples == 200
         assert 1 <= calls["curvature"] <= calls["newton"]
+
+    def test_no_values_only_svd_outside_newton(self, monkeypatch):
+        # Newton's stop already took the smallest singular value of every
+        # kept point, so the measure repeats no SVD
+        callers = []
+        svd = geometry.np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            if not kwargs.get("compute_uv", True):
+                callers.append(sys._getframe(1).f_code.co_name)
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(geometry.np.linalg, "svd", recorded)
+        verdict = check_minimal_codim2(quadric(), 3, samples=200, rng_seed=1)
+        assert verdict.samples == 200
+        assert callers and set(callers) == {"_newton_batch"}
+        # the guarded entry point still takes its own
+        spec = VarietySpec(4, list(quadric().real_imag_parts()))
+        mean_curvature(spec, geometry.sample(spec, 3, rng_seed=1).points)
+        assert callers[-1] == "mean_curvature"
 
     def test_attempt_bookkeeping_quota_fills(self):
         # the quota fills after attempts that converge to singular points
@@ -403,9 +430,9 @@ class TestHessianTableIsLazy:
 
         def counting(p):
             calls.append(p)
-            return hessian(p)
+            return hessian_entries(p)
 
-        monkeypatch.setattr(geometry, "hessian", counting)
+        monkeypatch.setattr(geometry, "hessian_entries", counting)
         return calls
 
     def test_sample_and_codim1_build_none(self, hessian_calls):

@@ -211,6 +211,31 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert peak <= search_memory_bytes(12, 3)
 
+    @pytest.mark.parametrize("nvars, degree", [(12, 3), (14, 3)])
+    def test_estimate_covers_both_phases(self, monkeypatch, nvars, degree):
+        # refilling the Jacobian (B@u, B@v) is the larger phase at (14, 3),
+        # the normal matrix with its factored copy at (12, 3); that copy is
+        # made inside solve, outside tracemalloc, so it is added to the
+        # traced memory at each solve
+        system = ResidualSystem(nvars, degree)
+        at_solve = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            at_solve.append(tracemalloc.get_traced_memory()[0] + a.nbytes)
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        t0 = np.random.default_rng(0).standard_normal(2 * system.size)
+        tracemalloc.start()
+        try:
+            _levenberg_marquardt(system, t0 / np.linalg.norm(t0), max_iters=2)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = system.kappa_forms.nbytes + system._weight.nbytes + system._cell.nbytes
+        assert at_solve
+        assert table + max(peak, *at_solve) <= search_memory_bytes(nvars, degree)
+
 
 class TestLevenbergMarquardt:
     @pytest.mark.parametrize("nvars, degree", [(4, 1), (5, 2), (5, 3), (6, 3)])
