@@ -16,8 +16,9 @@ Storage stays in the real variables x1..xN, but kappa works in the complex
 ones: per coordinate pair (x_{2j-1}, x_{2j}) it multiplies the derivatives
 D+- = d_x +- i*d_y, so a polynomial that is holomorphic or antiholomorphic
 in each z_j = x_{2j-1} + i*x_{2j} contributes no product to kappa(P, P).
-`partial` and `laplacian` come from `polynomial`, which owns the storage
-they pass over; kappa is `partial` and one `Polynomial._dot` sum.
+`partial`, `laplacian` and the gradient's one pass (`first_partials`) come
+from `polynomial`, which owns the storage they pass over; kappa is `partial`
+and one `Polynomial._dot` sum.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, ZeroPolynomial
-from .polynomial import I, Polynomial, laplacian, partial, r_squared
+from .polynomial import I, Polynomial, first_partials, laplacian, partial, r_squared
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +35,8 @@ from .polynomial import I, Polynomial, laplacian, partial, r_squared
 
 
 def gradient(p: Polynomial) -> Tuple[Polynomial, ...]:
-    """(d_1 p, ..., d_N p)."""
-    return tuple(partial(p, i) for i in range(1, p.nvars + 1))
+    """(d_1 p, ..., d_N p), in one pass over p's terms (polynomial.first_partials)."""
+    return first_partials(p)
 
 
 def hessian(p: Union[Polynomial, Sequence[Polynomial]]) -> Tuple[Tuple[Polynomial, ...], ...]:

@@ -13,14 +13,14 @@ products run a column of the batch at a time, as does Newton's residual
 max |g_a|, since numpy reduces over a short last axis one row at a time.
 Newton evaluates each point once: a step
 carries the values of the point it moved to into the next step.  The
-numerics are Newton projection with a minimum-norm least-squares step (one
-stacked QR, and the SVD with its singular-value cutoff for the rows that QR
-cannot prove far from that cutoff), seeded Gaussian sampling, and the
-level-set second-fundamental-form trace that yields mean-curvature
-components of the cut-out submanifold: mean_curvature checks that its
-points are on the variety and regular, then calls _curvature_components,
-which codimension 2's measure calls directly on points Newton already
-found both.  The seeded attempt loop exists once,
+numerics are Newton projection with a minimum-norm least-squares step (a
+Gram-Schmidt QR, _thin_qr, and the SVD with its singular-value cutoff for
+the rows that QR cannot prove far from that cutoff), seeded Gaussian
+sampling, and the level-set second-fundamental-form trace that yields
+mean-curvature components of the cut-out submanifold: mean_curvature
+checks that its points are on the variety and regular, then calls
+_curvature_components, which codimension 2's measure calls directly on
+points Newton already found both.  The seeded attempt loop exists once,
 as _quota: it runs Newton on a chunk of attempts at once (_newton_batch, of
 which newton_project is the batch of one), calls an optional measure once
 per chunk on the chunk's converged points, keeps by one mask those whose
@@ -45,13 +45,14 @@ Newton's tol and maxiter stay parameters (DEFAULT_TOL, DEFAULT_MAXITER).
 
 Conventions:
   * the sphere constraint is g0 = (|x|^2 - 1)/2, so grad g0 = x exactly;
-  * the normal frame at each point comes from one reduced QR factorization
-    J^T = Q R of the constraint Jacobian: the columns of Q, signed by
-    diag(R), are the Gram-Schmidt normals nu_b of the gradient rows, so nu_0
-    is the position vector;
+  * the normal frame at each point is the Gram-Schmidt orthonormalization
+    of the gradient rows of the constraint Jacobian, J = R^T Q with R upper
+    triangular with positive diagonal (_thin_qr): the rows of Q are the
+    normals nu_b, so nu_0 is the position vector;
   * <H, nu_b> = -sum_i (sum_a C_ba Hess g_a)(e_i, e_i) over an orthonormal
-    tangent basis {e_i}, where nu_b = sum_a C_ba grad g_a, i.e.
-    C = sign(diag R) R^-T, and sum_i H(e_i, e_i) = tr H - sum_k H(nu_k, nu_k);
+    tangent basis {e_i}, where nu_b = sum_a C_ba grad g_a, i.e. C = R^-T,
+    applied by forward substitution, and sum_i H(e_i, e_i) = tr H -
+    sum_k H(nu_k, nu_k);
     the radial component (b = 0) always equals -dim M on the sphere.
 """
 
@@ -278,9 +279,11 @@ def _newton_batch(
     otherwise; a row that never stops within maxiter steps is
     "no_convergence".  Returns the final points, the outcome of each row, and
     its residual max |g_a| and smallest singular value at the stop (both nan
-    when it did not stop).  The steps come from _newton_steps, a stacked QR
-    for the rows whose singular values it proves above the cutoff; the
-    smallest singular value at the stop always comes from a values-only SVD.
+    when it did not stop).  The steps come from _newton_steps, a Gram-Schmidt
+    QR for the rows whose singular values it proves above the cutoff.  A row
+    records its residual when it stops and keeps its point from then on, so
+    the smallest singular values come at the end, from one values-only SVD
+    of the Jacobians at every stopped point, which classifies them all.
 
     Each point is evaluated once: the seeds' values before the first step,
     then each candidate of the line search.  A row carries into its next
@@ -301,10 +304,7 @@ def _newton_batch(
         base = _max_abs(values)
         done = base < tol
         if done.any():
-            sigma = np.linalg.svd(spec.jacobian(x_live[done]), compute_uv=False)[:, -1]
             residual[live[done]] = base[done]
-            sigma_min[live[done]] = sigma
-            outcomes[live[done]] = np.where(sigma < EPS_REG, "singular", "converged")
             live, x_live, values, base = live[~done], x_live[~done], values[~done], base[~done]
         if not live.size:
             break
@@ -328,6 +328,11 @@ def _newton_batch(
         x_live[pending] -= step[pending]
         values[pending] = full_step[pending]
         x[live] = x_live
+    # a stopped row keeps its point, so one SVD classifies every stop
+    stopped = ~np.isnan(residual)
+    if stopped.any():
+        sigma_min[stopped] = np.linalg.svd(spec.jacobian(x[stopped]), compute_uv=False)[:, -1]
+        outcomes[stopped] = np.where(sigma_min[stopped] < EPS_REG, "singular", "converged")
     return x, outcomes, residual, sigma_min
 
 
@@ -346,38 +351,83 @@ def _newton_steps(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     The step of a row is V S^+ U^T g from the SVD of its Jacobian, where S^+
     inverts the singular values above max(EPS_REG * 1e-4, 1e-14 sigma_max)
-    and drops the rest.  Every row is first factored by one stacked QR,
-    J^T = Q R.  Since sigma_min = |det R| / (product of the other singular
-    values) >= |det R| / ||R||_F^(m-1), and sigma_max <= ||R||_F, a row with
-    |det R| / ||R||_F^(m-1) > max(EPS_REG * 1e-4, 1e-14 ||R||_F) has no
-    singular value at or below the cutoff; its step is the full-rank
-    minimum-norm solution Q R^-T g, by forward substitution.  Only the other
-    rows, rank-deficient or nearly so, take the SVD.  The bound is formed as
-    ||R||_F * prod_k (|R_kk| / ||R||_F), whose factors are at most 1, so it
-    overflows only with ||R||_F itself; a row whose ||R||_F overflows (or is
-    zero) reads nan, which compares false, and takes the SVD.
+    and drops the rest.  Every row is first factored by _thin_qr, J = R^T Q
+    with Q's rows orthonormal.  Since sigma_min = |det R| / (product of the
+    other singular values) >= |det R| / ||R||_F^(m-1), and sigma_max <=
+    ||R||_F, a row with |det R| / ||R||_F^(m-1) > max(EPS_REG * 1e-4, 1e-14
+    ||R||_F) has no singular value at or below the cutoff; its step is the
+    full-rank minimum-norm solution Q^T y with R^T y = g, by forward
+    substitution.  Only the other rows, rank-deficient or nearly so, take the
+    SVD.  The bound is formed as ||R||_F * prod_k (R_kk / ||R||_F), whose
+    factors are at most 1, so it overflows only with ||R||_F itself; a row
+    whose ||R||_F overflows, is zero or is nan reads nan, which compares
+    false, and takes the SVD branch, where a row with an entry that is not
+    finite, whose SVD does not converge, steps by nan.  No overflow or nan
+    on the way warns.
     """
-    q, r = np.linalg.qr(np.swapaxes(jac, 1, 2))
-    m = r.shape[-1]
-    pivots = np.diagonal(r, axis1=1, axis2=2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        frobenius = np.linalg.norm(r, axis=(1, 2))
-        bound = np.prod(np.abs(pivots) / frobenius[:, None], axis=1) * frobenius
-    by_qr = bound > np.maximum(EPS_REG * 1e-4, frobenius * 1e-14)
     steps = np.empty((len(jac), jac.shape[2]))
-    if by_qr.any():
-        r_qr, g = r[by_qr], values[by_qr]
-        y = np.empty_like(g)
-        for k in range(m):  # R^T y = g, lower triangular
-            y[:, k] = (g[:, k] - np.einsum("bj,bj->b", r_qr[:, :k, k], y[:, :k])) / r_qr[:, k, k]
-        steps[by_qr] = np.einsum("bnk,bk->bn", q[by_qr], y)
-    if not by_qr.all():
-        u, s, vt = np.linalg.svd(jac[~by_qr], full_matrices=False)
-        cutoff = np.maximum(EPS_REG * 1e-4, s[:, :1] * 1e-14)
-        inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-        coords = inv * np.einsum("bmk,bm->bk", u, values[~by_qr])
-        steps[~by_qr] = np.einsum("bkn,bk->bn", vt, coords)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q, r = _thin_qr(jac)
+        frobenius = np.sqrt(np.einsum("bij,bij->b", r, r))
+        bound = frobenius
+        for k in range(r.shape[1]):
+            bound = bound * (r[:, k, k] / frobenius)
+        by_qr = bound > np.maximum(EPS_REG * 1e-4, frobenius * 1e-14)
+        # views, not copies, in the usual case that every row is proved
+        proved = slice(None) if by_qr.all() else by_qr
+        y = _forward_substitution(r[proved], values[proved])
+        steps[proved] = np.einsum("bk,bkn->bn", y, q[proved])
+        rest = np.flatnonzero(~by_qr)
+        if rest.size:
+            steps[rest] = np.nan
+            rest = rest[np.isfinite(jac[rest]).all(axis=(1, 2))]
+        if rest.size:
+            u, s, vt = np.linalg.svd(jac[rest], full_matrices=False)
+            cutoff = np.maximum(EPS_REG * 1e-4, s[:, :1] * 1e-14)
+            inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+            coords = inv * np.einsum("bmk,bm->bk", u, values[rest])
+            steps[rest] = np.einsum("bkn,bk->bn", vt, coords)
     return steps
+
+
+def _thin_qr(jac: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Q (B, m, N) with orthonormal rows and R (B, m, m) upper triangular with
+    positive diagonal such that jac_b = R_b^T Q_b, for jac (B, m, N), m <= N.
+
+    Classical Gram-Schmidt applied twice: row a of jac is projected against
+    the rows of Q before it in one product, the projection removed, and the
+    same done once more to the remainder, which is then normalized.  Both
+    passes' coefficients add up to column a of R above its diagonal, and
+    the remainder's norm is R_aa.  Twice is enough for Q to be orthonormal
+    to a small multiple of the unit roundoff whenever the rows are
+    numerically independent (Giraud, Langou, Rozloznik and van den Eshof,
+    Numer. Math. 101, 2005), and each row costs O(1) numpy calls for the
+    whole stack, where a stacked LAPACK QR pays its overhead per matrix.
+    A zero remainder gives R_aa = 0 and a row of Q that is nan; callers
+    that may meet one silence the division.
+    """
+    q = np.empty(jac.shape)
+    r = np.zeros((len(jac), jac.shape[1], jac.shape[1]))
+    for a in range(jac.shape[1]):
+        v = jac[:, a]
+        if a:
+            basis = q[:, :a]
+            first = np.einsum("bkn,bn->bk", basis, v)
+            v = v - np.einsum("bk,bkn->bn", first, basis)
+            second = np.einsum("bkn,bn->bk", basis, v)
+            v -= np.einsum("bk,bkn->bn", second, basis)
+            r[:, :a, a] = first + second
+        r[:, a, a] = np.sqrt(np.einsum("bn,bn->b", v, v))
+        np.divide(v, r[:, a, a, None], out=q[:, a])
+    return q, r
+
+
+def _forward_substitution(r: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """y (B, m) with R_b^T y_b = g_b, for R (B, m, m) upper triangular and g (B, m)."""
+    y = np.empty_like(g)
+    for k in range(g.shape[1]):
+        y[:, k] = (g[:, k] - np.einsum("bj,bj->b", r[:, :k, k], y[:, :k])) / r[:, k, k]
+    return y
 
 
 # SeedSequence's hash (numpy's bit_generator.pyx, the stable algorithm of NEP
@@ -654,7 +704,7 @@ def mean_curvature(spec: VarietySpec, x: Sequence[float]) -> CurvatureSample:
 
     The frame is nu_0 = x (sphere normal, exactly the gradient of g0),
     followed by the Gram-Schmidt normals of the remaining constraint
-    gradients, all read off one reduced QR factorization of the Jacobian;
+    gradients, all read off one Gram-Schmidt QR of the Jacobian (_thin_qr);
     the tangent space is the orthogonal complement, and the trace of a
     Hessian over it is its full trace minus its trace over the normals.
     Minimality of the cut-out submanifold inside the sphere is the vanishing
@@ -699,24 +749,23 @@ def _curvature_components(spec: VarietySpec, points: np.ndarray) -> np.ndarray:
     """The components <H, nu_b>, b = 0 .. m - 1, at points (B, N): (B, m), column 0 radial.
 
     mean_curvature without its guards, for points on the variety with a
-    regular Jacobian.  Each block of _curvature_rows rows is one reduced QR
-    of the Jacobian, one Hessian-times-normals matrix product, trace and
-    solve.
+    regular Jacobian.  Each block of _curvature_rows rows is one
+    Gram-Schmidt QR of the Jacobian, J = R^T Q, whose rows of Q are the
+    normals, one Hessian-times-normals matrix product and trace, and one
+    forward substitution R^T y = traces, whose -y are the components.
     """
     components = np.empty((len(points), spec.num_equations))
     rows = _curvature_rows(spec)
     for start in range(0, len(points), rows):
         block = points[start:start + rows]
-        jac = spec.jacobian(block)  # rows: grad g0 = x, grad g1, ..., grad gc
-        q, r = np.linalg.qr(np.swapaxes(jac, 1, 2))
+        # rows of jac: grad g0 = x, grad g1, ..., grad gc; rows of q: nu_0 .. nu_c
+        q, r = _thin_qr(spec.jacobian(block))
         hessians = spec.hessian_at(block)
         # sum_i e_i^T H_a e_i = tr H_a - sum_k nu_k^T H_a nu_k over the normals
         traces = (np.trace(hessians, axis1=2, axis2=3)
-                  - np.einsum("bnk,bank->ba", q, hessians @ q[:, None]))
-        pivots = np.diagonal(r, axis1=1, axis2=2)
-        # b as a stack of column vectors reads the same under numpy 1.x and 2.x
-        solved = np.linalg.solve(np.swapaxes(r, 1, 2), traces[..., None])[..., 0]
-        components[start:start + rows] = -np.sign(pivots) * solved
+                  - np.einsum("bkn,bank->ba", q, hessians @ np.swapaxes(q, 1, 2)[:, None]))
+        # nu = R^-T grad g, so <H, nu_b> = -(R^-T traces)_b
+        components[start:start + rows] = -_forward_substitution(r, traces)
     return components
 
 

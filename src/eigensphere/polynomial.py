@@ -29,15 +29,16 @@ Sums, products, conjugation and division are passes over the integer pairs;
 the common factor of D and the numerators is divided out once per result,
 and not at all when D == 1, as it is for every Gaussian-integer polynomial.
 A square p * p visits each unordered pair of terms once, and `_dot` sums
-several products in one accumulator.  `partial` and `laplacian`, which
-`calculus` imports, read the keys and pairs directly; no other module does,
-so a change of storage touches this one alone.  Exponent tuples appear
-only at the boundary: the constructor takes a map from them to
-coefficients, and `items`, `coefficient` and `leading_term` unpack keys and
-build GaussianRational coefficients on demand; `real_float_items` unpacks
-them beside the float real parts that the numeric layer compiles,
-`rational_items` beside the reduced integer ratios that `render` formats,
-and `variables` names the variables that occur, from one unpack.
+several products in one accumulator.  `partial`, `first_partials` and
+`laplacian`, which `calculus` imports, read the keys and pairs directly; no
+other module does, so a change of storage touches this one alone.
+Exponent tuples appear only at the boundary: the constructor takes a map
+from them to coefficients, and `items`, `coefficient` and `leading_term`
+unpack keys and build GaussianRational coefficients on demand;
+`real_float_items` unpacks them beside the float real parts that the
+numeric layer compiles, `rational_items` beside the reduced integer ratios
+that `render` formats, and `variables` names the variables that occur, from
+one unpack.
 
 The only floating-point operation is `evaluate`, which sums the terms in the
 canonical graded-lexicographic order so results are reproducible run to run.
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -732,6 +733,25 @@ def partial(p: Polynomial, i: int) -> Polynomial:
         if e:
             pairs[key - unit] = (e * re, e * im)
     return Polynomial._reduced(p.nvars, pairs, p._den)
+
+
+def first_partials(p: Polynomial) -> Tuple[Polynomial, ...]:
+    """(d_1 p, ..., d_N p), each equal to `partial(p, i)`, in one pass over p's pairs.
+
+    One unpack of a term's key names the variables x_i with a_i > 0, and
+    the term goes to each of their partials as `partial` would send it.  So
+    the pass costs the terms times their variables, where N calls of
+    `partial` cost N full passes and N shifts of every key.
+    """
+    nvars = p.nvars
+    top = 1 << _shift(nvars, 0)
+    pairs: Tuple[dict, ...] = tuple({} for _ in range(nvars))
+    for key, (re, im) in p._pairs.items():
+        exps = _unpack(key, nvars)
+        for i in compress(range(nvars), exps):
+            e = exps[i]
+            pairs[i][key - top - (1 << _shift(nvars, i + 1))] = (e * re, e * im)
+    return tuple(Polynomial._reduced(nvars, part, p._den) for part in pairs)
 
 
 def laplacian(p: Polynomial) -> Polynomial:

@@ -33,6 +33,11 @@ that the package computes another way.
     was before it read only the formed entries, from the dense N x N
     `hessian` of every constraint; test_geometry checks that both tables
     are the same.
+  * min_norm_step_reference: the minimum-norm solution of one full-rank
+    linear system J s = g in exact rational arithmetic, which is the SVD
+    step V S^-1 U^T g that Newton takes when no singular value is cut off;
+    test_geometry checks geometry._newton_steps against it on the rows its
+    QR proof admits.
 """
 
 from fractions import Fraction
@@ -282,3 +287,33 @@ def hessian_table_reference(spec: VarietySpec) -> CompiledPolys:
     """The spec's Hessian table compiled from every entry of every dense Hessian."""
     entries = [e for grad in spec._gradients for row in hessian(grad) for e in row]
     return CompiledPolys(spec.nvars, entries, (spec.num_equations, spec.nvars, spec.nvars))
+
+
+# ---------------------------------------------------------------------------
+# Newton's step
+
+
+def min_norm_step_reference(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """s = J^T (J J^T)^-1 g for one J (m, N) of rank m and g (m,), rounded once.
+
+    Every float is read as the exact rational it stands for, the Gram
+    matrix J J^T is reduced by Gaussian elimination (it is positive
+    definite, so no pivot is zero) and s is rounded to floats only at the
+    end.  This is the minimum-norm solution, the SVD step V S^-1 U^T g
+    with no singular value dropped, free of the roundoff of either branch
+    of geometry._newton_steps.
+    """
+    rows = [[Fraction(v) for v in row] for row in np.asarray(jac, dtype=float).tolist()]
+    rhs = [Fraction(v) for v in np.asarray(values, dtype=float).tolist()]
+    m = len(rows)
+    gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in rows] for ri in rows]
+    for k in range(m):
+        for i in range(k + 1, m):
+            factor = gram[i][k] / gram[k][k]
+            gram[i] = [a - factor * b for a, b in zip(gram[i], gram[k])]
+            rhs[i] -= factor * rhs[k]
+    y = [Fraction(0)] * m
+    for k in reversed(range(m)):
+        y[k] = (rhs[k] - sum(gram[k][j] * y[j] for j in range(k + 1, m))) / gram[k][k]
+    return np.array([float(sum(c * row[n] for c, row in zip(y, rows)))
+                     for n in range(len(rows[0]))])

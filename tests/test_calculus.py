@@ -120,6 +120,21 @@ class TestGradient:
         g = gradient(Polynomial.constant(3, 7))
         assert all(c.is_zero() for c in g)
 
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 5, 8])
+    def test_one_pass_matches_partial(self, nvars):
+        # Gaussian-rational coefficients, so the common factor of D matters,
+        # and a last variable that no term has
+        rng = np.random.default_rng([nvars, 0x6AD])
+        for _ in range(8):
+            p = random_rational_poly(rng, nvars)
+            lacking = Polynomial(nvars + 1, {exps + (0,): c for exps, c in p.items()})
+            for q in (p, lacking):
+                g = gradient(q)
+                assert len(g) == q.nvars
+                for i, got in enumerate(g, start=1):
+                    assert got == partial(q, i)
+                    assert_canonical(got)
+
 
 class TestLaplacian:
     def test_harmonic_quadric(self):

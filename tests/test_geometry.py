@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import hypothesis
@@ -47,6 +48,7 @@ from oracles import (
     compiled_evaluate_reference,
     cone_mean_curvature,
     hessian_table_reference,
+    min_norm_step_reference,
 )
 
 
@@ -784,6 +786,132 @@ class TestNewtonSteps:
         steps = geometry._newton_steps(jac, values)
         assert len(seen) == 1 and np.array_equal(seen[0], jac[[1, 4]])
         assert_close_steps(steps, expected)
+
+
+EPS = np.finfo(float).eps
+CONDITIONED_KINDS = ("graded", "intrinsic")
+
+
+def conditioned_stack(m, n, log_cond, kind, rows=40):
+    """A seeded (rows, m, n) stack of condition number about 10^log_cond, and
+    each matrix scaled by 10^-3 .. 10^6 as a whole.  "graded" scales the rows
+    of a Gaussian matrix apart, by factors spread over 10^log_cond;
+    "intrinsic" is U diag(1 .. 10^-log_cond) V^T with U and V orthogonal."""
+    rng = np.random.default_rng([m, n, log_cond, CONDITIONED_KINDS.index(kind)])
+    scale = 10.0 ** rng.integers(-3, 7, (rows, 1, 1))
+    if kind == "graded":
+        spread = np.array([rng.permutation(m) for _ in range(rows)]) / max(m - 1, 1)
+        return scale * 10.0 ** (log_cond * spread)[..., None] * rng.standard_normal((rows, m, n))
+    u = np.linalg.qr(rng.standard_normal((rows, m, m)))[0]
+    v = np.linalg.qr(rng.standard_normal((rows, n, m)))[0]
+    return scale * (u * np.logspace(0, -log_cond, m)) @ np.swapaxes(v, 1, 2)
+
+
+CONDITIONED_CASES = [(m, n, log_cond) for m in (1, 2, 3, 4) for n in (m + 1, 8)
+                     for log_cond in (0, 4, 8, 12)]
+
+
+class TestThinQR:
+    @pytest.mark.parametrize("kind", CONDITIONED_KINDS)
+    @pytest.mark.parametrize("m, n, log_cond", CONDITIONED_CASES)
+    def test_factors(self, m, n, log_cond, kind):
+        jac = conditioned_stack(m, n, log_cond, kind)
+        q, r = geometry._thin_qr(jac)
+        # Gram-Schmidt twice: orthonormal rows, and J = R^T Q, row by row, to
+        # a small multiple of the unit roundoff whatever the conditioning
+        assert np.abs(q @ np.swapaxes(q, 1, 2) - np.eye(m)).max() <= 8 * EPS
+        backward = np.swapaxes(r, 1, 2) @ q - jac
+        assert np.all(np.linalg.norm(backward, axis=2) <= 8 * EPS * np.linalg.norm(jac, axis=2))
+        assert np.all(np.tril(r, -1) == 0.0)
+        assert np.all(np.diagonal(r, axis1=1, axis2=2) > 0.0)
+
+    @pytest.mark.parametrize("kind", CONDITIONED_KINDS)
+    @pytest.mark.parametrize("m, n, log_cond", CONDITIONED_CASES)
+    def test_proved_steps_match_the_oracle(self, monkeypatch, m, n, log_cond, kind):
+        jac = conditioned_stack(m, n, log_cond, kind)
+        values = np.random.default_rng([m, n, log_cond]).standard_normal((len(jac), m))
+        seen = svd_inputs(monkeypatch)
+        steps = geometry._newton_steps(jac, values)
+        by_svd = np.zeros(len(jac), dtype=bool)
+        for stacked in seen:
+            by_svd |= [any(np.array_equal(row, matrix) for matrix in stacked) for row in jac]
+        proved = np.flatnonzero(~by_svd)
+        # |det R| / ||R||_F^(m-1) undershoots sigma_min by the product of the
+        # other singular values over ||R||_F, so from m = 3 on a spread of
+        # 10^8 puts the bound below the cutoff and every row takes the SVD
+        assert proved.size or (m >= 3 and log_cond >= 8)
+        if not proved.size:
+            return
+        expected = np.array([min_norm_step_reference(jac[i], values[i]) for i in proved])
+        error = (np.linalg.norm(steps[proved] - expected, axis=1)
+                 / np.linalg.norm(expected, axis=1))
+        # Gram-Schmidt and the triangular solve do not see the scales of the
+        # rows, so a graded stack's steps are exact to 1e-13; the intrinsic
+        # conditioning of the system is a limit of every method
+        cond = np.linalg.cond(jac[proved]) if kind == "intrinsic" else np.ones(len(proved))
+        assert np.all(error <= 1e-13 * np.maximum(1.0, cond / 10)), error.max()
+
+    @pytest.mark.parametrize("bad, finite", [
+        (np.zeros((3, 6)), True),  # a zero Jacobian: its step is zero
+        (np.array([[1.0, 2, 0, 1, 0, 0], [0.0] * 6, [0, 1.0, 1, 0, 0, 1]]), True),  # a zero row
+        (np.array([[1.0, 2, 0, 1, 0, 0], [0, np.inf, 0, 0, 0, 0], [0, 1.0, 1, 0, 0, 1]]), False),
+        (np.full((3, 6), np.nan), False),
+    ], ids=["zero", "zero-row", "inf", "nan"])
+    def test_degenerate_rows_take_the_svd_branch(self, monkeypatch, bad, finite):
+        jac, values = jacobian_stack(3, 6, "plain", rows=5)
+        jac[2] = bad
+        seen = svd_inputs(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steps = geometry._newton_steps(jac, values)
+        proved = [0, 1, 3, 4]
+        assert_close_steps(steps[proved], np.array(
+            [min_norm_step_reference(jac[i], values[i]) for i in proved]))
+        if finite:  # the SVD of that row alone, with its cutoff
+            assert len(seen) == 1 and np.array_equal(seen[0], jac[[2]])
+            assert_close_steps(steps[[2]], svd_steps(jac[[2]], values[[2]]))
+        else:  # no direction: its SVD would not converge, so it steps by nan
+            assert seen == [] and np.isnan(steps[2]).all()
+
+
+class TestNewtonBatchStop:
+    # each case meets the outcomes it names
+    @pytest.mark.parametrize("nvars, constraints, maxiter, met", [
+        (4, _real_parts("z1^3*conj(z2)^2", 4), 50, {"converged", "singular"}),
+        (3, [parse("x1^2*x2 - x3^3", 3)], 4, {"converged", "no_convergence"}),
+        (3, [parse("x1^4", 3)], 50, {"singular", "no_convergence"}),
+        (4, [parse("x1", 4), parse("x1 - 1", 4)], 8, {"no_convergence"}),
+    ], ids=["codim2-singular", "short-maxiter", "singular-x1^4", "inconsistent"])
+    def test_sigma_min_is_taken_at_the_stop(self, monkeypatch, nvars, constraints, maxiter, met):
+        spec = VarietySpec(nvars, constraints)
+        seeds = np.random.default_rng(nvars).standard_normal((60, nvars))
+        seeds /= np.linalg.norm(seeds, axis=1)[:, None]
+        calls, svd = [], np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            calls.append((np.array(a), kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        points, outcomes, residual, sigma = geometry._newton_batch(
+            spec, seeds, geometry.DEFAULT_TOL, maxiter)
+        assert set(outcomes) == met
+        stopped = outcomes != "no_convergence"
+        # one values-only SVD, of the Jacobians at every stopped point
+        values_only = [a for a, uv in calls if not uv]
+        assert len(values_only) == (1 if stopped.any() else 0)
+        if stopped.any():
+            assert np.array_equal(values_only[0], spec.jacobian(points[stopped]))
+        for point, outcome, res, smallest in zip(points, outcomes, residual, sigma):
+            if outcome == "no_convergence":
+                assert math.isnan(res) and math.isnan(smallest)
+                continue
+            expected = svd(spec.jacobian(point), compute_uv=False)[-1]
+            assert smallest == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert outcome == ("singular" if smallest < geometry.EPS_REG else "converged")
+            # one point alone is evaluated apart from the batch, to the last bits
+            assert res == pytest.approx(np.max(np.abs(spec.values(point))), abs=1e-15)
+            assert res < geometry.DEFAULT_TOL
 
 
 # seeds of one to four uint32 words, one of four words plus a bit, and a
