@@ -3,10 +3,13 @@ Rediscovering eigenfunctions by nonlinear least squares
 =======================================================
 
 The two exact conditions -- vanishing Laplacian and vanishing bilinear
-gradient square -- become a polynomial residual over the coefficients of a
-degree-d candidate.  Levenberg-Marquardt drives it to zero from random
-starts; rounding the winners to small Gaussian rationals then hands the
-result back to the exact verifier, turning a numeric hit into a proof.
+gradient square -- constrain the coefficients of a degree-d candidate.  The
+first is linear, so it is solved once: the candidates are kept among the
+harmonic polynomials, and each random start is projected onto them.  The
+second is quadratic; Levenberg-Marquardt drives it to zero from the
+projected starts.  Rounding the winners to small Gaussian rationals then
+hands the result back to the exact verifier, turning a numeric hit into a
+proof.
 """
 
 from eigensphere import render, search_eigen, verify_eigenfunction

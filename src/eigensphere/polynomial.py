@@ -395,7 +395,7 @@ class Polynomial:
         term's are (an OR never carries), so this is one unpack.
         """
         fields = _unpack(reduce(or_, self._pairs, 0), self.nvars)
-        return tuple(i for i, e in enumerate(fields, start=1) if e)
+        return tuple(compress(range(1, self.nvars + 1), fields))
 
     def coefficient(self, exps: Sequence[int]) -> GaussianRational:
         exps = tuple(exps)

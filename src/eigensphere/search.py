@@ -3,11 +3,15 @@
 A degree-d candidate is a complex coefficient vector theta over the degree-d
 monomial basis.  The conditions "Laplacian of P vanishes" (linear in theta)
 and "bilinear gradient square of P vanishes" (quadratic in theta) become a
-polynomial residual map; together with the gauge residual |theta|^2 - 1 it
-is minimized by Levenberg-Marquardt with the analytic Jacobian.  Multistart
-over seeded Gaussian initializations makes runs reproducible, and the best
-candidates are rounded to Gaussian rationals and re-verified exactly, by
-one helper for plain rounding and for the degree-1 isotropic repair.
+polynomial residual map with the gauge residual |theta|^2 - 1
+(ResidualSystem).  The linear condition is solved once, exactly: theta is
+kept in the span of an orthonormal basis of the harmonic polynomials, and
+Levenberg-Marquardt with the analytic Jacobian minimizes the quadratic
+condition and the gauge over the coordinates in that basis
+(HarmonicSystem).  Multistart over seeded Gaussian initializations, each
+projected onto the harmonic polynomials, makes runs reproducible, and the
+best candidates are rounded to Gaussian rationals and re-verified exactly,
+by one helper for plain rounding and for the degree-1 isotropic repair.
 
 The solver is hand-rolled on numpy: the system is small (tens of unknowns),
 needs an analytic Jacobian, and is underdetermined at low degree, where
@@ -84,23 +88,42 @@ def search_memory_bytes(nvars: int, degree: int) -> int:
 
     Counts 8-byte words, from the basis sizes alone: M degree-d monomials,
     T degree-(2d-2) kappa targets, E = N * mid^2 table rows over the mid
-    degree-(d-1) monomials.  What every LM iteration holds is the Jacobian
-    buffer (rows x 2M), the kappa table (4 E) and its float weights and
-    flat cell indices (2 E).  On top of that it goes through two phases that
-    never overlap, since `_levenberg_marquardt` frees the normal matrix
-    before it refills the Jacobian, so only the larger one counts.
-    Refilling holds B@u and B@v (2 T M) and a gathered table column with
+    degree-(d-1) monomials, r = M - k Laplacian rows.  The kappa table (4 E)
+    with its float weights and flat cell indices (2 E), the Laplacian
+    matrix (r M), the basis as M tuples of nvars ints (M (nvars + 5)) and
+    vectors of the residual's and the unknowns' length (8 T + 8 M, the
+    residuals at the point and the candidate with the candidate's
+    products, the gradient, the step and the damping) are always held.  On
+    top of them runs one of two Levenberg-Marquardt loops, and the larger
+    counts.  Each goes through phases that never overlap, since
+    `_levenberg_marquardt` frees the normal matrix before it refills the
+    Jacobian, so only the larger phase counts.
+
+    Over theta (ResidualSystem), the Jacobian buffer (rows x 2M) is held.
+    Refilling it holds B@u and B@v (2 T M) and a gathered table column with
     its product (2 E).  After it, the damped normal matrix lives with the
     copy of it that `solve` factors (2 (2M)^2) and then with the residual's
     gathered products at a candidate (4 E, counted on top).
+
+    Over the harmonic coefficients (HarmonicSystem, what search_eigen runs),
+    the basis with the rest of its SVD (M^2), the doubled cell indices
+    (2 E), the Jacobian buffer ((2T + 1) x 2k) and the forms of the last
+    point (2 T M) are held.  The normal matrix lives with its factored copy
+    (2 (2k)^2), or, at a candidate, with the gathered products (2 E) that
+    build the candidate's forms once the last point's are freed.
     """
     size = _basis_size(nvars, degree)
     targets = _basis_size(nvars, 2 * degree - 2)
     entries = nvars * _basis_size(nvars, degree - 1) ** 2
-    rows = 2 * _basis_size(nvars, degree - 2) + 2 * targets + 1
-    refill = 2 * targets * size + 2 * entries
-    normal = 2 * (2 * size) ** 2 + 4 * entries
-    return 8 * (rows * 2 * size + 6 * entries + max(refill, normal))
+    lap_rows = _basis_size(nvars, degree - 2)
+    rows = 2 * lap_rows + 2 * targets + 1
+    theta = rows * 2 * size + max(
+        2 * targets * size + 2 * entries, 2 * (2 * size) ** 2 + 4 * entries)
+    unknowns = 2 * (size - lap_rows)
+    harmonic = (size ** 2 + 2 * entries + (2 * targets + 1) * unknowns
+                + 2 * targets * size + max(2 * unknowns ** 2, unknowns ** 2 + 2 * entries))
+    held = 6 * entries + lap_rows * size + size * (nvars + 5) + 8 * targets + 8 * size
+    return 8 * (held + max(theta, harmonic))
 
 
 class ResidualSystem:
@@ -215,6 +238,86 @@ class ResidualSystem:
         np.multiply(bu, 2, out=jac[2 * r + q:2 * r + 2 * q, m:])
         np.multiply(u, 2, out=jac[-1, :m])
         np.multiply(v, 2, out=jac[-1, m:])
+        return jac
+
+
+class HarmonicSystem:
+    """The kappa and gauge residuals of a ResidualSystem over harmonic theta.
+
+    The Laplacian block is linear, so its zero set is solved once: the
+    columns of `basis` N (M, k) are an orthonormal basis of ker L, the last
+    k = M - r left singular vectors of L^T.  The Laplacian maps P_d onto
+    P_{d-2}, so L has rank r and no tolerance picks k; with no rows
+    (degree 1) the SVD returns the identity.  The unknowns are
+    p = [alpha; beta] in R^2k, with u = N alpha and v = N beta, and the
+    residual is the kappa rows of P_theta followed by the gauge |p|^2 - 1,
+    which is |theta|^2 - 1 since N is orthonormal.
+
+    The forms are kept doubled, F = [2 B@u; 2 B@v] of shape (2T, M), from
+    one bincount over the kappa table with its flat cells doubled.  They
+    give the residual, u'Bu - v'Bv and 2 u'Bv, and the Jacobian
+    [2 (Bu) N, -2 (Bv) N; 2 (Bv) N, 2 (Bu) N; 2 p'], whose left half is the
+    one product F N; doubling and halving are exact, so every value is the
+    one the undoubled forms would give.  The
+    forms of the last point a residual was taken at are kept, so the
+    Jacobian at an accepted candidate builds none; they are freed before the
+    next point's are built.
+    """
+
+    def __init__(self, system: ResidualSystem):
+        self.system = system
+        r = system.lap_matrix.shape[0]
+        # a view: the whole of U stays, M^2 floats
+        self.basis = np.linalg.svd(system.lap_matrix.T)[0][:, r:]
+        self.dim = self.basis.shape[1]
+        self.num_residuals = 2 * system.num_targets + 1
+        self._num_cells = system.num_targets * system.size
+        self._cells = np.concatenate([system._cell, system._cell + self._num_cells])
+        self._point: Optional[bytes] = None
+        self._forms: Optional[np.ndarray] = None
+
+    def project(self, t: np.ndarray) -> np.ndarray:
+        """[N'u; N'v] for t = [u; v], scaled to unit norm."""
+        p = (t.reshape(2, -1) @ self.basis).reshape(-1)
+        return p / np.linalg.norm(p)
+
+    def lift(self, p: np.ndarray) -> np.ndarray:
+        """The (2, M) array [u; v] = [N alpha; N beta] for p = [alpha; beta]."""
+        return p.reshape(2, -1) @ self.basis.T
+
+    def _forms_at(self, p: np.ndarray, uv: Optional[np.ndarray] = None) -> np.ndarray:
+        """F at p, whose lift is uv if given; the kept F if the last call was at p."""
+        key = p.tobytes()
+        if key != self._point:
+            self._forms = None
+            system = self.system
+            if uv is None:
+                uv = self.lift(p)
+            gathered = np.take(uv + uv, system._b, axis=1)
+            gathered *= system._weight
+            self._forms = np.bincount(
+                self._cells, gathered.reshape(-1), 2 * self._num_cells
+            ).reshape(2 * system.num_targets, system.size)
+            self._point = key
+        return self._forms
+
+    def residual(self, p: np.ndarray) -> np.ndarray:
+        uv = self.lift(p)
+        # rows 2 Bu.u, 2 Bu.v over the targets, then 2 Bv.u, 2 Bv.v
+        dots = self._forms_at(p, uv) @ uv.T
+        q = self.system.num_targets
+        return np.concatenate(
+            [(dots[:q, 0] - dots[q:, 1]) * 0.5, dots[:q, 1], [p @ p - 1.0]])
+
+    def jacobian(self, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The (2T + 1, 2k) Jacobian of `residual` at p, written into `out` if given."""
+        k = self.dim
+        q = self.system.num_targets
+        jac = np.empty((self.num_residuals, 2 * k)) if out is None else out
+        np.matmul(self._forms_at(p), self.basis, out=jac[:2 * q, :k])
+        np.negative(jac[q:2 * q, :k], out=jac[:q, k:])
+        np.copyto(jac[q:2 * q, k:], jac[:q, :k])
+        np.multiply(p, 2, out=jac[-1])
         return jac
 
 
@@ -360,16 +463,20 @@ def search_eigen(
     rng_seed: int = 0,
     denominator_bound: int = 64,
 ) -> List[SearchResult]:
-    """Multistart Levenberg-Marquardt over the degree-`degree` coefficient space.
+    """Multistart Levenberg-Marquardt over the harmonic degree-`degree` polynomials.
 
     Returns one SearchResult per attempt, sorted by residual (ties broken by
-    attempt index).  Results whose residual is small get a rationalization
-    pass; `exact` is filled only when the rounded polynomial verifies exactly.
-    Attempt i starts from the normalized draw
-    default_rng([rng_seed, i]).standard_normal(2 * size), taken, as the
+    attempt index).  The residual is |ResidualSystem.residual(theta)| at the
+    result, Laplacian rows included.  Results whose residual is small get a
+    rationalization pass; `exact` is filled only when the rounded polynomial
+    verifies exactly.  Attempt i starts from the harmonic projection of the
+    draw t = default_rng([rng_seed, i]).standard_normal(2 * size), that is
+    HarmonicSystem.project(t), the coordinates of [u; v] = t in the
+    harmonic basis scaled to unit norm.  The draws are taken, as the
     sampling attempts take theirs, from geometry's _AttemptDraws, all before
     the first step; attempts that would keep more than MEMORY_BUDGET bytes
-    raise BudgetExceeded before any draw.
+    raise BudgetExceeded before any draw.  The harmonic basis is built only
+    if there is an attempt.
     """
     if attempts < 0:
         raise ValueError(f"attempts must be >= 0, got {attempts}")
@@ -386,12 +493,14 @@ def search_eigen(
             f"{kept / 2**20:.0f} MiB, over the {MEMORY_BUDGET / 2**20:.0f} MiB budget"
         )
     starts = _AttemptDraws(rng_seed)(range(attempts), 2 * system.size)
+    # only attempts need the harmonic basis and the doubled table cells
+    harmonic = HarmonicSystem(system) if attempts else None
     results: List[SearchResult] = []
     for attempt, t0 in enumerate(starts):
-        t0 /= np.linalg.norm(t0)
-        t_star, residual = _levenberg_marquardt(system, t0)
-        u, v = system.split(t_star)
-        coefficients = u + 1j * v
+        p_star, _ = _levenberg_marquardt(harmonic, harmonic.project(t0))
+        uv = harmonic.lift(p_star)
+        residual = float(np.linalg.norm(system.residual(uv.reshape(-1))))
+        coefficients = uv[0] + 1j * uv[1]
         exact: Optional[Polynomial] = None
         if residual < 1e-6:
             exact = rationalize_and_verify(coefficients, nvars, degree, denominator_bound)

@@ -212,6 +212,15 @@ class TestPackedKeys:
         assert Polynomial.monomial(3, (0, MAX_DEGREE, 0)).variables() == (2,)
         assert r_squared(1000).variables() == tuple(range(1, 1001))
 
+    @pytest.mark.parametrize("nvars", [1, 3, 7, 1000])
+    def test_variables_match_a_scan_of_every_term(self, nvars):
+        # the variables that some term's exponents name, read term by term
+        rng = np.random.default_rng([nvars, 5])
+        for terms in (0, 1, 3, 8):
+            p = random_poly(rng, nvars, max_degree=3, terms=terms)
+            used = {i for exps, _c in p.items() for i, e in enumerate(exps, start=1) if e}
+            assert p.variables() == tuple(sorted(used))
+
     def test_degree_limit(self):
         top = MAX_DEGREE
         assert Polynomial(1, {(top,): 1}).degree() == top

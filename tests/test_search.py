@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from eigensphere import search
 from eigensphere.calculus import kappa, laplacian
 from eigensphere.eigen import verify_eigenfunction
 from eigensphere.errors import BudgetExceeded
 from eigensphere.parsing import parse
 from eigensphere.search import (
     MEMORY_BUDGET,
+    HarmonicSystem,
     ResidualSystem,
     monomial_basis,
     rationalize_and_verify,
@@ -177,6 +179,86 @@ class TestResidualSystem:
         assert residual_norm_of(system, real) > 0.5
 
 
+def harmonic_dimension(nvars, degree):
+    """dim H_d = C(n+d-1, d) - C(n+d-3, d-2), the harmonic degree-d polynomials."""
+    lower = math.comb(nvars + degree - 3, degree - 2) if degree >= 2 else 0
+    return math.comb(nvars + degree - 1, degree) - lower
+
+
+class TestHarmonicSystem:
+    @pytest.mark.parametrize("nvars", range(3, 8))
+    def test_basis_spans_the_harmonic_polynomials(self, nvars):
+        for degree in range(1, 6):
+            system = ResidualSystem(nvars, degree)
+            basis = HarmonicSystem(system).basis
+            lap = system.lap_matrix
+            assert basis.shape == (system.size, harmonic_dimension(nvars, degree))
+            assert np.linalg.norm(lap @ basis) <= 1e-13 * np.linalg.norm(lap)
+            assert np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])) <= 1e-14
+
+    def test_degree_one_is_the_identity(self):
+        assert np.array_equal(HarmonicSystem(ResidualSystem(5, 1)).basis, np.eye(5))
+
+    @pytest.mark.parametrize("nvars, degree", [(3, 1), (4, 2), (5, 3)])
+    def test_residual_is_that_of_the_lift(self, nvars, degree, rng):
+        system = ResidualSystem(nvars, degree)
+        harmonic = HarmonicSystem(system)
+        p = rng.standard_normal(2 * harmonic.dim)
+        full = system.residual(harmonic.lift(p).reshape(-1))
+        lap_rows = 2 * system.lap_matrix.shape[0]
+        assert np.abs(full[:lap_rows]).max(initial=0.0) <= 1e-13
+        assert_allclose(harmonic.residual(p), full[lap_rows:], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("nvars, degree", [(3, 1), (4, 2), (5, 3)])
+    def test_jacobian_matches_finite_differences(self, nvars, degree, rng):
+        harmonic = HarmonicSystem(ResidualSystem(nvars, degree))
+        p = rng.standard_normal(2 * harmonic.dim)
+        analytic = harmonic.jacobian(p)
+        h = 1e-6
+        for col, bump in enumerate(h * np.eye(len(p))):
+            fd = (harmonic.residual(p + bump) - harmonic.residual(p - bump)) / (2 * h)
+            assert_allclose(analytic[:, col], fd, atol=1e-5, rtol=1e-5)
+
+    def test_jacobian_into_a_buffer(self, rng):
+        # the forms kept from a residual at p give the bits of fresh ones
+        harmonic = HarmonicSystem(ResidualSystem(5, 3))
+        first, second = rng.standard_normal((2, 2 * harmonic.dim))
+        fresh = HarmonicSystem(harmonic.system).jacobian(second)
+        buffer = harmonic.jacobian(first)
+        harmonic.residual(second)
+        assert harmonic.jacobian(second, out=buffer) is buffer
+        assert buffer.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("nvars, degree", [(4, 1), (5, 2), (5, 3), (6, 3)])
+    def test_levenberg_marquardt_matches_reference_bit_for_bit(self, nvars, degree):
+        harmonic = HarmonicSystem(ResidualSystem(nvars, degree))
+        for attempt in range(3):
+            p0 = harmonic.project(np.random.default_rng(
+                [nvars * 10 + degree, attempt]).standard_normal(2 * harmonic.system.size))
+            p, residual = _levenberg_marquardt(harmonic, p0, max_iters=25)
+            p_ref, residual_ref = levenberg_marquardt_reference(harmonic, p0, max_iters=25)
+            assert p.tobytes() == p_ref.tobytes()
+            assert residual.hex() == residual_ref.hex()
+
+    @pytest.mark.parametrize("nvars, degree", [(4, 2), (5, 2), (5, 3)])
+    def test_results_are_harmonic(self, nvars, degree):
+        lap = ResidualSystem(nvars, degree).lap_matrix
+        for result in search_eigen(nvars, degree, attempts=4, rng_seed=11):
+            assert np.linalg.norm(lap @ result.coefficients.real) <= 1e-12
+            assert np.linalg.norm(lap @ result.coefficients.imag) <= 1e-12
+
+    def test_attempts_do_not_depend_on_their_number(self):
+        few = {r.attempt: r for r in search_eigen(5, 2, attempts=3, rng_seed=4)}
+        for r in search_eigen(5, 2, attempts=5, rng_seed=4):
+            if r.attempt in few:
+                assert r.coefficients.tobytes() == few[r.attempt].coefficients.tobytes()
+                assert r.residual == few[r.attempt].residual
+
+    def test_no_attempts_build_no_basis(self, monkeypatch):
+        monkeypatch.setattr(search, "HarmonicSystem", None)
+        assert search_eigen(6, 3, attempts=0) == []
+
+
 class TestMemoryBudget:
     def test_refused_before_allocating(self):
         started = time.perf_counter()
@@ -235,6 +317,29 @@ class TestMemoryBudget:
         table = system.kappa_forms.nbytes + system._weight.nbytes + system._cell.nbytes
         assert at_solve
         assert table + max(peak, *at_solve) <= search_memory_bytes(nvars, degree)
+
+    @pytest.mark.parametrize("nvars, degree", [(12, 3), (14, 3)])
+    def test_estimate_covers_search(self, monkeypatch, nvars, degree):
+        # search_eigen's own peak, over the harmonic coefficients, with two
+        # iterations for its one attempt; solve's factored copy is added as above
+        at_solve = []
+        solve = np.linalg.solve
+        lm = search._levenberg_marquardt
+
+        def counted(a, b):
+            at_solve.append(tracemalloc.get_traced_memory()[0] + a.nbytes)
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(search, "_levenberg_marquardt",
+                            lambda system, t0: lm(system, t0, max_iters=2))
+        tracemalloc.start()
+        try:
+            search_eigen(nvars, degree, attempts=1, rng_seed=0)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert at_solve
+        assert max(peak, *at_solve) <= search_memory_bytes(nvars, degree)
 
 
 class TestLevenbergMarquardt:
