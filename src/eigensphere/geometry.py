@@ -357,13 +357,8 @@ def _newton_steps(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
     ||R||_F, a row with |det R| / ||R||_F^(m-1) > max(EPS_REG * 1e-4, 1e-14
     ||R||_F) has no singular value at or below the cutoff; its step is the
     full-rank minimum-norm solution Q^T y with R^T y = g, by forward
-    substitution.  That bound undershoots sigma_min by the ratio of the
-    rows' scales, so a row it rejects is tried once more with the scales
-    taken out: with d_a = ||R[:, a]||, the norm of row a of J, R = R~ D for
-    D = diag(d) and ||R~||_F = sqrt(m), so sigma_min >= min_a d_a
-    |det R| / (prod_a d_a m^((m-1)/2)), which proves graded rows.  Only the
-    rows neither bound proves, rank-deficient or nearly so, take the SVD.
-    Each bound is formed as a scale times prod_k (R_kk / scale), whose
+    substitution.  Only the other rows, rank-deficient or nearly so, take the
+    SVD.  The bound is formed as ||R||_F * prod_k (R_kk / ||R||_F), whose
     factors are at most 1, so it overflows only with ||R||_F itself; a row
     whose ||R||_F overflows, is zero or is nan reads nan, which compares
     false, and takes the SVD branch, where a row with an entry that is not
@@ -377,14 +372,7 @@ def _newton_steps(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
         bound = frobenius
         for k in range(r.shape[1]):
             bound = bound * (r[:, k, k] / frobenius)
-        cutoff = np.maximum(EPS_REG * 1e-4, frobenius * 1e-14)
-        by_qr = bound > cutoff
-        if not by_qr.all():
-            scales = np.sqrt(np.einsum("bij,bij->bj", r, r))
-            graded = scales.min(axis=1) / r.shape[1] ** ((r.shape[1] - 1) / 2)
-            for k in range(r.shape[1]):
-                graded = graded * (r[:, k, k] / scales[:, k])
-            by_qr |= graded > cutoff
+        by_qr = bound > np.maximum(EPS_REG * 1e-4, frobenius * 1e-14)
         # views, not copies, in the usual case that every row is proved
         proved = slice(None) if by_qr.all() else by_qr
         y = _forward_substitution(r[proved], values[proved])

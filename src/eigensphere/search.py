@@ -90,40 +90,32 @@ def search_memory_bytes(nvars: int, degree: int) -> int:
     T degree-(2d-2) kappa targets, E = N * mid^2 table rows over the mid
     degree-(d-1) monomials, r = M - k Laplacian rows.  The kappa table (4 E)
     with its float weights and flat cell indices (2 E), the Laplacian
-    matrix (r M), the basis as M tuples of nvars ints (M (nvars + 5)) and
-    vectors of the residual's and the unknowns' length (8 T + 8 M, the
-    residuals at the point and the candidate with the candidate's
-    products, the gradient, the step and the damping) are always held.  On
-    top of them runs one of two Levenberg-Marquardt loops, and the larger
-    counts.  Each goes through phases that never overlap, since
-    `_levenberg_marquardt` frees the normal matrix before it refills the
-    Jacobian, so only the larger phase counts.
+    matrix (r M), the basis as M tuples of nvars ints (M (nvars + 7)),
+    vectors of the residual's length (8 T: the residuals at the point and
+    the candidate, with the candidate's kappa rows) and vectors of at most
+    the unknowns' length (20 M: the draw, the start, the point, the
+    candidate, the gradient and its negation, the step, the diagonal and
+    its damping scale, the lift) are always held.
 
-    Over theta (ResidualSystem), the Jacobian buffer (rows x 2M) is held.
-    Refilling it holds B@u and B@v (2 T M) and a gathered table column with
+    On top of them runs Levenberg-Marquardt over the harmonic coefficients
+    (HarmonicSystem), which holds the basis N with the rest of its SVD
+    (M^2) and the Jacobian buffer ((2T + 1) x 2k).  It goes through two
+    phases that never overlap, since `_levenberg_marquardt` frees the normal
+    matrix before it refills the Jacobian, so only the larger one counts.
+    Refilling holds one form B@(2w) (T M) and a gathered table column with
     its product (2 E).  After it, the damped normal matrix lives with the
-    copy of it that `solve` factors (2 (2M)^2) and then with the residual's
-    gathered products at a candidate (4 E, counted on top).
-
-    Over the harmonic coefficients (HarmonicSystem, what search_eigen runs),
-    the basis with the rest of its SVD (M^2), the doubled cell indices
-    (2 E), the Jacobian buffer ((2T + 1) x 2k) and the forms of the last
-    point (2 T M) are held.  The normal matrix lives with its factored copy
-    (2 (2k)^2), or, at a candidate, with the gathered products (2 E) that
-    build the candidate's forms once the last point's are freed.
+    copy of it that `solve` factors (2 (2k)^2) and then with the residual's
+    gathered products at a candidate (5 E, counted on top).
     """
     size = _basis_size(nvars, degree)
     targets = _basis_size(nvars, 2 * degree - 2)
     entries = nvars * _basis_size(nvars, degree - 1) ** 2
     lap_rows = _basis_size(nvars, degree - 2)
-    rows = 2 * lap_rows + 2 * targets + 1
-    theta = rows * 2 * size + max(
-        2 * targets * size + 2 * entries, 2 * (2 * size) ** 2 + 4 * entries)
     unknowns = 2 * (size - lap_rows)
-    harmonic = (size ** 2 + 2 * entries + (2 * targets + 1) * unknowns
-                + 2 * targets * size + max(2 * unknowns ** 2, unknowns ** 2 + 2 * entries))
-    held = 6 * entries + lap_rows * size + size * (nvars + 5) + 8 * targets + 8 * size
-    return 8 * (held + max(theta, harmonic))
+    held = 6 * entries + lap_rows * size + size * (nvars + 7) + 8 * targets + 20 * size
+    refill = targets * size + 2 * entries
+    normal = 2 * unknowns ** 2 + 5 * entries
+    return 8 * (held + size ** 2 + (2 * targets + 1) * unknowns + max(refill, normal))
 
 
 class ResidualSystem:
@@ -202,11 +194,27 @@ class ResidualSystem:
         u, v = self.split(t)
         lap_u = self.lap_matrix @ u
         lap_v = self.lap_matrix @ v
-        target, a, b, weight = self._target, self._a, self._b, self._weight
-        kap_re = np.bincount(target, weight * (u[a] * u[b] - v[a] * v[b]), self.num_targets)
-        kap_im = 2 * np.bincount(target, weight * (u[a] * v[b]), self.num_targets)
+        kap_re, kap_im = self._kappa(t.reshape(2, -1))
         gauge = u @ u + v @ v - 1.0
         return np.concatenate([lap_u, lap_v, kap_re, kap_im, [gauge]])
+
+    def _kappa(self, uv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The coefficients u'Bu - v'Bv and 2 u'Bv of kappa(P_theta, P_theta).
+
+        uv is the (2, M) array [u; v].  Each row of the table adds
+        weight (u_a u_b - v_a v_b) and weight u_a v_b to its target; the
+        second sum is doubled.
+        """
+        at_a = np.take(uv, self._a, axis=1)
+        at_b = np.take(uv, self._b, axis=1)
+        kap_im = at_a[0] * at_b[1]
+        kap_im *= self._weight
+        at_a *= at_b
+        del at_b
+        kap_re = at_a[0] - at_a[1]
+        kap_re *= self._weight
+        return (np.bincount(self._target, kap_re, self.num_targets),
+                2 * np.bincount(self._target, kap_im, self.num_targets))
 
     def _form_times(self, w: np.ndarray) -> np.ndarray:
         """The (T, M) matrix whose row t is B[t] @ w."""
@@ -253,15 +261,14 @@ class HarmonicSystem:
     residual is the kappa rows of P_theta followed by the gauge |p|^2 - 1,
     which is |theta|^2 - 1 since N is orthonormal.
 
-    The forms are kept doubled, F = [2 B@u; 2 B@v] of shape (2T, M), from
-    one bincount over the kappa table with its flat cells doubled.  They
-    give the residual, u'Bu - v'Bv and 2 u'Bv, and the Jacobian
-    [2 (Bu) N, -2 (Bv) N; 2 (Bv) N, 2 (Bu) N; 2 p'], whose left half is the
-    one product F N; doubling and halving are exact, so every value is the
-    one the undoubled forms would give.  The
-    forms of the last point a residual was taken at are kept, so the
-    Jacobian at an accepted candidate builds none; they are freed before the
-    next point's are built.
+    The kappa rows are ResidualSystem's, at the lift, and the gauge is
+    alpha'alpha + beta'beta - 1.  At degree 1, where N is the identity,
+    both are the bits of ResidualSystem.residual's rows.  The Jacobian is
+    [2 (Bu) N, -2 (Bv) N; 2 (Bv) N, 2 (Bu) N; 2 p']: its left half is built
+    one form at a time from one gathered table column of [2u; 2v] (doubling
+    is exact), B@(2u) then B@(2v), each times N into the buffer, and its
+    right half is a negated and a copied block.  No form outlives the
+    Jacobian it fills, so none lives beside the normal matrix.
     """
 
     def __init__(self, system: ResidualSystem):
@@ -271,10 +278,6 @@ class HarmonicSystem:
         self.basis = np.linalg.svd(system.lap_matrix.T)[0][:, r:]
         self.dim = self.basis.shape[1]
         self.num_residuals = 2 * system.num_targets + 1
-        self._num_cells = system.num_targets * system.size
-        self._cells = np.concatenate([system._cell, system._cell + self._num_cells])
-        self._point: Optional[bytes] = None
-        self._forms: Optional[np.ndarray] = None
 
     def project(self, t: np.ndarray) -> np.ndarray:
         """[N'u; N'v] for t = [u; v], scaled to unit norm."""
@@ -285,36 +288,23 @@ class HarmonicSystem:
         """The (2, M) array [u; v] = [N alpha; N beta] for p = [alpha; beta]."""
         return p.reshape(2, -1) @ self.basis.T
 
-    def _forms_at(self, p: np.ndarray, uv: Optional[np.ndarray] = None) -> np.ndarray:
-        """F at p, whose lift is uv if given; the kept F if the last call was at p."""
-        key = p.tobytes()
-        if key != self._point:
-            self._forms = None
-            system = self.system
-            if uv is None:
-                uv = self.lift(p)
-            gathered = np.take(uv + uv, system._b, axis=1)
-            gathered *= system._weight
-            self._forms = np.bincount(
-                self._cells, gathered.reshape(-1), 2 * self._num_cells
-            ).reshape(2 * system.num_targets, system.size)
-            self._point = key
-        return self._forms
-
     def residual(self, p: np.ndarray) -> np.ndarray:
-        uv = self.lift(p)
-        # rows 2 Bu.u, 2 Bu.v over the targets, then 2 Bv.u, 2 Bv.v
-        dots = self._forms_at(p, uv) @ uv.T
-        q = self.system.num_targets
+        alpha, beta = p.reshape(2, -1)
         return np.concatenate(
-            [(dots[:q, 0] - dots[q:, 1]) * 0.5, dots[:q, 1], [p @ p - 1.0]])
+            [*self.system._kappa(self.lift(p)), [alpha @ alpha + beta @ beta - 1.0]])
 
     def jacobian(self, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The (2T + 1, 2k) Jacobian of `residual` at p, written into `out` if given."""
-        k = self.dim
-        q = self.system.num_targets
+        system = self.system
+        k, q, m = self.dim, system.num_targets, system.size
         jac = np.empty((self.num_residuals, 2 * k)) if out is None else out
-        np.matmul(self._forms_at(p), self.basis, out=jac[:2 * q, :k])
+        uv = self.lift(p)
+        gathered = np.take(uv + uv, system._b, axis=1)
+        gathered *= system._weight
+        # B@(2u), then B@(2v), each freed once it is multiplied into the buffer
+        for block, column in zip((jac[:q, :k], jac[q:2 * q, :k]), gathered):
+            np.matmul(np.bincount(system._cell, column, q * m).reshape(q, m), self.basis,
+                      out=block)
         np.negative(jac[q:2 * q, :k], out=jac[:q, k:])
         np.copyto(jac[q:2 * q, k:], jac[:q, :k])
         np.multiply(p, 2, out=jac[-1])
@@ -493,7 +483,7 @@ def search_eigen(
             f"{kept / 2**20:.0f} MiB, over the {MEMORY_BUDGET / 2**20:.0f} MiB budget"
         )
     starts = _AttemptDraws(rng_seed)(range(attempts), 2 * system.size)
-    # only attempts need the harmonic basis and the doubled table cells
+    # only attempts need the harmonic basis
     harmonic = HarmonicSystem(system) if attempts else None
     results: List[SearchResult] = []
     for attempt, t0 in enumerate(starts):

@@ -220,12 +220,11 @@ class TestHarmonicSystem:
             assert_allclose(analytic[:, col], fd, atol=1e-5, rtol=1e-5)
 
     def test_jacobian_into_a_buffer(self, rng):
-        # the forms kept from a residual at p give the bits of fresh ones
+        # a buffer filled at another point is wholly rewritten
         harmonic = HarmonicSystem(ResidualSystem(5, 3))
         first, second = rng.standard_normal((2, 2 * harmonic.dim))
-        fresh = HarmonicSystem(harmonic.system).jacobian(second)
+        fresh = harmonic.jacobian(second)
         buffer = harmonic.jacobian(first)
-        harmonic.residual(second)
         assert harmonic.jacobian(second, out=buffer) is buffer
         assert buffer.tobytes() == fresh.tobytes()
 
@@ -318,10 +317,22 @@ class TestMemoryBudget:
         assert at_solve
         assert table + max(peak, *at_solve) <= search_memory_bytes(nvars, degree)
 
-    @pytest.mark.parametrize("nvars, degree", [(12, 3), (14, 3)])
+    def test_boundaries(self):
+        # the harmonic loop holds no more than the theta loop did at degree
+        # 3, so the largest cubic search still runs; at degrees 1 and 2,
+        # where ker L is nearly all of P_d, its basis (M^2) outweighs what
+        # the smaller normal matrix saves, so (79, 2), (80, 2) and (3662, 1)
+        # to (4095, 1), which the theta loop ran, are refused
+        assert search_memory_bytes(21, 3) <= MEMORY_BUDGET < search_memory_bytes(22, 3)
+        assert search_memory_bytes(78, 2) <= MEMORY_BUDGET < search_memory_bytes(79, 2)
+        assert search_memory_bytes(3661, 1) <= MEMORY_BUDGET < search_memory_bytes(3662, 1)
+
+    @pytest.mark.parametrize("nvars, degree", [(12, 3), (14, 3), (30, 2), (200, 1)])
     def test_estimate_covers_search(self, monkeypatch, nvars, degree):
         # search_eigen's own peak, over the harmonic coefficients, with two
-        # iterations for its one attempt; solve's factored copy is added as above
+        # iterations for its one attempt; solve's factored copy is added as
+        # above.  At degrees 1 and 2 the basis is about M^2 and the vectors
+        # of the unknowns' length are most of what is left.
         at_solve = []
         solve = np.linalg.solve
         lm = search._levenberg_marquardt
