@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import __version__, geometry
 from .eigen import verify_eigenfunction
 from .errors import BudgetExceeded, EigenSphereError, InsufficientYield
-from .geometry import VarietySpec, add_stereo, export_cloud, sample
+from .geometry import MEMORY_BUDGET, VarietySpec, add_stereo, export_cloud, sample
 from .minimality import (
     DEFAULT_REJECT,
     DEFAULT_SAMPLES,
@@ -42,7 +42,7 @@ from .minimality import (
     lawson_surface,
 )
 from .parsing import MAX_COEFF_DIGITS, parse, render
-from .search import MEMORY_BUDGET, _basis_size, search_eigen
+from .search import _basis_size, search_eigen
 from .selftest import run_selftest
 
 EXIT_POSITIVE = 0

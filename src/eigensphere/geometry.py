@@ -11,9 +11,13 @@ monomial is rounded at most d - 1 times; the roundoff factor
 (deg + terms) * 2^-53 of minimality's reliability bound rests on that.  Both
 products run a column of the batch at a time, as does Newton's residual
 max |g_a|, since numpy reduces over a short last axis one row at a time.
-Newton evaluates each point once: a step
-carries the values of the point it moved to into the next step.  The
-numerics are Newton projection with a minimum-norm least-squares step (a
+Newton evaluates each point once and takes its residual once, when it is
+evaluated: a step carries the values and residual of the point it moved to
+into the next stop test.  It tries the full step on every running row at
+once and takes the candidates whole when each one improves; only the other
+rows halve.  The running rows stay compacted apart from the points, and a
+row is written back to them once, when it stops.  The numerics are Newton
+projection with a minimum-norm least-squares step (a
 Gram-Schmidt QR, _thin_qr, and the SVD with its singular-value cutoff for
 the rows that QR cannot prove far from that cutoff), seeded Gaussian
 sampling, and the level-set second-fundamental-form trace that yields
@@ -26,8 +30,10 @@ which newton_project is the batch of one), calls an optional measure once
 per chunk on the chunk's converged points, keeps by one mask those whose
 measured row has no nan up to its quota, and returns them as a PointCloud,
 with the kept rows as one float array.  `sample` and both minimality checks
-take their points through it.  The residual and regularity of a sampled
-point are those of the Newton step at which it converged.  Attempt i
+take their points through it, and it refuses, before the first draw, a
+count whose kept points would pass MEMORY_BUDGET.  The residual and
+regularity of a sampled point are those of the Newton step at which it
+converged.  Attempt i
 draws default_rng([seed, i]).standard_normal(N) bit for bit, but no
 generator is built per attempt: _AttemptDraws runs SeedSequence's hash over
 a whole chunk of attempts as uint32 array operations, then sets the state
@@ -42,6 +48,7 @@ Every caller uses the same thresholds, so they are module constants:
     mean_curvature accepts;
   * POLE_EPS = 1e-8: stereographic refuses points this close to its pole.
 Newton's tol and maxiter stay parameters (DEFAULT_TOL, DEFAULT_MAXITER).
+MEMORY_BUDGET = 1 GiB bounds what one run keeps, here and in search.
 
 Conventions:
   * the sphere constraint is g0 = (|x|^2 - 1)/2, so grad g0 = x exactly;
@@ -85,8 +92,13 @@ DEFAULT_MAXITER = 50
 EPS_REG = 1e-8
 OFF_VARIETY_TOL = 10 * DEFAULT_TOL
 POLE_EPS = 1e-8
-# floats in about 256 KB: the cap on any temporary of a batched evaluation
+# floats in about 256 KB: the cap on any temporary of a batched evaluation,
+# and the floats that export_cloud formats at a time
 CHUNK_FLOATS = 2**15
+# the most bytes that one run may hold: the kept points of a seeded quota
+# (_quota), and in search the solver's estimated peak, the attempts' draws
+# and results, and the JSON report
+MEMORY_BUDGET = 1 << 30
 
 
 def sphere_constraint(nvars: int) -> Polynomial:
@@ -280,54 +292,69 @@ def _newton_batch(
     "no_convergence".  Returns the final points, the outcome of each row, and
     its residual max |g_a| and smallest singular value at the stop (both nan
     when it did not stop).  The steps come from _newton_steps, a Gram-Schmidt
-    QR for the rows whose singular values it proves above the cutoff.  A row
-    records its residual when it stops and keeps its point from then on, so
-    the smallest singular values come at the end, from one values-only SVD
-    of the Jacobians at every stopped point, which classifies them all.
+    QR for the rows whose singular values it proves above the cutoff.  The
+    rows still running are kept compacted, in seed order, apart from x; a
+    row is written back to x once, when it stops (or when maxiter runs out),
+    so the smallest singular values come at the end, from one values-only
+    SVD of the Jacobians at every stopped point, which classifies them all.
 
-    Each point is evaluated once: the seeds' values before the first step,
-    then each candidate of the line search.  A row carries into its next
-    step the values of the candidate it accepted, or, when no halving
-    reduced its residual, those of the full step x - step, which was its
-    first candidate.
+    Each point is evaluated once, and its residual max |g_a| is taken once,
+    when it is evaluated, and carried to the next stop test: the seeds
+    before the first step, then each candidate of the line search.  The
+    full step x - step is tried on every running row at once; when it
+    reduces every row's residual, the candidates are the new rows whole.
+    Only the other rows halve the step, each accepting its first halving
+    that reduces its residual; a row that no halving improves keeps the full
+    step and its values.
     """
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    if maxiter < 1:
+        raise ValueError(f"maxiter must be >= 1, got {maxiter!r}")
     x = np.array(seeds, dtype=float)
     outcomes = np.full(len(x), "no_convergence", dtype=object)
     residual = np.full(len(x), np.nan)
     sigma_min = np.full(len(x), np.nan)
     live = np.arange(len(x))
+    x_live = x
     values = spec.values(x)
+    base = _max_abs(values)
     for _ in range(maxiter):
-        x_live = x[live]
-        base = _max_abs(values)
         done = base < tol
         if done.any():
-            residual[live[done]] = base[done]
-            live, x_live, values, base = live[~done], x_live[~done], values[~done], base[~done]
+            stopped = live[done]
+            residual[stopped] = base[done]
+            x[stopped] = x_live[done]
+            running = ~done
+            live, x_live, values, base = (
+                live[running], x_live[running], values[running], base[running])
         if not live.size:
             break
         step = _newton_steps(spec.jacobian(x_live), values)
-        # backtracking: each row accepts its first damped step that reduces its residual
-        pending = np.arange(len(live))
-        scale = 1.0
-        for halving in range(25):
-            candidate = x_live[pending] - scale * step[pending]
-            found = spec.values(candidate)
-            if not halving:
-                full_step = found  # every row's x - step, in the order of live
-            better = _max_abs(found) < base[pending]
-            x_live[pending[better]] = candidate[better]
-            values[pending[better]] = found[better]
-            pending = pending[~better]
-            if not pending.size:
-                break
-            scale *= 0.5
-        # no improvement found; let the iteration budget decide
-        x_live[pending] -= step[pending]
-        values[pending] = full_step[pending]
-        x[live] = x_live
+        candidate = x_live - step
+        found = spec.values(candidate)
+        reached = _max_abs(found)
+        better = reached < base
+        if not better.all():
+            # backtracking: each row the full step did not improve accepts its
+            # first halving that does, or keeps the full step
+            pending = np.flatnonzero(~better)
+            scale = 0.5
+            for _halving in range(24):
+                trial = x_live[pending] - scale * step[pending]
+                trial_values = spec.values(trial)
+                trial_reached = _max_abs(trial_values)
+                improved = trial_reached < base[pending]
+                accepted = pending[improved]
+                candidate[accepted] = trial[improved]
+                found[accepted] = trial_values[improved]
+                reached[accepted] = trial_reached[improved]
+                pending = pending[~improved]
+                if not pending.size:
+                    break
+                scale *= 0.5
+        x_live, values, base = candidate, found, reached
+    x[live] = x_live
     # a stopped row keeps its point, so one SVD classifies every stop
     stopped = ~np.isnan(residual)
     if stopped.any():
@@ -365,7 +392,6 @@ def _newton_steps(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
     finite, whose SVD does not converge, steps by nan.  No overflow or nan
     on the way warns.
     """
-    steps = np.empty((len(jac), jac.shape[2]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q, r = _thin_qr(jac)
         frobenius = np.sqrt(np.einsum("bij,bij->b", r, r))
@@ -373,14 +399,15 @@ def _newton_steps(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
         for k in range(r.shape[1]):
             bound = bound * (r[:, k, k] / frobenius)
         by_qr = bound > np.maximum(EPS_REG * 1e-4, frobenius * 1e-14)
-        # views, not copies, in the usual case that every row is proved
-        proved = slice(None) if by_qr.all() else by_qr
-        y = _forward_substitution(r[proved], values[proved])
-        steps[proved] = np.einsum("bk,bkn->bn", y, q[proved])
+        # the usual case: every row is proved, and its QR steps are the result
+        if by_qr.all():
+            return np.einsum("bk,bkn->bn", _forward_substitution(r, values), q)
+        steps = np.empty((len(jac), jac.shape[2]))
+        y = _forward_substitution(r[by_qr], values[by_qr])
+        steps[by_qr] = np.einsum("bk,bkn->bn", y, q[by_qr])
         rest = np.flatnonzero(~by_qr)
-        if rest.size:
-            steps[rest] = np.nan
-            rest = rest[np.isfinite(jac[rest]).all(axis=(1, 2))]
+        steps[rest] = np.nan
+        rest = rest[np.isfinite(jac[rest]).all(axis=(1, 2))]
         if rest.size:
             u, s, vt = np.linalg.svd(jac[rest], full_matrices=False)
             cutoff = np.maximum(EPS_REG * 1e-4, s[:, :1] * 1e-14)
@@ -595,10 +622,22 @@ def _quota(
     Jacobian at the Newton step that converged, and the tallies
     ("outcomes") and kept attempts ("seed_indices") as metadata; the
     measure's kept rows (None without a measure); and, when the quota is not
-    full, the shortfall message naming both tallies (else None).
+    full, the shortfall message naming both tallies (else None).  A count
+    whose kept points would hold more than MEMORY_BUDGET bytes, as counted
+    below with the row of a measure taken as at most m floats, is
+    BudgetExceeded before any draw.
     """
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
+    # a kept point holds its N coordinates, residual, regularity and measured
+    # row (at most m floats) twice, per chunk and then joined, and its attempt
+    # index as an int64 and a Python int in a list; sample adds 3N floats of
+    # stereographic coordinates and CSV table
+    kept = count * (8 * (5 * spec.nvars + 2 * spec.num_equations + 4) + 56)
+    if kept > MEMORY_BUDGET:
+        raise BudgetExceeded(
+            f"{count} samples in {spec.nvars} variables keep about {kept / 2**20:.0f} MiB, "
+            f"over the {MEMORY_BUDGET / 2**20:.0f} MiB budget")
     cap = max(1, CHUNK_FLOATS // max(spec._values.point_floats, spec._jacobian.point_floats))
     attempt_draws = _AttemptDraws(rng_seed)
     tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
@@ -804,6 +843,9 @@ def export_cloud(cloud: PointCloud, path: str) -> None:
 
     Header: x1..xN, then s1..s(N-1) when stereo is present, then residual
     and regularity.  Row order is generation order, so output is deterministic.
+    Rows are formatted and written a block of about CHUNK_FLOATS floats at a
+    time, so the text and the Python floats it is made from never grow with
+    the cloud; the bytes are those of the whole table formatted at once.
     """
     nvars = cloud.points.shape[1]
     header = [f"x{i + 1}" for i in range(nvars)]
@@ -813,9 +855,12 @@ def export_cloud(cloud: PointCloud, path: str) -> None:
     stereo = [] if cloud.stereo is None else [cloud.stereo]
     table = np.hstack([cloud.points, *stereo, cloud.residuals[:, None], cloud.regularity[:, None]])
     row_format = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    rows = max(1, CHUNK_FLOATS // table.shape[1])
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.write((row_format * len(table)) % tuple(table.ravel().tolist()))
+        for start in range(0, len(table), rows):
+            block = table[start:start + rows]
+            handle.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_cloud(path: str) -> PointCloud:

@@ -16,7 +16,12 @@ by one helper for plain rounding and for the degree-1 isotropic repair.
 The solver is hand-rolled on numpy: the system is small (tens of unknowns),
 needs an analytic Jacobian, and is underdetermined at low degree, where
 library implementations of the same algorithm refuse fewer residuals than
-unknowns.
+unknowns.  At that size each numpy call costs more in dispatch than in
+arithmetic, so the loop makes each array pass once: one Jacobian buffer
+refilled in place, the normal matrix damped in place, -grad formed once
+per iteration however many damped solves it takes, and ndarray methods
+and math.sqrt where numpy's wrapper functions would add a layer of Python
+to every call.
 """
 
 from __future__ import annotations
@@ -31,14 +36,11 @@ import numpy as np
 
 from .eigen import verify_eigenfunction
 from .errors import BudgetExceeded
-from .geometry import _AttemptDraws
+# MEMORY_BUDGET is the largest search_memory_bytes that ResidualSystem
+# accepts, and the most bytes that search_eigen's attempts may keep
+from .geometry import MEMORY_BUDGET, _AttemptDraws
 from .parsing import render
 from .polynomial import GaussianRational, Polynomial
-
-
-# Largest search_memory_bytes that ResidualSystem accepts, and largest
-# number of bytes that search_eigen's attempts may keep.
-MEMORY_BUDGET = 1 << 30
 
 
 def monomial_basis(nvars: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
@@ -205,8 +207,8 @@ class ResidualSystem:
         weight (u_a u_b - v_a v_b) and weight u_a v_b to its target; the
         second sum is doubled.
         """
-        at_a = np.take(uv, self._a, axis=1)
-        at_b = np.take(uv, self._b, axis=1)
+        at_a = uv.take(self._a, axis=1)
+        at_b = uv.take(self._b, axis=1)
         kap_im = at_a[0] * at_b[1]
         kap_im *= self._weight
         at_a *= at_b
@@ -282,7 +284,7 @@ class HarmonicSystem:
     def project(self, t: np.ndarray) -> np.ndarray:
         """[N'u; N'v] for t = [u; v], scaled to unit norm."""
         p = (t.reshape(2, -1) @ self.basis).reshape(-1)
-        return p / np.linalg.norm(p)
+        return p / math.sqrt(p @ p)
 
     def lift(self, p: np.ndarray) -> np.ndarray:
         """The (2, M) array [u; v] = [N alpha; N beta] for p = [alpha; beta]."""
@@ -299,14 +301,14 @@ class HarmonicSystem:
         k, q, m = self.dim, system.num_targets, system.size
         jac = np.empty((self.num_residuals, 2 * k)) if out is None else out
         uv = self.lift(p)
-        gathered = np.take(uv + uv, system._b, axis=1)
+        gathered = (uv + uv).take(system._b, axis=1)
         gathered *= system._weight
         # B@(2u), then B@(2v), each freed once it is multiplied into the buffer
         for block, column in zip((jac[:q, :k], jac[q:2 * q, :k]), gathered):
             np.matmul(np.bincount(system._cell, column, q * m).reshape(q, m), self.basis,
                       out=block)
         np.negative(jac[q:2 * q, :k], out=jac[:q, k:])
-        np.copyto(jac[q:2 * q, k:], jac[:q, :k])
+        jac[q:2 * q, k:] = jac[:q, :k]
         np.multiply(p, 2, out=jac[-1])
         return jac
 
@@ -320,7 +322,9 @@ def _levenberg_marquardt(
     normal matrix is damped in place: 0.0 is added to it once, as adding
     the diagonal matrix lam * diag(scale) adds 0.0 off the diagonal, and each
     retry writes its own diagonal, so every solve sees the floats of the
-    normal matrix plus that diagonal matrix, which is never built.
+    normal matrix plus that diagonal matrix, which is never built.  Every
+    retry of an iteration solves for the same right-hand side -grad, formed
+    once.
     """
     t = t0.copy()
     r = system.residual(t)
@@ -328,14 +332,15 @@ def _levenberg_marquardt(
     lam = 1e-3
     jac = None
     for _ in range(max_iters):
-        if np.sqrt(cost) < 1e-15:
+        if math.sqrt(cost) < 1e-15:
             break
         jac = system.jacobian(t, out=jac)
         grad = jac.T @ r
-        if np.max(np.abs(grad)) < 1e-16:
+        if abs(grad).max() < 1e-16:
             break
+        descent = -grad
         damped = jac.T @ jac
-        diagonal = np.diag(damped).copy()
+        diagonal = damped.diagonal().copy()
         damping_scale = np.maximum(diagonal, 1e-12)
         damped += 0.0
         damped_diagonal = damped.reshape(-1)[:: len(damped) + 1]
@@ -343,7 +348,7 @@ def _levenberg_marquardt(
         for _retry in range(40):
             np.add(diagonal, lam * damping_scale, out=damped_diagonal)
             try:
-                step = np.linalg.solve(damped, -grad)
+                step = np.linalg.solve(damped, descent)
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
@@ -362,7 +367,7 @@ def _levenberg_marquardt(
         del damped, damped_diagonal
         if not accepted:
             break
-    return t, float(np.sqrt(cost))
+    return t, math.sqrt(cost)
 
 
 @dataclass(slots=True)
@@ -489,7 +494,8 @@ def search_eigen(
     for attempt, t0 in enumerate(starts):
         p_star, _ = _levenberg_marquardt(harmonic, harmonic.project(t0))
         uv = harmonic.lift(p_star)
-        residual = float(np.linalg.norm(system.residual(uv.reshape(-1))))
+        r = system.residual(uv.reshape(-1))
+        residual = math.sqrt(r @ r)
         coefficients = uv[0] + 1j * uv[1]
         exact: Optional[Polynomial] = None
         if residual < 1e-6:

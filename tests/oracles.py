@@ -18,9 +18,12 @@ that the package computes another way.
     Polynomial and a coefficient vector of search.ResidualSystem, with which
     test_search checks the residual map against the symbolic operators.
   * levenberg_marquardt_reference: the search's Levenberg-Marquardt loop as
-    it was before it refilled one Jacobian buffer and damped the normal
-    matrix in place: a fresh dense Jacobian per iteration and the damped
-    matrix built as a sum.  test_search checks the loop against it bit for bit.
+    it was before it refilled one Jacobian buffer, damped the normal matrix
+    in place and formed -grad once per iteration: a fresh dense Jacobian per
+    iteration, the damped matrix built as a sum, -grad formed at every
+    solve, and numpy's wrapper functions (np.sqrt, np.max, np.diag) where
+    the loop reads ndarray methods and math.sqrt.  test_search checks the
+    loop against it bit for bit, on every branch.
   * render_reference: the canonical renderer as it was before it read the
     packed pairs, through `items` and a GaussianRational per term;
     test_parsing checks `render` against it string for string.
@@ -38,9 +41,18 @@ that the package computes another way.
     step V S^-1 U^T g that Newton takes when no singular value is cut off;
     test_geometry checks geometry._newton_steps against it on the rows its
     QR proof admits.
+  * newton_batch_reference (with newton_steps_reference): batched Newton
+    projection as it was before the loop carried each point's residual
+    max |g_a| from its evaluation, tried the full step without indexing
+    and wrote a row back to x only when it stopped: the residual of every
+    running row taken again at each stop test, every row gathered from x
+    and scattered back at every step, and every step copied into a new
+    array.  test_geometry checks geometry._newton_batch against it bit for
+    bit on every branch of the loop.
 """
 
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -48,7 +60,8 @@ import numpy as np
 from eigensphere import geometry
 from eigensphere.calculus import gradient, hess_grad_grad, hessian, laplacian
 from eigensphere.errors import EigenSphereError
-from eigensphere.geometry import EPS_REG, CompiledPolys, VarietySpec
+from eigensphere.geometry import (
+    EPS_REG, CompiledPolys, VarietySpec, _forward_substitution, _thin_qr)
 from eigensphere.polynomial import GaussianRational, Polynomial
 from eigensphere.search import ResidualSystem
 
@@ -317,3 +330,79 @@ def min_norm_step_reference(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
         y[k] = (rhs[k] - sum(gram[k][j] * y[j] for j in range(k + 1, m))) / gram[k][k]
     return np.array([float(sum(c * row[n] for c, row in zip(y, rows)))
                      for n in range(len(rows[0]))])
+
+
+# ---------------------------------------------------------------------------
+# Batched Newton projection, gathering and scattering the running rows
+
+
+def _max_abs_reference(values: np.ndarray) -> np.ndarray:
+    return reduce(np.maximum, np.abs(values).T)
+
+
+def newton_steps_reference(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """geometry._newton_steps with every step copied into one new array."""
+    steps = np.empty((len(jac), jac.shape[2]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q, r = _thin_qr(jac)
+        frobenius = np.sqrt(np.einsum("bij,bij->b", r, r))
+        bound = frobenius
+        for k in range(r.shape[1]):
+            bound = bound * (r[:, k, k] / frobenius)
+        by_qr = bound > np.maximum(EPS_REG * 1e-4, frobenius * 1e-14)
+        proved = slice(None) if by_qr.all() else by_qr
+        y = _forward_substitution(r[proved], values[proved])
+        steps[proved] = np.einsum("bk,bkn->bn", y, q[proved])
+        rest = np.flatnonzero(~by_qr)
+        if rest.size:
+            steps[rest] = np.nan
+            rest = rest[np.isfinite(jac[rest]).all(axis=(1, 2))]
+        if rest.size:
+            u, s, vt = np.linalg.svd(jac[rest], full_matrices=False)
+            cutoff = np.maximum(EPS_REG * 1e-4, s[:, :1] * 1e-14)
+            inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+            coords = inv * np.einsum("bmk,bm->bk", u, values[rest])
+            steps[rest] = np.einsum("bkn,bk->bn", vt, coords)
+    return steps
+
+
+def newton_batch_reference(spec: VarietySpec, seeds: np.ndarray, tol: float, maxiter: int):
+    """(points, outcomes, residual, sigma_min) of geometry._newton_batch."""
+    x = np.array(seeds, dtype=float)
+    outcomes = np.full(len(x), "no_convergence", dtype=object)
+    residual = np.full(len(x), np.nan)
+    sigma_min = np.full(len(x), np.nan)
+    live = np.arange(len(x))
+    values = spec.values(x)
+    for _ in range(maxiter):
+        x_live = x[live]
+        base = _max_abs_reference(values)
+        done = base < tol
+        if done.any():
+            residual[live[done]] = base[done]
+            live, x_live, values, base = live[~done], x_live[~done], values[~done], base[~done]
+        if not live.size:
+            break
+        step = newton_steps_reference(spec.jacobian(x_live), values)
+        pending = np.arange(len(live))
+        scale = 1.0
+        for halving in range(25):
+            candidate = x_live[pending] - scale * step[pending]
+            found = spec.values(candidate)
+            if not halving:
+                full_step = found
+            better = _max_abs_reference(found) < base[pending]
+            x_live[pending[better]] = candidate[better]
+            values[pending[better]] = found[better]
+            pending = pending[~better]
+            if not pending.size:
+                break
+            scale *= 0.5
+        x_live[pending] -= step[pending]
+        values[pending] = full_step[pending]
+        x[live] = x_live
+    stopped = ~np.isnan(residual)
+    if stopped.any():
+        sigma_min[stopped] = np.linalg.svd(spec.jacobian(x[stopped]), compute_uv=False)[:, -1]
+        outcomes[stopped] = np.where(sigma_min[stopped] < EPS_REG, "singular", "converged")
+    return x, outcomes, residual, sigma_min

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigensphere import cli, search
+from eigensphere import cli, geometry, search
 from eigensphere.cli import main
 from eigensphere.errors import InsufficientYield
 from eigensphere.geometry import read_cloud
@@ -332,6 +332,32 @@ class TestSample:
         )
         assert code == 3
         assert "real" in err
+
+
+class TestSampleCountBudget:
+    # 10^8 kept points would take hours to draw and then exhaust memory:
+    # every command that samples refuses them before the first draw
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--vars", "4", "--constraint", "x1^2 + x3^2 - 1/2"),
+        ("minimal-zero", "--vars", "4", "--sphere-dim", "3", "--poly", "z1^2 + z2^2"),
+        ("minimal-line", "--vars", "6", "--sphere-dim", "5", "--poly", "z1^2*z2+z3^3",
+         "--line", "1,0"),
+        ("minimal-line", "--vars", "4", "--sphere-dim", "3", "--poly", "z1^2+z2^2",
+         "--line", "0,1", "--cross-check"),
+    ], ids=["sample", "minimal-zero", "minimal-line", "minimal-line-cross-check"])
+    def test_refused_before_any_draw(self, capsys, monkeypatch, tmp_path, argv):
+        def no_draw(*_args):
+            raise AssertionError("an attempt was drawn")
+
+        monkeypatch.setattr(geometry._AttemptDraws, "__call__", no_draw)
+        out_file = tmp_path / "cloud.csv"
+        count = (("--count", "100000000", "--out", str(out_file)) if argv[0] == "sample"
+                 else ("--samples", "100000000"))
+        code, out, err = run(capsys, *argv, *count)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: 100000000 samples") and "budget" in err
+        assert not out_file.exists()
 
 
 class TestLawson:

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from eigensphere.calculus import gradient, hess_grad_grad, hessian
 from eigensphere.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     IndexOutOfRange,
     InsufficientYield,
@@ -49,6 +50,7 @@ from oracles import (
     cone_mean_curvature,
     hessian_table_reference,
     min_norm_step_reference,
+    newton_batch_reference,
 )
 
 
@@ -266,11 +268,16 @@ class TestNewtonProject:
         with pytest.raises(SingularJacobian):
             newton_project(spec, np.array([0.01, 0.7, 0.7]))
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
-    def test_tolerance_guard(self, tol):
+    @pytest.mark.parametrize("setting, value", [
+        pytest.param("tol", 0.0, id="0.0"), pytest.param("tol", -1e-12, id="-1e-12"),
+        pytest.param("tol", math.inf, id="inf"), pytest.param("tol", math.nan, id="nan"),
+        # a point on the variety converges in no step, yet maxiter 0 is refused
+        pytest.param("maxiter", 0, id="maxiter-0"), pytest.param("maxiter", -3, id="maxiter--3"),
+    ])
+    def test_tolerance_guard(self, setting, value):
         spec = VarietySpec(3, [])
-        with pytest.raises(ValueError, match=f"got {tol!r}"):
-            newton_project(spec, [1.0, 0.0, 0.0], tol=tol)
+        with pytest.raises(ValueError, match=f"{setting}.*got {value!r}"):
+            newton_project(spec, [1.0, 0.0, 0.0], **{setting: value})
 
     def test_seed_shape_guard(self):
         spec = VarietySpec(3, [])
@@ -302,6 +309,20 @@ def _real_parts(text, nvars):
 
 
 class TestSample:
+    def test_count_bounded_before_any_draw(self, monkeypatch):
+        # a kept point in 4 variables with 2 equations is counted at
+        # 8 (5 * 4 + 2 * 2 + 4) + 56 = 280 bytes
+        def no_draw(*_args):
+            raise AssertionError("an attempt was drawn")
+
+        monkeypatch.setattr(geometry._AttemptDraws, "__call__", no_draw)
+        spec, _ = clifford_spec()
+        largest = geometry.MEMORY_BUDGET // 280
+        with pytest.raises(BudgetExceeded, match=f"{largest + 1} samples .* budget"):
+            sample(spec, largest + 1, rng_seed=0)
+        with pytest.raises(AssertionError, match="drawn"):
+            sample(spec, largest, rng_seed=0)
+
     def test_clifford_identity(self):
         spec, _ = clifford_spec()
         cloud = sample(spec, 200, rng_seed=11)
@@ -914,6 +935,79 @@ class TestNewtonBatchStop:
             assert res < geometry.DEFAULT_TOL
 
 
+def _newton_branches(spec, seeds, tol, maxiter):
+    """_newton_batch's results, and the branches of its loop that they took.
+
+    Every evaluation is recorded: the seeds' values, then per step the
+    Jacobian of the running rows and the line search's candidates; a last
+    Jacobian without candidates is the classifying SVD's.
+    """
+    events = []
+    values, jacobian = spec.values, spec.jacobian
+    spec.values = lambda x: (events.append(("v", len(x))), values(x))[1]
+    spec.jacobian = lambda x: (events.append(("j", len(x))), jacobian(x))[1]
+    try:
+        result = geometry._newton_batch(spec, seeds, tol, maxiter)
+    finally:
+        del spec.values, spec.jacobian
+    steps = []  # per step, the running rows and the rows of each candidate
+    for kind, rows in events[1:]:
+        if kind == "j":
+            steps.append((rows, []))
+        else:
+            steps[-1][1].append(rows)
+    steps = [(rows, trials) for rows, trials in steps if trials]
+    outcomes = set(result[1])
+    branches = {
+        "full-step": all(len(trials) == 1 for _rows, trials in steps),
+        "halving": any(len(trials) > 1 for _rows, trials in steps),
+        "exhausted": any(len(trials) == 25 for _rows, trials in steps),
+        "stops-differ": len({rows for rows, _trials in steps}) >= 3,
+        "maxiter": "no_convergence" in outcomes and len(steps) == maxiter,
+        "singular": "singular" in outcomes,
+    }
+    return result, {name for name, taken in branches.items() if taken}
+
+
+def _unit_rows(count, nvars, seed):
+    seeds = np.random.default_rng(seed).standard_normal((count, nvars))
+    return seeds / np.linalg.norm(seeds, axis=1)[:, None]
+
+
+class TestNewtonBatchMatchesReference:
+    # (spec, seeds, maxiter, the branches the case must take)
+    @pytest.mark.parametrize("spec, seeds, maxiter, branches", [
+        # Newton on |x|^2 = 1 from radius r >= 1/sqrt(5) reduces the residual
+        # by the full step every time
+        pytest.param(VarietySpec(4, []),
+                     _unit_rows(40, 4, 1) * np.linspace(0.6, 3.0, 40)[:, None], 50,
+                     {"full-step", "stops-differ"}, id="full-step"),
+        pytest.param(VarietySpec(3, [parse("x1^2*x2 - x3^3", 3)]), _unit_rows(60, 3, 2), 50,
+                     {"halving", "stops-differ"}, id="halving"),
+        pytest.param(VarietySpec(6, _real_parts("z1^3 + z2^3 + z3^3", 6)),
+                     _unit_rows(200, 6, 12), 50, {"halving", "stops-differ"}, id="codim2"),
+        # no step reduces |g|: every row halves 24 times, then keeps the full step
+        pytest.param(VarietySpec(4, [parse("x1", 4), parse("x1 - 1", 4)]),
+                     _unit_rows(20, 4, 3), 8, {"exhausted", "maxiter"}, id="exhausted"),
+        pytest.param(VarietySpec(3, [parse("x1^2*x2 - x3^3", 3)]), _unit_rows(60, 3, 4), 4,
+                     {"halving", "maxiter"}, id="short-maxiter"),
+        pytest.param(VarietySpec(3, [parse("x1^4", 3)]), _unit_rows(30, 3, 5), 50,
+                     {"singular"}, id="singular-x1^4"),
+        pytest.param(VarietySpec(4, _real_parts("z1^3*conj(z2)^2", 4)), _unit_rows(40, 4, 6),
+                     50, {"singular", "stops-differ"}, id="codim2-singular"),
+    ])
+    def test_bit_for_bit(self, spec, seeds, maxiter, branches):
+        (points, outcomes, residual, sigma), taken = _newton_branches(
+            spec, seeds, geometry.DEFAULT_TOL, maxiter)
+        assert branches <= taken
+        ref_points, ref_outcomes, ref_residual, ref_sigma = newton_batch_reference(
+            spec, seeds, geometry.DEFAULT_TOL, maxiter)
+        assert np.array_equal(points, ref_points)
+        assert np.array_equal(outcomes, ref_outcomes)
+        assert np.array_equal(residual, ref_residual, equal_nan=True)
+        assert np.array_equal(sigma, ref_sigma, equal_nan=True)
+
+
 # seeds of one to four uint32 words, one of four words plus a bit, and a
 # numpy integer
 DRAW_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3, np.uint64(2**63 + 7)]
@@ -1279,6 +1373,24 @@ class TestStereographic:
             stereographic([0.6, 0.8, 0.0, 0.0], pole)
 
 
+class _RecordedFile:
+    """A file that records the text of every write."""
+
+    def __init__(self, handle, writes):
+        self.handle, self.writes = handle, writes
+
+    def __enter__(self):
+        self.handle.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self.handle.__exit__(*exc)
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.handle.write(text)
+
+
 class TestExport:
     def test_empty_cloud_header_only(self, tmp_path):
         cloud = PointCloud(
@@ -1329,6 +1441,21 @@ class TestExport:
         assert np.array_equal(back.points, cloud.points)
         assert np.array_equal(back.residuals, cloud.residuals)
         assert np.array_equal(back.regularity, cloud.regularity)
+
+    def test_blocks_write_the_bytes_of_one_block(self, monkeypatch, tmp_path):
+        # a block is CHUNK_FLOATS // columns rows: 29 rows of 9 columns are
+        # one block by default and ten blocks (3, ..., 3, 2) at 27 floats
+        spec, _ = clifford_spec()
+        cloud = add_stereo(sample(spec, 29, rng_seed=8), pole=4)
+        whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+        export_cloud(cloud, str(whole))
+        writes = []
+        monkeypatch.setattr(geometry, "CHUNK_FLOATS", 27)
+        monkeypatch.setattr(geometry, "open", lambda *args, **kwargs: _RecordedFile(
+            open(*args, **kwargs), writes), raising=False)
+        export_cloud(cloud, str(blocks))
+        assert [text.count("\r\n") for text in writes] == [1] + [3] * 9 + [2]
+        assert blocks.read_bytes() == whole.read_bytes()
 
     def test_stereo_columns(self, tmp_path):
         spec, _ = clifford_spec()

@@ -239,6 +239,30 @@ class TestHarmonicSystem:
             assert p.tobytes() == p_ref.tobytes()
             assert residual.hex() == residual_ref.hex()
 
+    @pytest.mark.parametrize("nvars, degree, max_iters", [
+        (4, 1, 5), (5, 2, 5), (5, 3, 5), (4, 1, 300), (5, 2, 300)])
+    def test_levenberg_marquardt_rejected_step_matches_reference(self, nvars, degree,
+                                                                 max_iters):
+        # a rejected candidate raises lambda and solves again with the same
+        # -grad; at 5 iterations the cap stops the loop, at 300 its own tests
+        harmonic = HarmonicSystem(ResidualSystem(nvars, degree))
+        events = []
+        residual, jacobian = harmonic.residual, harmonic.jacobian
+        harmonic.residual = lambda p: (events.append("r"), residual(p))[1]
+        harmonic.jacobian = lambda p, out=None: (events.append("j"), jacobian(p, out=out))[1]
+        rejected = 0
+        for attempt in range(6):
+            p0 = harmonic.project(np.random.default_rng(
+                [nvars * 10 + degree, attempt]).standard_normal(2 * harmonic.system.size))
+            events.clear()
+            p, res = _levenberg_marquardt(harmonic, p0, max_iters=max_iters)
+            # after each Jacobian, one residual per candidate
+            rejected += max(map(len, "".join(events).split("j")[1:]), default=0) > 1
+            p_ref, res_ref = levenberg_marquardt_reference(harmonic, p0, max_iters=max_iters)
+            assert np.array_equal(p, p_ref)
+            assert np.array_equal(res, res_ref)
+        assert rejected
+
     @pytest.mark.parametrize("nvars, degree", [(4, 2), (5, 2), (5, 3)])
     def test_results_are_harmonic(self, nvars, degree):
         lap = ResidualSystem(nvars, degree).lap_matrix
