@@ -33,12 +33,12 @@ with the kept rows as one float array.  `sample` and both minimality checks
 take their points through it, and it refuses, before the first draw, a
 count whose kept points would pass MEMORY_BUDGET.  The residual and
 regularity of a sampled point are those of the Newton step at which it
-converged.  Attempt i
-draws default_rng([seed, i]).standard_normal(N) bit for bit, but no
-generator is built per attempt: _AttemptDraws runs SeedSequence's hash over
-a whole chunk of attempts as uint32 array operations, then sets the state
-of one reused PCG64 for each draw.  search_eigen takes its starting points
-from it too.
+converged.  A sampling run draws from one generator, default_rng(seed):
+attempt i projects row i of its standard normal stream, taken a chunk of
+rows at a time.  Draws taken in order concatenate and CompiledPolys
+evaluates a point to the same bits in any batch, so the chunking changes
+neither a draw nor a sampled point.  search_eigen keeps its own rule, one
+default_rng([seed, i]) per attempt.
 
 Every caller uses the same thresholds, so they are module constants:
   * EPS_REG = 1e-8: a point is regular when the smallest singular value of
@@ -66,11 +66,10 @@ Conventions:
 from __future__ import annotations
 
 import csv
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import ceil, isfinite, prod
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,8 +95,8 @@ POLE_EPS = 1e-8
 # and the floats that export_cloud formats at a time
 CHUNK_FLOATS = 2**15
 # the most bytes that one run may hold: the kept points of a seeded quota
-# (_quota), and in search the solver's estimated peak, the attempts' draws
-# and results, and the JSON report
+# (_quota), and in search the solver's estimated peak, the attempts' results
+# and the JSON report
 MEMORY_BUDGET = 1 << 30
 
 
@@ -126,7 +125,9 @@ class CompiledPolys:
     a whole column of the batch at a time.  So a monomial of degree d
     rounds at most d - 1 times, which the roundoff factor (deg + terms) *
     2^-53 of minimality's reliability bound assumes; a float power x**k
-    gives no such bound.  A batch is evaluated in blocks of rows so that no
+    gives no such bound.  The product with the coefficients goes through
+    gemm for every batch (_gemm), so a point evaluates to the same bits alone
+    or in any batch.  A batch is evaluated in blocks of rows so that no
     temporary exceeds CHUNK_FLOATS floats.  A coefficient past float range
     is BudgetExceeded.
     """
@@ -187,7 +188,25 @@ class CompiledPolys:
             monomials = factors[..., 0]
             for k in range(1, factors.shape[-1]):  # left to right, in variable order
                 monomials = monomials * factors[..., k]
-        return (monomials @ self.coefficients.T).reshape(x.shape[:-1] + self.shape)
+        batch = len(x) if x.ndim == 2 else 1
+        product = _gemm(monomials.reshape(batch, monomials.shape[-1]), self.coefficients.T)
+        return product.reshape(x.shape[:-1] + self.shape)
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a (B, K) and b (K, P), always through BLAS's gemm.
+
+    numpy multiplies by gemv or dot instead when a has one row or b one
+    column, and those sum in another order than gemm.  Padding both to two
+    with zeros keeps each row of the product the bits it has in any batch,
+    so a sampled point does not depend on the chunk it was drawn in.
+    """
+    rows, columns = a.shape[0], b.shape[1]
+    if rows < 2:
+        a = np.concatenate([a, np.zeros((2 - rows, a.shape[1]))])
+    if columns < 2:
+        b = np.concatenate([b, np.zeros((b.shape[0], 2 - columns))], axis=1)
+    return (a @ b)[:rows, :columns]
 
 
 class VarietySpec:
@@ -457,133 +476,6 @@ def _forward_substitution(r: np.ndarray, g: np.ndarray) -> np.ndarray:
     return y
 
 
-# SeedSequence's hash (numpy's bit_generator.pyx, the stable algorithm of NEP
-# 19), then the multiplier of PCG64's 128-bit linear congruential step
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_MIX_ENTROPY = (0x43B0D7E5, 0x931E8875)  # first hash constant, its multiplier
-_GENERATE_STATE = (0x8B51F9DD, 0x58F38DED)
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_constants(count: int, constant: int, multiplier: int) -> np.ndarray:
-    """c_0 .. c_count as a column, c_0 = constant and c_k+1 = c_k * multiplier mod 2^32.
-
-    SeedSequence's k-th hash of a word, counted from 0, xors c_k and
-    multiplies by c_k+1 (_hash).
-    """
-    constants = [constant]
-    for _ in range(count):
-        constants.append(constants[-1] * multiplier & _MASK32)
-    return np.array(constants, np.uint32)[:, None]
-
-
-def _hash(words: np.ndarray, xor: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """h = (v ^ xor) * multiplier, then h ^ (h >> 16); words (K, B) or (B,), constants (K, 1)."""
-    value = (words ^ xor) * multiplier
-    return value ^ value >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ result >> 16
-
-
-# mix_entropy's hashes 4 .. 15 mix each pool word, the source, into the
-# three others in order; as (xor, multiplier) columns over the pool, the
-# source's own slot has the constant 0 and keeps its value
-_ENTROPY_HASHES = _hash_constants(16, *_MIX_ENTROPY)
-_SOURCE_HASHES = [(np.insert(_ENTROPY_HASHES[k:k + 3], source, 0, axis=0),
-                   np.insert(_ENTROPY_HASHES[k + 1:k + 4], source, 0, axis=0))
-                  for source, k in enumerate(range(4, 16, 3))]
-_GENERATE_HASHES = _hash_constants(8, *_GENERATE_STATE)
-
-
-def _uint32_words(n: int) -> List[int]:
-    """The little-endian 32-bit words numpy's SeedSequence reads from n >= 0; [0] for 0."""
-    return [(n >> shift) & _MASK32 for shift in range(0, max(1, n.bit_length()), 32)]
-
-
-def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
-    """The seeds of PCG64(SeedSequence(column)) for every column of entropy (W, B) uint32.
-
-    Returns (4, B) uint64: the high and low halves of initstate, then of
-    initseq.  SeedSequence pools the words with mix_entropy: the first four,
-    padded with zeros, hashed into four pool words, every pool word mixed
-    into each other one, then each word past the fourth into every pool
-    word.  Its generate_state(4, uint64) hashes the pool, cycled twice, into
-    eight words, read in little-endian pairs.  The hash constants evolve the
-    same way whatever the data, so every column runs the same sequence of
-    uint32 array operations, which wrap mod 2^32 as the C code does.
-    """
-    width = len(entropy)
-    constants = _hash_constants(16 + 4 * max(0, width - 4), *_MIX_ENTROPY)
-    pool = np.zeros((4, entropy.shape[1]), np.uint32)
-    pool[:min(width, 4)] = entropy[:4]
-    pool = _hash(pool, constants[:4], constants[1:5])
-    for source, (xor, multiplier) in enumerate(_SOURCE_HASHES):
-        kept = pool[source].copy()
-        pool = _mix(pool, _hash(pool[source], xor, multiplier))
-        pool[source] = kept
-    for k, word in zip(range(16, len(constants), 4), entropy[4:]):
-        pool = _mix(pool, _hash(word, constants[k:k + 4], constants[k + 1:k + 5]))
-    words = _hash(np.concatenate([pool, pool]), _GENERATE_HASHES[:-1],
-                  _GENERATE_HASHES[1:]).astype(np.uint64)
-    return words[0::2] | words[1::2] << np.uint64(32)
-
-
-class _AttemptDraws:
-    """The standard normal draws of seeded attempts, a chunk at a time.
-
-    draws = _AttemptDraws(rng_seed) validates the seed as numpy does: a
-    float raises TypeError and a negative integer ValueError.  Then
-    draws(attempts, nvars) is (B, nvars), and its row j is
-    default_rng([rng_seed, attempts[j]]).standard_normal(nvars) bit for bit.
-    SeedSequence's hash runs over the chunk in array operations
-    (_pcg64_seeds), once for every number of 32-bit words that attempt
-    indices take; then each row takes PCG64's seeding step in Python
-    integers, sets the state of one PCG64, reused by every call, and draws
-    from it.
-    """
-
-    def __init__(self, rng_seed: int):
-        # a numpy integer becomes a Python int, whose shifts do not wrap
-        rng_seed = operator.index(rng_seed)
-        if rng_seed < 0:
-            raise ValueError("expected non-negative integer")
-        self._seed_words = np.array(_uint32_words(rng_seed), np.uint32)[:, None]
-        self._bit_generator = np.random.PCG64(0)
-        self._generator = np.random.Generator(self._bit_generator)
-
-    def __call__(self, attempts: Sequence[int], nvars: int) -> np.ndarray:
-        index = np.array(attempts, dtype=object)
-        seeds = np.empty((4, len(index)), np.uint64)
-        seed_width = len(self._seed_words)
-        rest = np.arange(len(index))
-        width = 1
-        while rest.size:
-            fits = index[rest] < 1 << 32 * width
-            rows, rest = rest[fits], rest[~fits]
-            entropy = np.empty((seed_width + width, len(rows)), np.uint32)
-            entropy[:seed_width] = self._seed_words
-            for word in range(width):
-                entropy[seed_width + word] = (index[rows] >> 32 * word) & _MASK32
-            seeds[:, rows] = _pcg64_seeds(entropy)
-            width += 1
-        draws = np.empty((len(index), nvars))
-        for draw, state_high, state_low, seq_high, seq_low in zip(draws, *seeds.tolist()):
-            # PCG64's seeding: inc = 2 initseq + 1, then one LCG step from
-            # state 0, the addition of initstate, and one more step
-            inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-            state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULT + inc) & _MASK128
-            self._bit_generator.state = {"bit_generator": "PCG64",
-                                         "state": {"state": state, "inc": inc},
-                                         "has_uint32": 0, "uinteger": 0}
-            self._generator.standard_normal(out=draw)
-        return draws
-
-
 @dataclass
 class PointCloud:
     """Converged, regular samples with per-point diagnostics."""
@@ -605,13 +497,15 @@ def _quota(
 ) -> Tuple[PointCloud, Optional[np.ndarray], Optional[str]]:
     """The first count kept points of at most max_attempts seeded Newton attempts.
 
-    Attempt i projects the normalized draw of default_rng([rng_seed, i]), so
-    results do not depend on execution order; a draw of norm below 1e-12 is
-    no_convergence.  Each chunk takes its draws from one call of an
-    _AttemptDraws made once per _quota call, which seeds the whole chunk in
-    array operations and gives every draw bit for bit.  Attempts run in
-    chunks through _newton_batch: each chunk is the number of attempts that,
-    at the converged rate so far, should bring the converged count to count,
+    Every attempt draws from one generator, default_rng(rng_seed), built once
+    per call (so the seed is refused as numpy refuses it: a negative integer
+    is ValueError and a float TypeError): attempt i projects the normalized
+    row i of its standard normal stream, and a draw of norm below 1e-12 is
+    no_convergence.  Each chunk draws its own rows, (len(chunk), N) at a
+    time, and draws taken in order concatenate, so the rows do not depend on
+    how the attempts are chunked.  Attempts run in chunks through
+    _newton_batch: each chunk is the number of attempts that, at the
+    converged rate so far, should bring the converged count to count,
     capped so that no temporary exceeds about 256 KB.  measure(points) is
     called once per chunk on its converged points (B, N) in attempt order
     and returns a float array with one row (or value) per point; a point
@@ -639,7 +533,7 @@ def _quota(
             f"{count} samples in {spec.nvars} variables keep about {kept / 2**20:.0f} MiB, "
             f"over the {MEMORY_BUDGET / 2**20:.0f} MiB budget")
     cap = max(1, CHUNK_FLOATS // max(spec._values.point_floats, spec._jacobian.point_floats))
-    attempt_draws = _AttemptDraws(rng_seed)
+    generator = np.random.default_rng(rng_seed)
     tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
     # per chunk, its kept attempts, points, residuals, regularity and measured rows
     indices, points, residuals, regularity, rows = [], [], [], [], []
@@ -651,7 +545,7 @@ def _quota(
         rate = (tallies["converged"] + 1) / (attempt + 1)
         wanted = ceil(max(count - tallies["converged"], 1) / rate)
         chunk = range(attempt, min(attempt + min(wanted, cap), max_attempts))
-        draws = attempt_draws(chunk, spec.nvars)
+        draws = generator.standard_normal((len(chunk), spec.nvars))
         # row @ column is the dot product that np.linalg.norm takes of one
         # draw, so every norm is bit for bit that of its draw alone
         norms = np.sqrt(draws[:, None, :] @ draws[:, :, None]).reshape(len(chunk))
@@ -701,10 +595,10 @@ def sample(
 ) -> PointCloud:
     """Draw Gaussian seeds, project, and keep converged regular points.
 
-    Deterministic in rng_seed: attempt i uses its own substream
-    default_rng([rng_seed, i]), so results do not depend on execution order;
-    the cloud is _quota's, whose draws are bit for bit those of that
-    substream, with the run's settings added to its metadata.
+    Deterministic in rng_seed: attempt i starts from row i of the standard
+    normal stream of default_rng(rng_seed), however the attempts are
+    chunked; the cloud is _quota's, with the run's settings added to its
+    metadata.
     Residual and regularity are Newton's own, from the step that converged;
     a point is kept only when its regularity is at least EPS_REG, which
     metadata["eps_reg"] records.

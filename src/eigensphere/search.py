@@ -38,7 +38,7 @@ from .eigen import verify_eigenfunction
 from .errors import BudgetExceeded
 # MEMORY_BUDGET is the largest search_memory_bytes that ResidualSystem
 # accepts, and the most bytes that search_eigen's attempts may keep
-from .geometry import MEMORY_BUDGET, _AttemptDraws
+from .geometry import MEMORY_BUDGET
 from .parsing import render
 from .polynomial import GaussianRational, Polynomial
 
@@ -314,7 +314,7 @@ class HarmonicSystem:
 
 
 def _levenberg_marquardt(
-    system: ResidualSystem, t0: np.ndarray, max_iters: int = 300
+    system: HarmonicSystem, t0: np.ndarray, max_iters: int = 300
 ) -> Tuple[np.ndarray, float]:
     """Damped Gauss-Newton from t0; returns (t, |residual(t)|).
 
@@ -467,31 +467,33 @@ def search_eigen(
     verifies exactly.  Attempt i starts from the harmonic projection of the
     draw t = default_rng([rng_seed, i]).standard_normal(2 * size), that is
     HarmonicSystem.project(t), the coordinates of [u; v] = t in the
-    harmonic basis scaled to unit norm.  The draws are taken, as the
-    sampling attempts take theirs, from geometry's _AttemptDraws, all before
-    the first step; attempts that would keep more than MEMORY_BUDGET bytes
-    raise BudgetExceeded before any draw.  The harmonic basis is built only
-    if there is an attempt.
+    harmonic basis scaled to unit norm, drawn when the attempt starts, so
+    attempt i's start does not depend on how many attempts run.  The seed is
+    refused as numpy refuses it (a negative integer is ValueError and a
+    float TypeError) even with no attempt; attempts that would keep more
+    than MEMORY_BUDGET bytes raise BudgetExceeded before that check and any
+    draw.  The harmonic basis is built only if there is an attempt.
     """
     if attempts < 0:
         raise ValueError(f"attempts must be >= 0, got {attempts}")
     if denominator_bound < 1:
         raise ValueError(f"denominator bound must be >= 1, got {denominator_bound}")
     system = ResidualSystem(nvars, degree)
-    # an attempt keeps its starting draw and its coefficients, 2 * size floats
-    # each, and about 320 bytes of objects (tracemalloc with LM stubbed: at most
-    # 260 at (4, 1) and (5, 3), while the results are sorted)
-    kept = attempts * (32 * system.size + 320)
+    # an attempt keeps its complex coefficients, 2 * size floats, and about
+    # 320 bytes of objects (tracemalloc with LM stubbed: about 305 at (4, 1)
+    # and 270 at (5, 3), while the results are sorted)
+    kept = attempts * (16 * system.size + 320)
     if kept > MEMORY_BUDGET:
         raise BudgetExceeded(
             f"{attempts} attempts at nvars={nvars}, degree={degree} keep about "
             f"{kept / 2**20:.0f} MiB, over the {MEMORY_BUDGET / 2**20:.0f} MiB budget"
         )
-    starts = _AttemptDraws(rng_seed)(range(attempts), 2 * system.size)
+    np.random.SeedSequence(rng_seed)  # numpy's own check of the seed
     # only attempts need the harmonic basis
     harmonic = HarmonicSystem(system) if attempts else None
     results: List[SearchResult] = []
-    for attempt, t0 in enumerate(starts):
+    for attempt in range(attempts):
+        t0 = np.random.default_rng([rng_seed, attempt]).standard_normal(2 * system.size)
         p_star, _ = _levenberg_marquardt(harmonic, harmonic.project(t0))
         uv = harmonic.lift(p_star)
         r = system.residual(uv.reshape(-1))

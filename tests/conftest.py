@@ -52,6 +52,29 @@ def assert_canonical(r):
     assert Polynomial(r.nvars, dict(r.items())) == r
 
 
+def plant_draws(monkeypatch, draw):
+    """Make row i of every sampling stream the vector draw(i) wherever that is
+    not None: each generator that default_rng builds from now on counts the
+    rows of its standard normal draws from 0 across calls."""
+    default_rng = np.random.default_rng
+
+    class Planted:
+        def __init__(self, seed):
+            self._generator = default_rng(seed)
+            self._rows = 0
+
+        def standard_normal(self, size):
+            drawn = self._generator.standard_normal(size)
+            for row in range(len(drawn)):
+                vector = draw(self._rows + row)
+                if vector is not None:
+                    drawn[row] = vector
+            self._rows += len(drawn)
+            return drawn
+
+    monkeypatch.setattr(np.random, "default_rng", Planted)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigensphere import cli, geometry, search
+from eigensphere import cli, search
 from eigensphere.cli import main
 from eigensphere.errors import InsufficientYield
 from eigensphere.geometry import read_cloud
@@ -349,7 +349,7 @@ class TestSampleCountBudget:
         def no_draw(*_args):
             raise AssertionError("an attempt was drawn")
 
-        monkeypatch.setattr(geometry._AttemptDraws, "__call__", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
         out_file = tmp_path / "cloud.csv"
         count = (("--count", "100000000", "--out", str(out_file)) if argv[0] == "sample"
                  else ("--samples", "100000000"))
@@ -398,6 +398,8 @@ class TestSearch:
         (("--attempts", "-2"), "attempts"),
         (("--attempts", "0", "--denominator-bound", "0"), "denominator bound"),
         (("--attempts", "1", "--denominator-bound", "-1"), "denominator bound"),
+        # the seed is checked even when no attempt draws from it
+        (("--attempts", "0", "--seed", "-1"), "expected non-negative integer"),
     ])
     def test_invalid_arguments(self, capsys, extra, message):
         code, out, err = run(capsys, "search", "--vars", "4", "--degree", "1", *extra)
@@ -414,9 +416,9 @@ class TestSearch:
         assert "budget" in err
 
     def test_attempts_over_memory_budget(self, capsys, monkeypatch):
-        # every starting point is drawn before the first step: 10^8 of them
-        # are refused before any draw, not left to a MemoryError
-        monkeypatch.setattr(search, "_AttemptDraws", None)
+        # every attempt's result is kept to the end: 10^8 of them are refused
+        # before any draw, not left to a MemoryError
+        monkeypatch.setattr(np.random, "default_rng", None)
         started = time.perf_counter()
         code, out, err = run(
             capsys, "search", "--vars", "4", "--degree", "1", "--attempts", "100000000",
@@ -427,9 +429,9 @@ class TestSearch:
         assert err.startswith("error: 100000000 attempts") and "budget" in err
 
     def test_json_report_over_memory_budget(self, capsys, monkeypatch):
-        # 2,000,000 attempts at (4, 1) keep about 0.9 GB in search_eigen, within
+        # 2,000,000 attempts at (4, 1) keep about 0.8 GB in search_eigen, within
         # its budget, but their JSON report would need several GB
-        monkeypatch.setattr(search, "_AttemptDraws", None)
+        monkeypatch.setattr(np.random, "default_rng", None)
         started = time.perf_counter()
         code, out, err = run(
             capsys, "search", "--vars", "4", "--degree", "1", "--attempts", "2000000", "--json",
@@ -441,7 +443,7 @@ class TestSearch:
 
     def test_memory_per_attempt_without_json(self, capsys, monkeypatch):
         # without --json no per-result report is built: the run holds what
-        # search_eigen's attempt budget counts, 32 * size + 320 bytes each
+        # search_eigen's attempt budget counts, 16 * size + 320 bytes each
         monkeypatch.setattr(search, "_levenberg_marquardt",
                             lambda system, t0: (t0, float(np.linalg.norm(t0)) + 1.0))
         attempts = 20_000
@@ -454,7 +456,7 @@ class TestSearch:
             tracemalloc.stop()
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 5
-        assert peak / attempts <= 32 * 4 + 320
+        assert peak / attempts <= 16 * 4 + 320
 
 
 class TestSelftest:

@@ -27,7 +27,6 @@ from eigensphere.geometry import (
     CompiledPolys,
     PointCloud,
     VarietySpec,
-    _AttemptDraws,
     _curvature_components,
     _quota,
     add_stereo,
@@ -43,7 +42,7 @@ from eigensphere.minimality import lawson_polynomial, line_pullback
 from eigensphere.parsing import parse
 from eigensphere.polynomial import Polynomial
 
-from conftest import random_poly
+from conftest import plant_draws, random_poly
 from oracles import (
     DegeneratePoint,
     compiled_evaluate_reference,
@@ -315,7 +314,7 @@ class TestSample:
         def no_draw(*_args):
             raise AssertionError("an attempt was drawn")
 
-        monkeypatch.setattr(geometry._AttemptDraws, "__call__", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
         spec, _ = clifford_spec()
         largest = geometry.MEMORY_BUDGET // 280
         with pytest.raises(BudgetExceeded, match=f"{largest + 1} samples .* budget"):
@@ -367,11 +366,11 @@ class TestSample:
     # seed, maxiter, attempts, outcomes, seed indices); the first fills its
     # quota, the other two run out of attempts (partial cloud, empty cloud)
     ATTEMPT_BOOKKEEPING = [
-        pytest.param("x1^2*x2 - x3^3", 6, 0, 5, 21, (6, 15, 0), [7, 10, 12, 15, 17, 20],
+        pytest.param("x1^2*x2 - x3^3", 6, 0, 5, 24, (6, 18, 0), [4, 10, 11, 17, 19, 23],
                      id="quota-fills"),
-        pytest.param("x1^2*x2 - x3^3", 6, 2, 4, 60, (5, 55, 0), [3, 7, 13, 31, 47],
+        pytest.param("x1^2*x2 - x3^3", 6, 7, 4, 60, (5, 55, 0), [10, 17, 29, 45, 50],
                      id="runs-out-partial"),
-        pytest.param("x1^4", 3, 0, 50, 30, (0, 8, 22), [], id="runs-out-empty"),
+        pytest.param("x1^4", 3, 0, 50, 30, (0, 3, 27), [], id="runs-out-empty"),
     ]
 
     @pytest.mark.parametrize(
@@ -423,11 +422,11 @@ def newton_reference(spec, seed, tol=1e-12, maxiter=50, eps_reg=1e-8):
 
 
 def one_at_a_time(project, spec, rng_seed, attempts, zeros=(), **newton_kwargs):
-    """(outcome, point) of every attempt, each projected alone by project; the
-    attempts in zeros draw all zeros."""
+    """(outcome, point) of every attempt, each projected alone by project from
+    its row of the stream of rng_seed; the attempts in zeros draw all zeros."""
     results = []
-    for attempt in range(attempts):
-        draw = np.random.default_rng([rng_seed, attempt]).standard_normal(spec.nvars)
+    stream = np.random.default_rng(rng_seed).standard_normal((attempts, spec.nvars))
+    for attempt, draw in enumerate(stream):
         if attempt in zeros:
             draw[:] = 0.0
         norm = np.linalg.norm(draw)
@@ -479,14 +478,7 @@ class TestBatchMatchesOneAtATime:
         "nvars, constraints, seed, attempts, quota, newton_kwargs, zeros", BATCH_CASES)
     def test_same_outcomes_and_points(self, monkeypatch, nvars, constraints, seed, attempts,
                                       quota, newton_kwargs, zeros, project):
-        draws = geometry._AttemptDraws.__call__
-
-        def planted(self, chunk, size):
-            drawn = draws(self, chunk, size)
-            drawn[[attempt in zeros for attempt in chunk]] = 0.0
-            return drawn
-
-        monkeypatch.setattr(geometry._AttemptDraws, "__call__", planted)
+        plant_draws(monkeypatch, lambda attempt: 0.0 if attempt in zeros else None)
         spec = VarietySpec(nvars, constraints)
         expected = one_at_a_time(project, spec, seed, attempts, zeros, **newton_kwargs)
         # every point rejected: all attempts run, past the quota the chunks are sized for
@@ -590,7 +582,7 @@ def quota_reference(spec, count, rng_seed, max_attempts, measure=None,
     """
     cap = max(1, geometry.CHUNK_FLOATS
               // max(spec._values.point_floats, spec._jacobian.point_floats))
-    attempt_draws = _AttemptDraws(rng_seed)
+    generator = np.random.default_rng(rng_seed)
     tallies = {"converged": 0, "no_convergence": 0, "singular": 0}
     kept = []
     attempt = 0
@@ -601,7 +593,7 @@ def quota_reference(spec, count, rng_seed, max_attempts, measure=None,
         if plans is not None:
             plans.append(plan)
         chunk = range(attempt, min(plan.stop, max_attempts))
-        draws = attempt_draws(chunk, spec.nvars)
+        draws = generator.standard_normal((len(chunk), spec.nvars))
         norms = np.sqrt(draws[:, None, :] @ draws[:, :, None]).reshape(len(chunk))
         drawn = norms >= 1e-12
         outcomes = np.full(len(chunk), "no_convergence", dtype=object)
@@ -654,8 +646,8 @@ DIFFERENTIAL_SPECS = [
 # (spec, seed, count, max_attempts, salt, modulus, width), both with points
 # the measure drops: the quota fills in the middle of a chunk; max_attempts
 # cuts the last chunk short
-MID_CHUNK_FILL = (1, 1, 4, 60, 0, 2, 2)
-CUT_BY_MAX_ATTEMPTS = (1, 1, 4, 25, 0, 2, 2)
+MID_CHUNK_FILL = (1, 10, 4, 60, 0, 2, 2)
+CUT_BY_MAX_ATTEMPTS = (1, 10, 4, 25, 0, 2, 2)
 
 
 class TestQuotaMatchesPerAttemptLoop:
@@ -1027,8 +1019,7 @@ class TestAttemptDraws:
         monkeypatch.setattr(geometry, "_newton_batch", no_newton)
         cloud, _values, _shortfall = _quota(spec, 1, rng_seed, 41)
         assert cloud.metadata["outcomes"]["no_convergence"] == 41
-        draws = [np.random.default_rng([rng_seed, attempt]).standard_normal(5)
-                 for attempt in range(41)]
+        draws = np.random.default_rng(rng_seed).standard_normal((41, 5))
         expected = np.array([draw / np.linalg.norm(draw) for draw in draws])
         assert np.array_equal(np.concatenate(seeds), expected)
 
@@ -1040,34 +1031,58 @@ class TestAttemptDraws:
             sample(spec, 1, rng_seed=-(2**40))
         with pytest.raises(TypeError):
             _quota(spec, 1, 1.5, 5)
-
-    @pytest.mark.parametrize("rng_seed", DRAW_SEEDS)
-    @pytest.mark.parametrize("nvars", [1, 2, 6, 9])
-    def test_helper_matches_default_rng(self, rng_seed, nvars):
-        # attempt indices of one and two words, out of order, in one chunk
-        attempts = [2**32, 0, 2**40, 1, 2**32 - 1, 7]
-        expected = [np.random.default_rng([rng_seed, attempt]).standard_normal(nvars)
-                    for attempt in attempts]
-        assert np.array_equal(_AttemptDraws(rng_seed)(attempts, nvars), np.array(expected))
-
-    def test_helper_empty_chunk(self):
-        assert _AttemptDraws(3)([], 4).shape == (0, 4)
+        with pytest.raises(TypeError):
+            sample(spec, 1, rng_seed=2.5)
 
     def test_quota_builds_one_generator(self, monkeypatch):
         spec, _q = clifford_spec()
+        # one default_rng for the run, and no generator per attempt by either route
         built = []
-        generator = np.random.Generator
+        for name in ("default_rng", "Generator"):
+            def counting(seed, build=getattr(np.random, name)):
+                built.append(seed)
+                return build(seed)
 
-        def counting(bit_generator):
-            built.append(bit_generator)
-            return generator(bit_generator)
-
-        monkeypatch.setattr(np.random, "Generator", counting)
-        monkeypatch.setattr(np.random, "default_rng", None)  # no generator per attempt
+            monkeypatch.setattr(np.random, name, counting)
         reject, calls = recording_measure()
         cloud, _values, _shortfall = _quota(spec, 50, 4, 200, reject)
         assert sum(cloud.metadata["outcomes"].values()) == 200 and len(calls) > 1
         assert len(built) <= 1
+
+    @pytest.mark.parametrize("cap", [1, 7])
+    @pytest.mark.parametrize("spec_index", range(len(DIFFERENTIAL_SPECS)))
+    def test_chunk_cap_changes_no_byte(self, monkeypatch, tmp_path, spec_index, cap):
+        # the draws of a run are one stream taken a chunk at a time, so chunks
+        # of at most cap attempts give the bytes of the default chunks
+        spec, newton_kwargs = DIFFERENTIAL_SPECS[spec_index]
+        chunks = []
+        newton_batch = geometry._newton_batch
+
+        def recorded(variety, seeds, *args):
+            chunks.append(len(seeds))
+            return newton_batch(variety, seeds, *args)
+
+        monkeypatch.setattr(geometry, "_newton_batch", recorded)
+
+        def run(name):
+            cloud, values, shortfall = _quota(spec, 12, 5, 60, nan_rows(0, 3, 2),
+                                              **newton_kwargs)
+            try:
+                sampled = sample(spec, 12, rng_seed=5, **newton_kwargs)
+            except InsufficientYield as err:
+                sampled = err.cloud
+            export_cloud(add_stereo(sampled, 1), str(tmp_path / name))
+            arrays = (cloud.points, cloud.residuals, cloud.regularity, values)
+            return ([array.tobytes() for array in arrays], cloud.metadata, shortfall,
+                    (tmp_path / name).read_bytes())
+
+        default = run("default.csv")
+        assert max(chunks) > cap
+        chunks.clear()
+        monkeypatch.setattr(geometry, "CHUNK_FLOATS", cap * max(
+            spec._values.point_floats, spec._jacobian.point_floats))
+        assert run("capped.csv") == default
+        assert max(chunks) == cap
 
 
 def _gram_schmidt_tracked(rows):
