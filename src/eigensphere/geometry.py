@@ -694,9 +694,12 @@ def _curvature_components(spec: VarietySpec, points: np.ndarray) -> np.ndarray:
         # rows of jac: grad g0 = x, grad g1, ..., grad gc; rows of q: nu_0 .. nu_c
         q, r = _thin_qr(spec.jacobian(block))
         hessians = spec.hessian_at(block)
-        # sum_i e_i^T H_a e_i = tr H_a - sum_k nu_k^T H_a nu_k over the normals
+        # sum_i e_i^T H_a e_i = tr H_a - sum_k nu_k^T H_a nu_k over the normals;
+        # a trace of stacked products, since an einsum over the block would
+        # round a point otherwise alone than beside others
+        normal_part = q[:, None] @ (hessians @ np.swapaxes(q, 1, 2)[:, None])
         traces = (np.trace(hessians, axis1=2, axis2=3)
-                  - np.einsum("bkn,bank->ba", q, hessians @ np.swapaxes(q, 1, 2)[:, None]))
+                  - np.trace(normal_part, axis1=2, axis2=3))
         # nu = R^-T grad g, so <H, nu_b> = -(R^-T traces)_b
         components[start:start + rows] = -_forward_substitution(r, traces)
     return components

@@ -8,7 +8,11 @@ polynomial residual map with the gauge residual |theta|^2 - 1
 kept in the span of an orthonormal basis of the harmonic polynomials, and
 Levenberg-Marquardt with the analytic Jacobian minimizes the quadratic
 condition and the gauge over the coordinates in that basis
-(HarmonicSystem).  Multistart over seeded Gaussian initializations, each
+(HarmonicSystem).  The kappa rows are quadratic forms in those
+coordinates p, and the gauge is the quadratic form |p|^2 less 1, so by
+Euler's identity the Jacobian J at p gives the residual there as J p / 2
+less 1 in the gauge row: each point the loop tries costs one Jacobian and
+no other evaluation.  Multistart over seeded Gaussian initializations, each
 projected onto the harmonic polynomials, makes runs reproducible, and the
 best candidates are rounded to Gaussian rationals and re-verified exactly,
 by one helper for plain rounding and for the degree-1 isotropic repair.
@@ -18,10 +22,10 @@ needs an analytic Jacobian, and is underdetermined at low degree, where
 library implementations of the same algorithm refuse fewer residuals than
 unknowns.  At that size each numpy call costs more in dispatch than in
 arithmetic, so the loop makes each array pass once: one Jacobian buffer
-refilled in place, the normal matrix damped in place, -grad formed once
-per iteration however many damped solves it takes, and ndarray methods
-and math.sqrt where numpy's wrapper functions would add a layer of Python
-to every call.
+refilled in place at each point tried, the normal matrix damped in place,
+-grad formed once per iteration however many damped solves it takes, and
+ndarray methods and math.sqrt where numpy's wrapper functions would add a
+layer of Python to every call.
 """
 
 from __future__ import annotations
@@ -93,21 +97,22 @@ def search_memory_bytes(nvars: int, degree: int) -> int:
     degree-(d-1) monomials, r = M - k Laplacian rows.  The kappa table (4 E)
     with its float weights and flat cell indices (2 E), the Laplacian
     matrix (r M), the basis as M tuples of nvars ints (M (nvars + 7)),
-    vectors of the residual's length (8 T: the residuals at the point and
-    the candidate, with the candidate's kappa rows) and vectors of at most
-    the unknowns' length (20 M: the draw, the start, the point, the
-    candidate, the gradient and its negation, the step, the diagonal and
-    its damping scale, the lift) are always held.
+    vectors of the residual's length (8 T, more than the residuals at the
+    point, at the candidate and, after the loop, of the whole system) and
+    vectors of at most the unknowns' length (20 M: the draw, the start, the
+    point, the candidate, the gradient and its negation, the step, the
+    diagonal and its damping scale, the lift) are always held.
 
     On top of them runs Levenberg-Marquardt over the harmonic coefficients
     (HarmonicSystem), which holds the basis N with the rest of its SVD
     (M^2) and the Jacobian buffer ((2T + 1) x 2k).  It goes through two
-    phases that never overlap, since `_levenberg_marquardt` frees the normal
-    matrix before it refills the Jacobian, so only the larger one counts.
-    Refilling holds one form B@(2w) (T M) and a gathered table column with
-    its product (2 E).  After it, the damped normal matrix lives with the
-    copy of it that `solve` factors (2 (2k)^2) and then with the residual's
-    gathered products at a candidate (5 E, counted on top).
+    phases, of which only the larger counts.  Refilling the Jacobian at a
+    candidate holds one form B@(2w) (T M) and a gathered table column with
+    its product (2 E) while the damped normal matrix of the iteration lives
+    ((2k)^2), since every retry solves with it.  Solving holds the damped
+    matrix with the copy of it that `solve` factors (2 (2k)^2), and is
+    counted with the products that search_eigen's residual at the result
+    gathers (5 E), though that residual runs after the loop has freed both.
     """
     size = _basis_size(nvars, degree)
     targets = _basis_size(nvars, 2 * degree - 2)
@@ -115,9 +120,9 @@ def search_memory_bytes(nvars: int, degree: int) -> int:
     lap_rows = _basis_size(nvars, degree - 2)
     unknowns = 2 * (size - lap_rows)
     held = 6 * entries + lap_rows * size + size * (nvars + 7) + 8 * targets + 20 * size
-    refill = targets * size + 2 * entries
-    normal = 2 * unknowns ** 2 + 5 * entries
-    return 8 * (held + size ** 2 + (2 * targets + 1) * unknowns + max(refill, normal))
+    refill = targets * size + 2 * entries + unknowns ** 2
+    solve = 2 * unknowns ** 2 + 5 * entries
+    return 8 * (held + size ** 2 + (2 * targets + 1) * unknowns + max(refill, solve))
 
 
 class ResidualSystem:
@@ -263,14 +268,15 @@ class HarmonicSystem:
     residual is the kappa rows of P_theta followed by the gauge |p|^2 - 1,
     which is |theta|^2 - 1 since N is orthonormal.
 
-    The kappa rows are ResidualSystem's, at the lift, and the gauge is
-    alpha'alpha + beta'beta - 1.  At degree 1, where N is the identity,
-    both are the bits of ResidualSystem.residual's rows.  The Jacobian is
-    [2 (Bu) N, -2 (Bv) N; 2 (Bv) N, 2 (Bu) N; 2 p']: its left half is built
-    one form at a time from one gathered table column of [2u; 2v] (doubling
-    is exact), B@(2u) then B@(2v), each times N into the buffer, and its
-    right half is a negated and a copied block.  No form outlives the
-    Jacobian it fills, so none lives beside the normal matrix.
+    The Jacobian is [2 (Bu) N, -2 (Bv) N; 2 (Bv) N, 2 (Bu) N; 2 p']: its
+    left half is built one form at a time from one gathered table column
+    of [2u; 2v] (doubling is exact), B@(2u) then B@(2v), each times N into
+    the buffer, and its right half is a negated and a copied block.  No
+    form outlives the Jacobian it fills.  The kappa rows are quadratic
+    forms in p and the gauge row is |p|^2 - 1, so by Euler's identity for
+    homogeneous functions the Jacobian J at p gives the residual there as
+    J p / 2 with 1 taken from its last entry; `_levenberg_marquardt` reads
+    every residual so and evaluates no other path.
     """
 
     def __init__(self, system: ResidualSystem):
@@ -290,13 +296,8 @@ class HarmonicSystem:
         """The (2, M) array [u; v] = [N alpha; N beta] for p = [alpha; beta]."""
         return p.reshape(2, -1) @ self.basis.T
 
-    def residual(self, p: np.ndarray) -> np.ndarray:
-        alpha, beta = p.reshape(2, -1)
-        return np.concatenate(
-            [*self.system._kappa(self.lift(p)), [alpha @ alpha + beta @ beta - 1.0]])
-
     def jacobian(self, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The (2T + 1, 2k) Jacobian of `residual` at p, written into `out` if given."""
+        """The (2T + 1, 2k) Jacobian of the residual at p, written into `out` if given."""
         system = self.system
         k, q, m = self.dim, system.num_targets, system.size
         jac = np.empty((self.num_residuals, 2 * k)) if out is None else out
@@ -313,28 +314,41 @@ class HarmonicSystem:
         return jac
 
 
+def _evaluate(system: HarmonicSystem, p: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """Refill jac at p and return the residual at p, J p / 2 - e_last."""
+    residual = system.jacobian(p, out=jac) @ p
+    residual *= 0.5
+    residual[-1] -= 1.0
+    return residual
+
+
 def _levenberg_marquardt(
     system: HarmonicSystem, t0: np.ndarray, max_iters: int = 300
 ) -> Tuple[np.ndarray, float]:
     """Damped Gauss-Newton from t0; returns (t, |residual(t)|).
 
-    One Jacobian buffer serves every iteration, refilled in place.  The
-    normal matrix is damped in place: 0.0 is added to it once, as adding
-    the diagonal matrix lam * diag(scale) adds 0.0 off the diagonal, and each
-    retry writes its own diagonal, so every solve sees the floats of the
-    normal matrix plus that diagonal matrix, which is never built.  Every
-    retry of an iteration solves for the same right-hand side -grad, formed
-    once.
+    One Jacobian buffer serves the whole run, and each point is evaluated
+    once, by refilling it there: the residual is read off the Jacobian by
+    Euler's identity (HarmonicSystem), so a candidate costs one refill and
+    an accepted one hands its Jacobian to the next iteration.  The buffer
+    is free for a candidate once the iteration has formed -grad and the
+    normal matrix from it: the retries after a rejected candidate solve
+    with those two, and an iteration whose retries all fail ends the run.
+    The normal matrix is damped in place: 0.0 is added to it once, as
+    adding the diagonal matrix lam * diag(scale) adds 0.0 off the diagonal,
+    and each retry writes its own diagonal, so every solve sees the floats
+    of the normal matrix plus that diagonal matrix, which is never built.
+    Every retry of an iteration solves for the same right-hand side -grad,
+    formed once.
     """
     t = t0.copy()
-    r = system.residual(t)
+    jac = np.empty((system.num_residuals, len(t)))
+    r = _evaluate(system, t, jac)
     cost = float(r @ r)
     lam = 1e-3
-    jac = None
     for _ in range(max_iters):
         if math.sqrt(cost) < 1e-15:
             break
-        jac = system.jacobian(t, out=jac)
         grad = jac.T @ r
         if abs(grad).max() < 1e-16:
             break
@@ -353,7 +367,7 @@ def _levenberg_marquardt(
                 lam *= 10
                 continue
             candidate = t + step
-            r_new = system.residual(candidate)
+            r_new = _evaluate(system, candidate, jac)
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 t, r, cost = candidate, r_new, cost_new
@@ -363,8 +377,6 @@ def _levenberg_marquardt(
             lam *= 4
             if lam > 1e15:
                 break
-        # free it before the next iteration refills the Jacobian
-        del damped, damped_diagonal
         if not accepted:
             break
     return t, math.sqrt(cost)

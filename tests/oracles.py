@@ -17,13 +17,19 @@ that the package computes another way.
   * coefficients_of, residual_norm_of, polynomial_of: conversions between a
     Polynomial and a coefficient vector of search.ResidualSystem, with which
     test_search checks the residual map against the symbolic operators.
-  * levenberg_marquardt_reference: the search's Levenberg-Marquardt loop as
-    it was before it refilled one Jacobian buffer, damped the normal matrix
-    in place and formed -grad once per iteration: a fresh dense Jacobian per
-    iteration, the damped matrix built as a sum, -grad formed at every
-    solve, and numpy's wrapper functions (np.sqrt, np.max, np.diag) where
-    the loop reads ndarray methods and math.sqrt.  test_search checks the
-    loop against it bit for bit, on every branch.
+  * harmonic_residual_reference: the kappa and gauge residuals of a
+    search.HarmonicSystem through ResidualSystem._kappa at the lift, the
+    path the search took before it read each residual off the Jacobian
+    at the same point; test_search checks HarmonicSystem.jacobian against
+    its finite differences.
+  * levenberg_marquardt_reference: the search's Levenberg-Marquardt loop
+    without the buffers it reuses: a fresh dense Jacobian at every point
+    tried, kept beside that of the point until the candidate is accepted,
+    the residual read off it as J p / 2 less 1 in the gauge row, the damped
+    matrix built as a sum, -grad formed at every solve, and numpy's wrapper
+    functions (np.sqrt, np.max, np.diag) where the loop reads ndarray
+    methods and math.sqrt.  test_search checks the loop against it bit for
+    bit, on every branch.
   * render_reference: the canonical renderer as it was before it read the
     packed pairs, through `items` and a GaussianRational per term;
     test_parsing checks `render` against it string for string.
@@ -63,7 +69,7 @@ from eigensphere.errors import EigenSphereError
 from eigensphere.geometry import (
     EPS_REG, CompiledPolys, VarietySpec, _forward_substitution, _thin_qr)
 from eigensphere.polynomial import GaussianRational, Polynomial
-from eigensphere.search import ResidualSystem
+from eigensphere.search import HarmonicSystem, ResidualSystem
 
 # ---------------------------------------------------------------------------
 # Finite-difference oracles.  These touch only Polynomial.evaluate, never the
@@ -189,20 +195,32 @@ def polynomial_of(system: ResidualSystem, coefficients: Sequence[complex]) -> Po
 
 
 # ---------------------------------------------------------------------------
-# The search's Levenberg-Marquardt loop, one fresh Jacobian per iteration
+# The search's Levenberg-Marquardt loop, one fresh Jacobian per point tried
+
+
+def harmonic_residual_reference(system: HarmonicSystem, p: np.ndarray) -> np.ndarray:
+    """The kappa rows of P_theta at the lift of p, then |p|^2 - 1."""
+    alpha, beta = p.reshape(2, -1)
+    return np.concatenate(
+        [*system.system._kappa(system.lift(p)), [alpha @ alpha + beta @ beta - 1.0]])
 
 
 def levenberg_marquardt_reference(
-    system: ResidualSystem, t0: np.ndarray, max_iters: int = 300
+    system: HarmonicSystem, t0: np.ndarray, max_iters: int = 300
 ) -> Tuple[np.ndarray, float]:
+    def evaluate(t):
+        jac = system.jacobian(t)
+        r = 0.5 * (jac @ t)
+        r[-1] -= 1.0
+        return jac, r
+
     t = t0.copy()
-    r = system.residual(t)
+    jac, r = evaluate(t)
     cost = float(r @ r)
     lam = 1e-3
     for _ in range(max_iters):
         if np.sqrt(cost) < 1e-15:
             break
-        jac = system.jacobian(t)
         grad = jac.T @ r
         if np.max(np.abs(grad)) < 1e-16:
             break
@@ -216,10 +234,10 @@ def levenberg_marquardt_reference(
                 lam *= 10
                 continue
             candidate = t + step
-            r_new = system.residual(candidate)
+            jac_new, r_new = evaluate(candidate)
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
-                t, r, cost = candidate, r_new, cost_new
+                t, jac, r, cost = candidate, jac_new, r_new, cost_new
                 lam = max(lam / 3, 1e-13)
                 accepted = True
                 break

@@ -1187,6 +1187,15 @@ class TestFrameMatchesReference:
             expected = np.column_stack([curvature.radial_component, curvature.normal_components])
             assert rows.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("poly", ["z1^3 + 2*z2^3 - z3^3", "z1^2 + z2^2 + x5^2 - x6^2"])
+    def test_components_do_not_depend_on_the_block(self, poly):
+        # a point's components have the same bits alone as in a block of 40,
+        # so the codim-2 measure does not depend on how _quota chunks
+        spec = VarietySpec(6, list(parse(poly, 6).real_imag_parts()))
+        points = sample(spec, 40, rng_seed=3).points
+        alone = [_curvature_components(spec, points[i:i + 1]) for i in range(len(points))]
+        assert _curvature_components(spec, points).tobytes() == np.concatenate(alone).tobytes()
+
     def test_dependent_constraints_rejected(self):
         spec = VarietySpec(5, [parse("x4", 5), parse("2*x4", 5)])
         with pytest.raises(SingularJacobian):

@@ -20,13 +20,15 @@ from eigensphere.search import (
     ResidualSystem,
     monomial_basis,
     rationalize_and_verify,
+    _evaluate,
     _levenberg_marquardt,
     search_eigen,
     search_memory_bytes,
 )
 
 from oracles import (
-    coefficients_of, levenberg_marquardt_reference, polynomial_of, residual_norm_of)
+    coefficients_of, harmonic_residual_reference, levenberg_marquardt_reference,
+    polynomial_of, residual_norm_of)
 
 
 def dense_kappa_forms(nvars, degree):
@@ -207,7 +209,24 @@ class TestHarmonicSystem:
         full = system.residual(harmonic.lift(p).reshape(-1))
         lap_rows = 2 * system.lap_matrix.shape[0]
         assert np.abs(full[:lap_rows]).max(initial=0.0) <= 1e-13
-        assert_allclose(harmonic.residual(p), full[lap_rows:], rtol=0, atol=1e-13)
+        assert_allclose(harmonic_residual_reference(harmonic, p), full[lap_rows:],
+                        rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("nvars, degree", [(3, 1), (4, 2), (5, 3), (6, 4)])
+    def test_residual_read_off_the_jacobian(self, nvars, degree, rng):
+        # Euler's identity: the kappa rows are quadratic forms in p, so
+        # J_kappa(p) p = 2 kappa(p), and the gauge row 2p' gives 2 |p|^2
+        system = ResidualSystem(nvars, degree)
+        harmonic = HarmonicSystem(system)
+        p = rng.standard_normal(2 * harmonic.dim)
+        p /= np.linalg.norm(p)
+        buffer = harmonic.jacobian(rng.standard_normal(len(p)))
+        residual = _evaluate(harmonic, p, buffer)
+        assert buffer.tobytes() == harmonic.jacobian(p).tobytes()
+        full = system.residual(harmonic.lift(p).reshape(-1))
+        lap_rows = 2 * system.lap_matrix.shape[0]
+        assert_allclose(residual[:-1], full[lap_rows:-1], rtol=0, atol=1e-13)
+        assert_allclose(residual[-1], p @ p - 1.0, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("nvars, degree", [(3, 1), (4, 2), (5, 3)])
     def test_jacobian_matches_finite_differences(self, nvars, degree, rng):
@@ -216,7 +235,8 @@ class TestHarmonicSystem:
         analytic = harmonic.jacobian(p)
         h = 1e-6
         for col, bump in enumerate(h * np.eye(len(p))):
-            fd = (harmonic.residual(p + bump) - harmonic.residual(p - bump)) / (2 * h)
+            fd = (harmonic_residual_reference(harmonic, p + bump)
+                  - harmonic_residual_reference(harmonic, p - bump)) / (2 * h)
             assert_allclose(analytic[:, col], fd, atol=1e-5, rtol=1e-5)
 
     def test_jacobian_into_a_buffer(self, rng):
@@ -242,22 +262,30 @@ class TestHarmonicSystem:
     @pytest.mark.parametrize("nvars, degree, max_iters", [
         (4, 1, 5), (5, 2, 5), (5, 3, 5), (4, 1, 300), (5, 2, 300)])
     def test_levenberg_marquardt_rejected_step_matches_reference(self, nvars, degree,
-                                                                 max_iters):
+                                                                 max_iters, monkeypatch):
         # a rejected candidate raises lambda and solves again with the same
         # -grad; at 5 iterations the cap stops the loop, at 300 its own tests
         harmonic = HarmonicSystem(ResidualSystem(nvars, degree))
-        events = []
-        residual, jacobian = harmonic.residual, harmonic.jacobian
-        harmonic.residual = lambda p: (events.append("r"), residual(p))[1]
+        events, rhs = [], []
+        jacobian, solve = harmonic.jacobian, np.linalg.solve
         harmonic.jacobian = lambda p, out=None: (events.append("j"), jacobian(p, out=out))[1]
+
+        def traced_solve(a, b):
+            events.append("s")
+            rhs.append(b.tobytes())
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", traced_solve)
         rejected = 0
         for attempt in range(6):
             p0 = harmonic.project(np.random.default_rng(
                 [nvars * 10 + degree, attempt]).standard_normal(2 * harmonic.system.size))
             events.clear()
+            rhs.clear()
             p, res = _levenberg_marquardt(harmonic, p0, max_iters=max_iters)
-            # after each Jacobian, one residual per candidate
-            rejected += max(map(len, "".join(events).split("j")[1:]), default=0) > 1
+            # one Jacobian at the start and one at each candidate, which is
+            # evaluated no other way; a retry solves for the -grad it had
+            assert "".join(events) == "j" + "sj" * (len(events) // 2)
+            rejected += any(a == b for a, b in zip(rhs, rhs[1:]))
             p_ref, res_ref = levenberg_marquardt_reference(harmonic, p0, max_iters=max_iters)
             assert np.array_equal(p, p_ref)
             assert np.array_equal(res, res_ref)
@@ -302,54 +330,75 @@ class TestMemoryBudget:
         jac = system.jacobian(np.ones(2 * system.size))
         assert search_memory_bytes(nvars, degree) >= system.kappa_forms.nbytes + jac.nbytes
 
+    @staticmethod
+    def untraced_bytes(harmonic):
+        """What a HarmonicSystem built before tracing holds: the kappa table
+        with its weights and cells, the Laplacian matrix and U of its SVD."""
+        system = harmonic.system
+        return (system.kappa_forms.nbytes + system._weight.nbytes + system._cell.nbytes
+                + system.lap_matrix.nbytes + 8 * system.size ** 2)
+
     def test_estimate_covers_lm_peak(self):
-        # at (12, 3) the Jacobian buffer is 16 MB, about half the estimate, so
-        # the estimate holds only if each iteration's normal matrix is freed
-        # before the buffer is refilled
-        system = ResidualSystem(12, 3)
-        t0 = np.random.default_rng(0).standard_normal(2 * system.size)
+        # at (12, 3) the Jacobian buffer is 15 MB, about half the estimate,
+        # and the damped normal matrix lives while it is refilled at a
+        # candidate
+        harmonic = HarmonicSystem(ResidualSystem(12, 3))
+        p0 = harmonic.project(np.random.default_rng(0).standard_normal(2 * harmonic.system.size))
         tracemalloc.start()
         try:
-            _levenberg_marquardt(system, t0 / np.linalg.norm(t0), max_iters=2)
+            _levenberg_marquardt(harmonic, p0, max_iters=2)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= search_memory_bytes(12, 3)
+        assert self.untraced_bytes(harmonic) + peak <= search_memory_bytes(12, 3)
 
     @pytest.mark.parametrize("nvars, degree", [(12, 3), (14, 3)])
     def test_estimate_covers_both_phases(self, monkeypatch, nvars, degree):
-        # refilling the Jacobian (B@u, B@v) is the larger phase at (14, 3),
-        # the normal matrix with its factored copy at (12, 3); that copy is
-        # made inside solve, outside tracemalloc, so it is added to the
-        # traced memory at each solve
-        system = ResidualSystem(nvars, degree)
-        at_solve = []
-        solve = np.linalg.solve
+        # refilling the Jacobian at a candidate (B@u, B@v beside the damped
+        # normal matrix) measures larger at both sizes than the normal
+        # matrix with its factored copy; that copy is made inside solve,
+        # outside tracemalloc, so it is added to the traced memory at each
+        # solve, and each refill's own peak is traced on its own
+        harmonic = HarmonicSystem(ResidualSystem(nvars, degree))
+        at_solve, at_refill = [], []
+        solve, jacobian = np.linalg.solve, harmonic.jacobian
 
-        def counted(a, b):
+        def counted_solve(a, b):
             at_solve.append(tracemalloc.get_traced_memory()[0] + a.nbytes)
             return solve(a, b)
-        monkeypatch.setattr(np.linalg, "solve", counted)
-        t0 = np.random.default_rng(0).standard_normal(2 * system.size)
+
+        def counted_jacobian(p, out=None):
+            tracemalloc.reset_peak()
+            jac = jacobian(p, out=out)
+            at_refill.append(tracemalloc.get_traced_memory()[1])
+            return jac
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        harmonic.jacobian = counted_jacobian
+        p0 = harmonic.project(np.random.default_rng(0).standard_normal(2 * harmonic.system.size))
         tracemalloc.start()
         try:
-            _levenberg_marquardt(system, t0 / np.linalg.norm(t0), max_iters=2)
-            _current, peak = tracemalloc.get_traced_memory()
+            _levenberg_marquardt(harmonic, p0, max_iters=2)
         finally:
             tracemalloc.stop()
-        table = system.kappa_forms.nbytes + system._weight.nbytes + system._cell.nbytes
-        assert at_solve
-        assert table + max(peak, *at_solve) <= search_memory_bytes(nvars, degree)
+        assert at_solve and len(at_refill) > 1
+        # a refill at a candidate holds the damped matrix beside what the
+        # first one, before any solve, held
+        damped = 8 * (2 * harmonic.dim) ** 2
+        assert min(at_refill[1:]) >= at_refill[0] + damped
+        assert (self.untraced_bytes(harmonic) + max(*at_refill, *at_solve)
+                <= search_memory_bytes(nvars, degree))
 
     def test_boundaries(self):
         # the harmonic loop holds no more than the theta loop did at degree
         # 3, so the largest cubic search still runs; at degrees 1 and 2,
         # where ker L is nearly all of P_d, its basis (M^2) outweighs what
         # the smaller normal matrix saves, so (79, 2), (80, 2) and (3662, 1)
-        # to (4095, 1), which the theta loop ran, are refused
-        assert search_memory_bytes(21, 3) <= MEMORY_BUDGET < search_memory_bytes(22, 3)
-        assert search_memory_bytes(78, 2) <= MEMORY_BUDGET < search_memory_bytes(79, 2)
-        assert search_memory_bytes(3661, 1) <= MEMORY_BUDGET < search_memory_bytes(3662, 1)
+        # to (4095, 1), which the theta loop ran, are refused.  Refilling
+        # the Jacobian beside the damped normal matrix moves no boundary.
+        largest = {1: 3661, 2: 78, 3: 21, 4: 12, 5: 9, 6: 7, 7: 6}
+        for degree, nvars in largest.items():
+            assert (search_memory_bytes(nvars, degree) <= MEMORY_BUDGET
+                    < search_memory_bytes(nvars + 1, degree)), degree
 
     @pytest.mark.parametrize("nvars, degree", [(12, 3), (14, 3), (30, 2), (200, 1)])
     def test_estimate_covers_search(self, monkeypatch, nvars, degree):
@@ -380,16 +429,17 @@ class TestMemoryBudget:
 class TestLevenbergMarquardt:
     @pytest.mark.parametrize("nvars, degree", [(4, 1), (5, 2), (5, 3), (6, 3)])
     def test_matches_reference_bit_for_bit(self, nvars, degree):
-        # the loop refills one Jacobian buffer and damps the normal matrix in
-        # place; the reference builds both afresh every time
-        system = ResidualSystem(nvars, degree)
-        for attempt in range(3):
-            t0 = np.random.default_rng([nvars * 10 + degree, attempt]).standard_normal(
-                2 * system.size)
-            t0 /= np.linalg.norm(t0)
-            t, residual = _levenberg_marquardt(system, t0, max_iters=25)
-            t_ref, residual_ref = levenberg_marquardt_reference(system, t0, max_iters=25)
-            assert t.tobytes() == t_ref.tobytes()
+        # the whole run that search_eigen makes, to the 300-iteration cap:
+        # the loop refills one Jacobian buffer at each point it tries and
+        # damps the normal matrix in place; the reference builds both afresh
+        # every time
+        harmonic = HarmonicSystem(ResidualSystem(nvars, degree))
+        for attempt in range(2):
+            p0 = harmonic.project(np.random.default_rng(
+                [nvars * 10 + degree, attempt]).standard_normal(2 * harmonic.system.size))
+            p, residual = _levenberg_marquardt(harmonic, p0)
+            p_ref, residual_ref = levenberg_marquardt_reference(harmonic, p0)
+            assert p.tobytes() == p_ref.tobytes()
             assert residual.hex() == residual_ref.hex()
 
     @pytest.mark.parametrize("nvars, degree", [(4, 1), (5, 3)])
