@@ -33,12 +33,13 @@ several products in one accumulator.  `partial`, `first_partials` and
 `laplacian`, which `calculus` imports, read the keys and pairs directly; no
 other module does, so a change of storage touches this one alone.
 Exponent tuples appear only at the boundary: the constructor takes a map
-from them to coefficients, and `items`, `coefficient` and `leading_term`
-unpack keys and build GaussianRational coefficients on demand;
-`real_float_items` unpacks them beside the float real parts that the
-numeric layer compiles, `rational_items` beside the reduced integer ratios
-that `render` formats, and `variables` names the variables that occur, from
-one unpack.
+from them to coefficients and `_from_gaussian` pairs of them with Gaussian
+integers over denominators, each gathered in one pass over one lcm of the
+denominators; `items`, `coefficient` and `leading_term` unpack keys and
+build GaussianRational coefficients on demand; `real_float_items` unpacks
+them beside the float real parts that the numeric layer compiles,
+`rational_items` beside the reduced integer ratios that `render` formats,
+and `variables` names the variables that occur, from one unpack.
 
 The only floating-point operation is `evaluate`, which sums the terms in the
 canonical graded-lexicographic order so results are reproducible run to run.
@@ -237,7 +238,7 @@ class Polynomial:
     def __init__(self, nvars: int, terms: Optional[Mapping[Exponents, ScalarLike]] = None):
         if nvars < 1:
             raise DimensionMismatch(f"nvars must be positive, got {nvars}")
-        monomials = []
+        scalars = []
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
@@ -247,11 +248,11 @@ class Polynomial:
                     )
                 if any((not isinstance(e, int)) or e < 0 for e in exps):
                     raise ValueError(f"exponents must be non-negative integers, got {exps}")
-                re, im, den = _scalar(coeff)
-                if re or im:
+                scalar = _scalar(coeff)
+                if scalar[0] or scalar[1]:
                     _check_degree(sum(exps))
-                    monomials.append(Polynomial._raw(nvars, {_pack(exps): (re, im)}, den))
-        merged = Polynomial.sum(nvars, monomials)
+                    scalars.append((exps, scalar))
+        merged = Polynomial._from_gaussian(nvars, scalars)
         self._set(nvars, merged._pairs, merged._den)
 
     def _set(self, nvars: int, pairs: dict, den: int) -> None:
@@ -320,6 +321,31 @@ class Polynomial:
         """
         pairs = {e: (re, im) for e, (re, im) in sums.items() if re or im}
         return cls._reduced(nvars, pairs, den)
+
+    @classmethod
+    def _from_gaussian(cls, nvars: int,
+                       terms: Sequence[Tuple[Exponents, Tuple[int, int, int]]]) -> "Polynomial":
+        """Internal constructor for (exps, (re, im, den)) terms, each the
+        coefficient (re + i*im) / den, den > 0, at an exponent tuple that the
+        constructor would accept: nothing is validated here.
+
+        One pass over the lcm D of the denominators: each term is scaled to
+        D and added in at its key, so repeated exponents merge, and the
+        common factor of D is divided out once, as by `sum`.  No Fraction or
+        GaussianRational is built.
+        """
+        den = lcm(*(scalar[2] for _exps, scalar in terms))
+        sums = {}
+        for exps, (re, im, term_den) in terms:
+            if term_den != den:
+                scale = den // term_den
+                re, im = re * scale, im * scale
+            key = _pack(exps)
+            acc = sums.get(key)
+            if acc is not None:
+                re, im = acc[0] + re, acc[1] + im
+            sums[key] = (re, im)
+        return cls._summed(nvars, sums, den)
 
     @classmethod
     def sum(cls, nvars: int, polys: Iterable["Polynomial"]) -> "Polynomial":

@@ -16,6 +16,11 @@ no other evaluation.  Multistart over seeded Gaussian initializations, each
 projected onto the harmonic polynomials, makes runs reproducible, and the
 best candidates are rounded to Gaussian rationals and re-verified exactly,
 by one helper for plain rounding and for the degree-1 isotropic repair.
+Recovery runs in plain ints up to that exact gate: each real and imaginary
+part becomes its best approximation with denominator at most the bound, by
+continued fractions over float.as_integer_ratio() (the value of
+Fraction.limit_denominator), each coefficient a Gaussian integer over one
+denominator, and the isotropic repair is Gaussian-integer arithmetic.
 
 The solver is hand-rolled on numpy: the system is small (tens of unknowns),
 needs an analytic Jacobian, and is underdetermined at low degree, where
@@ -32,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
@@ -44,7 +48,7 @@ from .errors import BudgetExceeded
 # accepts, and the most bytes that search_eigen's attempts may keep
 from .geometry import MEMORY_BUDGET
 from .parsing import render
-from .polynomial import GaussianRational, Polynomial
+from .polynomial import Polynomial
 
 
 def monomial_basis(nvars: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
@@ -398,21 +402,62 @@ class SearchResult:
         }
 
 
-def _rounded(value: complex, denominator_bound: int) -> GaussianRational:
-    """The Gaussian rational nearest value with both denominators <= denominator_bound."""
-    return GaussianRational(
-        Fraction(value.real).limit_denominator(denominator_bound),
-        Fraction(value.imag).limit_denominator(denominator_bound),
-    )
+def _best_ratio(x: float, denominator_bound: int) -> Tuple[int, int]:
+    """(p, q), in lowest terms with 0 < q <= denominator_bound, for the best
+    approximation p/q of x: Fraction(x).limit_denominator(denominator_bound)
+    in plain ints.
+
+    x is exactly n/d, d a power of two (float.as_integer_ratio, which
+    refuses NaN with ValueError and an infinity with OverflowError), and is
+    its own answer when d <= denominator_bound.  Otherwise the continued
+    fraction of n/d is expanded until the next convergent's denominator
+    would pass the bound.  Every best approximation from above or below is
+    a convergent or a semiconvergent (Khinchin, Continued Fractions,
+    ch. II), so the answer is the last convergent p1/q1 or the
+    semiconvergent (p0 + k p1)/(q0 + k q1) with the largest k that keeps
+    its denominator within the bound, whichever is nearer x; the convergent
+    wins a tie, as in CPython.  Both are in lowest terms, since each differs
+    from p1/q1 by 1/(q1 q).
+    """
+    n, d = x.as_integer_ratio()
+    if d <= denominator_bound:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > denominator_bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (denominator_bound - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p/q - n/d|, both sides times q1 * q * d
+    if abs(p1 * d - n * q1) * q <= abs(p * d - n * q) * q1:
+        return p1, q1
+    return p, q
+
+
+def _rounded(value: complex, denominator_bound: int) -> Tuple[int, int, int]:
+    """value with each part rounded to its best approximation with
+    denominator <= denominator_bound (as Fraction.limit_denominator gives
+    it), as the Gaussian integer (re, im) over den: (re + i*im) / den, den
+    the lcm of the two denominators."""
+    re, re_den = _best_ratio(value.real, denominator_bound)
+    im, im_den = _best_ratio(value.imag, denominator_bound)
+    den = math.lcm(re_den, im_den)
+    return re * (den // re_den), im * (den // im_den), den
 
 
 def _exact_witness(
-    basis: Sequence[Tuple[int, ...]], coefficients: Sequence[GaussianRational]
+    basis: Sequence[Tuple[int, ...]], coefficients: Sequence[Tuple[int, int, int]]
 ) -> Optional[Polynomial]:
-    """The polynomial with these exact coefficients over basis, kept only if
-    it is nonzero and an eigenfunction on the sphere of its variables."""
+    """The polynomial with these exact (re, im, den) coefficients over basis,
+    kept only if it is nonzero and an eigenfunction on the sphere of its
+    variables."""
     nvars = len(basis[0])
-    candidate = Polynomial(nvars, dict(zip(basis, coefficients)))
+    candidate = Polynomial._from_gaussian(nvars, list(zip(basis, coefficients)))
     if candidate.is_zero() or not verify_eigenfunction(candidate, nvars - 1).is_eigen:
         return None
     return candidate
@@ -424,9 +469,23 @@ def rationalize_and_verify(
     degree: int,
     denominator_bound: int = 64,
 ) -> Optional[Polynomial]:
-    """Round to Gaussian rationals and keep the result only if exactly eigen."""
-    rounded = [_rounded(complex(value), denominator_bound) for value in coefficients]
-    return _exact_witness(monomial_basis(nvars, degree), rounded)
+    """Round to Gaussian rationals and keep the result only if exactly eigen.
+
+    coefficients are indexed by monomial_basis(nvars, degree), one per
+    monomial; another length is ValueError, as is a denominator_bound below
+    1, before any rounding.  Each real and imaginary part is rounded to its
+    best approximation with denominator <= denominator_bound, the value of
+    Fraction.limit_denominator, in integers.
+    """
+    if denominator_bound < 1:
+        raise ValueError(f"denominator bound must be >= 1, got {denominator_bound}")
+    values = [complex(value) for value in coefficients]
+    basis = monomial_basis(nvars, degree)
+    if len(values) != len(basis):
+        raise ValueError(
+            f"{len(values)} coefficients for the {len(basis)} degree-{degree} "
+            f"monomials in {nvars} variables")
+    return _exact_witness(basis, [_rounded(value, denominator_bound) for value in values])
 
 
 def _isotropic_completion(
@@ -439,27 +498,35 @@ def _isotropic_completion(
     holds: with s = theta_j + i*theta_k, t = theta_j - i*theta_k the
     condition reads s*t = -(rounded remainder), so rounding s and dividing
     exactly for t keeps the result both near the input and exactly isotropic.
+
+    All of it is Gaussian-integer arithmetic: the remainder is
+    (x + i*y) / D^2 over the lcm D of the rounded denominators, and with
+    s = (c + i*d) / e, t = -e (x + i*y)(c - i*d) / (D^2 (c^2 + d^2)).
     """
     order = np.argsort(-np.abs(coefficients))
     j, k = int(order[0]), int(order[1])
-    rounded: List[GaussianRational] = []
-    remainder = GaussianRational(Fraction(0))
-    for idx, value in enumerate(coefficients):
-        if idx in (j, k):
-            rounded.append(GaussianRational(Fraction(0)))
-            continue
-        g = _rounded(value, denominator_bound)
-        rounded.append(g)
-        remainder = remainder + g * g
-    target = -remainder  # need theta_j^2 + theta_k^2 = target
-    s = _rounded(complex(coefficients[j]) + 1j * complex(coefficients[k]), denominator_bound)
-    if s.is_zero():
+    values = coefficients.tolist()
+    rounded = [(0, 0, 1)] * len(values)
+    for idx, value in enumerate(values):
+        if idx != j and idx != k:
+            rounded[idx] = _rounded(value, denominator_bound)
+    common = math.lcm(*(den for _re, _im, den in rounded))
+    x = y = 0
+    for re, im, den in rounded:
+        scale = common // den
+        re, im = re * scale, im * scale
+        x += re * re - im * im
+        y += 2 * re * im
+    c, d, e = _rounded(values[j] + 1j * values[k], denominator_bound)
+    if not (c or d):
         return None
-    t = target / s
-    half = GaussianRational(Fraction(1, 2))
-    minus_half_i = GaussianRational(Fraction(0), Fraction(-1, 2))
-    rounded[j] = (s + t) * half
-    rounded[k] = (s - t) * minus_half_i
+    # t = (t_re + i*t_im) / t_den, and s = (c + i*d) t_den / (e t_den)
+    t_re, t_im = -e * (x * c + y * d), -e * (y * c - x * d)
+    t_den = common * common * (c * c + d * d)
+    half = 2 * e * t_den
+    # theta_j = (s + t) / 2 and theta_k = -i (s - t) / 2
+    rounded[j] = (c * t_den + e * t_re, d * t_den + e * t_im, half)
+    rounded[k] = (d * t_den - e * t_im, e * t_re - c * t_den, half)
     return _exact_witness(basis, rounded)
 
 

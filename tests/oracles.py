@@ -30,6 +30,16 @@ that the package computes another way.
     functions (np.sqrt, np.max, np.diag) where the loop reads ndarray
     methods and math.sqrt.  test_search checks the loop against it bit for
     bit, on every branch.
+  * polynomial_reference: the Polynomial constructor as it was before it
+    gathered its terms in one pass, one monomial per nonzero term merged by
+    Polynomial.sum; test_polynomial checks the constructor against it,
+    result for result and error for error.
+  * rounded_reference, rationalize_reference and
+    isotropic_completion_reference: the search's exact recovery as it was
+    before it rounded and completed in ints, through
+    Fraction.limit_denominator and GaussianRational arithmetic, its
+    witnesses built by polynomial_reference; test_search checks the
+    package's rounding and both recovery paths against them.
   * render_reference: the canonical renderer as it was before it read the
     packed pairs, through `items` and a GaussianRational per term;
     test_parsing checks `render` against it string for string.
@@ -59,17 +69,18 @@ that the package computes another way.
 
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from eigensphere import geometry
 from eigensphere.calculus import gradient, hess_grad_grad, hessian, laplacian
-from eigensphere.errors import EigenSphereError
+from eigensphere.eigen import verify_eigenfunction
+from eigensphere.errors import DimensionMismatch, EigenSphereError
 from eigensphere.geometry import (
     EPS_REG, CompiledPolys, VarietySpec, _forward_substitution, _thin_qr)
-from eigensphere.polynomial import GaussianRational, Polynomial
-from eigensphere.search import HarmonicSystem, ResidualSystem
+from eigensphere.polynomial import GaussianRational, Polynomial, _check_degree, _pack, _scalar
+from eigensphere.search import HarmonicSystem, ResidualSystem, monomial_basis
 
 # ---------------------------------------------------------------------------
 # Finite-difference oracles.  These touch only Polynomial.evaluate, never the
@@ -192,6 +203,80 @@ def polynomial_of(system: ResidualSystem, coefficients: Sequence[complex]) -> Po
     for exps, value in zip(system.basis, coefficients):
         terms[exps] = GaussianRational(Fraction(value.real), Fraction(value.imag))
     return Polynomial(system.nvars, terms)
+
+
+# ---------------------------------------------------------------------------
+# Exact construction and recovery through Fraction and GaussianRational
+
+
+def polynomial_reference(nvars: int, terms) -> Polynomial:
+    """Polynomial(nvars, terms) as the constructor built it before it gathered
+    its terms in one pass: each term validated in order, each nonzero one
+    made a canonical monomial over its own denominator, and all of them
+    merged by Polynomial.sum."""
+    if nvars < 1:
+        raise DimensionMismatch(f"nvars must be positive, got {nvars}")
+    monomials = []
+    for exps, coeff in (terms or {}).items():
+        exps = tuple(exps)
+        if len(exps) != nvars:
+            raise DimensionMismatch(
+                f"exponent tuple {exps} has length {len(exps)}, expected {nvars}")
+        if any((not isinstance(e, int)) or e < 0 for e in exps):
+            raise ValueError(f"exponents must be non-negative integers, got {exps}")
+        re, im, den = _scalar(coeff)
+        if re or im:
+            _check_degree(sum(exps))
+            monomials.append(Polynomial._raw(nvars, {_pack(exps): (re, im)}, den))
+    return Polynomial.sum(nvars, monomials)
+
+
+def rounded_reference(value: complex, denominator_bound: int) -> GaussianRational:
+    """Each part of value through Fraction.limit_denominator."""
+    return GaussianRational(
+        Fraction(value.real).limit_denominator(denominator_bound),
+        Fraction(value.imag).limit_denominator(denominator_bound),
+    )
+
+
+def _exact_witness_reference(basis, coefficients) -> Optional[Polynomial]:
+    nvars = len(basis[0])
+    candidate = polynomial_reference(nvars, dict(zip(basis, coefficients)))
+    if candidate.is_zero() or not verify_eigenfunction(candidate, nvars - 1).is_eigen:
+        return None
+    return candidate
+
+
+def rationalize_reference(coefficients, nvars: int, degree: int,
+                          denominator_bound: int) -> Optional[Polynomial]:
+    """search.rationalize_and_verify as it was before it rounded in ints."""
+    rounded = [rounded_reference(complex(value), denominator_bound) for value in coefficients]
+    return _exact_witness_reference(monomial_basis(nvars, degree), rounded)
+
+
+def isotropic_completion_reference(coefficients: np.ndarray, basis,
+                                   denominator_bound: int) -> Optional[Polynomial]:
+    """search._isotropic_completion in GaussianRational arithmetic: the
+    remainder summed, divided by s and halved one operation at a time."""
+    order = np.argsort(-np.abs(coefficients))
+    j, k = int(order[0]), int(order[1])
+    rounded = []
+    remainder = GaussianRational(Fraction(0))
+    for idx, value in enumerate(coefficients):
+        if idx in (j, k):
+            rounded.append(GaussianRational(Fraction(0)))
+            continue
+        g = rounded_reference(value, denominator_bound)
+        rounded.append(g)
+        remainder = remainder + g * g
+    s = rounded_reference(complex(coefficients[j]) + 1j * complex(coefficients[k]),
+                          denominator_bound)
+    if s.is_zero():
+        return None
+    t = -remainder / s
+    rounded[j] = (s + t) * GaussianRational(Fraction(1, 2))
+    rounded[k] = (s - t) * GaussianRational(Fraction(0), Fraction(-1, 2))
+    return _exact_witness_reference(basis, rounded)
 
 
 # ---------------------------------------------------------------------------

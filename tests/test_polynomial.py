@@ -22,6 +22,7 @@ from eigensphere.polynomial import (
 )
 
 from conftest import assert_canonical, random_poly, random_rational_poly
+from oracles import polynomial_reference
 
 
 def x(i, nvars=3):
@@ -69,6 +70,102 @@ class TestConstruction:
         p = x(1)
         with pytest.raises(AttributeError):
             p.nvars = 5
+
+
+def built(build, nvars, terms):
+    """build(nvars, terms), or the type and message of what it raised."""
+    try:
+        return build(nvars, terms)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def random_coefficient(rng):
+    """A random int, Fraction or GaussianRational, zero now and then."""
+    kind = int(rng.integers(0, 4))
+    num, den = int(rng.integers(-6, 7)), int(rng.integers(1, 9))
+    if kind == 0:
+        return num
+    if kind == 1:
+        return Fraction(num, den)
+    if kind == 2:
+        return GaussianRational(Fraction(num, den), Fraction(int(rng.integers(-6, 7)), den))
+    return GaussianRational(num, Fraction(int(rng.integers(-6, 7)), den))
+
+
+class TestConstructorOracle:
+    """The constructor against the per-term monomials merged by Polynomial.sum
+    that it replaced: same canonical result, same first error."""
+
+    def test_seeded_term_maps(self, rng):
+        for _ in range(300):
+            nvars = int(rng.integers(1, 5))
+            terms = {}
+            for _ in range(int(rng.integers(0, 9))):
+                exps = tuple(int(e) for e in rng.integers(0, 4, nvars))
+                terms[exps] = random_coefficient(rng)
+            if nvars <= 2 and rng.random() < 0.5:
+                # range(a, a + nvars) is another key for the tuple it spans,
+                # here with the negated coefficient or a random one
+                start = int(rng.integers(0, 4))
+                twin = tuple(range(start, start + nvars))
+                terms[twin] = coeff = random_coefficient(rng)
+                terms[range(start, start + nvars)] = (
+                    -GaussianRational.of(coeff) if rng.random() < 0.5
+                    else random_coefficient(rng))
+            got = Polynomial(nvars, terms)
+            assert_canonical(got)
+            assert got == polynomial_reference(nvars, terms)
+
+    def test_cancelling_terms_give_canonical_zero(self):
+        third = GaussianRational(Fraction(1, 3), Fraction(-5, 6))
+        for terms in ({(0, 1): third, range(0, 2): -third},
+                      {(2, 3): Fraction(1, 7), range(2, 4): Fraction(-1, 7), (1, 2): 0},
+                      {(0, 0): GaussianRational(Fraction(0, 5))}):
+            got = Polynomial(2, terms)
+            assert_canonical(got)
+            assert got.is_zero() and got._den == 1
+            assert got == polynomial_reference(2, terms) == Polynomial.zero(2)
+
+    def test_equal_exponent_tuples_merge(self):
+        terms = {(1,): Fraction(1, 2), range(1, 2): GaussianRational(Fraction(1, 3), 1)}
+        got = Polynomial(1, terms)
+        assert_canonical(got)
+        assert got == polynomial_reference(1, terms)
+        assert got.coefficient((1,)) == GaussianRational(Fraction(5, 6), 1)
+
+    def test_bool_exponents(self):
+        terms = {(True, 0, False): Fraction(3, 4), (0, True, True): -2}
+        got = Polynomial(3, terms)
+        assert_canonical(got)
+        assert got == polynomial_reference(3, terms)
+        assert got == Polynomial(3, {(1, 0, 0): Fraction(3, 4), (0, 1, 1): -2})
+
+    def test_first_error_in_term_order(self, rng):
+        # within a term the length is checked, then the exponents, then the
+        # coefficient, then (for a nonzero coefficient) the degree
+        faulty = [
+            ((1,), 1),                                         # DimensionMismatch
+            ((-1,), 1.5),                                      # DimensionMismatch
+            ((-1, 0), 1),                                      # ValueError
+            ((0.5, 0), "x"),                                   # ValueError
+            ((0, 1), 1.5),                                     # TypeError
+            ((MAX_DEGREE, 1), 2.5),                            # TypeError
+            ((MAX_DEGREE, 2), GaussianRational(1, 1)),         # BudgetExceeded
+            ((MAX_DEGREE + 1, 0), 0),                          # zero: no error
+            ((2, 3), Fraction(1, 2)),                          # valid
+        ]
+        raised = set()
+        for _ in range(300):
+            picked = rng.permutation(len(faulty))[:int(rng.integers(1, len(faulty) + 1))]
+            terms = dict(faulty[i] for i in picked)
+            got = built(Polynomial, 2, terms)
+            assert got == built(polynomial_reference, 2, terms)
+            if isinstance(got, Polynomial):
+                assert_canonical(got)
+            else:
+                raised.add(got[0])
+        assert raised == {DimensionMismatch, ValueError, TypeError, BudgetExceeded}
 
 
 class TestCanonicalForm:

@@ -4,7 +4,10 @@ import itertools
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,21 +17,27 @@ from eigensphere.calculus import kappa, laplacian
 from eigensphere.eigen import verify_eigenfunction
 from eigensphere.errors import BudgetExceeded
 from eigensphere.parsing import parse
+from eigensphere.polynomial import GaussianRational
 from eigensphere.search import (
     MEMORY_BUDGET,
     HarmonicSystem,
     ResidualSystem,
     monomial_basis,
     rationalize_and_verify,
+    _best_ratio,
     _evaluate,
+    _isotropic_completion,
     _levenberg_marquardt,
+    _rounded,
     search_eigen,
     search_memory_bytes,
 )
 
+from conftest import assert_canonical
 from oracles import (
-    coefficients_of, harmonic_residual_reference, levenberg_marquardt_reference,
-    polynomial_of, residual_norm_of)
+    coefficients_of, harmonic_residual_reference, isotropic_completion_reference,
+    levenberg_marquardt_reference, polynomial_of, rationalize_reference, residual_norm_of,
+    rounded_reference)
 
 
 def dense_kappa_forms(nvars, degree):
@@ -477,6 +486,129 @@ class TestRationalize:
         coeffs = base + 0.06 * junk
         assert rationalize_and_verify(coeffs, 4, 2, denominator_bound=2) == parse("z1^2", 4)
         assert rationalize_and_verify(coeffs, 4, 2, denominator_bound=16) is None
+
+    def test_length_must_match_basis(self):
+        # the degree-1 basis in 4 variables has 4 monomials
+        with pytest.raises(ValueError, match="2 coefficients for the 4 degree-1 monomials"):
+            rationalize_and_verify(np.array([1, 1j]), 4, 1)
+        with pytest.raises(ValueError, match="6 coefficients for the 4 degree-1 monomials"):
+            rationalize_and_verify(np.ones(6), 4, 1)
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_denominator_bound_below_one_refused_before_rounding(self, bound, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("rounded before the bound was checked")
+
+        monkeypatch.setattr(search, "_rounded", refuse)
+        with pytest.raises(ValueError, match=f"denominator bound must be >= 1, got {bound}"):
+            rationalize_and_verify(np.ones(4), 4, 1, denominator_bound=bound)
+
+
+def limited(x, bound):
+    """Fraction(x).limit_denominator(bound) as (numerator, denominator)."""
+    f = Fraction(x).limit_denominator(bound)
+    return f.numerator, f.denominator
+
+
+class TestRounding:
+    """_best_ratio is Fraction.limit_denominator in ints, tie rule included."""
+
+    @hypothesis.settings(max_examples=1500, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            # floats at or next to small-denominator rationals, where the
+            # convergent and the semiconvergent come closest to a tie
+            st.builds(lambda p, q: p / q, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+            st.builds(lambda p, q: p / q, st.integers(-100, 100), st.integers(1, 20)),
+        ),
+        # small bounds make ties between the two candidates common
+        st.one_of(st.integers(1, 10**6), st.integers(1, 10)),
+    )
+    def test_matches_limit_denominator(self, x, bound):
+        assert _best_ratio(x, bound) == limited(x, bound)
+
+    @pytest.mark.parametrize("x, bound, expected", [
+        (0.0, 1, (0, 1)),
+        (-0.0, 1, (0, 1)),
+        (5e-324, 1, (0, 1)),
+        (5e-324, 10**6, (0, 1)),
+        (-5e-324, 7, (0, 1)),
+        (1e308, 1, (int(1e308), 1)),
+        (-1e308, 64, (-int(1e308), 1)),
+        # the denominator is already within the bound
+        (0.75, 4, (3, 4)),
+        (3.0, 1, (3, 1)),
+        (-2.5, 2, (-5, 2)),
+        (0.1, 10**6, (1, 10)),
+        # ties: the convergent wins
+        (0.5, 1, (0, 1)),
+        (-0.5, 1, (-1, 1)),
+        (1.5, 1, (1, 1)),
+        (0.25, 2, (0, 1)),
+        (0.75, 2, (1, 1)),
+    ])
+    def test_named_cases(self, x, bound, expected):
+        assert limited(x, bound) == expected
+        got = _best_ratio(x, bound)
+        assert got == expected
+        assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("value, error", [
+        (math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)])
+    def test_nan_and_infinities_refused_as_fraction_refuses(self, value, error):
+        with pytest.raises(error):
+            Fraction(value)
+        with pytest.raises(error):
+            _best_ratio(value, 64)
+        with pytest.raises(error):
+            _rounded(complex(0.5, value), 64)
+
+    def test_complex_over_one_denominator(self, rng):
+        for bound in (1, 2, 3, 64, 1000):
+            for value in rng.standard_normal(40) + 1j * rng.standard_normal(40):
+                re, im, den = _rounded(complex(value), bound)
+                assert den >= 1 and math.gcd(den, re, im) == 1
+                assert (GaussianRational(Fraction(re, den), Fraction(im, den))
+                        == rounded_reference(complex(value), bound))
+
+
+class TestRecoveryOracle:
+    """Both recovery paths give the witnesses of their Fraction-based references."""
+
+    @pytest.mark.parametrize("nvars, degree", [(3, 1), (4, 1), (5, 1), (6, 1), (4, 2), (5, 2)])
+    def test_seeded_search_results(self, nvars, degree):
+        basis = monomial_basis(nvars, degree)
+        witnesses = 0
+        for result in search_eigen(nvars, degree, attempts=6, rng_seed=1):
+            coefficients = result.coefficients
+            for bound in (1, 2, 64, 1000):
+                got = rationalize_and_verify(coefficients, nvars, degree, bound)
+                assert got == rationalize_reference(coefficients, nvars, degree, bound)
+                found = [got]
+                if degree == 1:
+                    got = _isotropic_completion(coefficients, basis, bound)
+                    assert got == isotropic_completion_reference(coefficients, basis, bound)
+                    found.append(got)
+                for witness in found:
+                    if witness is not None:
+                        assert_canonical(witness)
+                        witnesses += 1
+        assert witnesses or degree == 2
+
+    def test_completion_of_random_vectors(self, rng):
+        # far from any eigenfunction, so the remainder, s and the division
+        # carry large denominators; a completion is isotropic, hence a
+        # witness, unless s rounds to 0
+        witnesses = 0
+        for nvars in (3, 4, 6):
+            basis = monomial_basis(nvars, 1)
+            for bound in (1, 5, 64, 10**6):
+                coefficients = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
+                got = _isotropic_completion(coefficients, basis, bound)
+                assert got == isotropic_completion_reference(coefficients, basis, bound)
+                witnesses += got is not None
+        assert witnesses >= 9
 
 
 class TestSearchEigen:
