@@ -204,7 +204,7 @@ def _attach_numeric(
     # Newton cannot push |P| below P's own roundoff, at most gamma_P * sum_a |c_a|
     # on the sphere (every |x^a| <= 1); the floor can bind only for tol < 1e-8
     # a float sum: P's coefficients compiled above, and a sum past the float range is inf
-    p_mass = sum(abs(float(c.re)) for _exps, c in P.items())
+    p_mass = sum(abs(re) for _exps, re in P.real_float_items())
     p_roundoff = (P.degree() + P.num_terms()) * 2.0**-53 * p_mass
     newton_tol = min(1e-13, max(tol * 1e-5, 4 * p_roundoff))
 

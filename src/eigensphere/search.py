@@ -3,16 +3,16 @@
 A degree-d candidate is a complex coefficient vector theta over the degree-d
 monomial basis.  The conditions "Laplacian of P vanishes" (linear in theta)
 and "bilinear gradient square of P vanishes" (quadratic in theta) become a
-polynomial residual map with the gauge residual |theta|^2 - 1
-(ResidualSystem).  The linear condition is solved once, exactly: theta is
-kept in the span of an orthonormal basis of the harmonic polynomials, and
-Levenberg-Marquardt with the analytic Jacobian minimizes the quadratic
-condition and the gauge over the coordinates in that basis
-(HarmonicSystem).  The kappa rows are quadratic forms in those
-coordinates p, and the gauge is the quadratic form |p|^2 less 1, so by
-Euler's identity the Jacobian J at p gives the residual there as J p / 2
-less 1 in the gauge row: each point the loop tries costs one Jacobian and
-no other evaluation.  Multistart over seeded Gaussian initializations, each
+polynomial residual map with the gauge residual |theta|^2 - 1, and one
+class, ResidualSystem, holds all of it.  The linear condition is solved
+once, exactly: theta is kept in the span of an orthonormal basis of the
+harmonic polynomials, and Levenberg-Marquardt with the analytic Jacobian
+minimizes the quadratic condition and the gauge over the coordinates in
+that basis.  The kappa rows are quadratic forms in those coordinates p,
+and the gauge is the quadratic form |p|^2 less 1, so by Euler's identity
+the Jacobian J at p gives the residual there as J p / 2 less 1 in the
+gauge row: each point the loop tries costs one Jacobian and no other
+evaluation.  Multistart over seeded Gaussian initializations, each
 projected onto the harmonic polynomials, makes runs reproducible, and the
 best candidates are rounded to Gaussian rationals and re-verified exactly,
 by one helper for plain rounding and for the degree-1 isotropic repair.
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
@@ -108,7 +109,7 @@ def search_memory_bytes(nvars: int, degree: int) -> int:
     diagonal and its damping scale, the lift) are always held.
 
     On top of them runs Levenberg-Marquardt over the harmonic coefficients
-    (HarmonicSystem), which holds the basis N with the rest of its SVD
+    (ResidualSystem.jacobian), with the basis N and the rest of its SVD
     (M^2) and the Jacobian buffer ((2T + 1) x 2k).  It goes through two
     phases, of which only the larger counts.  Refilling the Jacobian at a
     candidate holds one form B@(2w) (T M) and a gathered table column with
@@ -130,14 +131,13 @@ def search_memory_bytes(nvars: int, degree: int) -> int:
 
 
 class ResidualSystem:
-    """Residual map and analytic Jacobian for fixed (nvars, degree).
+    """Residual map for fixed (nvars, degree), and the harmonic system LM solves.
 
     Real parametrization t = [Re theta; Im theta].  Residual blocks:
       * Re/Im coefficients of laplacian(P_theta):  L u  and  L v;
       * Re/Im coefficients of kappa(P_theta, P_theta): u'Bu - v'Bv, 2 u'Bv;
       * gauge |t|^2 - 1.
-    L is real and B is a real symmetric form per target monomial, so the
-    Jacobian is exact, not differenced.
+    L is real and B is a real symmetric form per target monomial.
 
     B is kept as the int64 table `kappa_forms` of shape (E, 4), one row
     (target, a, b, weight) per nonzero B[target][a, b].  The partial d/dx_i
@@ -149,6 +149,16 @@ class ResidualSystem:
     symmetric as listed and every weight is an integer.  The weights as
     floats and the flat cell index target * M + a of each row are kept
     beside the table, so no evaluation casts or recomputes them.
+
+    The Laplacian block is linear, so its zero set is solved once: the
+    columns of `harmonic` N (M, k) are an orthonormal basis of ker L, the
+    last k = M - r left singular vectors of L^T, built on first use.  The
+    Laplacian maps P_d onto P_{d-2}, so L has rank r and no tolerance picks
+    k; with no rows (degree 1) the SVD returns the identity.  Levenberg-
+    Marquardt runs over p = [alpha; beta] in R^2k, with u = N alpha and
+    v = N beta, on the kappa rows of P_theta followed by the gauge
+    |p|^2 - 1, which is |theta|^2 - 1 since N is orthonormal; `jacobian`
+    is the exact Jacobian of that residual at p.
 
     Construction raises BudgetExceeded before building any basis when
     `search_memory_bytes` exceeds MEMORY_BUDGET.
@@ -196,16 +206,13 @@ class ResidualSystem:
         self._weight = weight.astype(float)
         self._cell = self._target * self.size + self._a
         self.num_targets = _basis_size(nvars, 2 * degree - 2)
-        self.num_residuals = 2 * self.lap_matrix.shape[0] + 2 * self.num_targets + 1
-
-    def split(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return t[: self.size], t[self.size:]
 
     def residual(self, t: np.ndarray) -> np.ndarray:
-        u, v = self.split(t)
+        uv = t.reshape(2, -1)
+        u, v = uv
         lap_u = self.lap_matrix @ u
         lap_v = self.lap_matrix @ v
-        kap_re, kap_im = self._kappa(t.reshape(2, -1))
+        kap_re, kap_im = self._kappa(uv)
         gauge = u @ u + v @ v - 1.0
         return np.concatenate([lap_u, lap_v, kap_re, kap_im, [gauge]])
 
@@ -227,99 +234,49 @@ class ResidualSystem:
         return (np.bincount(self._target, kap_re, self.num_targets),
                 2 * np.bincount(self._target, kap_im, self.num_targets))
 
-    def _form_times(self, w: np.ndarray) -> np.ndarray:
-        """The (T, M) matrix whose row t is B[t] @ w."""
-        return np.bincount(self._cell, self._weight * w[self._b],
-                           self.num_targets * self.size).reshape(self.num_targets, self.size)
-
-    def jacobian(self, t: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The (rows, 2M) Jacobian of `residual` at t.
-
-        Without `out`, a new array.  With `out`, an array that an earlier
-        call on this system returned: its Laplacian blocks and zero blocks do
-        not depend on t, so only the kappa blocks and the gauge row are
-        written, and `out` is returned.  Both give the same bits.
-        """
-        u, v = self.split(t)
-        m = self.size
+    @cached_property
+    def harmonic(self) -> np.ndarray:
+        """The (M, k) orthonormal basis N of ker L, from one SVD of L^T."""
         r = self.lap_matrix.shape[0]
-        jac = out
-        if jac is None:
-            jac = np.zeros((self.num_residuals, 2 * m))
-            jac[:r, :m] = self.lap_matrix
-            jac[r:2 * r, m:] = self.lap_matrix
-        bu = self._form_times(u)
-        bv = self._form_times(v)
-        q = self.num_targets
-        np.multiply(bu, 2, out=jac[2 * r:2 * r + q, :m])
-        np.multiply(bv, -2, out=jac[2 * r:2 * r + q, m:])
-        np.multiply(bv, 2, out=jac[2 * r + q:2 * r + 2 * q, :m])
-        np.multiply(bu, 2, out=jac[2 * r + q:2 * r + 2 * q, m:])
-        np.multiply(u, 2, out=jac[-1, :m])
-        np.multiply(v, 2, out=jac[-1, m:])
-        return jac
-
-
-class HarmonicSystem:
-    """The kappa and gauge residuals of a ResidualSystem over harmonic theta.
-
-    The Laplacian block is linear, so its zero set is solved once: the
-    columns of `basis` N (M, k) are an orthonormal basis of ker L, the last
-    k = M - r left singular vectors of L^T.  The Laplacian maps P_d onto
-    P_{d-2}, so L has rank r and no tolerance picks k; with no rows
-    (degree 1) the SVD returns the identity.  The unknowns are
-    p = [alpha; beta] in R^2k, with u = N alpha and v = N beta, and the
-    residual is the kappa rows of P_theta followed by the gauge |p|^2 - 1,
-    which is |theta|^2 - 1 since N is orthonormal.
-
-    The Jacobian is [2 (Bu) N, -2 (Bv) N; 2 (Bv) N, 2 (Bu) N; 2 p']: its
-    left half is built one form at a time from one gathered table column
-    of [2u; 2v] (doubling is exact), B@(2u) then B@(2v), each times N into
-    the buffer, and its right half is a negated and a copied block.  No
-    form outlives the Jacobian it fills.  The kappa rows are quadratic
-    forms in p and the gauge row is |p|^2 - 1, so by Euler's identity for
-    homogeneous functions the Jacobian J at p gives the residual there as
-    J p / 2 with 1 taken from its last entry; `_levenberg_marquardt` reads
-    every residual so and evaluates no other path.
-    """
-
-    def __init__(self, system: ResidualSystem):
-        self.system = system
-        r = system.lap_matrix.shape[0]
         # a view: the whole of U stays, M^2 floats
-        self.basis = np.linalg.svd(system.lap_matrix.T)[0][:, r:]
-        self.dim = self.basis.shape[1]
-        self.num_residuals = 2 * system.num_targets + 1
+        return np.linalg.svd(self.lap_matrix.T)[0][:, r:]
 
     def project(self, t: np.ndarray) -> np.ndarray:
         """[N'u; N'v] for t = [u; v], scaled to unit norm."""
-        p = (t.reshape(2, -1) @ self.basis).reshape(-1)
+        p = (t.reshape(2, -1) @ self.harmonic).reshape(-1)
         return p / math.sqrt(p @ p)
 
     def lift(self, p: np.ndarray) -> np.ndarray:
         """The (2, M) array [u; v] = [N alpha; N beta] for p = [alpha; beta]."""
-        return p.reshape(2, -1) @ self.basis.T
+        return p.reshape(2, -1) @ self.harmonic.T
 
     def jacobian(self, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The (2T + 1, 2k) Jacobian of the residual at p, written into `out` if given."""
-        system = self.system
-        k, q, m = self.dim, system.num_targets, system.size
-        jac = np.empty((self.num_residuals, 2 * k)) if out is None else out
+        """The (2T + 1, 2k) Jacobian [2 (Bu) N, -2 (Bv) N; 2 (Bv) N, 2 (Bu) N; 2 p']
+        of the kappa and gauge residual at p, written into `out` if given.
+
+        Its left half is built one form at a time from one gathered table
+        column of [2u; 2v] (doubling is exact), B@(2u) then B@(2v), each
+        times N into the buffer, and its right half is a negated and a
+        copied block, so no form outlives the Jacobian it fills.
+        """
+        basis = self.harmonic
+        k, q, m = basis.shape[1], self.num_targets, self.size
+        jac = np.empty((2 * q + 1, 2 * k)) if out is None else out
         uv = self.lift(p)
-        gathered = (uv + uv).take(system._b, axis=1)
-        gathered *= system._weight
+        gathered = (uv + uv).take(self._b, axis=1)
+        gathered *= self._weight
         # B@(2u), then B@(2v), each freed once it is multiplied into the buffer
         for block, column in zip((jac[:q, :k], jac[q:2 * q, :k]), gathered):
-            np.matmul(np.bincount(system._cell, column, q * m).reshape(q, m), self.basis,
-                      out=block)
+            np.matmul(np.bincount(self._cell, column, q * m).reshape(q, m), basis, out=block)
         np.negative(jac[q:2 * q, :k], out=jac[:q, k:])
         jac[q:2 * q, k:] = jac[:q, :k]
         np.multiply(p, 2, out=jac[-1])
         return jac
 
 
-def _evaluate(system: HarmonicSystem, p: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """Refill jac at p and return the residual at p, J p / 2 - e_last."""
+def _evaluate(system: ResidualSystem, p: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """Refill jac at p and return the residual at p, J p / 2 - e_last: by
+    Euler's identity, as the kappa rows and |p|^2 are quadratic forms in p."""
     residual = system.jacobian(p, out=jac) @ p
     residual *= 0.5
     residual[-1] -= 1.0
@@ -327,13 +284,13 @@ def _evaluate(system: HarmonicSystem, p: np.ndarray, jac: np.ndarray) -> np.ndar
 
 
 def _levenberg_marquardt(
-    system: HarmonicSystem, t0: np.ndarray, max_iters: int = 300
+    system: ResidualSystem, t0: np.ndarray, max_iters: int = 300
 ) -> Tuple[np.ndarray, float]:
     """Damped Gauss-Newton from t0; returns (t, |residual(t)|).
 
     One Jacobian buffer serves the whole run, and each point is evaluated
     once, by refilling it there: the residual is read off the Jacobian by
-    Euler's identity (HarmonicSystem), so a candidate costs one refill and
+    Euler's identity (`_evaluate`), so a candidate costs one refill and
     an accepted one hands its Jacobian to the next iteration.  The buffer
     is free for a candidate once the iteration has formed -grad and the
     normal matrix from it: the retries after a rejected candidate solve
@@ -346,7 +303,7 @@ def _levenberg_marquardt(
     formed once.
     """
     t = t0.copy()
-    jac = np.empty((system.num_residuals, len(t)))
+    jac = np.empty((2 * system.num_targets + 1, len(t)))
     r = _evaluate(system, t, jac)
     cost = float(r @ r)
     lam = 1e-3
@@ -472,13 +429,15 @@ def rationalize_and_verify(
     """Round to Gaussian rationals and keep the result only if exactly eigen.
 
     coefficients are indexed by monomial_basis(nvars, degree), one per
-    monomial; another length is ValueError, as is a denominator_bound below
-    1, before any rounding.  Each real and imaginary part is rounded to its
-    best approximation with denominator <= denominator_bound, the value of
-    Fraction.limit_denominator, in integers.
+    monomial; another length is ValueError, as are a denominator_bound below
+    1 and nvars below 1, before any rounding.  Each real and imaginary part
+    is rounded to its best approximation with denominator <=
+    denominator_bound, the value of Fraction.limit_denominator, in integers.
     """
     if denominator_bound < 1:
         raise ValueError(f"denominator bound must be >= 1, got {denominator_bound}")
+    if nvars < 1:
+        raise ValueError(f"nvars must be >= 1, got {nvars}")
     values = [complex(value) for value in coefficients]
     basis = monomial_basis(nvars, degree)
     if len(values) != len(basis):
@@ -545,13 +504,14 @@ def search_eigen(
     rationalization pass; `exact` is filled only when the rounded polynomial
     verifies exactly.  Attempt i starts from the harmonic projection of the
     draw t = default_rng([rng_seed, i]).standard_normal(2 * size), that is
-    HarmonicSystem.project(t), the coordinates of [u; v] = t in the
+    ResidualSystem.project(t), the coordinates of [u; v] = t in the
     harmonic basis scaled to unit norm, drawn when the attempt starts, so
     attempt i's start does not depend on how many attempts run.  The seed is
     refused as numpy refuses it (a negative integer is ValueError and a
     float TypeError) even with no attempt; attempts that would keep more
     than MEMORY_BUDGET bytes raise BudgetExceeded before that check and any
-    draw.  The harmonic basis is built only if there is an attempt.
+    draw.  The harmonic basis is built at the first attempt, so only if there
+    is one.
     """
     if attempts < 0:
         raise ValueError(f"attempts must be >= 0, got {attempts}")
@@ -568,13 +528,11 @@ def search_eigen(
             f"{kept / 2**20:.0f} MiB, over the {MEMORY_BUDGET / 2**20:.0f} MiB budget"
         )
     np.random.SeedSequence(rng_seed)  # numpy's own check of the seed
-    # only attempts need the harmonic basis
-    harmonic = HarmonicSystem(system) if attempts else None
     results: List[SearchResult] = []
     for attempt in range(attempts):
         t0 = np.random.default_rng([rng_seed, attempt]).standard_normal(2 * system.size)
-        p_star, _ = _levenberg_marquardt(harmonic, harmonic.project(t0))
-        uv = harmonic.lift(p_star)
+        p_star, _ = _levenberg_marquardt(system, system.project(t0))
+        uv = system.lift(p_star)
         r = system.residual(uv.reshape(-1))
         residual = math.sqrt(r @ r)
         coefficients = uv[0] + 1j * uv[1]

@@ -17,11 +17,11 @@ that the package computes another way.
   * coefficients_of, residual_norm_of, polynomial_of: conversions between a
     Polynomial and a coefficient vector of search.ResidualSystem, with which
     test_search checks the residual map against the symbolic operators.
-  * harmonic_residual_reference: the kappa and gauge residuals of a
-    search.HarmonicSystem through ResidualSystem._kappa at the lift, the
-    path the search took before it read each residual off the Jacobian
-    at the same point; test_search checks HarmonicSystem.jacobian against
-    its finite differences.
+  * harmonic_residual_reference: the kappa and gauge residuals over the
+    harmonic coordinates p of a search.ResidualSystem, through its _kappa
+    at the lift of p, the path the search took before it read each
+    residual off the Jacobian at the same point; test_search checks
+    ResidualSystem.jacobian against its finite differences.
   * levenberg_marquardt_reference: the search's Levenberg-Marquardt loop
     without the buffers it reuses: a fresh dense Jacobian at every point
     tried, kept beside that of the point until the candidate is accepted,
@@ -80,7 +80,7 @@ from eigensphere.errors import DimensionMismatch, EigenSphereError
 from eigensphere.geometry import (
     EPS_REG, CompiledPolys, VarietySpec, _forward_substitution, _thin_qr)
 from eigensphere.polynomial import GaussianRational, Polynomial, _check_degree, _pack, _scalar
-from eigensphere.search import HarmonicSystem, ResidualSystem, monomial_basis
+from eigensphere.search import ResidualSystem, monomial_basis
 
 # ---------------------------------------------------------------------------
 # Finite-difference oracles.  These touch only Polynomial.evaluate, never the
@@ -283,15 +283,15 @@ def isotropic_completion_reference(coefficients: np.ndarray, basis,
 # The search's Levenberg-Marquardt loop, one fresh Jacobian per point tried
 
 
-def harmonic_residual_reference(system: HarmonicSystem, p: np.ndarray) -> np.ndarray:
+def harmonic_residual_reference(system: ResidualSystem, p: np.ndarray) -> np.ndarray:
     """The kappa rows of P_theta at the lift of p, then |p|^2 - 1."""
     alpha, beta = p.reshape(2, -1)
     return np.concatenate(
-        [*system.system._kappa(system.lift(p)), [alpha @ alpha + beta @ beta - 1.0]])
+        [*system._kappa(system.lift(p)), [alpha @ alpha + beta @ beta - 1.0]])
 
 
 def levenberg_marquardt_reference(
-    system: HarmonicSystem, t0: np.ndarray, max_iters: int = 300
+    system: ResidualSystem, t0: np.ndarray, max_iters: int = 300
 ) -> Tuple[np.ndarray, float]:
     def evaluate(t):
         jac = system.jacobian(t)

@@ -20,7 +20,6 @@ from eigensphere.parsing import parse
 from eigensphere.polynomial import GaussianRational
 from eigensphere.search import (
     MEMORY_BUDGET,
-    HarmonicSystem,
     ResidualSystem,
     monomial_basis,
     rationalize_and_verify,
@@ -127,17 +126,6 @@ class TestResidualSystem:
         assert_allclose(res[2 * lap_rows:2 * lap_rows + q], kap_vec.real, atol=1e-10)
         assert_allclose(res[2 * lap_rows + q:2 * lap_rows + 2 * q], kap_vec.imag, atol=1e-10)
 
-    def test_jacobian_matches_finite_differences(self, rng):
-        system = ResidualSystem(4, 2)
-        t = rng.standard_normal(2 * system.size)
-        analytic = system.jacobian(t)
-        h = 1e-6
-        for col in range(2 * system.size):
-            bump = np.zeros_like(t)
-            bump[col] = h
-            fd = (system.residual(t + bump) - system.residual(t - bump)) / (2 * h)
-            assert_allclose(analytic[:, col], fd, atol=1e-5, rtol=1e-5)
-
     def test_size_guards(self):
         with pytest.raises(ValueError):
             ResidualSystem(2, 1)
@@ -149,20 +137,28 @@ class TestResidualSystem:
         system = ResidualSystem(nvars, degree)
         forms = dense_kappa_forms(nvars, degree)
         rng = np.random.default_rng([nvars, degree])
+        basis = system.harmonic
+        k, q = basis.shape[1], len(forms)
         for _ in range(3):
             t = rng.standard_normal(2 * system.size)
-            u, v = system.split(t)
+            u, v = t.reshape(2, -1)
             bu, bv = forms @ u, forms @ v
             lap_u, lap_v = system.lap_matrix @ u, system.lap_matrix @ v
             gauge = u @ u + v @ v - 1.0
             expected = np.concatenate([lap_u, lap_v, bu @ u - bv @ v, 2 * (bu @ v), [gauge]])
             assert_allclose(system.residual(t), expected, rtol=1e-12)
-            jac = system.jacobian(t)
-            r, q, m = len(lap_u), len(forms), system.size
-            assert_allclose(jac[2 * r:2 * r + q, :m], 2 * bu, rtol=1e-12)
-            assert_allclose(jac[2 * r:2 * r + q, m:], -2 * bv, rtol=1e-12)
-            assert_allclose(jac[2 * r + q:2 * r + 2 * q, :m], 2 * bv, rtol=1e-12)
-            assert_allclose(jac[2 * r + q:2 * r + 2 * q, m:], 2 * bu, rtol=1e-12)
+            # the harmonic Jacobian at the projection p of t, from the table's
+            # cells and weights, against [2 (Bu) N, -2 (Bv) N; 2 (Bv) N, 2 (Bu) N; 2 p']
+            p = system.project(t)
+            u, v = system.lift(p)
+            bun, bvn = (forms @ u) @ basis, (forms @ v) @ basis
+            jac = system.jacobian(p)
+            assert jac.shape == (2 * q + 1, 2 * k)
+            assert_allclose(jac[:q, :k], 2 * bun, rtol=1e-12, atol=1e-12)
+            assert_allclose(jac[:q, k:], -2 * bvn, rtol=1e-12, atol=1e-12)
+            assert_allclose(jac[q:2 * q, :k], 2 * bvn, rtol=1e-12, atol=1e-12)
+            assert_allclose(jac[q:2 * q, k:], 2 * bun, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(jac[-1], 2 * p)
 
     @pytest.mark.parametrize("nvars, degree", [(3, 1), (4, 2), (5, 3), (6, 4)])
     def test_kappa_table(self, nvars, degree):
@@ -197,28 +193,30 @@ def harmonic_dimension(nvars, degree):
 
 
 class TestHarmonicSystem:
+    """ResidualSystem over the harmonic coordinates: its basis, project,
+    lift and the Jacobian that Levenberg-Marquardt runs on."""
+
     @pytest.mark.parametrize("nvars", range(3, 8))
     def test_basis_spans_the_harmonic_polynomials(self, nvars):
         for degree in range(1, 6):
             system = ResidualSystem(nvars, degree)
-            basis = HarmonicSystem(system).basis
+            basis = system.harmonic
             lap = system.lap_matrix
             assert basis.shape == (system.size, harmonic_dimension(nvars, degree))
             assert np.linalg.norm(lap @ basis) <= 1e-13 * np.linalg.norm(lap)
             assert np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])) <= 1e-14
 
     def test_degree_one_is_the_identity(self):
-        assert np.array_equal(HarmonicSystem(ResidualSystem(5, 1)).basis, np.eye(5))
+        assert np.array_equal(ResidualSystem(5, 1).harmonic, np.eye(5))
 
     @pytest.mark.parametrize("nvars, degree", [(3, 1), (4, 2), (5, 3)])
     def test_residual_is_that_of_the_lift(self, nvars, degree, rng):
         system = ResidualSystem(nvars, degree)
-        harmonic = HarmonicSystem(system)
-        p = rng.standard_normal(2 * harmonic.dim)
-        full = system.residual(harmonic.lift(p).reshape(-1))
+        p = rng.standard_normal(2 * system.harmonic.shape[1])
+        full = system.residual(system.lift(p).reshape(-1))
         lap_rows = 2 * system.lap_matrix.shape[0]
         assert np.abs(full[:lap_rows]).max(initial=0.0) <= 1e-13
-        assert_allclose(harmonic_residual_reference(harmonic, p), full[lap_rows:],
+        assert_allclose(harmonic_residual_reference(system, p), full[lap_rows:],
                         rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("nvars, degree", [(3, 1), (4, 2), (5, 3), (6, 4)])
@@ -226,45 +224,35 @@ class TestHarmonicSystem:
         # Euler's identity: the kappa rows are quadratic forms in p, so
         # J_kappa(p) p = 2 kappa(p), and the gauge row 2p' gives 2 |p|^2
         system = ResidualSystem(nvars, degree)
-        harmonic = HarmonicSystem(system)
-        p = rng.standard_normal(2 * harmonic.dim)
+        p = rng.standard_normal(2 * system.harmonic.shape[1])
         p /= np.linalg.norm(p)
-        buffer = harmonic.jacobian(rng.standard_normal(len(p)))
-        residual = _evaluate(harmonic, p, buffer)
-        assert buffer.tobytes() == harmonic.jacobian(p).tobytes()
-        full = system.residual(harmonic.lift(p).reshape(-1))
+        buffer = system.jacobian(rng.standard_normal(len(p)))
+        residual = _evaluate(system, p, buffer)
+        assert buffer.tobytes() == system.jacobian(p).tobytes()
+        full = system.residual(system.lift(p).reshape(-1))
         lap_rows = 2 * system.lap_matrix.shape[0]
         assert_allclose(residual[:-1], full[lap_rows:-1], rtol=0, atol=1e-13)
         assert_allclose(residual[-1], p @ p - 1.0, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("nvars, degree", [(3, 1), (4, 2), (5, 3)])
     def test_jacobian_matches_finite_differences(self, nvars, degree, rng):
-        harmonic = HarmonicSystem(ResidualSystem(nvars, degree))
-        p = rng.standard_normal(2 * harmonic.dim)
-        analytic = harmonic.jacobian(p)
+        system = ResidualSystem(nvars, degree)
+        p = rng.standard_normal(2 * system.harmonic.shape[1])
+        analytic = system.jacobian(p)
         h = 1e-6
         for col, bump in enumerate(h * np.eye(len(p))):
-            fd = (harmonic_residual_reference(harmonic, p + bump)
-                  - harmonic_residual_reference(harmonic, p - bump)) / (2 * h)
+            fd = (harmonic_residual_reference(system, p + bump)
+                  - harmonic_residual_reference(system, p - bump)) / (2 * h)
             assert_allclose(analytic[:, col], fd, atol=1e-5, rtol=1e-5)
-
-    def test_jacobian_into_a_buffer(self, rng):
-        # a buffer filled at another point is wholly rewritten
-        harmonic = HarmonicSystem(ResidualSystem(5, 3))
-        first, second = rng.standard_normal((2, 2 * harmonic.dim))
-        fresh = harmonic.jacobian(second)
-        buffer = harmonic.jacobian(first)
-        assert harmonic.jacobian(second, out=buffer) is buffer
-        assert buffer.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("nvars, degree", [(4, 1), (5, 2), (5, 3), (6, 3)])
     def test_levenberg_marquardt_matches_reference_bit_for_bit(self, nvars, degree):
-        harmonic = HarmonicSystem(ResidualSystem(nvars, degree))
+        system = ResidualSystem(nvars, degree)
         for attempt in range(3):
-            p0 = harmonic.project(np.random.default_rng(
-                [nvars * 10 + degree, attempt]).standard_normal(2 * harmonic.system.size))
-            p, residual = _levenberg_marquardt(harmonic, p0, max_iters=25)
-            p_ref, residual_ref = levenberg_marquardt_reference(harmonic, p0, max_iters=25)
+            p0 = system.project(np.random.default_rng(
+                [nvars * 10 + degree, attempt]).standard_normal(2 * system.size))
+            p, residual = _levenberg_marquardt(system, p0, max_iters=25)
+            p_ref, residual_ref = levenberg_marquardt_reference(system, p0, max_iters=25)
             assert p.tobytes() == p_ref.tobytes()
             assert residual.hex() == residual_ref.hex()
 
@@ -274,10 +262,10 @@ class TestHarmonicSystem:
                                                                  max_iters, monkeypatch):
         # a rejected candidate raises lambda and solves again with the same
         # -grad; at 5 iterations the cap stops the loop, at 300 its own tests
-        harmonic = HarmonicSystem(ResidualSystem(nvars, degree))
+        system = ResidualSystem(nvars, degree)
         events, rhs = [], []
-        jacobian, solve = harmonic.jacobian, np.linalg.solve
-        harmonic.jacobian = lambda p, out=None: (events.append("j"), jacobian(p, out=out))[1]
+        jacobian, solve = system.jacobian, np.linalg.solve
+        system.jacobian = lambda p, out=None: (events.append("j"), jacobian(p, out=out))[1]
 
         def traced_solve(a, b):
             events.append("s")
@@ -286,16 +274,16 @@ class TestHarmonicSystem:
         monkeypatch.setattr(np.linalg, "solve", traced_solve)
         rejected = 0
         for attempt in range(6):
-            p0 = harmonic.project(np.random.default_rng(
-                [nvars * 10 + degree, attempt]).standard_normal(2 * harmonic.system.size))
+            p0 = system.project(np.random.default_rng(
+                [nvars * 10 + degree, attempt]).standard_normal(2 * system.size))
             events.clear()
             rhs.clear()
-            p, res = _levenberg_marquardt(harmonic, p0, max_iters=max_iters)
+            p, res = _levenberg_marquardt(system, p0, max_iters=max_iters)
             # one Jacobian at the start and one at each candidate, which is
             # evaluated no other way; a retry solves for the -grad it had
             assert "".join(events) == "j" + "sj" * (len(events) // 2)
             rejected += any(a == b for a, b in zip(rhs, rhs[1:]))
-            p_ref, res_ref = levenberg_marquardt_reference(harmonic, p0, max_iters=max_iters)
+            p_ref, res_ref = levenberg_marquardt_reference(system, p0, max_iters=max_iters)
             assert np.array_equal(p, p_ref)
             assert np.array_equal(res, res_ref)
         assert rejected
@@ -315,7 +303,15 @@ class TestHarmonicSystem:
                 assert r.residual == few[r.attempt].residual
 
     def test_no_attempts_build_no_basis(self, monkeypatch):
-        monkeypatch.setattr(search, "HarmonicSystem", None)
+        # the harmonic basis is built on first use, by the one SVD
+        system = ResidualSystem(6, 3)
+        assert "harmonic" not in vars(system)
+        assert system.harmonic is system.harmonic
+        assert "harmonic" in vars(system)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the harmonic basis was built")
+        monkeypatch.setattr(np.linalg, "svd", refuse)
         assert search_eigen(6, 3, attempts=0) == []
 
 
@@ -336,30 +332,32 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("nvars, degree", [(5, 3), (6, 4)])
     def test_estimate_covers_allocation(self, nvars, degree):
         system = ResidualSystem(nvars, degree)
-        jac = system.jacobian(np.ones(2 * system.size))
-        assert search_memory_bytes(nvars, degree) >= system.kappa_forms.nbytes + jac.nbytes
+        jac = system.jacobian(np.ones(2 * system.harmonic.shape[1]))
+        assert search_memory_bytes(nvars, degree) >= (
+            system.kappa_forms.nbytes + system.harmonic.base.nbytes + jac.nbytes)
 
     @staticmethod
-    def untraced_bytes(harmonic):
-        """What a HarmonicSystem built before tracing holds: the kappa table
-        with its weights and cells, the Laplacian matrix and U of its SVD."""
-        system = harmonic.system
+    def untraced_bytes(system):
+        """What a ResidualSystem whose harmonic basis was built before tracing
+        holds: the kappa table with its weights and cells, the Laplacian
+        matrix and U of its SVD, of which the basis is a view."""
+        assert system.harmonic.base.nbytes == 8 * system.size ** 2
         return (system.kappa_forms.nbytes + system._weight.nbytes + system._cell.nbytes
-                + system.lap_matrix.nbytes + 8 * system.size ** 2)
+                + system.lap_matrix.nbytes + system.harmonic.base.nbytes)
 
     def test_estimate_covers_lm_peak(self):
         # at (12, 3) the Jacobian buffer is 15 MB, about half the estimate,
         # and the damped normal matrix lives while it is refilled at a
         # candidate
-        harmonic = HarmonicSystem(ResidualSystem(12, 3))
-        p0 = harmonic.project(np.random.default_rng(0).standard_normal(2 * harmonic.system.size))
+        system = ResidualSystem(12, 3)
+        p0 = system.project(np.random.default_rng(0).standard_normal(2 * system.size))
         tracemalloc.start()
         try:
-            _levenberg_marquardt(harmonic, p0, max_iters=2)
+            _levenberg_marquardt(system, p0, max_iters=2)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert self.untraced_bytes(harmonic) + peak <= search_memory_bytes(12, 3)
+        assert self.untraced_bytes(system) + peak <= search_memory_bytes(12, 3)
 
     @pytest.mark.parametrize("nvars, degree", [(12, 3), (14, 3)])
     def test_estimate_covers_both_phases(self, monkeypatch, nvars, degree):
@@ -368,9 +366,9 @@ class TestMemoryBudget:
         # matrix with its factored copy; that copy is made inside solve,
         # outside tracemalloc, so it is added to the traced memory at each
         # solve, and each refill's own peak is traced on its own
-        harmonic = HarmonicSystem(ResidualSystem(nvars, degree))
+        system = ResidualSystem(nvars, degree)
         at_solve, at_refill = [], []
-        solve, jacobian = np.linalg.solve, harmonic.jacobian
+        solve, jacobian = np.linalg.solve, system.jacobian
 
         def counted_solve(a, b):
             at_solve.append(tracemalloc.get_traced_memory()[0] + a.nbytes)
@@ -382,19 +380,19 @@ class TestMemoryBudget:
             at_refill.append(tracemalloc.get_traced_memory()[1])
             return jac
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
-        harmonic.jacobian = counted_jacobian
-        p0 = harmonic.project(np.random.default_rng(0).standard_normal(2 * harmonic.system.size))
+        system.jacobian = counted_jacobian
+        p0 = system.project(np.random.default_rng(0).standard_normal(2 * system.size))
         tracemalloc.start()
         try:
-            _levenberg_marquardt(harmonic, p0, max_iters=2)
+            _levenberg_marquardt(system, p0, max_iters=2)
         finally:
             tracemalloc.stop()
         assert at_solve and len(at_refill) > 1
         # a refill at a candidate holds the damped matrix beside what the
         # first one, before any solve, held
-        damped = 8 * (2 * harmonic.dim) ** 2
+        damped = 8 * (2 * system.harmonic.shape[1]) ** 2
         assert min(at_refill[1:]) >= at_refill[0] + damped
-        assert (self.untraced_bytes(harmonic) + max(*at_refill, *at_solve)
+        assert (self.untraced_bytes(system) + max(*at_refill, *at_solve)
                 <= search_memory_bytes(nvars, degree))
 
     def test_boundaries(self):
@@ -442,19 +440,20 @@ class TestLevenbergMarquardt:
         # the loop refills one Jacobian buffer at each point it tries and
         # damps the normal matrix in place; the reference builds both afresh
         # every time
-        harmonic = HarmonicSystem(ResidualSystem(nvars, degree))
+        system = ResidualSystem(nvars, degree)
         for attempt in range(2):
-            p0 = harmonic.project(np.random.default_rng(
-                [nvars * 10 + degree, attempt]).standard_normal(2 * harmonic.system.size))
-            p, residual = _levenberg_marquardt(harmonic, p0)
-            p_ref, residual_ref = levenberg_marquardt_reference(harmonic, p0)
+            p0 = system.project(np.random.default_rng(
+                [nvars * 10 + degree, attempt]).standard_normal(2 * system.size))
+            p, residual = _levenberg_marquardt(system, p0)
+            p_ref, residual_ref = levenberg_marquardt_reference(system, p0)
             assert p.tobytes() == p_ref.tobytes()
             assert residual.hex() == residual_ref.hex()
 
     @pytest.mark.parametrize("nvars, degree", [(4, 1), (5, 3)])
     def test_reused_jacobian_buffer(self, nvars, degree, rng):
+        # a buffer filled at another point is wholly rewritten
         system = ResidualSystem(nvars, degree)
-        first, second = rng.standard_normal((2, 2 * system.size))
+        first, second = rng.standard_normal((2, 2 * system.harmonic.shape[1]))
         buffer = system.jacobian(first)
         refilled = system.jacobian(second, out=buffer)
         assert refilled is buffer
@@ -494,14 +493,21 @@ class TestRationalize:
         with pytest.raises(ValueError, match="6 coefficients for the 4 degree-1 monomials"):
             rationalize_and_verify(np.ones(6), 4, 1)
 
-    @pytest.mark.parametrize("bound", [0, -3])
-    def test_denominator_bound_below_one_refused_before_rounding(self, bound, monkeypatch):
+    @pytest.mark.parametrize("coefficients, nvars, degree, bound, message", [
+        pytest.param(np.ones(4), 4, 1, 0, "denominator bound must be >= 1, got 0", id="0"),
+        pytest.param(np.ones(4), 4, 1, -3, "denominator bound must be >= 1, got -3", id="-3"),
+        # no variables means an empty basis, which has no witness to build
+        pytest.param([], 0, 1, 64, "nvars must be >= 1, got 0", id="nvars-0"),
+        pytest.param([], -2, 3, 64, "nvars must be >= 1, got -2", id="nvars-minus-2"),
+    ])
+    def test_denominator_bound_below_one_refused_before_rounding(
+            self, coefficients, nvars, degree, bound, message, monkeypatch):
         def refuse(*args):
-            raise AssertionError("rounded before the bound was checked")
+            raise AssertionError("rounded before the arguments were checked")
 
         monkeypatch.setattr(search, "_rounded", refuse)
-        with pytest.raises(ValueError, match=f"denominator bound must be >= 1, got {bound}"):
-            rationalize_and_verify(np.ones(4), 4, 1, denominator_bound=bound)
+        with pytest.raises(ValueError, match=message):
+            rationalize_and_verify(coefficients, nvars, degree, denominator_bound=bound)
 
 
 def limited(x, bound):

@@ -2,7 +2,9 @@
 
 bench/tracer.py names its targets as (module, attribute path) strings and
 patches them in place; a renamed or deleted target would only fail the
-benchmark's own tests, so the names are resolved here as well.
+benchmark's own tests, so the names are resolved here as well.  A target
+that resolves but that nothing calls reads 0 in a traced run, so the
+search's Levenberg-Marquardt Jacobian is checked to be the traced one.
 """
 
 import importlib
@@ -10,6 +12,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from eigensphere import search
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -34,3 +38,15 @@ def test_target_resolves(module_name, path):
         owner = vars(owner)[class_name]
     # the tracer reads the attribute from the owner's own namespace
     assert callable(vars(owner).get(attr)), f"eigensphere.{module_name}.{path}"
+
+
+def test_search_jacobian_is_the_one_levenberg_marquardt_calls(monkeypatch):
+    calls = []
+    jacobian = search.ResidualSystem.jacobian
+
+    def counted(self, p, out=None):
+        calls.append(1)
+        return jacobian(self, p, out=out)
+    monkeypatch.setattr(search.ResidualSystem, "jacobian", counted)
+    search.search_eigen(4, 1, 2, rng_seed=1)
+    assert len(calls) > 0
