@@ -245,6 +245,15 @@ class TestHarmonicSystem:
                   - harmonic_residual_reference(system, p - bump)) / (2 * h)
             assert_allclose(analytic[:, col], fd, atol=1e-5, rtol=1e-5)
 
+    def test_jacobian_into_a_buffer(self, rng):
+        # a buffer filled at another point is wholly rewritten
+        system = ResidualSystem(5, 3)
+        first, second = rng.standard_normal((2, 2 * system.harmonic.shape[1]))
+        fresh = system.jacobian(second)
+        buffer = system.jacobian(first)
+        assert system.jacobian(second, out=buffer) is buffer
+        assert buffer.tobytes() == fresh.tobytes()
+
     @pytest.mark.parametrize("nvars, degree", [(4, 1), (5, 2), (5, 3), (6, 3)])
     def test_levenberg_marquardt_matches_reference_bit_for_bit(self, nvars, degree):
         system = ResidualSystem(nvars, degree)
